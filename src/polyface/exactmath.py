@@ -1,8 +1,14 @@
 """Exact rational vectors, matrices, and linear-algebra kernels.
 
-Everything here is arbitrary-precision `fractions.Fraction` arithmetic; no
+The public API speaks arbitrary-precision `fractions.Fraction`; no
 operation ever rounds.  Vectors are tuples, matrices are lists of row
 tuples; integers are accepted anywhere a rational is (they are exact).
+
+All elimination runs in one private fraction-free kernel over primitive
+integer rows (each row scaled to coprime integers and gcd-normalized
+after every combination): ``_eliminate`` is Gauss-Jordan, ``_reduce``
+reduces one vector against echelon rows.  Fractions appear only when a
+result is read back.
 
 The kernels other modules rely on:
 
@@ -17,6 +23,7 @@ The kernels other modules rely on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -61,54 +68,80 @@ def mat_transpose(m: Sequence[Sequence]) -> Matrix:
     return [tuple(col) for col in zip(*m)] if m else []
 
 
-def _pivot_row(rows, start, col):
-    """Index of the pivot row for `col`: largest |value|, lowest row on ties."""
-    best = -1
-    best_val = None
-    for r in range(start, len(rows)):
-        v = rows[r][col]
-        if v == 0:
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries; the one normaliser of the kernel."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _int_row(v: Sequence) -> list[int]:
+    """Primitive integer row proportional to the rational vector v."""
+    fracs = [Q(x) for x in v]
+    den = math.lcm(*(x.denominator for x in fracs))
+    return _primitive([x.numerator * (den // x.denominator) for x in fracs])
+
+
+def _combine(v: list[int], row: list[int], c: int) -> list[int]:
+    """Primitive multiple of v - (v[c] / row[c]) * row, which is zero at c."""
+    g = math.gcd(row[c], v[c])
+    pv, f = row[c] // g, v[c] // g
+    return _primitive([x * pv - f * y for x, y in zip(v, row)])
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on primitive integer rows, in place.
+
+    Pivots are taken from the first `ncols` columns only; the pivot row
+    for a column is the first nonzero one at or below the current rank.
+    Returns the pivot columns; rows[i] is the pivot row of pivots[i],
+    the rows after them are zero in the pivot block, and a reduced value
+    is Fraction(rows[i][j], rows[i][pivots[i]]).  Every row stays a
+    primitive integer multiple of its Fraction counterpart: fraction-free
+    as in Bareiss (Math. Comp. 22, 1968), with a gcd normalization in
+    place of his exact division by the previous pivot.
+    """
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
             continue
-        a = -v if v < 0 else v
-        if best_val is None or a > best_val:
-            best, best_val = r, a
-    return best
+        rows[r], rows[p] = rows[p], rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = _combine(row, rows[r], c)
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
+def _reduce(v: list[int], rows: Sequence[list[int]], pivots: Sequence[int]) -> list[int]:
+    """Primitive integer v reduced against echelon rows: zero at every pivot."""
+    for row, c in zip(rows, pivots):
+        if v[c]:
+            v = _combine(v, row, c)
+    return v
 
 
 def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
     """In-place Gauss-Jordan elimination to reduced row echelon form.
 
-    Returns (rows, pivot_cols).  Entries are reduced to lowest terms by
-    Fraction arithmetic at every step.
+    Returns (rows, pivot_cols) with `Fraction` entries.
     """
     if not rows:
         return rows, []
     ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        p = _pivot_row(rows, r, c)
-        if p < 0:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    ints = [_int_row(row) for row in rows]
+    pivots = _eliminate(ints, ncols)
+    for i, row in enumerate(ints):
+        den = row[pivots[i]] if i < len(pivots) else 1
+        rows[i] = [Q(x, den) for x in row]
     return rows, pivots
 
 
 def matrix_rank(m: Sequence[Sequence]) -> int:
-    rows = [[Q(x) for x in row] for row in m]
-    _, pivots = row_reduce(rows)
-    return len(pivots)
+    return len(_eliminate([_int_row(row) for row in m], len(m[0]) if m else 0))
 
 
 @dataclass(frozen=True)
@@ -132,43 +165,22 @@ def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> LinearSolveResult
     if nrows != len(b):
         raise ValueError(f"A has {nrows} rows but b has {len(b)} entries")
     ncols = len(a[0]) if nrows else 0
-    # Augment with an identity block to track the row operations, then b.
+    # [A | I | b]: the identity block records the row operations.
     rows = [
-        [Q(x) for x in a[r]] + [Q(1) if i == r else Q(0) for i in range(nrows)] + [Q(b[r])]
+        _int_row([*a[r], *(1 if i == r else 0 for i in range(nrows)), b[r]])
         for r in range(nrows)
     ]
-    work = [row[:ncols] for row in rows]
-    # Reduce jointly: eliminate using only the A block for pivot choice.
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        p = _pivot_row(work, r, c)
-        if p < 0:
-            continue
-        work[r], work[p] = work[p], work[r]
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = work[r][c]
-        if pv != 1:
-            work[r] = [x / pv for x in work[r]]
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    pivots = _eliminate(rows, ncols)
     rank = len(pivots)
     # Inconsistent iff some zero row of A maps to a nonzero rhs.
-    for i in range(rank, nrows):
-        if rows[i][-1] != 0:
-            witness = tuple(rows[i][ncols : ncols + nrows])
-            return LinearSolveResult(status="inconsistent", witness=witness)
+    for row in rows[rank:]:
+        if row[-1] != 0:
+            return LinearSolveResult(
+                status="inconsistent", witness=tuple(Q(x) for x in row[ncols:-1])
+            )
     sol = [Q(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][-1]
+    for row, c in zip(rows, pivots):
+        sol[c] = Q(row[-1], row[c])
     free = tuple(c for c in range(ncols) if c not in set(pivots))
     status = "unique" if rank == ncols else "underdetermined"
     return LinearSolveResult(status=status, solution=tuple(sol), free_columns=free)
@@ -176,10 +188,9 @@ def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> LinearSolveResult
 
 def nullspace(m: Sequence[Sequence]) -> list[Vector]:
     """Basis of {x : M x = 0}, one vector per free column of the rref."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rows = [[Q(x) for x in row] for row in m]
-    rows, pivots = row_reduce(rows)
+    ncols = len(m[0]) if m else 0
+    rows = [_int_row(row) for row in m]
+    pivots = _eliminate(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -187,38 +198,17 @@ def nullspace(m: Sequence[Sequence]) -> list[Vector]:
             continue
         v = [Q(0)] * ncols
         v[free] = Q(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][free]
+        for row, c in zip(rows, pivots):
+            v[c] = -Q(row[free], row[c])
         basis.append(tuple(v))
     return basis
 
 
 def canonical_integer_vector(v: Sequence) -> Vector:
     """Scale to coprime integers with a positive leading nonzero entry."""
-    fracs = [Q(x) for x in v]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
-        if g == 1:
-            break
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(Q(x) for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
+    ints = _int_row(v)
+    sign = -1 if next((x for x in ints if x), 0) < 0 else 1
+    return tuple(Q(sign * x) for x in ints)
 
 
 def affine_dependencies(points: Sequence[Sequence]) -> list[Vector]:
@@ -302,42 +292,33 @@ def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
     if not points:
         raise ValueError("need at least one point")
     origin = as_vector(points[0])
-    dim = len(origin)
     basis: list[Vector] = []
-    reduced: list[list] = []  # echelon state of accepted directions
+    reduced: list[list[int]] = []  # echelon state of accepted directions
     pivot_cols: list[int] = []
     for p in points[1:]:
-        d = [Q(x) - o for x, o in zip(p, origin, strict=True)]
-        for row, c in zip(reduced, pivot_cols):
-            if d[c] != 0:
-                f = d[c] / row[c]
-                d = [x - f * y for x, y in zip(d, row)]
-        lead = next((i for i, x in enumerate(d) if x != 0), None)
+        d = tuple(Q(x) - o for x, o in zip(p, origin, strict=True))
+        v = _reduce(_int_row(d), reduced, pivot_cols)
+        lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             continue
-        basis.append(tuple(Q(x) - o for x, o in zip(p, origin, strict=True)))
-        reduced.append(d)
+        basis.append(d)
+        reduced.append(v)
         pivot_cols.append(lead)
     m = len(basis)
-    if m:
-        square = [[basis[j][c] for j in range(m)] for c in pivot_cols]
-        inv = _invert(square)
-    else:
-        inv = []
+    square = [[basis[j][c] for j in range(m)] for c in pivot_cols]
     # inv maps pivot-coordinate deltas to basis coefficients:
     # coords = inv * (p - origin)[pivot_cols].
     return AffineHullFrame(
         origin=origin,
         basis=tuple(basis),
         pivot_cols=tuple(pivot_cols),
-        inv_pivot=tuple(tuple(row) for row in inv),
+        inv_pivot=_invert(square),
     )
 
 
-def _invert(square: list[list]) -> list[list]:
+def _invert(square: list[list]) -> tuple[Vector, ...]:
     n = len(square)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(square)]
-    aug, pivots = row_reduce(aug)
-    if pivots != list(range(n)):
+    rows = [_int_row([*row, *(1 if i == j else 0 for j in range(n))]) for i, row in enumerate(square)]
+    if _eliminate(rows, n) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]
+    return tuple(tuple(Q(x, row[i]) for x in row[n:]) for i, row in enumerate(rows))

@@ -44,10 +44,6 @@ def q_str(x) -> str:
     return str(Q(x))
 
 
-def q_parse(s) -> Fraction:
-    return Q(s)
-
-
 @dataclass(frozen=True)
 class FaceCertificate:
     """Supporting hyperplane in ambient coordinates.
@@ -95,21 +91,30 @@ class NonFaceWitness:
 
 
 def certificate_from_json(data: dict):
-    if data["kind"] == "face":
-        cert = FaceCertificate(
-            normal=tuple(q_parse(x) for x in data["a"]),
-            offset=q_parse(data["b"]),
-            epsilon=q_parse(data["epsilon"]),
-        )
-    elif data["kind"] == "nonface":
-        cert = NonFaceWitness(
-            alpha=tuple(q_parse(x) for x in data["alpha"]),
-            mu=tuple(q_parse(x) for x in data["mu"]),
-            point=tuple(q_parse(x) for x in data["point"]),
-        )
-    else:
-        raise ValueError(f"unknown certificate kind {data['kind']!r}")
-    return tuple(data["subset"]), cert
+    """(subset, certificate) from parsed JSON.
+
+    A malformed certificate raises ValueError, or KeyError for a missing field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"certificate must be a JSON object, not {type(data).__name__}")
+    try:
+        if data["kind"] == "face":
+            cert = FaceCertificate(
+                normal=tuple(Q(x) for x in data["a"]),
+                offset=Q(data["b"]),
+                epsilon=Q(data["epsilon"]),
+            )
+        elif data["kind"] == "nonface":
+            cert = NonFaceWitness(
+                alpha=tuple(Q(x) for x in data["alpha"]),
+                mu=tuple(Q(x) for x in data["mu"]),
+                point=tuple(Q(x) for x in data["point"]),
+            )
+        else:
+            raise ValueError(f"unknown certificate kind {data['kind']!r}")
+        return tuple(data["subset"]), cert
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"unreadable value ({exc})") from None
 
 
 def _sparse_dot(normal, onepositions) -> Fraction:

@@ -28,7 +28,14 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .exactmath import affine_dependencies, affine_hull_frame, row_reduce
+from .exactmath import (
+    _eliminate,
+    _int_row,
+    _reduce,
+    affine_dependencies,
+    affine_hull_frame,
+    canonical_integer_vector,
+)
 from .faces import FaceByEquations, face_by_equations, q_str
 from .families import (
     VertexSet,
@@ -466,64 +473,32 @@ def fit_affine_map(dom, cod, corr: Sequence[int], name: str = "fitted") -> FitRe
     npts = len(dpts)
     dim_d = affine_hull_frame(dpts).dim
     dim_c = affine_hull_frame(cpts).dim
-    # One shared elimination for all output coordinates: [v_i | 1 | targets].
-    aug = []
-    for i in range(npts):
-        row = [Q(x) for x in dpts[i]] + [Q(1)]
-        row.extend(Q(cpts[corr[i]][r]) for r in range(cdim))
-        aug.append(row)
+    # One shared elimination for all output coordinates: [v_i | 1 | I | targets],
+    # pivoting on the unknown block; the identity block of a row that is
+    # zero there is an affine dependency of the domain points.
     nunk = ddim + 1
-    work = [row[:nunk] for row in aug]
-    keep = [row[:] for row in aug]
-    # Row-reduce using only the unknown block for pivots; mirror ops on keep.
-    pivots = []
-    r = 0
-    for c in range(nunk):
-        if r >= npts:
-            break
-        best = -1
-        best_val = None
-        for i in range(r, npts):
-            v = work[i][c]
-            if v != 0:
-                av = -v if v < 0 else v
-                if best_val is None or av > best_val:
-                    best, best_val = i, av
-        if best < 0:
-            continue
-        work[r], work[best] = work[best], work[r]
-        keep[r], keep[best] = keep[best], keep[r]
-        pv = work[r][c]
-        if pv != 1:
-            work[r] = [x / pv for x in work[r]]
-            keep[r] = [x / pv for x in keep[r]]
-        for i in range(npts):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                keep[i] = [x - f * y for x, y in zip(keep[i], keep[r])]
-        pivots.append(c)
-        r += 1
-    rank = len(pivots)
-    # Inconsistency: a zero combination of [v_i | 1] with nonzero target.
-    for i in range(rank, npts):
-        for rr in range(cdim):
-            if keep[i][nunk + rr] != 0:
-                # recover the dependency coefficients by re-solving
-                dep = _dependency_from_row(dpts, keep[i][nunk + rr], corr, cpts, rr)
+    tcol = nunk + npts
+    work = [
+        _int_row([*dpts[i], 1, *(1 if j == i else 0 for j in range(npts)), *cpts[corr[i]]])
+        for i in range(npts)
+    ]
+    pivots = _eliminate(work, nunk)
+    for rr in range(cdim):
+        for row in work[len(pivots) :]:
+            if row[tcol + rr] != 0:
                 return FitResult(
                     map=None,
                     is_isomorphism=False,
                     domain_hull_dim=dim_d,
                     codomain_hull_dim=dim_c,
-                    failure_dependency=dep,
+                    failure_dependency=canonical_integer_vector(row[nunk:tcol]),
                     failure_coordinate=rr,
                 )
     rows = _zero_rows(cdim, ddim)
     offset = [Q(0)] * cdim
-    for i, c in enumerate(pivots):
+    for row, c in zip(work, pivots):
         for rr in range(cdim):
-            val = keep[i][nunk + rr]
+            val = Q(row[tcol + rr], row[c])
             if c < ddim:
                 rows[rr][c] = val
             else:
@@ -541,15 +516,6 @@ def fit_affine_map(dom, cod, corr: Sequence[int], name: str = "fitted") -> FitRe
         domain_hull_dim=dim_d,
         codomain_hull_dim=dim_c,
     )
-
-
-def _dependency_from_row(dpts, _val, corr, cpts, rr):
-    """Find an affine dependency of the domain violated by the targets."""
-    for dep in affine_dependencies(dpts):
-        img = sum((dep[i] * Q(cpts[corr[i]][rr]) for i in range(len(dpts))), Q(0))
-        if img != 0:
-            return dep
-    return None
 
 
 @dataclass(frozen=True)
@@ -576,11 +542,10 @@ def brute_force_iso_search(dom, cod, max_vertices: int = 8) -> IsoSearchResult:
     npts = len(dpts)
     dim_d = affine_hull_frame(dpts).dim
     dim_c = affine_hull_frame(cpts).dim
-    deps_d = affine_dependencies(dpts)
-    deps_c = affine_dependencies(cpts)
+    deps_d = [_int_row(v) for v in affine_dependencies(dpts)]
     # Echelonized codomain dependency space for membership tests.
-    red = [list(v) for v in deps_c]
-    red, piv = row_reduce(red)
+    red = [_int_row(v) for v in affine_dependencies(cpts)]
+    piv = _eliminate(red, npts)
     tried = 0
     for perm in permutations(range(npts)):
         tried += 1
@@ -588,14 +553,10 @@ def brute_force_iso_search(dom, cod, max_vertices: int = 8) -> IsoSearchResult:
             continue
         ok = True
         for dep in deps_d:
-            t = [Q(0)] * npts
+            t = [0] * npts
             for i, coef in enumerate(dep):
                 t[perm[i]] = coef
-            for row, c in zip(red, piv):
-                if t[c] != 0:
-                    f = t[c]
-                    t = [x - f * y for x, y in zip(t, row)]
-            if any(x != 0 for x in t):
+            if any(_reduce(t, red, piv)):
                 ok = False
                 break
         if ok:

@@ -14,10 +14,13 @@ independent of the pivoting code:
   that combine to the contradiction 0 < 0;
 * ``unbounded`` -- a feasible point and an improving recession ray.
 
-Pivoting uses the largest-reduced-cost rule and switches permanently to
-least-index (Bland) selection after a long degenerate streak, which
-keeps the finite-termination guarantee; ``pivot_rule="bland"`` forces
-least-index selection throughout.
+Pivoting uses the largest-reduced-cost rule, switches to least-index
+(Bland) selection after a long streak of degenerate pivots, and returns
+to largest-reduced-cost after the next non-degenerate pivot.  This
+still terminates: a non-degenerate pivot strictly improves the
+objective, so no basis recurs across one, and Bland's rule ends every
+degenerate run.  ``pivot_rule="bland"`` forces least-index selection
+throughout.
 """
 
 from __future__ import annotations
@@ -117,6 +120,29 @@ def _oriented(con: Constraint):
     return tuple(Q(x) for x in con.coeffs), Q(con.rhs)
 
 
+def _normalized(row, den):
+    """(row, den) divided by the gcd of den and every entry of row."""
+    g = den
+    for x in row:
+        if x:
+            g = math.gcd(g, x)
+            if g == 1:
+                return row, den
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+def _combined(row, den, prow, pv, f):
+    """row*pv - f*prow over den*pv, with a positive gcd-normalized denominator."""
+    new = [x * pv - f * y for x, y in zip(row, prow)]
+    den *= pv
+    if den < 0:
+        den = -den
+        new = [-x for x in new]
+    return _normalized(new, den)
+
+
 class _Tableau:
     """Integer-scaled simplex tableau: rows[i] / dens[i] are the true values."""
 
@@ -124,28 +150,6 @@ class _Tableau:
         self.rows = [[0] * ncols for _ in range(nrows)]
         self.dens = [1] * nrows
         self.ncols = ncols
-
-    def reduce_row(self, i):
-        row = self.rows[i]
-        g = self.dens[i]
-        for x in row:
-            if x:
-                g = math.gcd(g, x)
-                if g == 1:
-                    return
-        if g > 1:
-            self.rows[i] = [x // g for x in row]
-            self.dens[i] //= g
-
-    def combine(self, i, p, pv, f):
-        """rows[i] := rows[i]*pv - f*rows[p]; dens[i] *= pv (then normalized)."""
-        ri, rp = self.rows[i], self.rows[p]
-        self.rows[i] = [x * pv - f * y for x, y in zip(ri, rp)]
-        self.dens[i] *= pv
-        if self.dens[i] < 0:
-            self.dens[i] = -self.dens[i]
-            self.rows[i] = [-x for x in self.rows[i]]
-        self.reduce_row(i)
 
     def value(self, i, j) -> Fraction:
         return Q(self.rows[i][j], self.dens[i])
@@ -242,8 +246,7 @@ class _Solver:
             if art_of[r] >= 0:
                 row[art_of[r]] = den
             row[self.rhs_col] = sign * int(rhs * den)
-            t.dens[r] = den
-            t.reduce_row(r)
+            t.rows[r], t.dens[r] = _normalized(row, den)
         self.t = t
         self.m = m
         self.nstruct = nstruct
@@ -266,30 +269,19 @@ class _Solver:
 
     # --- pivoting --------------------------------------------------------
 
-    def _eliminate_basics_from(self, obj, objden_attr):
+    def _clear_objective(self, name, r, j):
+        """Eliminate column j from objective row `name` using tableau row r."""
+        obj = getattr(self, name)
+        if obj[j] != 0:
+            prow = self.t.rows[r]
+            new, den = _combined(obj, getattr(self, name + "den"), prow, prow[j], obj[j])
+            setattr(self, name, new)
+            setattr(self, name + "den", den)
+
+    def _eliminate_basics_from(self, name):
         """Clear basic columns out of an objective row (initialization)."""
         for r in range(self.m):
-            j = self.basis[r]
-            if obj[j] == 0:
-                continue
-            pv = self.t.rows[r][j]
-            f = obj[j]
-            new = [x * pv - f * y for x, y in zip(obj, self.t.rows[r])]
-            den = getattr(self, objden_attr) * pv
-            if den < 0:
-                den = -den
-                new = [-x for x in new]
-            g = den
-            for x in new:
-                if x:
-                    g = math.gcd(g, x)
-                    if g == 1:
-                        break
-            if g > 1:
-                new = [x // g for x in new]
-                den //= g
-            obj[:] = new
-            setattr(self, objden_attr, den)
+            self._clear_objective(name, r, self.basis[r])
 
     def _pivot(self, p, c):
         t = self.t
@@ -297,31 +289,14 @@ class _Solver:
         # and the min-ratio test remains valid on raw numerators.
         if t.rows[p][c] < 0:
             t.rows[p] = [-x for x in t.rows[p]]
-        pv = t.rows[p][c]
+        prow = t.rows[p]
+        pv = prow[c]
         for i in range(self.m):
-            if i != p and t.rows[i][c] != 0:
-                t.combine(i, p, pv, t.rows[i][c])
+            f = t.rows[i][c]
+            if i != p and f != 0:
+                t.rows[i], t.dens[i] = _combined(t.rows[i], t.dens[i], prow, pv, f)
         for name in ("obj1", "obj2"):
-            obj = getattr(self, name)
-            if obj[c] != 0:
-                den_attr = name + "den"
-                f = obj[c]
-                new = [x * pv - f * y for x, y in zip(obj, t.rows[p])]
-                den = getattr(self, den_attr) * pv
-                if den < 0:
-                    den = -den
-                    new = [-x for x in new]
-                g = den
-                for x in new:
-                    if x:
-                        g = math.gcd(g, x)
-                        if g == 1:
-                            break
-                if g > 1:
-                    new = [x // g for x in new]
-                    den //= g
-                setattr(self, name, new)
-                setattr(self, den_attr, den)
+            self._clear_objective(name, p, c)
         self.basis[p] = c
 
     def _entering(self, obj, enterable, bland):
@@ -415,7 +390,7 @@ class _Solver:
         lp = self.lp
         enterable_p1 = [j < self.art_start for j in range(self.ncols - 1)]
         if self.need_phase1:
-            self._eliminate_basics_from(self.obj1, "obj1den")
+            self._eliminate_basics_from("obj1")
             self._run("obj1", enterable_p1)
             # objective rows carry the negated value in the rhs cell
             phase1_value = -Q(self.obj1[self.rhs_col], self.obj1den)
@@ -429,7 +404,7 @@ class _Solver:
                             self._pivot(r, j)
                             break
                     # else: redundant row; it is inert from here on.
-        self._eliminate_basics_from(self.obj2, "obj2den")
+        self._eliminate_basics_from("obj2")
         status = self._run("obj2", enterable_p1)
         if status != "optimal":
             return self._unbounded_result(status)

@@ -92,6 +92,24 @@ def test_check_mismatched_ambient_dim_is_an_error(tmp_path, capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "face", "subset": [0], "a": ["1/0"] + ["0"] * 8, "b": "0", "epsilon": "1"},
+        [{"kind": "face", "subset": [0]}],
+    ],
+    ids=["zero-denominator", "top-level-list"],
+)
+def test_check_malformed_certificate_is_an_error(tmp_path, capsys, data):
+    vpath = tmp_path / "phi3.json"
+    run(["generate", "--family", "phi", "--n", "3", "--out", str(vpath)], capsys)
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(data))
+    code, _, err = run(["check", "--vertices", str(vpath), "--certificate", str(cpath)], capsys)
+    assert code == 2
+    assert "malformed certificate" in err
+
+
 def test_neighborly_exit_codes(tmp_path, capsys):
     vpath = tmp_path / "phi3.json"
     run(["generate", "--family", "phi", "--n", "3", "--out", str(vpath)], capsys)

@@ -3,12 +3,15 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyface.exactmath import (
     affine_dependencies,
     affine_hull_frame,
     matrix_rank,
     nullspace,
+    row_reduce,
     solve_linear_system,
     vec_dot,
 )
@@ -46,6 +49,47 @@ def rank_by_minors(m):
                 if det([[m[r][c] for c in cols] for r in rows]) != 0:
                     return k
     return 0
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fraction cells, the oracle for the integer-row kernel."""
+    rows = [[Q(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_frame(points):
+    """(basis, pivot_cols, inv_pivot) of the greedy Fraction echelon."""
+    origin = [Q(x) for x in points[0]]
+    basis, reduced, pivots = [], [], []
+    for p in points[1:]:
+        d = [Q(x) - o for x, o in zip(p, origin)]
+        r = d
+        for row, c in zip(reduced, pivots):
+            if r[c] != 0:
+                f = r[c] / row[c]
+                r = [x - f * y for x, y in zip(r, row)]
+        lead = next((i for i, x in enumerate(r) if x != 0), None)
+        if lead is not None:
+            basis.append(tuple(d))
+            reduced.append(r)
+            pivots.append(lead)
+    m = len(basis)
+    aug = [[b[c] for b in basis] + [int(i == j) for j in range(m)] for i, c in enumerate(pivots)]
+    inv = tuple(tuple(row[m:]) for row in reference_rref(aug)[0])
+    return tuple(basis), tuple(pivots), inv
 
 
 def test_solve_scalar_division():
@@ -169,6 +213,46 @@ def test_frame_round_trip(make):
     frame = affine_hull_frame(pts)
     for p in pts:
         assert frame.reconstruct(frame.coords_of(p)) == p
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: phi_vertices(4), lambda: qap_vertices(4), lambda: bqp_vertices(3)],
+    ids=["phi4", "qap4", "bqp3"],
+)
+def test_frame_matches_fraction_reference(make):
+    pts = make().dense_all()
+    frame = affine_hull_frame(pts)
+    assert (frame.basis, frame.pivot_cols, frame.inv_pivot) == reference_frame(pts)
+
+
+small_point_sets = st.integers(1, 5).flatmap(
+    lambda dim: st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=7
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_point_sets)
+def test_frame_matches_fraction_reference_random(pts):
+    frame = affine_hull_frame(pts)
+    assert (frame.basis, frame.pivot_cols, frame.inv_pivot) == reference_frame(pts)
+
+
+small_rational_matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.fractions(-4, 4, max_denominator=3), min_size=ncols, max_size=ncols),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rational_matrices)
+def test_row_reduce_matches_fraction_reference_random(m):
+    assert row_reduce([list(row) for row in m]) == reference_rref(m)
 
 
 def test_frame_rejects_point_off_hull():

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from polyface.exactmath import canonical_integer_vector
 from polyface.faces import NonFaceWitness, is_face, verify_nonface_witness
 from polyface.families import (
     Permutation,
@@ -351,6 +352,10 @@ def test_fit_phi3_to_qap3_fails_with_dependency_witness():
         for i in range(dim):
             comb_[i] += coef * v[i]
     assert all(x == 0 for x in comb_)
+    # ... that the correspondence fails to transport at failure_coordinate
+    fc = fit.failure_coordinate
+    assert sum(coef * qs.dense(corr[i])[fc] for i, coef in enumerate(dep)) != 0
+    assert dep == canonical_integer_vector(dep)
 
 
 def test_fit_three_points_onto_any_three():
