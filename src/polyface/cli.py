@@ -2,8 +2,8 @@
 
 Subcommands: generate, face, neighborly, verify, check.  Exit-code
 contract: 0 = verified / face / k-neighborly, 1 = refuted / non-face /
-counterexample found, 2 = error (bad input, guard violation, or an
-internal inconsistency between the two LP routes).
+counterexample found, 2 = error (bad input, guard violation, or a
+certificate from the LP that fails its own substitution check).
 
 All emitted files are JSON with rationals serialized as exact "p/q"
 strings; no floats appear anywhere.
@@ -27,18 +27,6 @@ from .faces import (
 )
 from .families import VertexSet, generate
 from .scenarios import SCENARIOS, run_scenario
-
-GUARDS = {
-    "thm1": (2, 3),
-    "prop1": (3, 5),
-    "lemma1": (4, 5),
-    "thm2": (2, 3),
-    "phi-not-3-neighborly": (3, 5),
-    "qap-3-neighborly": (3, 4),
-    "nonisomorphism": (3, 3),
-    "corollary-3n-face": (2, 3),
-}
-
 
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
@@ -123,15 +111,10 @@ def cmd_neighborly(args) -> int:
 
 def cmd_verify(args) -> int:
     name = args.scenario
-    if name not in SCENARIOS:
-        print(f"error: unknown scenario {name!r}; choose from {sorted(SCENARIOS)}", file=sys.stderr)
-        return 2
-    _, param_name = SCENARIOS[name]
+    _, param_name, lo, hi = SCENARIOS[name]
     param = args.k if (param_name == "k" and args.k is not None) else args.n
     if param is None:
-        lo, _ = GUARDS[name]
         param = lo
-    lo, hi = GUARDS[name]
     if not lo <= param <= hi and not args.force:
         print(
             f"error: scenario {name} guard is {param_name} in [{lo}, {hi}] (got {param}); "

@@ -14,8 +14,13 @@ to a . v = b on S, a . v <= b - eps off S, with the L1 normalization
 sum |a_i| <= 1 and the cap eps <= 1; it is solved by outer row
 generation (violated off-S rows are added until the relaxed optimum is
 feasible for the full system, which makes it the full optimum).  A zero
-optimum triggers the witness-LP, which must then be feasible; if the
-two ever disagree the run aborts rather than guess.
+optimum is read as a non-face witness from the same LP's optimal duals:
+with the gap at zero the norm-row multiplier vanishes, the multipliers
+of the active off-S rows sum to T >= 1 (the eps column) and those of
+the S rows to -T (the b columns), and the frame rows combine to zero,
+so alpha = -y_S / T and mu = y_active / T is a common point of aff(S)
+and conv(rest).  A second, independent formulation (the witness-LP)
+survives only as the test oracle ``witness_oracle_is_face``.
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -37,7 +42,7 @@ Q = Fraction
 
 
 class InternalInconsistencyError(RuntimeError):
-    """The support-LP and witness-LP disagreed; certificates cannot be trusted."""
+    """The support-LP, or a certificate built from it, failed its own checks; nothing can be trusted."""
 
 
 def q_str(x) -> str:
@@ -206,10 +211,13 @@ class FaceContext:
 def _support_lp_optimum(ctx: FaceContext, subset, others, batch=None):
     """Exact optimum of the support-LP via outer row generation.
 
-    Returns (epsilon, a_frame, b_frame).  The returned solution
-    satisfies every off-subset row of the full LP, so its objective
-    equals the full optimum.  batch limits how many violated rows join
-    per round (default: all of them, measured fastest at desk scale).
+    Returns (epsilon, a_frame, b_frame, dual, active) of the last round,
+    where active lists its off-subset rows in order and dual holds its
+    constraint multipliers: subset rows, the norm row, then active.  The
+    returned solution satisfies every off-subset row of the full LP, so
+    its objective equals the full optimum.  batch limits how many
+    violated rows join per round (default: all of them, measured fastest
+    at desk scale).
     """
     m = ctx.frame.dim
     nv = ctx.num_vars
@@ -231,7 +239,7 @@ def _support_lp_optimum(ctx: FaceContext, subset, others, batch=None):
         b_frame = x[2 * m] - x[2 * m + 1]
         eps = res.objective_value
         if eps == 0:
-            return Q(0), a_frame, b_frame
+            return Q(0), a_frame, b_frame, res.dual, active
         violated = []
         for t in others:
             if t in active_set:
@@ -240,7 +248,7 @@ def _support_lp_optimum(ctx: FaceContext, subset, others, batch=None):
             if gap < eps:
                 violated.append((gap, t))
         if not violated:
-            return eps, a_frame, b_frame
+            return eps, a_frame, b_frame, res.dual, active
         violated.sort()
         if batch is not None:
             violated = violated[:batch]
@@ -250,7 +258,7 @@ def _support_lp_optimum(ctx: FaceContext, subset, others, batch=None):
 
 
 def _witness_lp(ctx: FaceContext, subset, others):
-    """Feasibility LP for a common point of aff(S) and conv(rest)."""
+    """Feasibility LP for a common point of aff(S) and conv(rest); oracle only."""
     ns, no = len(subset), len(others)
     nv = ns + no
     m = ctx.frame.dim
@@ -288,21 +296,21 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
     if ctx is None:
         ctx = FaceContext(vs)
     others = [t for t in range(len(vs)) if t not in set(idx)]
-    eps, a_frame, b_frame = _support_lp_optimum(ctx, idx, others)
+    eps, a_frame, b_frame, dual, active = _support_lp_optimum(ctx, idx, others)
     if eps > 0:
         a, b = ctx.frame.ambient_functional(a_frame, b_frame)
         cert = FaceCertificate(normal=a, offset=b, epsilon=eps)
         if not verify_face_certificate(vs, idx, cert):
             raise InternalInconsistencyError("support-LP certificate failed substitution")
         return cert
-    res = _witness_lp(ctx, idx, others)
-    if res.status != "optimal":
-        raise InternalInconsistencyError(
-            "support-LP gave zero gap but the witness-LP is infeasible"
-        )
-    x = res.primal
-    alpha = tuple(x[: len(idx)])
-    mu = tuple(x[len(idx) :])
+    # Zero gap: the duals combine S and the active rows (module docstring).
+    y_active = dual[len(idx) + 1 :]
+    total = sum(y_active)
+    if total <= 0:
+        raise InternalInconsistencyError("support-LP duals put no weight on the off-subset rows")
+    alpha = tuple(-y / total for y in dual[: len(idx)])
+    weight = dict(zip(active, y_active))
+    mu = tuple(weight.get(t, Q(0)) / total for t in others)
     point = [Q(0)] * vs.scheme.ambient_dim
     for coef, i in zip(alpha, idx):
         if coef != 0:
@@ -310,7 +318,7 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
                 point[off] += coef
     wit = NonFaceWitness(alpha=alpha, mu=mu, point=tuple(point))
     if not verify_nonface_witness(vs, idx, wit):
-        raise InternalInconsistencyError("witness-LP certificate failed substitution")
+        raise InternalInconsistencyError("support-LP dual witness failed substitution")
     return wit
 
 

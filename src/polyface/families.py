@@ -189,17 +189,29 @@ class VertexSet:
 
     @staticmethod
     def from_json(data: dict) -> "VertexSet":
-        scheme = scheme_for(data["family"], data["n"])
+        """Vertex set from parsed JSON; any malformed shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"vertex file must hold a JSON object, not {type(data).__name__}")
+        missing = [key for key in ("family", "n", "ambient_dim", "labels", "vertices") if key not in data]
+        if missing:
+            raise ValueError(f"vertex file lacks {', '.join(missing)}")
+        family, n, labels, vertices = data["family"], data["n"], data["labels"], data["vertices"]
+        if not isinstance(family, str) or type(n) is not int:
+            raise ValueError("vertex file needs a family name and an integer n")
+        if not (
+            isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)
+            and isinstance(vertices, list)
+            and all(isinstance(v, list) and all(type(x) is int for x in v) for v in vertices)
+        ):
+            raise ValueError("vertex file needs string labels and integer one-position lists")
+        scheme = scheme_for(family, n)
         if scheme.ambient_dim != data["ambient_dim"]:
             raise ValueError(
                 f"ambient_dim {data['ambient_dim']} does not match "
-                f"{data['family']}({data['n']}) = {scheme.ambient_dim}"
+                f"{family}({n}) = {scheme.ambient_dim}"
             )
-        return VertexSet(
-            scheme=scheme,
-            labels=tuple(data["labels"]),
-            vertices=tuple(tuple(v) for v in data["vertices"]),
-        )
+        return VertexSet(scheme=scheme, labels=tuple(labels), vertices=tuple(tuple(v) for v in vertices))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

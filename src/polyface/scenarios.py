@@ -1,8 +1,9 @@
 """Named verification scenarios with machine-readable reports.
 
 Each scenario replays one claim about the three families end to end and
-reports per-step pass/fail plus any certificates produced.  Reports are
-deterministic apart from the wall-clock duration field.
+returns its steps: pass/fail plus any certificates produced.
+``run_scenario`` times the call and wraps the steps in a report.  Reports
+are deterministic apart from the wall-clock duration field.
 
 Scenario names (CLI tokens): thm1, prop1, lemma1, thm2,
 phi-not-3-neighborly, qap-3-neighborly, nonisomorphism,
@@ -82,9 +83,8 @@ def _one_positions(vec):
     return tuple(i for i, x in enumerate(vec) if x != 0)
 
 
-def scenario_prop1(n: int, jobs: int = 1) -> Report:
+def scenario_prop1(n: int, jobs: int = 1) -> list[Step]:
     """The projection carries assignment tensors onto edge permutations."""
-    t0 = time.monotonic()
     steps = []
     pmap = prop1_projection(n)
     qs, ps = qap_vertices(n), phi_vertices(n)
@@ -114,12 +114,11 @@ def scenario_prop1(n: int, jobs: int = 1) -> Report:
             {"image_size": len(image_set), "target_size": len(ps)},
         )
     )
-    return Report("prop1", {"n": n}, steps, time.monotonic() - t0)
+    return steps
 
 
-def scenario_thm1(n: int, jobs: int = 1) -> Report:
+def scenario_thm1(n: int, jobs: int = 1) -> list[Step]:
     """Assignment tensors are exactly a coordinate-fixed face of the quadric cube."""
-    t0 = time.monotonic()
     steps = []
     emb = thm1_embedding(n)
     cube = bqp_vertices(n * n)
@@ -183,12 +182,11 @@ def scenario_thm1(n: int, jobs: int = 1) -> Report:
             {"expected": factorial(n), "found": len(f3_by_sums), "cube_vertices": len(cube)},
         )
     )
-    return Report("thm1", {"n": n}, steps, time.monotonic() - t0)
+    return steps
 
 
-def scenario_lemma1(n: int, jobs: int = 1) -> Report:
+def scenario_lemma1(n: int, jobs: int = 1) -> list[Step]:
     """The order-3 edge polytope sits inside phi(n) as a coordinate-zero face."""
-    t0 = time.monotonic()
     steps = []
     res = lemma1_face_iso(n)
     vs, face, phi3 = res.vertex_set, res.face, res.extra["phi3"]
@@ -248,12 +246,11 @@ def scenario_lemma1(n: int, jobs: int = 1) -> Report:
             {},
         )
     )
-    return Report("lemma1", {"n": n}, steps, time.monotonic() - t0)
+    return steps
 
 
-def scenario_thm2(k: int, jobs: int = 1) -> Report:
+def scenario_thm2(k: int, jobs: int = 1) -> list[Step]:
     """The Boolean quadric polytope of order k is a face of phi(2k)."""
-    t0 = time.monotonic()
     steps = []
     res = thm2_face_iso(k)
     vs, face, bqp = res.vertex_set, res.face, res.extra["bqp"]
@@ -315,19 +312,18 @@ def scenario_thm2(k: int, jobs: int = 1) -> Report:
             {"groups": len(res.extra["consistency_groups"])},
         )
     )
-    return Report("thm2", {"k": k}, steps, time.monotonic() - t0)
+    return steps
 
 
-def scenario_phi_not_3_neighborly(n: int, jobs: int = 1) -> Report:
+def scenario_phi_not_3_neighborly(n: int, jobs: int = 1) -> list[Step]:
     """Some triple of edge-permutation vertices is not a face."""
-    t0 = time.monotonic()
     vs = phi_vertices(n)
     rep = k_neighborly_scan(vs, 3, fix_first=n >= 5, stop_at_first=True, jobs=jobs)
     found = rep.counterexample_subset is not None
     verified = found and verify_nonface_witness(
         vs, rep.counterexample_subset, rep.counterexample_witness
     )
-    steps = [
+    return [
         Step(
             "counterexample triple",
             "the scan finds a vertex triple whose affine hull meets the convex hull "
@@ -343,17 +339,15 @@ def scenario_phi_not_3_neighborly(n: int, jobs: int = 1) -> Report:
             else None,
         )
     ]
-    return Report("phi-not-3-neighborly", {"n": n}, steps, time.monotonic() - t0)
 
 
-def scenario_qap_3_neighborly(n: int, jobs: int = 1) -> Report:
+def scenario_qap_3_neighborly(n: int, jobs: int = 1) -> list[Step]:
     """Every assignment-tensor triple is a face."""
-    t0 = time.monotonic()
     vs = qap_vertices(n)
     fix = n >= 4
     rep = k_neighborly_scan(vs, 3, fix_first=fix, jobs=jobs)
     expected = comb(factorial(n) - 1, 2) if fix else comb(factorial(n), 3)
-    steps = [
+    return [
         Step(
             "all triples certified",
             "every scanned triple admits a supporting hyperplane with positive gap",
@@ -366,12 +360,10 @@ def scenario_qap_3_neighborly(n: int, jobs: int = 1) -> Report:
             },
         )
     ]
-    return Report("qap-3-neighborly", {"n": n}, steps, time.monotonic() - t0)
 
 
-def scenario_nonisomorphism(n: int, jobs: int = 1) -> Report:
+def scenario_nonisomorphism(n: int, jobs: int = 1) -> list[Step]:
     """The two n!-vertex families are not isomorphic, affinely or facially."""
-    t0 = time.monotonic()
     if n != 3:
         raise ValueError("the exhaustive bijection search is sized for n = 3")
     steps = []
@@ -429,12 +421,11 @@ def scenario_nonisomorphism(n: int, jobs: int = 1) -> Report:
             {"bijections_tried": search.tried},
         )
     )
-    return Report("nonisomorphism", {"n": n}, steps, time.monotonic() - t0)
+    return steps
 
 
-def scenario_corollary_3n_face(k: int, jobs: int = 1) -> Report:
+def scenario_corollary_3n_face(k: int, jobs: int = 1) -> list[Step]:
     """phi(2k) has a 3-neighborly face with 2^k vertices."""
-    t0 = time.monotonic()
     steps = []
     res = thm2_face_iso(k)
     vs, face = res.vertex_set, res.face
@@ -461,7 +452,7 @@ def scenario_corollary_3n_face(k: int, jobs: int = 1) -> Report:
             {"triples": rep.total_subsets, "faces_certified": rep.faces_certified},
         )
     )
-    equations = [(off, val) for off, val in _face_equations(res)]
+    equations = [(e.coordinate, e.value) for e in face.equations]
     ctx = FaceContext(standalone)
     lifted_ok = True
     lifted_count = 0
@@ -498,31 +489,28 @@ def scenario_corollary_3n_face(k: int, jobs: int = 1) -> Report:
                 {},
             )
         )
-    return Report("corollary-3n-face", {"k": k}, steps, time.monotonic() - t0)
+    return steps
 
 
-def _face_equations(res):
-    from .families import phi_scheme
-
-    k = res.extra["k"]
-    ps = phi_scheme(2 * k)
-    return [(ps.encode((2 * i - 1, 2 * i), (2 * i - 1, 2 * i)), 1) for i in range(1, k + 1)]
-
-
+# name -> (scenario, parameter name, lowest and highest desk-scale value);
+# the CLI refuses values outside the range unless forced.
 SCENARIOS = {
-    "thm1": (scenario_thm1, "n"),
-    "prop1": (scenario_prop1, "n"),
-    "lemma1": (scenario_lemma1, "n"),
-    "thm2": (scenario_thm2, "k"),
-    "phi-not-3-neighborly": (scenario_phi_not_3_neighborly, "n"),
-    "qap-3-neighborly": (scenario_qap_3_neighborly, "n"),
-    "nonisomorphism": (scenario_nonisomorphism, "n"),
-    "corollary-3n-face": (scenario_corollary_3n_face, "k"),
+    "thm1": (scenario_thm1, "n", 2, 3),
+    "prop1": (scenario_prop1, "n", 3, 5),
+    "lemma1": (scenario_lemma1, "n", 4, 5),
+    "thm2": (scenario_thm2, "k", 2, 3),
+    "phi-not-3-neighborly": (scenario_phi_not_3_neighborly, "n", 3, 5),
+    "qap-3-neighborly": (scenario_qap_3_neighborly, "n", 3, 4),
+    "nonisomorphism": (scenario_nonisomorphism, "n", 3, 3),
+    "corollary-3n-face": (scenario_corollary_3n_face, "k", 2, 3),
 }
 
 
 def run_scenario(name: str, param: int, jobs: int = 1) -> Report:
+    """Run one scenario and time it; every scenario takes (param, jobs) and returns its steps."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    func, _ = SCENARIOS[name]
-    return func(param, jobs=jobs)
+    func, param_name, _, _ = SCENARIOS[name]
+    t0 = time.monotonic()
+    steps = func(param, jobs=jobs)
+    return Report(name, {param_name: param}, steps, time.monotonic() - t0)

@@ -144,7 +144,11 @@ def _combined(row, den, prow, pv, f):
 
 
 class _Tableau:
-    """Integer-scaled simplex tableau: rows[i] / dens[i] are the true values."""
+    """Integer-scaled simplex tableau: rows[i] / dens[i] are the true values.
+
+    The solver keeps its m constraint rows first, then the phase-1 and
+    phase-2 objective rows (reduced costs, negated value in the rhs cell).
+    """
 
     def __init__(self, nrows, ncols):
         self.rows = [[0] * ncols for _ in range(nrows)]
@@ -231,7 +235,7 @@ class _Solver:
         self.rhs_col = col_cursor
         self.slack_of, self.art_of = slack_of, art_of
 
-        t = _Tableau(m, self.ncols)
+        t = _Tableau(m + 2, self.ncols)
         for r in range(m):
             coeffs, rhs = raw_rows[r]
             sign = -1 if self.flip[r] else 1
@@ -253,35 +257,27 @@ class _Solver:
         self.basis = [art_of[r] if art_of[r] >= 0 else slack_of[r] for r in range(m)]
         self.need_phase1 = bool(arts)
 
-        # Objective rows (reduced costs + negated value in the rhs cell).
-        self.obj1 = [0] * self.ncols
-        self.obj1den = 1
+        # Objective rows m (phase 1) and m + 1 (phase 2).
+        self.obj1, self.obj2 = m, m + 1
         for r in arts:
-            self.obj1[art_of[r]] = -1
-        self.obj2 = [0] * self.ncols
-        self.obj2den = 1
+            t.rows[m][art_of[r]] = -1
         den = 1
         for x in lp.objective:
             den = den * Q(x).denominator // math.gcd(den, Q(x).denominator)
         for k, (v, s) in enumerate(self.cols):
-            self.obj2[k] = s * int(Q(lp.objective[v]) * den)
-        self.obj2den = den
+            t.rows[m + 1][k] = s * int(Q(lp.objective[v]) * den)
+        t.dens[m + 1] = den
 
     # --- pivoting --------------------------------------------------------
 
-    def _clear_objective(self, name, r, j):
-        """Eliminate column j from objective row `name` using tableau row r."""
-        obj = getattr(self, name)
-        if obj[j] != 0:
-            prow = self.t.rows[r]
-            new, den = _combined(obj, getattr(self, name + "den"), prow, prow[j], obj[j])
-            setattr(self, name, new)
-            setattr(self, name + "den", den)
-
-    def _eliminate_basics_from(self, name):
-        """Clear basic columns out of an objective row (initialization)."""
-        for r in range(self.m):
-            self._clear_objective(name, r, self.basis[r])
+    def _eliminate_basics_from(self, o):
+        """Clear basic columns out of objective row o (initialization)."""
+        t = self.t
+        for r, j in enumerate(self.basis):
+            f = t.rows[o][j]
+            if f != 0:
+                prow = t.rows[r]
+                t.rows[o], t.dens[o] = _combined(t.rows[o], t.dens[o], prow, prow[j], f)
 
     def _pivot(self, p, c):
         t = self.t
@@ -291,12 +287,10 @@ class _Solver:
             t.rows[p] = [-x for x in t.rows[p]]
         prow = t.rows[p]
         pv = prow[c]
-        for i in range(self.m):
-            f = t.rows[i][c]
+        for i, row in enumerate(t.rows):
+            f = row[c]
             if i != p and f != 0:
-                t.rows[i], t.dens[i] = _combined(t.rows[i], t.dens[i], prow, pv, f)
-        for name in ("obj1", "obj2"):
-            self._clear_objective(name, p, c)
+                t.rows[i], t.dens[i] = _combined(row, t.dens[i], prow, pv, f)
         self.basis[p] = c
 
     def _entering(self, obj, enterable, bland):
@@ -326,14 +320,13 @@ class _Solver:
                 best, bn, bd = r, rn, rd
         return best
 
-    def _run(self, obj_name, enterable):
-        """Pivot until the chosen objective row is optimal or unbounded."""
+    def _run(self, o, enterable):
+        """Pivot until objective row o is optimal or unbounded."""
         threshold = 2 * (self.m + self.ncols)
         bland = self.pivot_rule == "bland"
         streak = 0
         while True:
-            obj = getattr(self, obj_name)
-            c = self._entering(obj, enterable, bland)
+            c = self._entering(self.t.rows[o], enterable, bland)
             if c < 0:
                 return "optimal"
             p = self._leaving(c)
@@ -366,7 +359,7 @@ class _Solver:
                 x[v] += s * vals[k]
         return tuple(x)
 
-    def _duals(self, obj, objden, phase1):
+    def _duals(self, o):
         """Row multipliers of the unflipped standard rows, from identity columns.
 
         Every row keeps a column that started as +e_r in the tableau (its
@@ -374,11 +367,12 @@ class _Solver:
         multiplier is cost - reduced cost there; a row that was negated to
         make its rhs nonnegative carries the opposite multiplier.
         """
+        obj, objden = self.t.rows[o], self.t.dens[o]
         y = []
         for r in range(self.m):
             if self.art_of[r] >= 0:
                 col = self.art_of[r]
-                cinit = Q(-1) if phase1 else Q(0)
+                cinit = Q(-1) if o == self.obj1 else Q(0)
             else:
                 col = self.slack_of[r]
                 cinit = Q(0)
@@ -390,10 +384,10 @@ class _Solver:
         lp = self.lp
         enterable_p1 = [j < self.art_start for j in range(self.ncols - 1)]
         if self.need_phase1:
-            self._eliminate_basics_from("obj1")
-            self._run("obj1", enterable_p1)
+            self._eliminate_basics_from(self.obj1)
+            self._run(self.obj1, enterable_p1)
             # objective rows carry the negated value in the rhs cell
-            phase1_value = -Q(self.obj1[self.rhs_col], self.obj1den)
+            phase1_value = -self.t.value(self.obj1, self.rhs_col)
             if phase1_value < 0:
                 return self._infeasible_result()
             # Drive basic artificials (all at value 0 now) out of the basis.
@@ -404,19 +398,19 @@ class _Solver:
                             self._pivot(r, j)
                             break
                     # else: redundant row; it is inert from here on.
-        self._eliminate_basics_from("obj2")
-        status = self._run("obj2", enterable_p1)
+        self._eliminate_basics_from(self.obj2)
+        status = self._run(self.obj2, enterable_p1)
         if status != "optimal":
             return self._unbounded_result(status)
         primal = self._primal()
         value = sum(Q(c) * v for c, v in zip(lp.objective, primal))
-        dual = self._duals(self.obj2, self.obj2den, phase1=False)
+        dual = self._duals(self.obj2)
         lam = tuple(dual[r] for r in range(len(lp.constraints)))
         return LPResult(status="optimal", primal=primal, objective_value=value, dual=lam)
 
     def _infeasible_result(self) -> LPResult:
         lp = self.lp
-        y = self._duals(self.obj1, self.obj1den, phase1=True)
+        y = self._duals(self.obj1)
         lam = [y[r] for r in range(len(lp.constraints))]
         ub_mult = {}
         for r in range(len(lp.constraints), self.m):

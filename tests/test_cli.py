@@ -110,6 +110,25 @@ def test_check_malformed_certificate_is_an_error(tmp_path, capsys, data):
     assert "malformed certificate" in err
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda d: {k: v for k, v in d.items() if k != "labels"},
+        lambda d: {**d, "vertices": [[float(x) for x in d["vertices"][0]]] + d["vertices"][1:]},
+        lambda d: {**d, "n": str(d["n"])},
+        lambda d: [d],
+    ],
+    ids=["no-labels", "float-offsets", "string-n", "top-level-list"],
+)
+def test_face_malformed_vertex_file_is_an_error(tmp_path, capsys, spoil):
+    vpath = tmp_path / "phi3.json"
+    run(["generate", "--family", "phi", "--n", "3", "--out", str(vpath)], capsys)
+    vpath.write_text(json.dumps(spoil(json.loads(vpath.read_text()))))
+    code, _, err = run(["face", "--vertices", str(vpath), "--subset", "0"], capsys)
+    assert code == 2
+    assert err.startswith("error: vertex file")
+
+
 def test_neighborly_exit_codes(tmp_path, capsys):
     vpath = tmp_path / "phi3.json"
     run(["generate", "--family", "phi", "--n", "3", "--out", str(vpath)], capsys)

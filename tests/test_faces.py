@@ -2,7 +2,10 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyface import faces
 from polyface.faces import (
     FaceCertificate,
     FaceContext,
@@ -17,7 +20,7 @@ from polyface.faces import (
     verify_nonface_witness,
     witness_oracle_is_face,
 )
-from polyface.families import bqp_vertices, phi_scheme, phi_vertices, qap_vertices
+from polyface.families import VertexSet, bqp_vertices, phi_scheme, phi_vertices, qap_vertices
 
 
 def test_singleton_is_a_face_everywhere():
@@ -84,6 +87,50 @@ def test_oracle_equivalence_all_proper_subsets(vs):
             assert isinstance(primary, FaceCertificate) == oracle
 
 
+def _verifies(vs, subset, result):
+    if isinstance(result, FaceCertificate):
+        return verify_face_certificate(vs, subset, result)
+    return verify_nonface_witness(vs, subset, result)
+
+
+def test_nonface_witness_comes_from_the_support_lp_alone(monkeypatch):
+    def no_witness_lp(*args):
+        raise AssertionError("is_face called the witness-LP")
+
+    monkeypatch.setattr(faces, "_witness_lp", no_witness_lp)
+    for vs, subset in ((phi_vertices(3), (0, 1, 2)), (phi_vertices(4), (0, 3, 4))):
+        wit = is_face(vs, subset)
+        assert isinstance(wit, NonFaceWitness)
+        assert verify_nonface_witness(vs, subset, wit)
+
+
+_BASES = (phi_vertices(4), bqp_vertices(3))
+
+
+@st.composite
+def _point_set_and_subset(draw):
+    """A standalone vertex subset of phi(4) or bqp(3), and a proper subset of it."""
+    base = draw(st.sampled_from(_BASES))
+    chosen = sorted(draw(st.sets(st.integers(0, len(base) - 1), min_size=2)))
+    vs = VertexSet(
+        scheme=base.scheme,
+        labels=tuple(base.labels[i] for i in chosen),
+        vertices=tuple(base.vertices[i] for i in chosen),
+    )
+    subset = draw(st.lists(st.integers(0, len(vs) - 1), min_size=1, max_size=len(vs) - 1, unique=True))
+    return vs, tuple(subset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_set_and_subset())
+def test_is_face_matches_witness_oracle_random(case):
+    vs, subset = case
+    ctx = FaceContext(vs)
+    result = is_face(vs, subset, ctx)
+    assert isinstance(result, FaceCertificate) == witness_oracle_is_face(vs, subset, ctx)
+    assert _verifies(vs, subset, result)
+
+
 def test_dependent_subsets_answered_correctly():
     # four vertices of bqp(2) contain an affinely dependent quadruple only
     # as the full set; check a dependent triple inside phi(3) instead
@@ -92,11 +139,7 @@ def test_dependent_subsets_answered_correctly():
     # {0,1,2} is dependent with the complement; every 4-subset containing
     # a non-face triple still gets exactly one verdict
     for subset in combinations(range(6), 4):
-        result = is_face(vs, subset, ctx)
-        ok = verify_face_certificate(vs, subset, result) if isinstance(
-            result, FaceCertificate
-        ) else verify_nonface_witness(vs, subset, result)
-        assert ok
+        assert _verifies(vs, subset, is_face(vs, subset, ctx))
 
 
 def test_face_by_equations_phi4_pair_fixings():
