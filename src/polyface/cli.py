@@ -112,7 +112,11 @@ def cmd_neighborly(args) -> int:
 def cmd_verify(args) -> int:
     name = args.scenario
     _, param_name, lo, hi = SCENARIOS[name]
-    param = args.k if (param_name == "k" and args.k is not None) else args.n
+    other = "k" if param_name == "n" else "n"
+    if getattr(args, other) is not None:
+        print(f"error: scenario {name} takes --{param_name}, not --{other}", file=sys.stderr)
+        return 2
+    param = getattr(args, param_name)
     if param is None:
         param = lo
     if not lo <= param <= hi and not args.force:

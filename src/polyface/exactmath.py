@@ -258,6 +258,30 @@ class AffineHullFrame:
             raise ValueError("point does not lie in the affine hull")
         return coords
 
+    def coords_of_integer_points(self, points: Sequence[Sequence[int]]) -> list[Vector]:
+        """coords_of(p, check=False) for each integer point p, in integer arithmetic.
+
+        inv_pivot is scaled once to integers over a common denominator L;
+        a point's coordinates are then the columns of that matrix summed
+        with the point's deltas at pivot_cols as weights, over L.  The
+        origin must be an integer point too.
+        """
+        den = math.lcm(*(x.denominator for row in self.inv_pivot for x in row))
+        cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*self.inv_pivot)]
+        origin = [self.origin[c] for c in self.pivot_cols]
+        if any(o.denominator != 1 for o in origin):
+            raise ValueError("origin is not an integer point")
+        origin = [int(o) for o in origin]
+        out = []
+        for p in points:
+            acc = [0] * self.dim
+            for col, c, o in zip(cols, self.pivot_cols, origin):
+                d = p[c] - o
+                if d:
+                    acc = [a + d * x for a, x in zip(acc, col)]
+            out.append(tuple(Q(a, den) for a in acc))
+        return out
+
     def reconstruct(self, coords: Sequence) -> Vector:
         out = list(self.origin)
         for c, direction in zip(coords, self.basis, strict=True):

@@ -186,7 +186,7 @@ class FaceContext:
         self.vs = vs
         dense = vs.dense_all()
         self.frame: AffineHullFrame = affine_hull_frame(dense)
-        self.coords = [self.frame.coords_of(p, check=False) for p in dense]
+        self.coords = self.frame.coords_of_integer_points(dense)
         m = self.frame.dim
         self.num_vars = 2 * m + 3  # a+ | a- | b+ | b- | eps
         ones = (Q(1),) * (2 * m)

@@ -179,6 +179,18 @@ def test_verify_k_parameter(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["verify", "prop1", "--k", "4"], "--n"), (["verify", "thm2", "--n", "3"], "--k")],
+    ids=["prop1-k", "thm2-n"],
+)
+def test_verify_flag_the_scenario_does_not_take_is_an_error(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"takes {flag}" in err
+
+
 def test_verify_default_parameter(capsys):
     code, _, _ = run(["verify", "thm1"], capsys)
     assert code == 0

@@ -211,8 +211,10 @@ def test_frame_phi3_dim_4_and_bqp2_dim_3():
 def test_frame_round_trip(make):
     pts = make().dense_all()
     frame = affine_hull_frame(pts)
-    for p in pts:
-        assert frame.reconstruct(frame.coords_of(p)) == p
+    coords = [frame.coords_of(p) for p in pts]
+    for p, c in zip(pts, coords):
+        assert frame.reconstruct(c) == p
+    assert frame.coords_of_integer_points(pts) == coords
 
 
 @pytest.mark.parametrize(
@@ -238,6 +240,13 @@ small_point_sets = st.integers(1, 5).flatmap(
 def test_frame_matches_fraction_reference_random(pts):
     frame = affine_hull_frame(pts)
     assert (frame.basis, frame.pivot_cols, frame.inv_pivot) == reference_frame(pts)
+    assert frame.coords_of_integer_points(pts) == [frame.coords_of(p) for p in pts]
+
+
+def test_integer_point_coords_need_an_integer_origin():
+    frame = affine_hull_frame([(Q(1, 2), 0), (1, 1)])
+    with pytest.raises(ValueError):
+        frame.coords_of_integer_points([(1, 1)])
 
 
 small_rational_matrices = st.integers(1, 5).flatmap(

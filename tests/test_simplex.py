@@ -1,10 +1,16 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyface import simplex
 from polyface.exactmath import solve_linear_system, vec_dot
+from polyface.faces import FaceContext, is_face
+from polyface.families import generate
 from polyface.simplex import (
     LPResult,
     lp_solve,
@@ -140,21 +146,23 @@ def test_infeasible_equalities():
     assert verify_lp_certificate(lp, res)
 
 
+BEALE_LP = make_lp(
+    [Q(3, 4), -150, Q(1, 50), -6],
+    [
+        ((Q(1, 4), -60, Q(-1, 25), 9), "<=", 0),
+        ((Q(1, 2), -90, Q(-1, 50), 3), "<=", 0),
+        ((0, 0, 1, 0), "<=", 1),
+    ],
+    lower=[0, 0, 0, 0],
+)
+
+
 def test_beale_degenerate_terminates_both_rules():
-    lp = make_lp(
-        [Q(3, 4), -150, Q(1, 50), -6],
-        [
-            ((Q(1, 4), -60, Q(-1, 25), 9), "<=", 0),
-            ((Q(1, 2), -90, Q(-1, 50), 3), "<=", 0),
-            ((0, 0, 1, 0), "<=", 1),
-        ],
-        lower=[0, 0, 0, 0],
-    )
     for rule in ("hybrid", "bland"):
-        res = lp_solve(lp, pivot_rule=rule)
+        res = lp_solve(BEALE_LP, pivot_rule=rule)
         assert res.status == "optimal"
         assert res.objective_value == Q(1, 20)
-        assert verify_lp_certificate(lp, res)
+        assert verify_lp_certificate(BEALE_LP, res)
 
 
 def test_degenerate_ties_terminate():
@@ -251,3 +259,103 @@ def test_lp_text_dump():
     lp = make_lp([1, Q(1, 3)], [((1, -2), "<=", Q(7, 2))], lower=[0, None])
     text = lp_to_text(lp)
     assert "7/2" in text and "1/3" in text and "<=" in text
+
+
+def random_trace_lp(rng):
+    """Small LP mixing every bound kind, relation, fractional data and zero rhs."""
+    n = rng.randint(1, 5)
+    bounds = [rng.choice(((None, None), (0, None), (None, 2), (-2, 3), (Q(1, 2), 4))) for _ in range(n)]
+
+    def coeff():
+        return Q(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
+
+    cons = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = tuple(coeff() for _ in range(n))
+        cons.append((coeffs, rng.choice(("<=", ">=", "=", "<=")), rng.choice((0, 0, 1, -1, 3, Q(-5, 2)))))
+        if rng.random() < 0.15:
+            cons.append(cons[-1])  # a repeated "=" row leaves its artificial basic after phase 1
+    return make_lp(
+        [coeff() for _ in range(n)], cons, lower=[b[0] for b in bounds], upper=[b[1] for b in bounds]
+    )
+
+
+PIVOT_TRACE_DIGEST = "c73e6fa32cc80ddedeef8c268fb9c5fd3f6961c8aa7f6c9ffccec6c5813e39e6"
+
+
+def test_pivot_trace_is_pinned(monkeypatch):
+    """Every pivot and every LPResult field match a digest pinned when the
+    tableau stored all columns, so the compact tableau pivots exactly as
+    the full-width one did."""
+    log = []
+    pivot, solve = simplex._Solver._pivot, simplex._Solver.solve
+
+    def traced_pivot(self, p, c):
+        log.append((p, c))
+        pivot(self, p, c)
+
+    def traced_solve(self):
+        res = solve(self)
+        log.append(repr(res))
+        return res
+
+    monkeypatch.setattr(simplex._Solver, "_pivot", traced_pivot)
+    monkeypatch.setattr(simplex._Solver, "solve", traced_solve)
+    rng = random.Random(41)
+    statuses = set()
+    for _ in range(200):
+        lp = random_trace_lp(rng)
+        for rule in ("hybrid", "bland"):
+            log.append(rule)
+            res = lp_solve(lp, pivot_rule=rule)
+            assert verify_lp_certificate(lp, res)
+            statuses.add(res.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    log.append("beale")
+    lp_solve(BEALE_LP)  # cycles under the largest-coefficient rule until Bland takes over
+    for family, subsets in (
+        ("phi", [(0, 1, 2), (0, 3, 4), (0, 8, 12), (0, 5, 10)]),
+        ("qap", [(0, 1, 2), (0, 7, 13), (3, 11, 20)]),
+    ):
+        vs = generate(family, 4)
+        ctx = FaceContext(vs)
+        for subset in subsets:
+            log.append(subset)
+            is_face(vs, subset, ctx)
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert digest == PIVOT_TRACE_DIGEST
+
+
+small_fractions = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 3))
+    bounds = draw(
+        st.lists(st.sampled_from(((None, None), (0, None), (None, 1), (-1, 2))), min_size=n, max_size=n)
+    )
+    cons = draw(
+        st.lists(
+            st.tuples(
+                st.lists(small_fractions, min_size=n, max_size=n),
+                st.sampled_from(("<=", ">=", "=")),
+                small_fractions,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    objective = draw(st.lists(small_fractions, min_size=n, max_size=n))
+    return make_lp(objective, cons, lower=[b[0] for b in bounds], upper=[b[1] for b in bounds])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_lps())
+def test_lp_solve_properties_random(lp):
+    """Certificates verify, both rules agree, and a second solve repeats the first."""
+    hybrid, bland = lp_solve(lp), lp_solve(lp, pivot_rule="bland")
+    assert verify_lp_certificate(lp, hybrid) and verify_lp_certificate(lp, bland)
+    assert hybrid.status == bland.status
+    assert hybrid.objective_value == bland.objective_value
+    assert lp_solve(lp) == hybrid
