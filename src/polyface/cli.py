@@ -207,6 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs must be at least 1 (got {args.jobs})", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except InternalInconsistencyError as exc:

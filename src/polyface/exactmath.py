@@ -10,6 +10,15 @@ after every combination): ``_eliminate`` is Gauss-Jordan, ``_reduce``
 reduces one vector against echelon rows.  Fractions appear only when a
 result is read back.
 
+Hull frames follow the same rule.  ``AffineHullFrame`` scales its
+inverse once to integer columns over their lcm L;
+``integer_coords`` returns integer coordinate rows over L, and
+``ambient_functional`` scales the frame functional once to integers and
+lifts it by integer dot products, building Fractions only for the
+functional it returns.  ``_over_lcm`` writes a rational vector as
+integers over the lcm of its denominators; ``simplex`` and ``faces``
+use it too.
+
 The kernels other modules rely on:
 
 * ``solve_linear_system`` -- exact solve with an inconsistency witness
@@ -18,40 +27,22 @@ The kernels other modules rely on:
 * ``affine_dependencies`` -- basis of the affine dependencies of a point
   list (coefficients summing to zero with vanishing weighted sum).
 * ``affine_hull_frame`` -- exact reduced coordinates on the affine hull
-  of a point set, used to shrink LP dimensions before face tests.
+  of a point set, used to shrink LP dimensions before face tests; origin
+  and basis keep the input's number type (ints for vertex sets).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 Q = Fraction
 
 Vector = tuple  # tuple of Fraction|int
-Matrix = list  # list of Vector rows
-
-
-def as_vector(entries: Sequence) -> Vector:
-    return tuple(Q(e) for e in entries)
-
-
-def zero_vector(dim: int) -> Vector:
-    return (Q(0),) * dim
-
-
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Sequence) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def vec_dot(u: Sequence, v: Sequence):
@@ -60,25 +51,24 @@ def vec_dot(u: Sequence, v: Sequence):
     return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vector:
-    return tuple(vec_dot(row, v) for row in m)
-
-
-def mat_transpose(m: Sequence[Sequence]) -> Matrix:
-    return [tuple(col) for col in zip(*m)] if m else []
-
-
 def _primitive(row: list[int]) -> list[int]:
     """row divided by the gcd of its entries; the one normaliser of the kernel."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
+def _over_lcm(v: Sequence) -> tuple[list[int], int]:
+    """(nums, den) with v == nums / den and den the lcm of v's denominators.
+
+    v holds ints or Fractions; nothing else has the two attributes read.
+    """
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def _int_row(v: Sequence) -> list[int]:
     """Primitive integer row proportional to the rational vector v."""
-    fracs = [Q(x) for x in v]
-    den = math.lcm(*(x.denominator for x in fracs))
-    return _primitive([x.numerator * (den // x.denominator) for x in fracs])
+    return _primitive(_over_lcm([Q(x) for x in v])[0])
 
 
 def _combine(v: list[int], row: list[int], c: int) -> list[int]:
@@ -232,10 +222,11 @@ class AffineHullFrame:
     """Exact reduced coordinates on the affine hull of a point set.
 
     origin + sum(c_i * basis_i) reconstructs any hull point from its
-    reduced coordinates c.  `pivot_cols` are ambient coordinate positions
-    at which the basis matrix is invertible; `inv_pivot` is the inverse
-    of that square submatrix, so coordinates are a single matrix-vector
-    product away.
+    reduced coordinates c.  origin and basis keep the input's number
+    type (ints for every vertex set).  `pivot_cols` are ambient
+    coordinate positions at which the basis matrix is invertible;
+    `inv_pivot` is the inverse of that square submatrix, so coordinates
+    are a single matrix-vector product away.
     """
 
     origin: Vector
@@ -251,6 +242,13 @@ class AffineHullFrame:
     def ambient_dim(self) -> int:
         return len(self.origin)
 
+    @cached_property
+    def _inverse_columns(self) -> tuple[list[list[int]], int]:
+        """(cols, L): cols[j][i] == inv_pivot[i][j] * L, L the lcm of its denominators."""
+        nums, den = _over_lcm([x for col in zip(*self.inv_pivot) for x in col])
+        m = self.dim
+        return [nums[j * m : (j + 1) * m] for j in range(m)], den
+
     def coords_of(self, point: Sequence, check: bool = True) -> Vector:
         delta = [Q(point[c]) - self.origin[c] for c in self.pivot_cols]
         coords = tuple(vec_dot(row, delta) for row in self.inv_pivot)
@@ -258,29 +256,31 @@ class AffineHullFrame:
             raise ValueError("point does not lie in the affine hull")
         return coords
 
-    def coords_of_integer_points(self, points: Sequence[Sequence[int]]) -> list[Vector]:
-        """coords_of(p, check=False) for each integer point p, in integer arithmetic.
+    def integer_coords(self, points: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+        """(rows, L) with coords_of(p, check=False) == rows[i] / L for the i-th point.
 
-        inv_pivot is scaled once to integers over a common denominator L;
-        a point's coordinates are then the columns of that matrix summed
-        with the point's deltas at pivot_cols as weights, over L.  The
-        origin must be an integer point too.
+        A point's row is the sum of the integer inverse columns weighted
+        by its deltas at pivot_cols.  Points and the origin must be
+        integer points.
         """
-        den = math.lcm(*(x.denominator for row in self.inv_pivot for x in row))
-        cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*self.inv_pivot)]
+        cols, den = self._inverse_columns
         origin = [self.origin[c] for c in self.pivot_cols]
         if any(o.denominator != 1 for o in origin):
             raise ValueError("origin is not an integer point")
-        origin = [int(o) for o in origin]
-        out = []
+        rows = []
         for p in points:
             acc = [0] * self.dim
             for col, c, o in zip(cols, self.pivot_cols, origin):
                 d = p[c] - o
                 if d:
                     acc = [a + d * x for a, x in zip(acc, col)]
-            out.append(tuple(Q(a, den) for a in acc))
-        return out
+            rows.append(acc)
+        return rows, den
+
+    def coords_of_integer_points(self, points: Sequence[Sequence[int]]) -> list[Vector]:
+        """coords_of(p, check=False) for each integer point p, via integer_coords."""
+        rows, den = self.integer_coords(points)
+        return [tuple(Q(a, den) for a in row) for row in rows]
 
     def reconstruct(self, coords: Sequence) -> Vector:
         out = list(self.origin)
@@ -296,15 +296,23 @@ class AffineHullFrame:
         """Lift a functional on frame coordinates to ambient coordinates.
 
         Returns (a, b) with a . p - b == a_frame . coords_of(p) - b_frame
-        for every p in the hull.
+        for every p in the hull.  a_frame is scaled once to integers over
+        its lcm denominator D, so each pivot entry of a is one integer dot
+        product with an inverse column, over D * L.
         """
-        t = [vec_dot(a_frame, col) for col in zip(*self.inv_pivot)] if self.dim else []
+        if len(a_frame) != self.dim:
+            raise ValueError(f"dimension mismatch: {len(a_frame)} vs {self.dim}")
+        cols, den = self._inverse_columns
+        nums, d = _over_lcm(a_frame)
+        scale = d * den
         a = [Q(0)] * self.ambient_dim
-        for c, val in zip(self.pivot_cols, t):
-            a[c] = val
-        a_t = tuple(a)
-        b = Q(b_frame) + vec_dot(a_t, self.origin)
-        return a_t, b
+        shift = 0  # a . origin, times scale
+        for c, col in zip(self.pivot_cols, cols):
+            t = sum(map(operator.mul, nums, col))
+            if t:
+                a[c] = Q(t, scale)
+                shift += t * self.origin[c]
+        return tuple(a), Q(b_frame) + Q(shift, scale)
 
 
 def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
@@ -315,12 +323,12 @@ def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
     """
     if not points:
         raise ValueError("need at least one point")
-    origin = as_vector(points[0])
+    origin = tuple(points[0])
     basis: list[Vector] = []
     reduced: list[list[int]] = []  # echelon state of accepted directions
     pivot_cols: list[int] = []
     for p in points[1:]:
-        d = tuple(Q(x) - o for x, o in zip(p, origin, strict=True))
+        d = tuple(x - o for x, o in zip(p, origin, strict=True))
         v = _reduce(_int_row(d), reduced, pivot_cols)
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:

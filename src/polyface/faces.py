@@ -25,16 +25,29 @@ survives only as the test oracle ``witness_oracle_is_face``.
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
 of a face.
+
+Arithmetic: integers from the hull frame to the certificate check.
+``FaceContext`` holds every vertex's frame coordinates as integer rows
+over one denominator; cut separation compares integer dot products with
+one integer threshold; the lift to ambient coordinates runs on integers
+(``AffineHullFrame.ambient_functional``); ``verify_face_certificate``
+scales the certificate once and sums integers per vertex.  Fractions
+are built only for the LP rows (same rational values, so every LP and
+its duals are unchanged), for the certificates handed out, and in the
+non-face witness check.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
 from typing import Sequence
 
-from .exactmath import AffineHullFrame, affine_hull_frame, vec_dot
+from .exactmath import AffineHullFrame, _over_lcm, affine_hull_frame
 from .families import VertexSet
 from .simplex import Constraint, LinearProgram, lp_solve
 
@@ -122,28 +135,48 @@ def certificate_from_json(data: dict):
         raise ValueError(f"unreadable value ({exc})") from None
 
 
-def _sparse_dot(normal, onepositions) -> Fraction:
-    return sum((normal[off] for off in onepositions), Q(0))
-
-
 def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCertificate) -> bool:
-    """Substitution check of the supporting-hyperplane invariants."""
+    """Substitution check of the supporting-hyperplane invariants.
+
+    (normal, offset, epsilon) are scaled once to integers over their
+    common denominator, so each vertex costs one integer sum over its
+    one-positions.  An entry that is not an int or a Fraction fails the
+    check.
+    """
     try:
         sset = set(subset)
         if not sset or len(sset) != len(subset) or not sset < set(range(len(vs))):
             return False
-        if len(cert.normal) != vs.scheme.ambient_dim or cert.epsilon <= 0:
+        if len(cert.normal) != vs.scheme.ambient_dim:
             return False
-        for i in range(len(vs)):
-            val = _sparse_dot(cert.normal, vs.vertices[i])
+        # One integer copy of the normal and no other temporary of its size:
+        # more short-lived copies per check measurably raised a scan's peak RSS.
+        den = reduce(math.lcm, (x.denominator for x in chain(cert.normal, (cert.offset, cert.epsilon))), 1)
+        normal = [x.numerator * (den // x.denominator) for x in cert.normal]
+        offset, eps = (x.numerator * (den // x.denominator) for x in (cert.offset, cert.epsilon))
+        if eps <= 0:
+            return False
+        low = offset - eps
+        for i, ones in enumerate(vs.vertices):
+            val = sum(map(normal.__getitem__, ones))
             if i in sset:
-                if val != cert.offset:
+                if val != offset:
                     return False
-            elif not val <= cert.offset - cert.epsilon:
+            elif val > low:
                 return False
         return True
-    except (TypeError, IndexError):
+    except (TypeError, IndexError, AttributeError):
         return False
+
+
+def _combination(vs: VertexSet, coefs, indices) -> tuple:
+    """sum(coef * vertex) over the indexed vertices, as an ambient Fraction vector."""
+    point = [Q(0)] * vs.scheme.ambient_dim
+    for coef, i in zip(coefs, indices):
+        if coef != 0:
+            for off in vs.vertices[i]:
+                point[off] += coef
+    return tuple(point)
 
 
 def verify_nonface_witness(vs: VertexSet, subset: Sequence[int], wit: NonFaceWitness) -> bool:
@@ -157,20 +190,9 @@ def verify_nonface_witness(vs: VertexSet, subset: Sequence[int], wit: NonFaceWit
             return False
         if sum(wit.alpha) != 1 or sum(wit.mu) != 1 or any(m < 0 for m in wit.mu):
             return False
-        dim = vs.scheme.ambient_dim
-        if len(wit.point) != dim:
+        if len(wit.point) != vs.scheme.ambient_dim:
             return False
-        p1 = [Q(0)] * dim
-        for coef, idx in zip(wit.alpha, subset):
-            if coef != 0:
-                for off in vs.vertices[idx]:
-                    p1[off] += coef
-        p2 = [Q(0)] * dim
-        for coef, idx in zip(wit.mu, others):
-            if coef != 0:
-                for off in vs.vertices[idx]:
-                    p2[off] += coef
-        return tuple(p1) == tuple(wit.point) and tuple(p2) == tuple(wit.point)
+        return _combination(vs, wit.alpha, subset) == tuple(wit.point) == _combination(vs, wit.mu, others)
     except (TypeError, IndexError):
         return False
 
@@ -178,34 +200,51 @@ def verify_nonface_witness(vs: VertexSet, subset: Sequence[int], wit: NonFaceWit
 class FaceContext:
     """Per-vertex-set precomputation shared across face tests.
 
-    Holds the affine-hull frame, every vertex's frame coordinates, and
-    the reusable off-subset LP rows.
+    Holds the affine-hull frame, every vertex's frame coordinates as
+    integer rows over one denominator (vertex t sits at coords[t] /
+    coords_den), and the reusable LP rows, whose Fraction coefficients
+    are built from those integers on first use.
     """
 
     def __init__(self, vs: VertexSet):
         self.vs = vs
         dense = vs.dense_all()
         self.frame: AffineHullFrame = affine_hull_frame(dense)
-        self.coords = self.frame.coords_of_integer_points(dense)
+        self.coords, self.coords_den = self.frame.integer_coords(dense)
         m = self.frame.dim
         self.num_vars = 2 * m + 3  # a+ | a- | b+ | b- | eps
         ones = (Q(1),) * (2 * m)
         self.norm_row = Constraint(ones + (Q(0), Q(0), Q(0)), "<=", Q(1))
-        self._outside_rows: dict[int, Constraint] = {}
+        self._rows: dict[tuple[int, str], Constraint] = {}
 
     def outside_row(self, t: int) -> Constraint:
-        row = self._outside_rows.get(t)
-        if row is None:
-            w = self.coords[t]
-            coeffs = tuple(w) + tuple(-x for x in w) + (Q(-1), Q(1), Q(1))
-            row = Constraint(coeffs, "<=", Q(0))
-            self._outside_rows[t] = row
-        return row
+        return self._frame_row(t, "<=")
 
     def member_row(self, s: int) -> Constraint:
-        w = self.coords[s]
-        coeffs = tuple(w) + tuple(-x for x in w) + (Q(-1), Q(1), Q(0))
-        return Constraint(coeffs, "=", Q(0))
+        return self._frame_row(s, "=")
+
+    def _frame_row(self, t: int, rel: str) -> Constraint:
+        """a . w_t - b (+ eps off the subset) <= 0 or = 0, built once per (t, rel)."""
+        row = self._rows.get((t, rel))
+        if row is None:
+            w = tuple(Q(x, self.coords_den) for x in self.coords[t])
+            eps = Q(1) if rel == "<=" else Q(0)
+            row = self._rows[t, rel] = Constraint(w + tuple(-x for x in w) + (Q(-1), Q(1), eps), rel, Q(0))
+        return row
+
+
+def _violated(ctx: FaceContext, candidates, a_frame, b_frame, eps) -> list[int]:
+    """Candidates t whose row has gap b_frame - a_frame . w_t < eps, by (gap, t).
+
+    In integers: with a_frame = nums / D and w_t = coords[t] / L, the row
+    of t is violated iff s_t = nums . coords[t] exceeds
+    floor((b_frame - eps) * D * L), and sorting by (-s_t, t) is sorting
+    by (gap, t).
+    """
+    nums, den = _over_lcm(a_frame)
+    limit = math.floor((b_frame - eps) * den * ctx.coords_den)
+    dots = ((sum(map(operator.mul, nums, ctx.coords[t])), t) for t in candidates)
+    return [t for _, t in sorted((-s, t) for s, t in dots if s > limit)]
 
 
 def _support_lp_optimum(ctx: FaceContext, subset, others, batch=None):
@@ -235,26 +274,18 @@ def _support_lp_optimum(ctx: FaceContext, subset, others, batch=None):
         if res.status != "optimal":
             raise InternalInconsistencyError(f"support-LP returned {res.status}")
         x = res.primal
-        a_frame = tuple(x[i] - x[m + i] for i in range(m))
+        a_frame = tuple(p - q if q else p for p, q in zip(x, x[m : 2 * m]))
         b_frame = x[2 * m] - x[2 * m + 1]
         eps = res.objective_value
         if eps == 0:
             return Q(0), a_frame, b_frame, res.dual, active
-        violated = []
-        for t in others:
-            if t in active_set:
-                continue
-            gap = b_frame - vec_dot(a_frame, ctx.coords[t])
-            if gap < eps:
-                violated.append((gap, t))
+        violated = _violated(ctx, (t for t in others if t not in active_set), a_frame, b_frame, eps)
         if not violated:
             return eps, a_frame, b_frame, res.dual, active
-        violated.sort()
         if batch is not None:
             violated = violated[:batch]
-        for _, t in violated:
-            active.append(t)
-            active_set.add(t)
+        active += violated
+        active_set.update(violated)
 
 
 def _witness_lp(ctx: FaceContext, subset, others):
@@ -262,11 +293,12 @@ def _witness_lp(ctx: FaceContext, subset, others):
     ns, no = len(subset), len(others)
     nv = ns + no
     m = ctx.frame.dim
+    points = [tuple(Q(x, ctx.coords_den) for x in row) for row in ctx.coords]
     cons = []
     cons.append(Constraint((Q(1),) * ns + (Q(0),) * no, "=", Q(1)))
     cons.append(Constraint((Q(0),) * ns + (Q(1),) * no, "=", Q(1)))
     for i in range(m):
-        coeffs = tuple(ctx.coords[s][i] for s in subset) + tuple(-ctx.coords[t][i] for t in others)
+        coeffs = tuple(points[s][i] for s in subset) + tuple(-points[t][i] for t in others)
         cons.append(Constraint(coeffs, "=", Q(0)))
     lower = (None,) * ns + (Q(0),) * no
     lp = LinearProgram(nv, (Q(0),) * nv, tuple(cons), lower, (None,) * nv)
@@ -311,12 +343,7 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
     alpha = tuple(-y / total for y in dual[: len(idx)])
     weight = dict(zip(active, y_active))
     mu = tuple(weight.get(t, Q(0)) / total for t in others)
-    point = [Q(0)] * vs.scheme.ambient_dim
-    for coef, i in zip(alpha, idx):
-        if coef != 0:
-            for off in vs.vertices[i]:
-                point[off] += coef
-    wit = NonFaceWitness(alpha=alpha, mu=mu, point=tuple(point))
+    wit = NonFaceWitness(alpha=alpha, mu=mu, point=_combination(vs, alpha, idx))
     if not verify_nonface_witness(vs, idx, wit):
         raise InternalInconsistencyError("support-LP dual witness failed substitution")
     return wit
@@ -470,9 +497,8 @@ def _scan_subsets(n_vertices: int, k: int, fix_first: bool):
 _WORKER_STATE: dict = {}
 
 
-def _scan_worker_init(vs_json):
-    _WORKER_STATE["vs"] = VertexSet.from_json(vs_json)
-    _WORKER_STATE["ctx"] = FaceContext(_WORKER_STATE["vs"])
+def _scan_worker_init(vs, ctx):
+    _WORKER_STATE["vs"], _WORKER_STATE["ctx"] = vs, ctx
 
 
 def _scan_worker(subset):
@@ -502,6 +528,8 @@ def k_neighborly_scan(
     n = len(vs)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got {k}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     symmetry = "none (exhaustive scan)"
     if fix_first:
         if vs.scheme.family not in ("qap", "phi"):
@@ -518,10 +546,12 @@ def k_neighborly_scan(
     first_bad = None
     first_wit = None
     stopped = False
+    if ctx is None:
+        ctx = FaceContext(vs)
     if jobs > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs.to_json(),)) as pool:
+        with mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs, ctx)) as pool:
             for subset, wit in pool.imap(_scan_worker, subsets, chunksize=16):
                 total += 1
                 if wit is None:
@@ -533,8 +563,6 @@ def k_neighborly_scan(
                         pool.terminate()
                         break
     else:
-        if ctx is None:
-            ctx = FaceContext(vs)
         for subset in subsets:
             total += 1
             result = is_face(vs, subset, ctx)

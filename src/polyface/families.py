@@ -100,6 +100,10 @@ class IndexScheme:
     def __hash__(self):
         return hash((self.family, self.n, self.ambient_dim))
 
+    def __reduce__(self):
+        # encode/decode are closures, which pickle cannot send to a worker process
+        return scheme_for, (self.family, self.n)
+
 
 def bqp_scheme(m: int) -> IndexScheme:
     def encode(i: int, j: int) -> int:

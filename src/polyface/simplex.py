@@ -36,6 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+from .exactmath import _over_lcm
 
 Q = Fraction
 
@@ -52,6 +55,11 @@ class Constraint:
     def __post_init__(self):
         if self.rel not in _RELS:
             raise ValueError(f"bad relation {self.rel!r}")
+
+    @cached_property
+    def _int_coeffs(self) -> tuple[list[int], int]:
+        """(nums, den) with coeffs == nums / den; computed once, shared by every LP using the row."""
+        return _over_lcm(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -188,20 +196,21 @@ class _Solver:
         self.row_rel: list[str] = []
         self.flip: list[bool] = []
         raw_rows = []  # (cells, rhs, den)
+        shifted = [i for i, sh in enumerate(self.shifts) if sh]
         for idx, con in enumerate(lp.constraints):
-            a = con.coeffs
+            nums, a_den = con._int_coeffs
             b = con.rhs
-            for x, sh in zip(a, self.shifts):
-                if x and sh:
-                    b -= x * sh
-            den = math.lcm(b.denominator, *(x.denominator for x in a))
+            for i in shifted:
+                if con.coeffs[i]:
+                    b -= con.coeffs[i] * self.shifts[i]
+            den = math.lcm(a_den, b.denominator)
             o = -1 if con.rel == GE else 1
             rhs = o * b.numerator * (den // b.denominator)
             flip = rhs < 0
             if flip:
                 o, rhs = -o, -rhs
-            nums = [o * x.numerator * (den // x.denominator) for x in a]
-            raw_rows.append(([s * nums[v] for v, s in self.cols], rhs, den))
+            f = o * (den // a_den)
+            raw_rows.append(([s * f * nums[v] for v, s in self.cols], rhs, den))
             self.row_src.append(("con", idx))
             self.row_rel.append(EQ if con.rel == EQ else LE)
             self.flip.append(flip)
@@ -263,9 +272,8 @@ class _Solver:
             q = den // self.rows[r][width]
             obj1 = [x + q * y for x, y in zip(obj1, self.rows[r])]
         obj1[width] = 0
-        c = lp.objective
-        den2 = math.lcm(*(x.denominator for x in c))
-        obj2 = [s * c[v].numerator * (den2 // c[v].denominator) for v, s in self.cols] + pad + [0, 0]
+        c, den2 = _over_lcm(lp.objective)
+        obj2 = [s * c[v] for v, s in self.cols] + pad + [0, 0]
         for row, den in (_normalized(obj1, den), _normalized(obj2, den2)):
             self.rows.append(row)
             self.dens.append(den)
@@ -412,7 +420,7 @@ class _Solver:
         if status != "optimal":
             return self._unbounded_result(status)
         primal = self._primal()
-        value = sum(Q(c) * v for c, v in zip(lp.objective, primal))
+        value = sum((c * v for c, v in zip(lp.objective, primal) if c), Q(0))
         dual = self._duals(self.obj2)
         lam = tuple(dual[r] for r in range(len(lp.constraints)))
         return LPResult(status="optimal", primal=primal, objective_value=value, dual=lam)

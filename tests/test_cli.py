@@ -158,6 +158,24 @@ def test_neighborly_bad_k_is_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["neighborly", "--vertices", "{v}", "--k", "2", "--jobs", "0"],
+        ["neighborly", "--vertices", "{v}", "--k", "2", "--jobs", "-2"],
+        ["verify", "thm1", "--jobs", "0"],
+    ],
+    ids=["neighborly-0", "neighborly-minus-2", "verify-0"],
+)
+def test_jobs_below_one_is_an_error(tmp_path, capsys, argv):
+    vpath = tmp_path / "qap3.json"
+    run(["generate", "--family", "qap", "--n", "3", "--out", str(vpath)], capsys)
+    code, out, err = run([a.format(v=vpath) for a in argv], capsys)
+    assert code == 2
+    assert "--jobs must be at least 1" in err
+    assert out == ""
+
+
 def test_verify_scenarios_and_report_file(tmp_path, capsys):
     rpath = tmp_path / "report.json"
     code, out, _ = run(["verify", "prop1", "--n", "3", "--out", str(rpath)], capsys)

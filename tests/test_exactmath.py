@@ -281,6 +281,26 @@ def test_ambient_functional_agrees_on_hull():
         assert vec_dot(a, p) - b == vec_dot(a_frame, frame.coords_of(p)) - b_frame
 
 
+def reference_ambient_functional(frame, a_frame, b_frame):
+    """Fraction lift: a = a_frame * inv_pivot at pivot_cols, b = b_frame + a . origin."""
+    a = [Q(0)] * frame.ambient_dim
+    for c, col in zip(frame.pivot_cols, zip(*frame.inv_pivot)):
+        a[c] = sum((x * y for x, y in zip(a_frame, col)), Q(0))
+    return tuple(a), Q(b_frame) + sum((x * o for x, o in zip(a, frame.origin)), Q(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_point_sets, st.data())
+def test_ambient_functional_matches_fraction_reference_random(pts, data):
+    if data.draw(st.booleans()):  # a frame with a fractional origin
+        pts = [[Q(x, 2) for x in p] for p in pts]
+    frame = affine_hull_frame(pts)
+    rationals = st.fractions(-5, 5, max_denominator=7)
+    a_frame = tuple(data.draw(st.lists(rationals, min_size=frame.dim, max_size=frame.dim)))
+    b_frame = data.draw(rationals)
+    assert frame.ambient_functional(a_frame, b_frame) == reference_ambient_functional(frame, a_frame, b_frame)
+
+
 def test_solved_system_substitutes_exactly_random():
     rng = random.Random(3)
     for _ in range(30):

@@ -1,3 +1,5 @@
+import pickle
+import random
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -21,6 +23,7 @@ from polyface.faces import (
     witness_oracle_is_face,
 )
 from polyface.families import VertexSet, bqp_vertices, phi_scheme, phi_vertices, qap_vertices
+from polyface.simplex import LinearProgram, lp_solve
 
 
 def test_singleton_is_a_face_everywhere():
@@ -204,6 +207,152 @@ def test_verify_rejects_tampered_certificate():
     assert not verify_face_certificate(vs, (0, 1, 2), shifted)
 
 
+def _reference_verify_face_certificate(vs, subset, cert):
+    """The Fraction substitution check: sum the normal over each vertex's one-positions."""
+    try:
+        sset = set(subset)
+        if not sset or len(sset) != len(subset) or not sset < set(range(len(vs))):
+            return False
+        if len(cert.normal) != vs.scheme.ambient_dim or cert.epsilon <= 0:
+            return False
+        for i, ones in enumerate(vs.vertices):
+            val = sum((cert.normal[off] for off in ones), Q(0))
+            if i in sset:
+                if val != cert.offset:
+                    return False
+            elif not val <= cert.offset - cert.epsilon:
+                return False
+        return True
+    except (TypeError, IndexError):
+        return False
+
+
+_CERT_BASES = (phi_vertices(3), bqp_vertices(3), qap_vertices(3))
+_small_rationals = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _certificate_case(draw):
+    """A vertex set, a subset, and a random, LP-issued or tampered face certificate."""
+    vs = draw(st.sampled_from(_CERT_BASES))
+    dim = vs.scheme.ambient_dim
+    subset = tuple(sorted(draw(st.sets(st.integers(0, len(vs) - 1), min_size=1, max_size=len(vs) - 1))))
+    kind = draw(st.sampled_from(("random", "issued", "offset", "epsilon", "normal")))
+    cert = is_face(vs, subset) if kind != "random" else None
+    if not isinstance(cert, FaceCertificate):
+        normal = tuple(draw(st.lists(_small_rationals, min_size=dim, max_size=dim)))
+        return vs, subset, FaceCertificate(normal, draw(_small_rationals), draw(_small_rationals)), None
+    nonzero = _small_rationals.filter(bool)
+    if kind == "offset":
+        cert = FaceCertificate(cert.normal, cert.offset + draw(nonzero), cert.epsilon)
+    elif kind == "epsilon":
+        cert = FaceCertificate(cert.normal, cert.offset, draw(_small_rationals))
+    elif kind == "normal":
+        i = draw(st.integers(0, dim - 1))
+        normal = cert.normal[:i] + (cert.normal[i] + draw(nonzero),) + cert.normal[i + 1 :]
+        cert = FaceCertificate(normal, cert.offset, cert.epsilon)
+    return vs, subset, cert, kind == "issued"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certificate_case())
+def test_verify_face_certificate_matches_fraction_reference_random(case):
+    vs, subset, cert, issued = case
+    verdict = verify_face_certificate(vs, subset, cert)
+    assert verdict == _reference_verify_face_certificate(vs, subset, cert)
+    if issued:
+        assert verdict
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda c: FaceCertificate(("1/2",) + c.normal[1:], c.offset, c.epsilon),
+        lambda c: FaceCertificate((None,) + c.normal[1:], c.offset, c.epsilon),
+        lambda c: FaceCertificate(c.normal, str(c.offset), c.epsilon),
+        lambda c: FaceCertificate(c.normal, None, c.epsilon),
+        lambda c: FaceCertificate(c.normal, c.offset, str(c.epsilon)),
+        lambda c: FaceCertificate(c.normal, c.offset, None),
+        lambda c: FaceCertificate(c.normal[:-1], c.offset, c.epsilon),
+        lambda c: FaceCertificate(c.normal + (Q(0),), c.offset, c.epsilon),
+        lambda c: FaceCertificate(None, c.offset, c.epsilon),
+    ],
+    ids=[
+        "str-normal-entry", "none-normal-entry", "str-offset", "none-offset",
+        "str-epsilon", "none-epsilon", "short-normal", "long-normal", "no-normal",
+    ],
+)
+def test_verify_face_certificate_rejects_non_rational_entries(tamper):
+    vs = qap_vertices(3)
+    cert = is_face(vs, (0, 1, 2))
+    assert verify_face_certificate(vs, (0, 1, 2), cert)
+    assert verify_face_certificate(vs, (0, 1, 2), tamper(cert)) is False
+
+
+def _reference_support_lp_optimum(ctx, subset, others):
+    """Row generation with Fraction frame coordinates and Fraction gaps."""
+    m = ctx.frame.dim
+    nv = ctx.num_vars
+    coords = [tuple(Q(x, ctx.coords_den) for x in row) for row in ctx.coords]
+    base = [ctx.member_row(s) for s in subset] + [ctx.norm_row]
+    active = []
+    while True:
+        lp = LinearProgram(
+            nv,
+            (Q(0),) * (nv - 1) + (Q(1),),
+            tuple(base + [ctx.outside_row(t) for t in active]),
+            (Q(0),) * nv,
+            (None,) * (nv - 1) + (Q(1),),
+        )
+        res = lp_solve(lp)
+        x = res.primal
+        a_frame = tuple(x[i] - x[m + i] for i in range(m))
+        b_frame = x[2 * m] - x[2 * m + 1]
+        eps = res.objective_value
+        if eps == 0:
+            return Q(0), a_frame, b_frame, res.dual, active
+        violated = []
+        for t in others:
+            if t not in active:
+                gap = b_frame - sum((a * w for a, w in zip(a_frame, coords[t])), Q(0))
+                if gap < eps:
+                    violated.append((gap, t))
+        if not violated:
+            return eps, a_frame, b_frame, res.dual, active
+        active += [t for _, t in sorted(violated)]
+
+
+_SEPARATION_CONTEXTS = tuple(FaceContext(vs) for vs in (phi_vertices(4), qap_vertices(3), bqp_vertices(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SEPARATION_CONTEXTS), st.data())
+def test_violated_rows_match_fraction_gaps_random(ctx, data):
+    """Integer separation against Fraction gaps, with exact ties gap == eps drawn on purpose."""
+    rationals = st.fractions(-3, 3, max_denominator=5)
+    m = ctx.frame.dim
+    a_frame = tuple(data.draw(st.lists(rationals, min_size=m, max_size=m)))
+    eps = data.draw(st.fractions(Q(1, 9), 1, max_denominator=9))
+    coords = [tuple(Q(x, ctx.coords_den) for x in row) for row in ctx.coords]
+    dots = [sum((a * w for a, w in zip(a_frame, w_t)), Q(0)) for w_t in coords]
+    tie = data.draw(st.integers(0, len(coords) - 1))
+    b_frame = eps + dots[tie] + data.draw(st.one_of(st.sampled_from((Q(0), Q(1, 7), Q(-1, 7))), rationals))
+    expected = [t for _, t in sorted((b_frame - d, t) for t, d in enumerate(dots) if b_frame - d < eps)]
+    assert faces._violated(ctx, range(len(coords)), a_frame, b_frame, eps) == expected
+
+
+@pytest.mark.parametrize("make", [phi_vertices, qap_vertices, bqp_vertices], ids=["phi4", "qap4", "bqp4"])
+def test_support_lp_rows_match_fraction_separation(make):
+    vs = make(4)
+    ctx = FaceContext(vs)
+    rng = random.Random(11)
+    for _ in range(8):
+        subset = tuple(sorted(rng.sample(range(len(vs)), 3)))
+        others = [t for t in range(len(vs)) if t not in subset]
+        got = faces._support_lp_optimum(ctx, subset, others)
+        assert got == _reference_support_lp_optimum(ctx, subset, others)
+
+
 def test_certificate_json_round_trip():
     vs = qap_vertices(3)
     cert = is_face(vs, (0, 1))
@@ -268,6 +417,22 @@ def test_scan_parallel_matches_serial():
     serial = k_neighborly_scan(vs, 3)
     parallel = k_neighborly_scan(vs, 3, jobs=2)
     assert serial == parallel
+
+
+def test_scan_rejects_fewer_than_one_job():
+    vs = phi_vertices(3)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            k_neighborly_scan(vs, 3, jobs=jobs)
+
+
+def test_context_survives_pickling_for_worker_processes():
+    vs = phi_vertices(4)
+    ctx = FaceContext(vs)
+    vs2, ctx2 = pickle.loads(pickle.dumps((vs, ctx)))
+    assert vs2 == vs and vs2.scheme.encode((1, 2), (3, 4)) == vs.scheme.encode((1, 2), (3, 4))
+    assert (ctx2.coords, ctx2.coords_den) == (ctx.coords, ctx.coords_den)
+    assert is_face(vs2, (0, 3, 4), ctx2) == is_face(vs, (0, 3, 4), ctx)
 
 
 def test_scan_k_bounds():
