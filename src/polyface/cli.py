@@ -182,7 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("neighborly", help="scan k-subsets for face status")
     n.add_argument("--vertices", required=True)
     n.add_argument("--k", required=True, type=int)
-    n.add_argument("--fix-first", action="store_true", help="scan only subsets containing vertex 0")
+    n.add_argument(
+        "--fix-first",
+        action="store_true",
+        help="scan the subsets through vertex 0 (qap or phi), one LP per orbit representative "
+        "under left and right multiplication and inversion",
+    )
     n.add_argument("--stop-at-first", action="store_true", help="stop at the first counterexample")
     n.add_argument("--jobs", type=int, default=1)
     n.add_argument("--out", default=None)

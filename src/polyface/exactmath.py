@@ -67,8 +67,12 @@ def _over_lcm(v: Sequence) -> tuple[list[int], int]:
 
 
 def _int_row(v: Sequence) -> list[int]:
-    """Primitive integer row proportional to the rational vector v."""
-    return _primitive(_over_lcm([Q(x) for x in v])[0])
+    """Primitive integer row proportional to the rational vector v.
+
+    ints and Fractions are read as they are; only other entries go
+    through Fraction.
+    """
+    return _primitive(_over_lcm([x if isinstance(x, (int, Q)) else Q(x) for x in v])[0])
 
 
 def _combine(v: list[int], row: list[int], c: int) -> list[int]:

@@ -11,16 +11,25 @@ Method: all LPs are solved in exact arithmetic over the affine-hull
 frame of the vertex set (ambient dimensions up to several hundred drop
 to the hull dimension).  The support-LP maximizes the gap eps subject
 to a . v = b on S, a . v <= b - eps off S, with the L1 normalization
-sum |a_i| <= 1 and the cap eps <= 1; it is solved by outer row
-generation (violated off-S rows are added until the relaxed optimum is
-feasible for the full system, which makes it the full optimum).  A zero
-optimum is read as a non-face witness from the same LP's optimal duals:
-with the gap at zero the norm-row multiplier vanishes, the multipliers
-of the active off-S rows sum to T >= 1 (the eps column) and those of
-the S rows to -T (the b columns), and the frame rows combine to zero,
-so alpha = -y_S / T and mu = y_active / T is a common point of aff(S)
-and conv(rest).  A second, independent formulation (the witness-LP)
-survives only as the test oracle ``witness_oracle_is_face``.
+sum |a_i| <= 1 and the cap eps <= 1; it is solved once, with every row
+present (rows: S, the norm row, then every other vertex in index
+order).  A zero optimum is read as a non-face witness from the same
+LP's optimal duals: with the gap at zero the norm-row multiplier
+vanishes, the multipliers of the off-S rows sum to T >= 1 (the eps
+column) and those of the S rows to -T (the b columns), and the frame
+rows combine to zero, so alpha = -y_S / T and mu = y_rest / T is a
+common point of aff(S) and conv(rest).  A second, independent
+formulation (the witness-LP) survives only as the test oracle
+``witness_oracle_is_face``.
+
+Scans: ``k_neighborly_scan`` tests subsets in lex order.  With
+fix_first (qap and phi) it scans the subsets through vertex 0 and
+solves one support-LP per orbit of the S_n x S_n x C_2 symmetry (left
+and right multiplication, inversion, acting on the coordinates).  The
+other members of an orbit get the representative's certificate
+permuted onto them, and every such carried certificate is re-verified
+by substitution.  The symmetry itself is checked on the vertex set
+before it is used.
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -28,8 +37,7 @@ of a face.
 
 Arithmetic: integers from the hull frame to the certificate check.
 ``FaceContext`` holds every vertex's frame coordinates as integer rows
-over one denominator; cut separation compares integer dot products with
-one integer threshold; the lift to ambient coordinates runs on integers
+over one denominator; the lift to ambient coordinates runs on integers
 (``AffineHullFrame.ambient_functional``); ``verify_face_certificate``
 scales the certificate once and sums integers per vertex.  Fractions
 are built only for the LP rows (same rational values, so every LP and
@@ -40,15 +48,15 @@ non-face witness check.
 from __future__ import annotations
 
 import math
-import operator
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, repeat
 from typing import Sequence
 
-from .exactmath import AffineHullFrame, _over_lcm, affine_hull_frame
-from .families import VertexSet
+from .exactmath import AffineHullFrame, affine_hull_frame
+from .families import Permutation, VertexSet, edge_index, edge_list, phi_vertex, qap_vertex
 from .simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -233,59 +241,28 @@ class FaceContext:
         return row
 
 
-def _violated(ctx: FaceContext, candidates, a_frame, b_frame, eps) -> list[int]:
-    """Candidates t whose row has gap b_frame - a_frame . w_t < eps, by (gap, t).
+def _support_lp_optimum(ctx: FaceContext, subset, others):
+    """Exact optimum of the support-LP, solved once with all its rows.
 
-    In integers: with a_frame = nums / D and w_t = coords[t] / L, the row
-    of t is violated iff s_t = nums . coords[t] exceeds
-    floor((b_frame - eps) * D * L), and sorting by (-s_t, t) is sorting
-    by (gap, t).
-    """
-    nums, den = _over_lcm(a_frame)
-    limit = math.floor((b_frame - eps) * den * ctx.coords_den)
-    dots = ((sum(map(operator.mul, nums, ctx.coords[t])), t) for t in candidates)
-    return [t for _, t in sorted((-s, t) for s, t in dots if s > limit)]
-
-
-def _support_lp_optimum(ctx: FaceContext, subset, others, batch=None):
-    """Exact optimum of the support-LP via outer row generation.
-
-    Returns (epsilon, a_frame, b_frame, dual, active) of the last round,
-    where active lists its off-subset rows in order and dual holds its
-    constraint multipliers: subset rows, the norm row, then active.  The
-    returned solution satisfies every off-subset row of the full LP, so
-    its objective equals the full optimum.  batch limits how many
-    violated rows join per round (default: all of them, measured fastest
-    at desk scale).
+    Returns (epsilon, a_frame, b_frame, dual), where dual holds the
+    constraint multipliers in row order: the subset rows, the norm row,
+    then one row per vertex of others, in that order.  (A first round
+    over the subset and norm rows alone, as row generation would solve,
+    always ends at a = b = 0, eps = 1 and leaves every other row
+    violated, so it is not solved.)
     """
     m = ctx.frame.dim
     nv = ctx.num_vars
-    objective = (Q(0),) * (nv - 1) + (Q(1),)
-    lower = (Q(0),) * nv
-    upper = (None,) * (nv - 1) + (Q(1),)
-    base = [ctx.member_row(s) for s in subset] + [ctx.norm_row]
-    active: list[int] = []
-    active_set: set[int] = set()
-    while True:
-        lp = LinearProgram(
-            nv, objective, tuple(base + [ctx.outside_row(t) for t in active]), lower, upper
-        )
-        res = lp_solve(lp)
-        if res.status != "optimal":
-            raise InternalInconsistencyError(f"support-LP returned {res.status}")
-        x = res.primal
-        a_frame = tuple(p - q if q else p for p, q in zip(x, x[m : 2 * m]))
-        b_frame = x[2 * m] - x[2 * m + 1]
-        eps = res.objective_value
-        if eps == 0:
-            return Q(0), a_frame, b_frame, res.dual, active
-        violated = _violated(ctx, (t for t in others if t not in active_set), a_frame, b_frame, eps)
-        if not violated:
-            return eps, a_frame, b_frame, res.dual, active
-        if batch is not None:
-            violated = violated[:batch]
-        active += violated
-        active_set.update(violated)
+    rows = [ctx.member_row(s) for s in subset] + [ctx.norm_row] + [ctx.outside_row(t) for t in others]
+    lp = LinearProgram(
+        nv, (Q(0),) * (nv - 1) + (Q(1),), tuple(rows), (Q(0),) * nv, (None,) * (nv - 1) + (Q(1),)
+    )
+    res = lp_solve(lp)
+    if res.status != "optimal":
+        raise InternalInconsistencyError(f"support-LP returned {res.status}")
+    x = res.primal
+    a_frame = tuple(p - q if q else p for p, q in zip(x, x[m : 2 * m]))
+    return res.objective_value, a_frame, x[2 * m] - x[2 * m + 1], res.dual
 
 
 def _witness_lp(ctx: FaceContext, subset, others):
@@ -328,21 +305,20 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
     if ctx is None:
         ctx = FaceContext(vs)
     others = [t for t in range(len(vs)) if t not in set(idx)]
-    eps, a_frame, b_frame, dual, active = _support_lp_optimum(ctx, idx, others)
+    eps, a_frame, b_frame, dual = _support_lp_optimum(ctx, idx, others)
     if eps > 0:
         a, b = ctx.frame.ambient_functional(a_frame, b_frame)
         cert = FaceCertificate(normal=a, offset=b, epsilon=eps)
         if not verify_face_certificate(vs, idx, cert):
             raise InternalInconsistencyError("support-LP certificate failed substitution")
         return cert
-    # Zero gap: the duals combine S and the active rows (module docstring).
-    y_active = dual[len(idx) + 1 :]
-    total = sum(y_active)
+    # Zero gap: the duals combine the rows of S and of the rest (module docstring).
+    y_others = dual[len(idx) + 1 :]
+    total = sum(y_others)
     if total <= 0:
         raise InternalInconsistencyError("support-LP duals put no weight on the off-subset rows")
     alpha = tuple(-y / total for y in dual[: len(idx)])
-    weight = dict(zip(active, y_active))
-    mu = tuple(weight.get(t, Q(0)) / total for t in others)
+    mu = tuple(y / total for y in y_others)
     wit = NonFaceWitness(alpha=alpha, mu=mu, point=_combination(vs, alpha, idx))
     if not verify_nonface_witness(vs, idx, wit):
         raise InternalInconsistencyError("support-LP dual witness failed substitution")
@@ -486,12 +462,143 @@ class NeighborlinessReport:
         return data
 
 
-def _scan_subsets(n_vertices: int, k: int, fix_first: bool):
-    if fix_first:
-        for rest in combinations(range(1, n_vertices), k - 1):
-            yield (0,) + rest
-    else:
-        yield from combinations(range(n_vertices), k)
+def _coordinate_map(scheme, a: Permutation, b: Permutation, transpose: bool) -> list[int]:
+    """Image of every ambient offset under the move (a, b, transpose).
+
+    The move sends the vertex of the permutation p to the vertex of
+    b.p.a^-1, or of b.p^-1.a^-1 when transpose is set: cell (i, j) of a
+    permutation matrix goes to (a(i), b(j)), or to (a(j), b(i)).  In qap
+    both tensor factors move by that cell map; in phi, a moves the source
+    edge and b the image edge, and transpose swaps the two.
+    """
+    n = scheme.n
+    if scheme.family == "qap":
+        cells = [
+            (a(j) - 1) * n + b(i) - 1 if transpose else (a(i) - 1) * n + b(j) - 1
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+        size = n * n
+        return [cells[o // size] * size + cells[o % size] for o in range(size * size)]
+    edges = edge_list(n)
+    size = len(edges)
+    rows = [edge_index(*a.edge_image(e), n) for e in edges]
+    cols = [edge_index(*b.edge_image(e), n) for e in edges]
+    if transpose:
+        return [rows[o % size] * size + cols[o // size] for o in range(size * size)]
+    return [rows[o // size] * size + cols[o % size] for o in range(size * size)]
+
+
+def _symmetry_moves(vs: VertexSet) -> list[tuple[list[int], list[int]]]:
+    """(vertex map, coordinate map) of every move of ``_Orbits``, checked on vs.
+
+    Moves 0-2 are conjugation by the transposition (1 2), conjugation by
+    the n-cycle (1 2 ... n) and inversion; move 3 + m is translation by
+    the inverse of vertex m's permutation.  Raises ValueError unless every
+    move maps the vertex set onto itself, moves 0-2 fix vertex 0 and move
+    3 + m sends vertex m to vertex 0.
+    """
+    scheme = vs.scheme
+    if scheme.family not in ("qap", "phi"):
+        raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
+    n = scheme.n
+    make = qap_vertex if scheme.family == "qap" else phi_vertex
+    permutation_of = {make(p): p for p in map(Permutation, permutations(range(1, n + 1)))}
+    ident = Permutation.identity(n)
+    swap, cycle = Permutation((2, 1, *range(3, n + 1))), Permutation((*range(2, n + 1), 1))
+    specs = [(swap, swap, False), (cycle, cycle, False), (ident, ident, True)]
+    for m, v in enumerate(vs.vertices):
+        if v not in permutation_of:
+            raise ValueError(f"fix-first reduction refused: vertex {m} is not in {scheme.family}({n})")
+        specs.append((ident, permutation_of[v].inverse(), False))
+    index = {v: i for i, v in enumerate(vs.vertices)}
+    moves = []
+    for a, b, transpose in specs:
+        cmap = _coordinate_map(scheme, a, b, transpose)
+        vmap = [index.get(tuple(sorted(cmap[o] for o in v))) for v in vs.vertices]
+        if None in vmap or len(set(vmap)) != len(vmap):
+            raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
+        moves.append((vmap, cmap))
+    if any(vmap[0] != 0 for vmap, _ in moves[:3]) or any(moves[3 + m][0][m] != 0 for m in range(len(vs))):
+        raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
+    return moves
+
+
+def _carry(cert, subset, vmap, cmap):
+    """cert for subset, moved to its image: vertex t -> vmap[t], offset o -> cmap[o]."""
+    moved = [None] * len(cmap)
+    if isinstance(cert, FaceCertificate):
+        for o, x in zip(cmap, cert.normal):
+            moved[o] = x
+        return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
+    for o, x in zip(cmap, cert.point):
+        moved[o] = x
+    sset = set(subset)
+    others = (t for t in range(len(vmap)) if t not in sset)
+    weight = [None] * len(vmap)
+    for t, x in zip(chain(subset, others), chain(cert.alpha, cert.mu)):
+        weight[vmap[t]] = x
+    image = sorted(vmap[s] for s in subset)
+    iset = set(image)
+    return NonFaceWitness(
+        alpha=tuple(weight[t] for t in image),
+        mu=tuple(weight[t] for t in range(len(vmap)) if t not in iset),
+        point=tuple(moved),
+    )
+
+
+class _Orbits:
+    """The k-subsets through vertex 0, split into orbits of S_n x S_n x C_2.
+
+    The vertices of qap(n) and phi(n) are the permutations of S_n, and
+    left multiplication, right multiplication and inversion act on both
+    families as permutations of the coordinates (``_coordinate_map``).
+    Such a move maps faces to faces, so a certificate carries over to the
+    image of its subset.  Every k-subset maps into one through vertex 0
+    (translate by the inverse of a member), so the subsets through vertex
+    0 meet every orbit.
+
+    subsets lists them in lex order.  links[i] is None when subsets[i] is
+    the lex-min member of its orbit, its representative; otherwise it is
+    (j, move), where moves[move] maps subsets[j] onto subsets[i] and j
+    leads back to the representative along such links.
+    """
+
+    def __init__(self, vs: VertexSet, k: int):
+        self.moves = _symmetry_moves(vs)
+        self.subsets = [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
+        position = {s: i for i, s in enumerate(self.subsets)}
+        self.links: list[tuple[int, int] | None] = [None] * len(self.subsets)
+        seen = bytearray(len(self.subsets))
+        self.count = 0
+        for i in range(len(self.subsets)):
+            if seen[i]:
+                continue
+            seen[i] = 1
+            self.count += 1
+            queue = [i]
+            for j in queue:  # breadth-first over the orbit; the queue grows as it runs
+                members = self.subsets[j]
+                # the stabiliser moves, and the translations that send a member to vertex 0
+                for move in chain(range(3), (3 + m for m in members[1:])):
+                    vmap = self.moves[move][0]
+                    t = position[tuple(sorted(vmap[x] for x in members))]
+                    if not seen[t]:
+                        seen[t] = 1
+                        self.links[t] = (j, move)
+                        queue.append(t)
+
+    def carry(self, i: int, solved: dict):
+        """Certificate for subsets[i], carried from its representative's in solved."""
+        path = []
+        while self.links[i] is not None:
+            i, move = self.links[i]
+            path.append(move)
+        vmap, cmap = self.moves[path.pop()]
+        for move in reversed(path):
+            v, c = self.moves[move]
+            vmap, cmap = [v[x] for x in vmap], [c[x] for x in cmap]
+        return _carry(solved[i], self.subsets[i], vmap, cmap)
 
 
 _WORKER_STATE: dict = {}
@@ -502,10 +609,48 @@ def _scan_worker_init(vs, ctx):
 
 
 def _scan_worker(subset):
-    result = is_face(_WORKER_STATE["vs"], subset, _WORKER_STATE["ctx"])
-    if isinstance(result, FaceCertificate):
-        return subset, None
-    return subset, result
+    return is_face(_WORKER_STATE["vs"], subset, _WORKER_STATE["ctx"])
+
+
+def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits | None, jobs: int):
+    """(subset, verified certificate) for every scanned subset, in lex order.
+
+    Without orbits every k-subset is a representative.  Representatives
+    are solved by ``is_face``, through a pool of jobs worker processes
+    when jobs > 1; every other subset gets its representative's
+    certificate carried over and re-verified by substitution.
+    """
+    if orbits is None:
+        # a pool's feeder thread reads reps, so reps is an iterator of its own
+        subsets, links = combinations(range(len(vs)), k), repeat(None)
+        reps = combinations(range(len(vs)), k)
+    else:
+        subsets, links = orbits.subsets, orbits.links
+        reps = [s for s, link in zip(subsets, links) if link is None]
+    with ExitStack() as stack:
+        if jobs == 1:
+            results = (is_face(vs, s, ctx) for s in reps)
+        else:
+            import multiprocessing as mp
+
+            pool = stack.enter_context(mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs, ctx)))
+            # representatives of orbits are few and slow, so they go one at a time
+            results = pool.imap(_scan_worker, reps, chunksize=16 if orbits is None else 1)
+        solved = {}
+        for i, (subset, link) in enumerate(zip(subsets, links)):
+            if link is None:
+                cert = next(results)
+                if orbits is not None:
+                    solved[i] = cert
+            else:
+                cert = orbits.carry(i, solved)
+                if isinstance(cert, FaceCertificate):
+                    ok = verify_face_certificate(vs, subset, cert)
+                else:
+                    ok = verify_nonface_witness(vs, subset, cert)
+                if not ok:
+                    raise InternalInconsistencyError(f"certificate carried to {subset} failed substitution")
+            yield subset, cert
 
 
 def k_neighborly_scan(
@@ -517,62 +662,51 @@ def k_neighborly_scan(
     jobs: int = 1,
     ctx: FaceContext | None = None,
 ) -> NeighborlinessReport:
-    """Certify every k-subset (or one per translation orbit) as a face.
+    """Certify every k-subset (or every one through vertex 0) as a face.
 
-    With fix_first, only subsets containing vertex 0 (the identity
-    generator) are scanned; valid for the vertex-transitive families qap
-    and phi, where composing with the inverse of any subset member maps
-    the subset to one through the identity.  Subsets are scanned in
-    lexicographic order, so reports are deterministic regardless of jobs.
+    Subsets are scanned in lexicographic order, so reports do not depend
+    on jobs.  With fix_first (qap and phi only) the scanned subsets are
+    those through vertex 0, and only one LP is solved per orbit of
+    ``_Orbits``: the orbit's lex-min member, reached first in the scan.
+    The other members get its certificate carried over by the symmetry
+    and re-verified by substitution, so every verdict and count is the
+    one a subset-by-subset scan gives.  The first non-face in lex order is
+    the lex-min member of its orbit, so the scan stops at the same
+    counterexample, with the witness ``is_face`` returns for it.  The
+    symmetry is checked on the vertex set first (``_symmetry_moves``);
+    a vertex set it does not fit raises ValueError.
     """
     n = len(vs)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got {k}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    symmetry = "none (exhaustive scan)"
-    if fix_first:
-        if vs.scheme.family not in ("qap", "phi"):
-            raise ValueError("fix-first reduction requires a vertex-transitive family (qap or phi)")
-        ident = "".join(str(i) for i in range(1, vs.scheme.n + 1))
-        if vs.labels[0] != ident:
-            raise ValueError("fix-first reduction requires vertex 0 to be the identity generator")
-        symmetry = (
-            "translation orbits: every k-subset maps to one containing the identity vertex "
-            "by composing all generators with the inverse of one member"
-        )
-    subsets = _scan_subsets(n, k, fix_first)
+    orbits = _Orbits(vs, k) if fix_first else None
+    if ctx is None:
+        ctx = FaceContext(vs)
     total = faces = 0
     first_bad = None
     first_wit = None
     stopped = False
-    if ctx is None:
-        ctx = FaceContext(vs)
-    if jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs, ctx)) as pool:
-            for subset, wit in pool.imap(_scan_worker, subsets, chunksize=16):
-                total += 1
-                if wit is None:
-                    faces += 1
-                elif first_bad is None:
-                    first_bad, first_wit = subset, wit
-                    if stop_at_first:
-                        stopped = True
-                        pool.terminate()
-                        break
-    else:
-        for subset in subsets:
+    with closing(_certified_subsets(vs, ctx, k, orbits, jobs)) as certified:
+        for subset, cert in certified:
             total += 1
-            result = is_face(vs, subset, ctx)
-            if isinstance(result, FaceCertificate):
+            if isinstance(cert, FaceCertificate):
                 faces += 1
             elif first_bad is None:
-                first_bad, first_wit = subset, result
+                first_bad, first_wit = subset, cert
                 if stop_at_first:
                     stopped = True
                     break
+    if orbits is None:
+        symmetry = "none (exhaustive scan)"
+    else:
+        solved = sum(link is None for link in orbits.links[:total])
+        symmetry = (
+            f"S_{vs.scheme.n} x S_{vs.scheme.n} x C_2 (left and right multiplication, inversion): "
+            f"LPs for {solved} of the {orbits.count} orbits of {k}-subsets through vertex 0, "
+            "every other subset by a carried certificate re-verified by substitution"
+        )
     return NeighborlinessReport(
         k=k,
         total_subsets=total,

@@ -23,9 +23,11 @@ verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import cached_property, reduce
+from itertools import chain, permutations
 from typing import Sequence
 
 from .exactmath import (
@@ -79,13 +81,32 @@ class AffineMap:
             out[r] = acc
         return tuple(out)
 
+    @cached_property
+    def _integer_columns(self) -> tuple[list[list[tuple[int, int]]], list[int], int]:
+        """(columns, offset, den): the map as integers over den, the lcm of
+        all its denominators; columns[j] lists (row, entry) for the nonzero
+        entries of column j."""
+        entries = chain(chain.from_iterable(self.linear), self.offset)
+        den = reduce(math.lcm, (x.denominator for x in entries), 1)
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.domain_dim)]
+        for r, row in enumerate(self.linear):
+            for j, x in enumerate(row):
+                if x:
+                    columns[j].append((r, x.numerator * (den // x.denominator)))
+        return columns, [x.numerator * (den // x.denominator) for x in self.offset], den
+
     def apply_vertex(self, onepositions: Sequence[int]) -> tuple:
-        """apply to a 0/1 point given by its one-position offsets."""
-        out = list(self.offset)
-        for r in range(self.codomain_dim):
-            row = self.linear[r]
-            out[r] = out[r] + sum((row[j] for j in onepositions if row[j] != 0), Q(0))
-        return tuple(out)
+        """apply to a 0/1 point given by its one-position offsets.
+
+        Sums the integer columns of the one-positions, then builds one
+        Fraction per coordinate.
+        """
+        columns, offset, den = self._integer_columns
+        out = list(offset)
+        for j in onepositions:
+            for r, x in columns[j]:
+                out[r] += x
+        return tuple(Q(x, den) for x in out)
 
     def to_json(self) -> dict:
         triplets = [

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines; every test also asserts its stated wall-clock budget.  The n = 5
-edge-permutation scan dominates the total runtime (a few minutes).
+edge-permutation scan solves one LP per symmetry orbit and takes about a
+second.
 """
 
 import json

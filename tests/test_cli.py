@@ -192,6 +192,30 @@ def test_verify_guard(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_verify_qap_3_neighborly_guard_stops_at_n6(capsys):
+    code, out, err = run(["verify", "qap-3-neighborly", "--n", "6"], capsys)
+    assert code == 2
+    assert "guard is n in [3, 5]" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda d: {**d, "labels": d["labels"][:-1], "vertices": d["vertices"][:-1]},
+        lambda d: {**d, **{key: d[key][1::-1] + d[key][2:] for key in ("labels", "vertices")}},
+    ],
+    ids=["vertex-removed", "first-two-swapped"],
+)
+def test_neighborly_fix_first_refuses_a_broken_symmetry(tmp_path, capsys, spoil):
+    vpath = tmp_path / "qap3.json"
+    run(["generate", "--family", "qap", "--n", "3", "--out", str(vpath)], capsys)
+    vpath.write_text(json.dumps(spoil(json.loads(vpath.read_text()))))
+    code, out, err = run(["neighborly", "--vertices", str(vpath), "--k", "3", "--fix-first"], capsys)
+    assert code == 2
+    assert err.startswith("error: fix-first reduction refused") and "Traceback" not in err
+    assert out == ""
+
+
 def test_verify_k_parameter(capsys):
     code, out, _ = run(["verify", "thm2", "--k", "2"], capsys)
     assert code == 0

@@ -23,7 +23,7 @@ from polyface.faces import (
     witness_oracle_is_face,
 )
 from polyface.families import VertexSet, bqp_vertices, phi_scheme, phi_vertices, qap_vertices
-from polyface.simplex import LinearProgram, lp_solve
+from polyface.simplex import lp_solve
 
 
 def test_singleton_is_a_face_everywhere():
@@ -289,68 +289,29 @@ def test_verify_face_certificate_rejects_non_rational_entries(tamper):
     assert verify_face_certificate(vs, (0, 1, 2), tamper(cert)) is False
 
 
-def _reference_support_lp_optimum(ctx, subset, others):
-    """Row generation with Fraction frame coordinates and Fraction gaps."""
-    m = ctx.frame.dim
-    nv = ctx.num_vars
-    coords = [tuple(Q(x, ctx.coords_den) for x in row) for row in ctx.coords]
-    base = [ctx.member_row(s) for s in subset] + [ctx.norm_row]
-    active = []
-    while True:
-        lp = LinearProgram(
-            nv,
-            (Q(0),) * (nv - 1) + (Q(1),),
-            tuple(base + [ctx.outside_row(t) for t in active]),
-            (Q(0),) * nv,
-            (None,) * (nv - 1) + (Q(1),),
-        )
-        res = lp_solve(lp)
-        x = res.primal
-        a_frame = tuple(x[i] - x[m + i] for i in range(m))
-        b_frame = x[2 * m] - x[2 * m + 1]
-        eps = res.objective_value
-        if eps == 0:
-            return Q(0), a_frame, b_frame, res.dual, active
-        violated = []
-        for t in others:
-            if t not in active:
-                gap = b_frame - sum((a * w for a, w in zip(a_frame, coords[t])), Q(0))
-                if gap < eps:
-                    violated.append((gap, t))
-        if not violated:
-            return eps, a_frame, b_frame, res.dual, active
-        active += [t for _, t in sorted(violated)]
-
-
-_SEPARATION_CONTEXTS = tuple(FaceContext(vs) for vs in (phi_vertices(4), qap_vertices(3), bqp_vertices(3)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_SEPARATION_CONTEXTS), st.data())
-def test_violated_rows_match_fraction_gaps_random(ctx, data):
-    """Integer separation against Fraction gaps, with exact ties gap == eps drawn on purpose."""
-    rationals = st.fractions(-3, 3, max_denominator=5)
-    m = ctx.frame.dim
-    a_frame = tuple(data.draw(st.lists(rationals, min_size=m, max_size=m)))
-    eps = data.draw(st.fractions(Q(1, 9), 1, max_denominator=9))
-    coords = [tuple(Q(x, ctx.coords_den) for x in row) for row in ctx.coords]
-    dots = [sum((a * w for a, w in zip(a_frame, w_t)), Q(0)) for w_t in coords]
-    tie = data.draw(st.integers(0, len(coords) - 1))
-    b_frame = eps + dots[tie] + data.draw(st.one_of(st.sampled_from((Q(0), Q(1, 7), Q(-1, 7))), rationals))
-    expected = [t for _, t in sorted((b_frame - d, t) for t, d in enumerate(dots) if b_frame - d < eps)]
-    assert faces._violated(ctx, range(len(coords)), a_frame, b_frame, eps) == expected
-
-
 @pytest.mark.parametrize("make", [phi_vertices, qap_vertices, bqp_vertices], ids=["phi4", "qap4", "bqp4"])
-def test_support_lp_rows_match_fraction_separation(make):
+def test_is_face_solves_one_lp_over_subset_norm_and_other_rows(make, monkeypatch):
+    """One support-LP per face test, rows in order: subset, norm, then every other vertex."""
     vs = make(4)
     ctx = FaceContext(vs)
+    lps = []
+
+    def recording_lp_solve(lp, *args, **kwargs):
+        lps.append(lp)
+        return lp_solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(faces, "lp_solve", recording_lp_solve)
     rng = random.Random(11)
+    verdicts = set()
     for _ in range(8):
         subset = tuple(sorted(rng.sample(range(len(vs)), 3)))
+        lps.clear()
+        verdicts.add(type(is_face(vs, subset, ctx)))
         others = [t for t in range(len(vs)) if t not in subset]
-        got = faces._support_lp_optimum(ctx, subset, others)
-        assert got == _reference_support_lp_optimum(ctx, subset, others)
+        want = [ctx.member_row(s) for s in subset] + [ctx.norm_row] + [ctx.outside_row(t) for t in others]
+        assert len(lps) == 1
+        assert list(lps[0].constraints) == want
+    assert FaceCertificate in verdicts
 
 
 def test_certificate_json_round_trip():
@@ -410,6 +371,66 @@ def test_scan_fix_first_counts_and_guards():
     assert rep.is_k_neighborly
     with pytest.raises(ValueError):
         k_neighborly_scan(bqp_vertices(2), 2, fix_first=True)
+
+
+@pytest.mark.parametrize(
+    "make, n, k",
+    [
+        (qap_vertices, 3, 3), (phi_vertices, 3, 3), (phi_vertices, 4, 2),
+        (qap_vertices, 4, 3), (phi_vertices, 4, 3),
+    ],
+    ids=["qap3-triples", "phi3-triples", "phi4-pairs", "qap4-triples", "phi4-triples"],
+)
+def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, monkeypatch):
+    """The orbit scan's certificate for every subset through vertex 0 has the
+    verdict is_face gives that subset, and it solves one LP per orbit."""
+    vs = make(n)
+    ctx = FaceContext(vs)
+    orbits = faces._Orbits(vs, k)
+    solved = []
+
+    def recording_is_face(vs, subset, ctx):
+        solved.append(subset)
+        return is_face(vs, subset, ctx)
+
+    monkeypatch.setattr(faces, "is_face", recording_is_face)
+    scanned = list(faces._certified_subsets(vs, ctx, k, orbits, 1))
+    assert [s for s, _ in scanned] == [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
+    assert len(solved) == orbits.count < len(scanned)
+    for subset, cert in scanned:
+        assert type(cert) is type(is_face(vs, subset, ctx))
+        verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
+        assert verify(vs, subset, cert)
+
+
+def test_orbit_scan_report_names_the_group_and_the_orbits_solved():
+    rep = k_neighborly_scan(phi_vertices(4), 3, fix_first=True)
+    assert (rep.total_subsets, rep.faces_certified, rep.counterexample_subset) == (253, 249, (0, 3, 4))
+    assert rep.symmetry_reduction.startswith("S_4 x S_4 x C_2")
+    assert "LPs for 10 of the 10 orbits" in rep.symmetry_reduction
+
+
+def test_orbit_scan_parallel_matches_serial():
+    vs = phi_vertices(4)
+    serial = k_neighborly_scan(vs, 3, fix_first=True)
+    assert k_neighborly_scan(vs, 3, fix_first=True, jobs=2) == serial
+    stopped = k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True)
+    assert k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True, jobs=2) == stopped
+
+
+def _reordered(vs, order):
+    return VertexSet(vs.scheme, tuple(vs.labels[i] for i in order), tuple(vs.vertices[i] for i in order))
+
+
+def test_orbit_scan_refuses_a_vertex_set_the_symmetry_does_not_fit():
+    vs = qap_vertices(3)
+    with pytest.raises(ValueError, match="onto itself"):
+        k_neighborly_scan(_reordered(vs, range(5)), 3, fix_first=True)  # last vertex removed
+    with pytest.raises(ValueError, match="identity"):
+        k_neighborly_scan(_reordered(vs, (1, 0, 2, 3, 4, 5)), 3, fix_first=True)
+    # another order that keeps the identity first is accepted, with the same verdicts
+    rep = k_neighborly_scan(_reordered(vs, (0, 2, 1, 5, 4, 3)), 3, fix_first=True)
+    assert (rep.total_subsets, rep.faces_certified) == (10, 10)
 
 
 def test_scan_parallel_matches_serial():
