@@ -18,7 +18,6 @@ import sys
 from .faces import (
     FaceCertificate,
     InternalInconsistencyError,
-    NonFaceWitness,
     certificate_from_json,
     is_face,
     k_neighborly_scan,
@@ -67,13 +66,11 @@ def cmd_face(args) -> int:
     vs = VertexSet.load(args.vertices)
     subset = tuple(int(s) for s in args.subset.split(","))
     result = is_face(vs, subset)
-    if isinstance(result, FaceCertificate):
-        data = result.to_json(subset)
-        _write_json(data, args.out)
-        print(f"face: subset {list(subset)} is the vertex set of a face (gap {data['epsilon']})")
-        return 0
     data = result.to_json(subset)
     _write_json(data, args.out)
+    if isinstance(result, FaceCertificate):
+        print(f"face: subset {list(subset)} is the vertex set of a face (gap {data['epsilon']})")
+        return 0
     print(f"non-face: subset {list(subset)} shares a point with the hull of the rest")
     return 1
 
@@ -89,24 +86,18 @@ def cmd_neighborly(args) -> int:
         stop_at_first=args.stop_at_first,
         jobs=args.jobs,
     )
-    data = report.to_json()
-    if args.out:
-        _write_json(data, args.out)
     if report.counterexample_subset is None:
         print(
             f"{args.k}-neighborly: {report.faces_certified}/{report.total_subsets} "
             "subsets certified as faces"
         )
-        if not args.out:
-            _write_json(data, None)
-        return 0
-    print(
-        f"not {args.k}-neighborly: counterexample {list(report.counterexample_subset)} "
-        f"after {report.total_subsets} subsets"
-    )
-    if not args.out:
-        _write_json(data, None)
-    return 1
+    else:
+        print(
+            f"not {args.k}-neighborly: counterexample {list(report.counterexample_subset)} "
+            f"after {report.total_subsets} subsets"
+        )
+    _write_json(report.to_json(), args.out)
+    return 0 if report.counterexample_subset is None else 1
 
 
 def cmd_verify(args) -> int:
@@ -146,15 +137,13 @@ def cmd_check(args) -> int:
         print(f"error: malformed certificate: {exc}", file=sys.stderr)
         return 2
     if isinstance(cert, FaceCertificate):
-        if len(cert.normal) != vs.scheme.ambient_dim:
-            print("error: certificate ambient dimension does not match the vertex file", file=sys.stderr)
-            return 2
-        ok = verify_face_certificate(vs, subset, cert)
+        kind, vector, verify = "certificate", cert.normal, verify_face_certificate
     else:
-        if len(cert.point) != vs.scheme.ambient_dim:
-            print("error: witness ambient dimension does not match the vertex file", file=sys.stderr)
-            return 2
-        ok = verify_nonface_witness(vs, subset, cert)
+        kind, vector, verify = "witness", cert.point, verify_nonface_witness
+    if len(vector) != vs.scheme.ambient_dim:
+        print(f"error: {kind} ambient dimension does not match the vertex file", file=sys.stderr)
+        return 2
+    ok = verify(vs, subset, cert)
     print("certificate verifies" if ok else "certificate FAILS verification")
     return 0 if ok else 1
 

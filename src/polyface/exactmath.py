@@ -10,14 +10,15 @@ after every combination): ``_eliminate`` is Gauss-Jordan, ``_reduce``
 reduces one vector against echelon rows.  Fractions appear only when a
 result is read back.
 
-Hull frames follow the same rule.  ``AffineHullFrame`` scales its
-inverse once to integer columns over their lcm L;
-``integer_coords`` returns integer coordinate rows over L, and
-``ambient_functional`` scales the frame functional once to integers and
-lifts it by integer dot products, building Fractions only for the
-functional it returns.  ``_over_lcm`` writes a rational vector as
-integers over the lcm of its denominators; ``simplex`` and ``faces``
-use it too.
+Hull frames follow the same rule.  ``AffineHullFrame`` stores its
+inverse once, as integer columns over one denominator L read straight
+from ``_invert``'s elimination rows.  ``coords_of`` (checked, Fraction
+coordinates) and ``integer_coords`` (integer rows over L) share one
+loop over those columns, and ``ambient_functional`` scales the frame
+functional once to integers and lifts it by integer dot products,
+building Fractions only for the functional it returns.  ``_over_lcm``
+writes a rational vector as integers over the lcm of its denominators;
+``simplex`` and ``faces`` use it too.
 
 The kernels other modules rely on:
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -228,15 +228,19 @@ class AffineHullFrame:
     origin + sum(c_i * basis_i) reconstructs any hull point from its
     reduced coordinates c.  origin and basis keep the input's number
     type (ints for every vertex set).  `pivot_cols` are ambient
-    coordinate positions at which the basis matrix is invertible;
-    `inv_pivot` is the inverse of that square submatrix, so coordinates
-    are a single matrix-vector product away.
+    coordinate positions at which the basis matrix is invertible.  The
+    inverse of that square submatrix is stored once, as integer columns
+    over one denominator: inverse_cols[j][i] / inverse_den is its entry
+    (i, j), and inverse_den is the lcm of the entries' denominators.
+    Coordinates are the inverse columns weighted by the point's deltas
+    from the origin at pivot_cols, over inverse_den.
     """
 
     origin: Vector
     basis: tuple[Vector, ...]
     pivot_cols: tuple[int, ...]
-    inv_pivot: tuple[Vector, ...]
+    inverse_cols: tuple[tuple[int, ...], ...]
+    inverse_den: int
 
     @property
     def dim(self) -> int:
@@ -246,45 +250,31 @@ class AffineHullFrame:
     def ambient_dim(self) -> int:
         return len(self.origin)
 
-    @cached_property
-    def _inverse_columns(self) -> tuple[list[list[int]], int]:
-        """(cols, L): cols[j][i] == inv_pivot[i][j] * L, L the lcm of its denominators."""
-        nums, den = _over_lcm([x for col in zip(*self.inv_pivot) for x in col])
-        m = self.dim
-        return [nums[j * m : (j + 1) * m] for j in range(m)], den
+    def _weighted_columns(self, point: Sequence) -> list:
+        """Reduced coordinates of point, times inverse_den (exact for any rational point)."""
+        acc = [0] * self.dim
+        for col, c in zip(self.inverse_cols, self.pivot_cols):
+            d = point[c] - self.origin[c]
+            if d:
+                acc = [a + d * x for a, x in zip(acc, col)]
+        return acc
 
-    def coords_of(self, point: Sequence, check: bool = True) -> Vector:
-        delta = [Q(point[c]) - self.origin[c] for c in self.pivot_cols]
-        coords = tuple(vec_dot(row, delta) for row in self.inv_pivot)
-        if check and self.reconstruct(coords) != tuple(Q(x) for x in point):
+    def coords_of(self, point: Sequence) -> Vector:
+        """Reduced coordinates of a hull point; ValueError for a point off the hull."""
+        coords = tuple(Q(a, self.inverse_den) for a in self._weighted_columns(point))
+        if self.reconstruct(coords) != tuple(Q(x) for x in point):
             raise ValueError("point does not lie in the affine hull")
         return coords
 
     def integer_coords(self, points: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-        """(rows, L) with coords_of(p, check=False) == rows[i] / L for the i-th point.
+        """(rows, inverse_den) with rows[i] / inverse_den the coordinates of the i-th point.
 
-        A point's row is the sum of the integer inverse columns weighted
-        by its deltas at pivot_cols.  Points and the origin must be
-        integer points.
+        Points are not checked to lie in the hull.  Points and the origin
+        must be integer points, so every row is an integer row.
         """
-        cols, den = self._inverse_columns
-        origin = [self.origin[c] for c in self.pivot_cols]
-        if any(o.denominator != 1 for o in origin):
+        if any(self.origin[c].denominator != 1 for c in self.pivot_cols):
             raise ValueError("origin is not an integer point")
-        rows = []
-        for p in points:
-            acc = [0] * self.dim
-            for col, c, o in zip(cols, self.pivot_cols, origin):
-                d = p[c] - o
-                if d:
-                    acc = [a + d * x for a, x in zip(acc, col)]
-            rows.append(acc)
-        return rows, den
-
-    def coords_of_integer_points(self, points: Sequence[Sequence[int]]) -> list[Vector]:
-        """coords_of(p, check=False) for each integer point p, via integer_coords."""
-        rows, den = self.integer_coords(points)
-        return [tuple(Q(a, den) for a in row) for row in rows]
+        return [self._weighted_columns(p) for p in points], self.inverse_den
 
     def reconstruct(self, coords: Sequence) -> Vector:
         out = list(self.origin)
@@ -302,16 +292,15 @@ class AffineHullFrame:
         Returns (a, b) with a . p - b == a_frame . coords_of(p) - b_frame
         for every p in the hull.  a_frame is scaled once to integers over
         its lcm denominator D, so each pivot entry of a is one integer dot
-        product with an inverse column, over D * L.
+        product with an inverse column, over D * inverse_den.
         """
         if len(a_frame) != self.dim:
             raise ValueError(f"dimension mismatch: {len(a_frame)} vs {self.dim}")
-        cols, den = self._inverse_columns
         nums, d = _over_lcm(a_frame)
-        scale = d * den
+        scale = d * self.inverse_den
         a = [Q(0)] * self.ambient_dim
         shift = 0  # a . origin, times scale
-        for c, col in zip(self.pivot_cols, cols):
+        for c, col in zip(self.pivot_cols, self.inverse_cols):
             t = sum(map(operator.mul, nums, col))
             if t:
                 a[c] = Q(t, scale)
@@ -342,19 +331,25 @@ def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
         pivot_cols.append(lead)
     m = len(basis)
     square = [[basis[j][c] for j in range(m)] for c in pivot_cols]
-    # inv maps pivot-coordinate deltas to basis coefficients:
-    # coords = inv * (p - origin)[pivot_cols].
+    # the inverse maps pivot-coordinate deltas to basis coefficients:
+    # coords = inverse * (p - origin)[pivot_cols].
+    cols, den = _invert(square)
     return AffineHullFrame(
-        origin=origin,
-        basis=tuple(basis),
-        pivot_cols=tuple(pivot_cols),
-        inv_pivot=_invert(square),
+        origin=origin, basis=tuple(basis), pivot_cols=tuple(pivot_cols), inverse_cols=cols, inverse_den=den
     )
 
 
-def _invert(square: list[list]) -> tuple[Vector, ...]:
+def _invert(square: list[list]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(cols, L): the inverse of square is cols[j][i] / L at (i, j), L the lcm of its denominators.
+
+    Elimination on [square | I] leaves row i as (pivot p_i at i | p_i times
+    inverse row i); rows are primitive, so p_i is, up to sign, the lcm of
+    the reduced denominators of that inverse row.
+    """
     n = len(square)
     rows = [_int_row([*row, *(1 if i == j else 0 for j in range(n))]) for i, row in enumerate(square)]
     if _eliminate(rows, n) != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(Q(x, row[i]) for x in row[n:]) for i, row in enumerate(rows))
+    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    scales = [den // row[i] for i, row in enumerate(rows)]
+    return tuple(tuple(row[n + j] * f for row, f in zip(rows, scales)) for j in range(n)), den

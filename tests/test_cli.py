@@ -1,9 +1,28 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyface.cli import main
 from polyface.families import VertexSet
+
+# certificates `polyface face` writes for phi(3): {0, 1} is a face, {0, 1, 2} is not
+PHI3_FACE = {
+    "kind": "face",
+    "subset": [0, 1],
+    "frame": "ambient",
+    "a": ["1/5", "-1/5", "0", "2/5", "1/5", "0", "0", "0", "0"],
+    "b": "2/5",
+    "epsilon": "1/5",
+}
+PHI3_NONFACE = {
+    "kind": "nonface",
+    "subset": [0, 1, 2],
+    "alpha": ["1/3"] * 3,
+    "mu": ["1/3"] * 3,
+    "point": ["1/3"] * 9,
+}
 
 
 def run(argv, capsys):
@@ -97,8 +116,31 @@ def test_check_mismatched_ambient_dim_is_an_error(tmp_path, capsys):
     [
         {"kind": "face", "subset": [0], "a": ["1/0"] + ["0"] * 8, "b": "0", "epsilon": "1"},
         [{"kind": "face", "subset": [0]}],
+        {**PHI3_FACE, "b": float("inf")},
+        {**PHI3_FACE, "subset": [False, True]},
+        {**PHI3_FACE, "subset": [0.0, 1]},
+        {**PHI3_FACE, "subset": "01"},
+        {**PHI3_FACE, "a": [0.2, -0.2, 0, 0.4, 0.2, 0, 0, 0, 0]},
+        {**PHI3_FACE, "a": "123456789"},
+        {**PHI3_FACE, "b": 0.4},
+        {**PHI3_FACE, "epsilon": True},
+        {**PHI3_NONFACE, "alpha": [0.5, 0.25, 0.25]},
+        {**PHI3_NONFACE, "mu": [True, False, False]},
     ],
-    ids=["zero-denominator", "top-level-list"],
+    ids=[
+        "zero-denominator",
+        "top-level-list",
+        "infinite-offset",
+        "boolean-subset",
+        "float-subset",
+        "string-subset",
+        "float-normal",
+        "string-normal",
+        "float-offset",
+        "boolean-epsilon",
+        "float-alpha",
+        "boolean-mu",
+    ],
 )
 def test_check_malformed_certificate_is_an_error(tmp_path, capsys, data):
     vpath = tmp_path / "phi3.json"
@@ -108,6 +150,35 @@ def test_check_malformed_certificate_is_an_error(tmp_path, capsys, data):
     code, _, err = run(["check", "--vertices", str(vpath), "--certificate", str(cpath)], capsys)
     assert code == 2
     assert "malformed certificate" in err
+
+
+@pytest.fixture(scope="module")
+def phi3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("phi3") / "phi3.json"
+    assert main(["generate", "--family", "phi", "--n", "3", "--out", str(path)]) == 0
+    return path
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=10) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+spoiled_certificates = st.sampled_from([PHI3_FACE, PHI3_NONFACE]).flatmap(
+    lambda cert: st.builds(
+        lambda key, value: {**cert, key: value}, st.sampled_from(sorted(cert)), json_values
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spoiled_certificates)
+@example({**PHI3_FACE, "b": float("inf")})
+@example({**PHI3_FACE, "subset": [False, True]})
+def test_check_survives_any_one_field_replaced(phi3_file, cert):
+    cpath = phi3_file.parent / "cert.json"
+    cpath.write_text(json.dumps(cert))
+    assert main(["check", "--vertices", str(phi3_file), "--certificate", str(cpath)]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize(

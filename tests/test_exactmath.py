@@ -71,7 +71,7 @@ def reference_rref(rows):
 
 
 def reference_frame(points):
-    """(basis, pivot_cols, inv_pivot) of the greedy Fraction echelon."""
+    """(basis, pivot_cols, inverse) of the greedy Fraction echelon, the inverse as Fraction rows."""
     origin = [Q(x) for x in points[0]]
     basis, reduced, pivots = [], [], []
     for p in points[1:]:
@@ -90,6 +90,17 @@ def reference_frame(points):
     aug = [[b[c] for b in basis] + [int(i == j) for j in range(m)] for i, c in enumerate(pivots)]
     inv = tuple(tuple(row[m:]) for row in reference_rref(aug)[0])
     return tuple(basis), tuple(pivots), inv
+
+
+def fraction_inverse(frame):
+    """The frame's inverse as Fraction rows, read from its integer columns."""
+    return tuple(tuple(Q(x, frame.inverse_den) for x in row) for row in zip(*frame.inverse_cols))
+
+
+def fraction_coords(frame, points):
+    """Fraction view of integer_coords: one coordinate tuple per point."""
+    rows, den = frame.integer_coords(points)
+    return [tuple(Q(a, den) for a in row) for row in rows]
 
 
 def test_solve_scalar_division():
@@ -214,7 +225,7 @@ def test_frame_round_trip(make):
     coords = [frame.coords_of(p) for p in pts]
     for p, c in zip(pts, coords):
         assert frame.reconstruct(c) == p
-    assert frame.coords_of_integer_points(pts) == coords
+    assert fraction_coords(frame, pts) == coords
 
 
 @pytest.mark.parametrize(
@@ -225,7 +236,7 @@ def test_frame_round_trip(make):
 def test_frame_matches_fraction_reference(make):
     pts = make().dense_all()
     frame = affine_hull_frame(pts)
-    assert (frame.basis, frame.pivot_cols, frame.inv_pivot) == reference_frame(pts)
+    assert (frame.basis, frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
 
 
 small_point_sets = st.integers(1, 5).flatmap(
@@ -239,14 +250,14 @@ small_point_sets = st.integers(1, 5).flatmap(
 @given(small_point_sets)
 def test_frame_matches_fraction_reference_random(pts):
     frame = affine_hull_frame(pts)
-    assert (frame.basis, frame.pivot_cols, frame.inv_pivot) == reference_frame(pts)
-    assert frame.coords_of_integer_points(pts) == [frame.coords_of(p) for p in pts]
+    assert (frame.basis, frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
+    assert fraction_coords(frame, pts) == [frame.coords_of(p) for p in pts]
 
 
 def test_integer_point_coords_need_an_integer_origin():
     frame = affine_hull_frame([(Q(1, 2), 0), (1, 1)])
     with pytest.raises(ValueError):
-        frame.coords_of_integer_points([(1, 1)])
+        frame.integer_coords([(1, 1)])
 
 
 small_rational_matrices = st.integers(1, 5).flatmap(
@@ -282,9 +293,9 @@ def test_ambient_functional_agrees_on_hull():
 
 
 def reference_ambient_functional(frame, a_frame, b_frame):
-    """Fraction lift: a = a_frame * inv_pivot at pivot_cols, b = b_frame + a . origin."""
+    """Fraction lift: a = a_frame * inverse at pivot_cols, b = b_frame + a . origin."""
     a = [Q(0)] * frame.ambient_dim
-    for c, col in zip(frame.pivot_cols, zip(*frame.inv_pivot)):
+    for c, col in zip(frame.pivot_cols, zip(*fraction_inverse(frame))):
         a[c] = sum((x * y for x, y in zip(a_frame, col)), Q(0))
     return tuple(a), Q(b_frame) + sum((x * o for x, o in zip(a, frame.origin)), Q(0))
 

@@ -476,11 +476,12 @@ def test_compose_with_face_lifts_certificates():
         vertices=tuple(vs.vertices[i] for i in face_subset),
     )
     ctx = FaceContext(standalone)
-    eqs = [(off, val) for off, val in _thm2_equations(2)]
+    # the lift adds a multiple of the functional of these coordinate fixings
+    assert [(e.coordinate, e.value) for e in res.face.equations] == _thm2_equations(2)
     for triple in combinations(range(4), 3):
         inner = is_face(standalone, triple, ctx)
         assert isinstance(inner, FaceCertificate)
-        lifted = compose_with_face(vs, face_subset, eqs, triple, inner)
+        lifted = compose_with_face(vs, res.face, triple, inner)
         global_subset = [face_subset[i] for i in triple]
         assert verify_face_certificate(vs, global_subset, lifted)
         # cross-check against the direct LP on the full vertex set
