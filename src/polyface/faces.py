@@ -48,11 +48,12 @@ non-face witness check.
 from __future__ import annotations
 
 import math
+from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, islice, permutations, repeat
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame
@@ -617,8 +618,26 @@ def _scan_worker_init(vs, ctx):
     _WORKER_STATE["vs"], _WORKER_STATE["ctx"] = vs, ctx
 
 
-def _scan_worker(subset):
-    return is_face(_WORKER_STATE["vs"], subset, _WORKER_STATE["ctx"])
+def _scan_worker(batch):
+    return [is_face(_WORKER_STATE["vs"], s, _WORKER_STATE["ctx"]) for s in batch]
+
+
+def _pooled_is_face(pool, reps, chunk: int, window: int):
+    """is_face on each of reps through pool, in order, in batches of chunk.
+
+    At most window batches are in flight, so an early stop waits only
+    for those: the pool is closed and joined, never terminated, because
+    terminating a pool while its task thread still feeds the workers
+    can deadlock.
+    """
+    pending = deque()
+    reps = iter(reps)
+    while batch := list(islice(reps, chunk)):
+        pending.append(pool.apply_async(_scan_worker, (batch,)))
+        if len(pending) == window:
+            yield from pending.popleft().get()
+    for res in pending:
+        yield from res.get()
 
 
 def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits | None, jobs: int):
@@ -630,7 +649,7 @@ def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits 
     certificate carried over and re-verified by substitution.
     """
     if orbits is None:
-        # a pool's feeder thread reads reps, so reps is an iterator of its own
+        # reps is read apart from subsets, so it is an iterator of its own
         subsets, links = combinations(range(len(vs)), k), repeat(None)
         reps = combinations(range(len(vs)), k)
     else:
@@ -642,9 +661,11 @@ def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits 
         else:
             import multiprocessing as mp
 
-            pool = stack.enter_context(mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs, ctx)))
+            pool = mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs, ctx))
+            stack.callback(pool.join)
+            stack.callback(pool.close)  # runs first
             # representatives of orbits are few and slow, so they go one at a time
-            results = pool.imap(_scan_worker, reps, chunksize=16 if orbits is None else 1)
+            results = _pooled_is_face(pool, reps, 16 if orbits is None else 1, 2 * jobs)
         solved = {}
         for i, (subset, link) in enumerate(zip(subsets, links)):
             if link is None:
