@@ -25,7 +25,7 @@ formulation (the witness-LP) survives only as the test oracle
 Scans: ``k_neighborly_scan`` tests subsets in lex order.  With
 fix_first (qap and phi) it scans the subsets through vertex 0 and
 solves one support-LP per orbit of the S_n x S_n x C_2 symmetry (left
-and right multiplication, inversion, acting on the coordinates).  The
+and right multiplication, inversion; ``families.coordinate_map``).  The
 other members of an orbit get the representative's certificate
 permuted onto them, and every such carried certificate is re-verified
 by substitution.  The symmetry itself is checked on the vertex set
@@ -48,6 +48,7 @@ non-face witness check.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ from itertools import chain, combinations, islice, permutations, repeat
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame
-from .families import Permutation, VertexSet, edge_index, edge_list, phi_vertex, qap_vertex
+from .families import Permutation, VertexSet, coordinate_map, phi_vertex, qap_vertex
 from .simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -117,10 +118,16 @@ class NonFaceWitness:
         }
 
 
+_RATIONAL_TEXT = re.compile("-?[0-9]+(/[0-9]+)?")  # what q_str writes
+
+
 def _json_rational(x) -> Fraction:
-    """A rational written as a JSON string ("p/q") or integer; floats and booleans are refused."""
+    """A rational as q_str writes it ("p", "p/q", "-p/q") or a JSON integer; floats, booleans and
+    Fraction's other syntax are refused (its exponents: "1e100000000" would run for minutes)."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"a rational must be a string or an integer, not {type(x).__name__}")
+    if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+        raise ValueError(f"unreadable rational {x[:20]!r}")
     try:
         return Q(x)
     except ZeroDivisionError as exc:
@@ -164,18 +171,31 @@ def certificate_from_json(data: dict):
     return _json_tuple(data, "subset", _json_index), cert
 
 
+def _split(vs: VertexSet, subset) -> tuple[tuple[int, ...], list[int]]:
+    """(subset, the other vertex indices in order), after checking the subset."""
+    idx = tuple(subset)
+    sset = set(idx)
+    if len(idx) == 0:
+        raise ValueError("subset is empty")
+    if len(sset) != len(idx):
+        raise ValueError("subset has repeated indices")
+    if any(not 0 <= i < len(vs) for i in idx):
+        raise ValueError("subset index out of range")
+    if len(idx) == len(vs):
+        raise ValueError("subset equals the whole vertex set")
+    return idx, [t for t in range(len(vs)) if t not in sset]
+
+
 def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCertificate) -> bool:
     """Substitution check of the supporting-hyperplane invariants.
 
     (normal, offset, epsilon) are scaled once to integers over their
     common denominator, so each vertex costs one integer sum over its
-    one-positions.  An entry that is not an int or a Fraction fails the
-    check.
+    one-positions.  A subset ``_split`` refuses, or an entry that is not
+    an int or a Fraction, fails the check.
     """
     try:
-        sset = set(subset)
-        if not sset or len(sset) != len(subset) or not sset < set(range(len(vs))):
-            return False
+        idx, others = _split(vs, subset)
         if len(cert.normal) != vs.scheme.ambient_dim:
             return False
         # One integer copy of the normal and no other temporary of its size:
@@ -186,15 +206,11 @@ def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCert
         if eps <= 0:
             return False
         low = offset - eps
-        for i, ones in enumerate(vs.vertices):
-            val = sum(map(normal.__getitem__, ones))
-            if i in sset:
-                if val != offset:
-                    return False
-            elif val > low:
-                return False
-        return True
-    except (TypeError, IndexError, AttributeError):
+        value = normal.__getitem__
+        return all(sum(map(value, vs.vertices[s])) == offset for s in idx) and all(
+            sum(map(value, vs.vertices[t])) <= low for t in others
+        )
+    except (ValueError, TypeError, IndexError, AttributeError):
         return False
 
 
@@ -211,18 +227,15 @@ def _combination(vs: VertexSet, coefs, indices) -> tuple:
 def verify_nonface_witness(vs: VertexSet, subset: Sequence[int], wit: NonFaceWitness) -> bool:
     """Substitution check: alpha-combination of S = mu-combination of the rest = point."""
     try:
-        sset = set(subset)
-        if not sset or len(sset) != len(subset) or not sset < set(range(len(vs))):
-            return False
-        others = [i for i in range(len(vs)) if i not in sset]
-        if len(wit.alpha) != len(subset) or len(wit.mu) != len(others):
+        idx, others = _split(vs, subset)
+        if len(wit.alpha) != len(idx) or len(wit.mu) != len(others):
             return False
         if sum(wit.alpha) != 1 or sum(wit.mu) != 1 or any(m < 0 for m in wit.mu):
             return False
         if len(wit.point) != vs.scheme.ambient_dim:
             return False
-        return _combination(vs, wit.alpha, subset) == tuple(wit.point) == _combination(vs, wit.mu, others)
-    except (TypeError, IndexError):
+        return _combination(vs, wit.alpha, idx) == tuple(wit.point) == _combination(vs, wit.mu, others)
+    except (ValueError, TypeError, IndexError):
         return False
 
 
@@ -303,21 +316,6 @@ def _witness_lp(ctx: FaceContext, subset, others):
     return lp_solve(lp)
 
 
-def _split(vs: VertexSet, subset) -> tuple[tuple[int, ...], list[int]]:
-    """(subset, the other vertex indices in order), after checking the subset."""
-    idx = tuple(subset)
-    sset = set(idx)
-    if len(idx) == 0:
-        raise ValueError("subset is empty")
-    if len(sset) != len(idx):
-        raise ValueError("subset has repeated indices")
-    if any(not 0 <= i < len(vs) for i in idx):
-        raise ValueError("subset index out of range")
-    if len(idx) == len(vs):
-        raise ValueError("subset equals the whole vertex set")
-    return idx, [t for t in range(len(vs)) if t not in sset]
-
-
 def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None):
     """Decide face status of a vertex subset; returns a verified certificate.
 
@@ -364,7 +362,6 @@ def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContex
 class EquationReport:
     coordinate: int
     value: int
-    valid_inequality: bool  # 0 <= coordinate (value 0) or coordinate <= 1 (value 1) on all vertices
     attained: bool  # some vertex meets the equation
 
 
@@ -376,12 +373,12 @@ class FaceByEquations:
 
 
 def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> FaceByEquations:
-    """Vertices satisfying coordinate fixings, with supporting-validity checks.
+    """Vertices satisfying coordinate fixings, with a verified supporting hyperplane.
 
-    Each equation (offset, value) with value in {0, 1} is checked to be a
-    valid inequality over all vertices, so the equation set defines a face
-    and the returned subset is exactly its vertex set.  An empty subset is
-    reported, not raised.
+    On 0/1 vertices every coordinate lies in [0, 1], so each equation
+    (offset, value) with value in {0, 1} is tight on a face, the equation
+    set defines a face and the returned subset is exactly its vertex set.
+    An empty subset is reported, not raised.
     """
     dim = vs.scheme.ambient_dim
     eqs = []
@@ -392,13 +389,7 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
             raise ValueError(f"value must be 0 or 1, got {val}")
         eqs.append((off, val))
     ones = [set(v) for v in vs.vertices]
-    reports = []
-    for off, val in eqs:
-        column = [1 if off in o else 0 for o in ones]
-        # 0/1 vertices make the one-sided inequality automatic; assert anyway
-        valid = all(0 <= c <= 1 for c in column)
-        attained = any(c == val for c in column)
-        reports.append(EquationReport(off, val, valid, attained))
+    reports = [EquationReport(off, val, any((off in o) == bool(val) for o in ones)) for off, val in eqs]
     subset = [i for i, o in enumerate(ones) if all((off in o) == bool(val) for off, val in eqs)]
     cert = None
     if 0 < len(subset) < len(vs):
@@ -472,33 +463,6 @@ class NeighborlinessReport:
         return data
 
 
-def _coordinate_map(scheme, a: Permutation, b: Permutation, transpose: bool) -> list[int]:
-    """Image of every ambient offset under the move (a, b, transpose).
-
-    The move sends the vertex of the permutation p to the vertex of
-    b.p.a^-1, or of b.p^-1.a^-1 when transpose is set: cell (i, j) of a
-    permutation matrix goes to (a(i), b(j)), or to (a(j), b(i)).  In qap
-    both tensor factors move by that cell map; in phi, a moves the source
-    edge and b the image edge, and transpose swaps the two.
-    """
-    n = scheme.n
-    if scheme.family == "qap":
-        cells = [
-            (a(j) - 1) * n + b(i) - 1 if transpose else (a(i) - 1) * n + b(j) - 1
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        ]
-        size = n * n
-        return [cells[o // size] * size + cells[o % size] for o in range(size * size)]
-    edges = edge_list(n)
-    size = len(edges)
-    rows = [edge_index(*a.edge_image(e), n) for e in edges]
-    cols = [edge_index(*b.edge_image(e), n) for e in edges]
-    if transpose:
-        return [rows[o % size] * size + cols[o // size] for o in range(size * size)]
-    return [rows[o // size] * size + cols[o % size] for o in range(size * size)]
-
-
 def _symmetry_moves(vs: VertexSet) -> list[tuple[list[int], list[int]]]:
     """(vertex map, coordinate map) of every move of ``_Orbits``, checked on vs.
 
@@ -524,7 +488,7 @@ def _symmetry_moves(vs: VertexSet) -> list[tuple[list[int], list[int]]]:
     index = {v: i for i, v in enumerate(vs.vertices)}
     moves = []
     for a, b, transpose in specs:
-        cmap = _coordinate_map(scheme, a, b, transpose)
+        cmap = coordinate_map(scheme, a, b, transpose)
         vmap = [index.get(tuple(sorted(cmap[o] for o in v))) for v in vs.vertices]
         if None in vmap or len(set(vmap)) != len(vmap):
             raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
@@ -562,7 +526,7 @@ class _Orbits:
 
     The vertices of qap(n) and phi(n) are the permutations of S_n, and
     left multiplication, right multiplication and inversion act on both
-    families as permutations of the coordinates (``_coordinate_map``).
+    families as permutations of the coordinates (``coordinate_map``).
     Such a move maps faces to faces, so a certificate carries over to the
     image of its subset.  Every k-subset maps into one through vertex 0
     (translate by the inverse of a member), so the subsets through vertex

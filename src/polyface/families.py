@@ -15,6 +15,9 @@ Conventions (the single source of truth for index translation):
 * the edge matrix has rows indexed by the source edge and columns by its
   image: z[e, f] = 1 iff sigma maps edge e onto edge f elementwise.
 
+The same layout gives ``qap_vertex``, ``phi_vertex`` and ``coordinate_map``,
+the action of S_n x S_n x C_2 that the fix-first scan in ``faces`` uses.
+
 Vertices are stored sparsely as sorted tuples of one-positions and
 densified on demand (a qap(5) vertex has 25 ones out of 625 entries).
 """
@@ -133,12 +136,13 @@ def qap_scheme(n: int) -> IndexScheme:
 
 def phi_scheme(n: int) -> IndexScheme:
     ne = comb(n, 2)
-    edges = edge_list(n)
 
     def encode(e: tuple[int, int], f: tuple[int, int]) -> int:
         return edge_index(*e, n) * ne + edge_index(*f, n)
 
+    # edges per call: a vertex file's header must not cost C(n,2) tuples before it is checked
     def decode(off: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        edges = edge_list(n)
         return edges[off // ne], edges[off % ne]
 
     return IndexScheme("phi", n, ne * ne, encode, decode)
@@ -273,6 +277,33 @@ def phi_vertex(p: Permutation) -> tuple[int, ...]:
     ne = comb(n, 2)
     offs = [edge_index(*e, n) * ne + edge_index(*p.edge_image(e), n) for e in edge_list(n)]
     return tuple(sorted(offs))
+
+
+def coordinate_map(scheme: IndexScheme, a: Permutation, b: Permutation, transpose: bool) -> list[int]:
+    """Image of every ambient offset under the move (a, b, transpose).
+
+    The move sends the vertex of the permutation p to the vertex of
+    b.p.a^-1, or of b.p^-1.a^-1 when transpose is set: cell (i, j) of a
+    permutation matrix goes to (a(i), b(j)), or to (a(j), b(i)).  In qap
+    both tensor factors move by that cell map; in phi, a moves the source
+    edge and b the image edge, and transpose swaps the two.
+    """
+    n = scheme.n
+    if scheme.family == "qap":
+        cells = [
+            (a(j) - 1) * n + b(i) - 1 if transpose else (a(i) - 1) * n + b(j) - 1
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+        size = n * n
+        return [cells[o // size] * size + cells[o % size] for o in range(size * size)]
+    edges = edge_list(n)
+    size = len(edges)
+    rows = [edge_index(*a.edge_image(e), n) for e in edges]
+    cols = [edge_index(*b.edge_image(e), n) for e in edges]
+    if transpose:
+        return [rows[o % size] * size + cols[o // size] for o in range(size * size)]
+    return [rows[o // size] * size + cols[o % size] for o in range(size * size)]
 
 
 # Display order for the six K_3 edge matrices: identity, the two

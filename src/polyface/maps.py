@@ -38,7 +38,7 @@ from .exactmath import (
     affine_hull_frame,
     canonical_integer_vector,
 )
-from .faces import FaceByEquations, face_by_equations, q_str
+from .faces import FaceByEquations, face_by_equations
 from .families import (
     VertexSet,
     bqp_scheme,
@@ -69,18 +69,6 @@ class AffineMap:
             if len(row) != self.domain_dim:
                 raise ValueError("map shape mismatch")
 
-    def apply(self, point: Sequence) -> tuple:
-        nz = [(j, x) for j, x in enumerate(point) if x != 0]
-        out = list(self.offset)
-        for r in range(self.codomain_dim):
-            row = self.linear[r]
-            acc = out[r]
-            for j, x in nz:
-                if row[j] != 0:
-                    acc += row[j] * x
-            out[r] = acc
-        return tuple(out)
-
     @cached_property
     def _integer_columns(self) -> tuple[list[list[tuple[int, int]]], list[int], int]:
         """(columns, offset, den): the map as integers over den, the lcm of
@@ -95,46 +83,21 @@ class AffineMap:
                     columns[j].append((r, x.numerator * (den // x.denominator)))
         return columns, [x.numerator * (den // x.denominator) for x in self.offset], den
 
-    def apply_vertex(self, onepositions: Sequence[int]) -> tuple:
-        """apply to a 0/1 point given by its one-position offsets.
-
-        Sums the integer columns of the one-positions, then builds one
-        Fraction per coordinate.
-        """
+    def _sum(self, terms) -> tuple:
+        """offset plus value times column, over the (column, value) pairs of terms."""
         columns, offset, den = self._integer_columns
         out = list(offset)
-        for j in onepositions:
-            for r, x in columns[j]:
-                out[r] += x
+        for j, x in terms:
+            for r, c in columns[j]:
+                out[r] += c * x
         return tuple(Q(x, den) for x in out)
 
-    def to_json(self) -> dict:
-        triplets = [
-            [r, c, q_str(x)]
-            for r, row in enumerate(self.linear)
-            for c, x in enumerate(row)
-            if x != 0
-        ]
-        return {
-            "name": self.name,
-            "domain_dim": self.domain_dim,
-            "codomain_dim": self.codomain_dim,
-            "linear": triplets,
-            "offset": [q_str(x) for x in self.offset],
-        }
+    def apply(self, point: Sequence) -> tuple:
+        return self._sum((j, x) for j, x in enumerate(point) if x != 0)
 
-    @staticmethod
-    def from_json(data: dict) -> "AffineMap":
-        rows = [[Q(0)] * data["domain_dim"] for _ in range(data["codomain_dim"])]
-        for r, c, x in data["linear"]:
-            rows[r][c] = Q(x)
-        return AffineMap(
-            name=data["name"],
-            domain_dim=data["domain_dim"],
-            codomain_dim=data["codomain_dim"],
-            linear=tuple(tuple(row) for row in rows),
-            offset=tuple(Q(x) for x in data["offset"]),
-        )
+    def apply_vertex(self, onepositions: Sequence[int]) -> tuple:
+        """apply to a 0/1 point given by its one-position offsets."""
+        return self._sum((j, 1) for j in onepositions)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .faces import (
 )
 from .families import VertexSet, bqp_vertices, phi_vertices, qap_vertices
 from .maps import (
+    FaceIsoResult,
     brute_force_iso_search,
     lemma1_face_iso,
     prop1_projection,
@@ -80,6 +81,19 @@ def _one_positions(vec):
     return tuple(i for i, x in enumerate(vec) if x != 0)
 
 
+def _round_trip(res: FaceIsoResult, targets: VertexSet) -> tuple[bool, bool]:
+    """(invertible, matches): inverse(forward(v)) == v on every face vertex v, and
+    forward maps each face vertex to its correspondent, one to one onto targets."""
+    corr = dict(res.correspondence.pairs)
+    invertible, matches = True, sorted(corr[v] for v in res.face.subset) == list(range(len(targets)))
+    for vidx in res.face.subset:
+        z = res.vertex_set.dense(vidx)
+        image = res.forward.apply(z)
+        invertible &= res.inverse.apply(image) == z
+        matches &= _one_positions(image) == targets.vertices[corr[vidx]]
+    return invertible, matches
+
+
 def scenario_prop1(n: int, jobs: int = 1) -> list[Step]:
     """The projection carries assignment tensors onto edge permutations."""
     steps = []
@@ -128,7 +142,7 @@ def scenario_thm1(n: int, jobs: int = 1) -> list[Step]:
         return sum(1 for off in group if off in o)
 
     zero_face = face_by_equations(cube, emb.row_zero_fixings)
-    valid = all(r.valid_inequality and r.attained for r in zero_face.equations)
+    valid = all(r.attained for r in zero_face.equations)
     cert_ok = zero_face.certificate is not None
     steps.append(
         Step(
@@ -150,9 +164,6 @@ def scenario_thm1(n: int, jobs: int = 1) -> list[Step]:
         )
     )
     f2 = [i for i in f1 if all(gsum(i, g) == 1 for g in emb.row_sum_groups)]
-    col_zero_ok = all(
-        all(0 <= gsum(i, (off,)) <= 1 for off, _ in emb.col_zero_fixings) for i in f2
-    )
     f3_by_zeros = [
         i for i in f2 if all(off not in ones(i) for off, _ in emb.col_zero_fixings)
     ]
@@ -162,7 +173,7 @@ def scenario_thm1(n: int, jobs: int = 1) -> list[Step]:
             "column equations agree with their coordinate form",
             "on the row-stochastic face, vanishing same-column products select exactly "
             "the vertices with all column sums equal to one",
-            col_zero_ok and f3_by_zeros == f3_by_sums,
+            f3_by_zeros == f3_by_sums,
             {"row_stochastic_vertices": len(f2), "final_vertices": len(f3_by_sums)},
         )
     )
@@ -197,15 +208,7 @@ def scenario_lemma1(n: int, jobs: int = 1) -> list[Step]:
         )
     )
     corr = dict(res.correspondence.pairs)
-    invertible = True
-    label_respecting = True
-    for vidx in face.subset:
-        z = vs.dense(vidx)
-        image = res.forward.apply(z)
-        if res.inverse.apply(image) != tuple(z):
-            invertible = False
-        if _one_positions(image) != phi3.vertices[corr[vidx]]:
-            label_respecting = False
+    invertible, label_respecting = _round_trip(res, phi3)
     steps.append(
         Step(
             "mutually inverse affine maps",
@@ -219,7 +222,7 @@ def scenario_lemma1(n: int, jobs: int = 1) -> list[Step]:
         Step(
             "forward image is the order-3 vertex set",
             "each face vertex maps to the edge matrix of its restriction to {1,2,3}",
-            label_respecting and sorted(corr[v] for v in face.subset) == list(range(6)),
+            label_respecting,
             {},
         )
     )
@@ -258,16 +261,7 @@ def scenario_thm2(k: int, jobs: int = 1) -> list[Step]:
             certificate=face.certificate.to_json(face.subset) if cert_ok else None,
         )
     )
-    corr = dict(res.correspondence.pairs)
-    invertible = True
-    matches = True
-    for vidx in face.subset:
-        z = vs.dense(vidx)
-        image = res.forward.apply(z)
-        if res.inverse.apply(image) != tuple(z):
-            invertible = False
-        if _one_positions(image) != bqp.vertices[corr[vidx]]:
-            matches = False
+    invertible, matches = _round_trip(res, bqp)
     steps.append(
         Step(
             "mutually inverse affine maps",
@@ -281,7 +275,7 @@ def scenario_thm2(k: int, jobs: int = 1) -> list[Step]:
         Step(
             "correspondence with quadric vertices",
             "face vertices map onto the tensor squares of the pair-unchanged bit vectors",
-            matches and sorted(corr[v] for v in face.subset) == list(range(2 ** k)),
+            matches,
             {},
         )
     )

@@ -359,20 +359,20 @@ class _Solver:
 
     # --- solution read-out ------------------------------------------------
 
-    def _standard_solution(self):
-        vals = [Q(0)] * self.ncols
-        for r in range(self.m):
-            row = self.rows[r]
-            vals[self.basis[r]] = Q(row[-1], row[self.basic_cell])
-        return vals
-
-    def _primal(self):
-        vals = self._standard_solution()
-        x = list(self.shifts)
+    def _variables(self, base, vals) -> tuple:
+        """base plus the standard-form column values vals, read back onto the LP's variables."""
+        x = list(base)
         for k, (v, s) in enumerate(self.cols):
             if vals[k] != 0:
                 x[v] += s * vals[k]
         return tuple(x)
+
+    def _primal(self):
+        vals = [Q(0)] * self.ncols
+        for r in range(self.m):
+            row = self.rows[r]
+            vals[self.basis[r]] = Q(row[-1], row[self.basic_cell])
+        return self._variables(self.shifts, vals)
 
     def _duals(self, o):
         """Row multipliers of the unflipped standard rows, from identity columns.
@@ -470,11 +470,8 @@ class _Solver:
             row = self.rows[r]
             if row[s] != 0:
                 vals[self.basis[r]] = Q(-row[s], row[self.basic_cell])
-        direction = [Q(0)] * self.lp.num_vars
-        for k, (v, s) in enumerate(self.cols):
-            if vals[k] != 0:
-                direction[v] += s * vals[k]
-        return LPResult(status="unbounded", ray_point=point, ray_direction=tuple(direction))
+        direction = self._variables([Q(0)] * self.lp.num_vars, vals)
+        return LPResult(status="unbounded", ray_point=point, ray_direction=direction)
 
 
 def lp_solve(lp: LinearProgram, pivot_rule: str = "hybrid") -> LPResult:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from polyface.cli import main
 from polyface.families import VertexSet
+from polyface.scenarios import SCENARIOS
 
 # certificates `polyface face` writes for phi(3): {0, 1} is a face, {0, 1, 2} is not
 PHI3_FACE = {
@@ -126,6 +129,10 @@ def test_check_mismatched_ambient_dim_is_an_error(tmp_path, capsys):
         {**PHI3_FACE, "epsilon": True},
         {**PHI3_NONFACE, "alpha": [0.5, 0.25, 0.25]},
         {**PHI3_NONFACE, "mu": [True, False, False]},
+        {**PHI3_FACE, "epsilon": "1e1000000"},
+        {**PHI3_FACE, "b": "0.4"},
+        {**PHI3_FACE, "a": [" 1/5"] + PHI3_FACE["a"][1:]},
+        {**PHI3_NONFACE, "alpha": ["1_0", "0", "0"]},
     ],
     ids=[
         "zero-denominator",
@@ -140,6 +147,10 @@ def test_check_mismatched_ambient_dim_is_an_error(tmp_path, capsys):
         "boolean-epsilon",
         "float-alpha",
         "boolean-mu",
+        "exponent-epsilon",
+        "decimal-offset",
+        "padded-normal",
+        "underscore-alpha",
     ],
 )
 def test_check_malformed_certificate_is_an_error(tmp_path, capsys, data):
@@ -323,3 +334,42 @@ def test_report_determinism_apart_from_duration(tmp_path, capsys):
 def test_missing_file_is_error(capsys):
     code, _, err = run(["face", "--vertices", "/nonexistent.json", "--subset", "0"], capsys)
     assert code == 2
+
+
+CLI_OUTPUTS_DIGEST = "c04a736b4363740bf8968ffb0f79be649e8238b13f81f06def2015248db4efb5"
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    """Exit code, stdout and every written file of a fixed command list match a pinned digest.
+
+    The timing fields are stripped and the temporary directory is named
+    by a placeholder.  Stderr is left out: its exception text differs
+    across Python versions."""
+    v = {name: tmp_path / f"{name}.json" for name in ("phi3", "phi4", "qap3", "qap4", "bqp3")}
+    commands = [["generate", "--family", name[:3], "--n", name[3], "--out", "{%s}" % name] for name in v]
+    for i, (name, subset) in enumerate([("phi3", "0,1"), ("phi3", "0,1,2"), ("qap3", "0,1,2"), ("phi4", "0,3,4")]):
+        commands.append(["face", "--vertices", "{%s}" % name, "--subset", subset, "--out", f"{{out}}/face{i}.json"])
+    commands += [
+        ["check", "--vertices", "{phi3}", "--certificate", "{out}/face0.json"],
+        ["check", "--vertices", "{phi3}", "--certificate", "{out}/face1.json"],
+        ["check", "--vertices", "{qap3}", "--certificate", "{out}/face2.json"],
+        ["check", "--vertices", "{phi4}", "--certificate", "{out}/face0.json"],
+        ["neighborly", "--vertices", "{phi4}", "--k", "3", "--fix-first", "--out", "{out}/n0.json"],
+        ["neighborly", "--vertices", "{qap4}", "--k", "3", "--fix-first", "--out", "{out}/n1.json"],
+        ["neighborly", "--vertices", "{bqp3}", "--k", "3", "--out", "{out}/n2.json"],
+        ["neighborly", "--vertices", "{phi3}", "--k", "3", "--stop-at-first", "--out", "{out}/n3.json"],
+    ]
+    commands += [["verify", name, "--out", f"{{out}}/{name}.json"] for name in sorted(SCENARIOS)]
+    names = {**v, "out": tmp_path}
+    log = []
+    for argv in commands:
+        written = set(tmp_path.iterdir())
+        code = main([a.format(**names) for a in argv])
+        out = re.sub(r" in \d+\.\d\ds$", "", capsys.readouterr().out, flags=re.M)
+        files = [
+            re.sub(r'"duration_seconds": [^,\n]+', '"duration_seconds"', p.read_text())
+            for p in sorted(set(tmp_path.iterdir()) - written)
+        ]
+        log.append((argv, code, out.replace(str(tmp_path), "<tmp>"), files))
+    assert [code for _, code, _, _ in log] == [0] * 5 + [0, 1, 0, 1] + [0, 0, 0, 2] + [1, 0, 0, 1] + [0] * 8
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == CLI_OUTPUTS_DIGEST

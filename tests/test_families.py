@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import comb, factorial
 
@@ -217,6 +218,19 @@ def test_vertex_set_json_round_trip(tmp_path):
     # bit-exact: the file holds only integers and strings
     text = path.read_text()
     assert "." not in text.replace('".json"', "")
+
+
+def test_vertex_file_header_with_a_large_n_is_refused_without_building_it():
+    # the header's ambient_dim is checked before anything of size C(n,2) exists
+    data = {"family": "phi", "n": 1000, "ambient_dim": 9, "labels": [], "vertices": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ambient_dim"):
+            VertexSet.from_json(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_generate_dispatch():

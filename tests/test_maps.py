@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyface.exactmath import canonical_integer_vector
 from polyface.faces import NonFaceWitness, is_face, verify_nonface_witness
@@ -393,7 +395,47 @@ def test_iso_search_size_guard():
         brute_force_iso_search(qap_vertices(3), phi_vertices(3), max_vertices=4)
 
 
-def test_affine_map_json_round_trip():
-    pmap = prop1_projection(3)
-    back = AffineMap.from_json(pmap.to_json())
-    assert back == pmap
+def dense_apply(amap, point):
+    """The map applied row by row over dense Fractions: the reference for apply."""
+    return tuple(off + sum(a * x for a, x in zip(row, point)) for row, off in zip(amap.linear, amap.offset))
+
+
+@pytest.fixture(scope="module")
+def named_maps():
+    """(map, the vertex set of its domain) for the maps the scenarios apply."""
+    l1, t2 = lemma1_face_iso(4), thm2_face_iso(2)
+    return [
+        (prop1_projection(3), qap_vertices(3)),
+        (l1.forward, l1.vertex_set),
+        (l1.inverse, phi_vertices(3)),
+        (t2.forward, t2.vertex_set),
+        (t2.inverse, bqp_vertices(2)),
+    ]
+
+
+small_fractions = st.fractions(-3, 3, max_denominator=4) | st.just(Q(0))
+
+
+@st.composite
+def random_maps(draw):
+    """(map, None): a small map with random Fraction entries."""
+    d, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    linear = tuple(tuple(draw(small_fractions) for _ in range(d)) for _ in range(c))
+    offset = tuple(draw(small_fractions) for _ in range(c))
+    return AffineMap("random", d, c, linear, offset), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apply_paths_match_the_dense_product(named_maps, data):
+    amap, vs = data.draw(st.sampled_from(named_maps) | random_maps())
+    point = data.draw(st.lists(small_fractions, min_size=amap.domain_dim, max_size=amap.domain_dim))
+    assert amap.apply(point) == dense_apply(amap, point)
+    if vs is None:
+        bits = data.draw(st.lists(st.booleans(), min_size=amap.domain_dim, max_size=amap.domain_dim))
+        vertices = [tuple(j for j, bit in enumerate(bits) if bit)]
+    else:
+        vertices = vs.vertices
+    for ones in vertices:
+        dense = tuple(int(j in ones) for j in range(amap.domain_dim))
+        assert amap.apply_vertex(ones) == amap.apply(dense) == dense_apply(amap, dense)
