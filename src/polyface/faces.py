@@ -191,17 +191,25 @@ def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCert
 
     (normal, offset, epsilon) are scaled once to integers over their
     common denominator, so each vertex costs one integer sum over its
-    one-positions.  A subset ``_split`` refuses, or an entry that is not
-    an int or a Fraction, fails the check.
+    one-positions.  A normal lifted from the hull frame has at most
+    frame-dimension nonzero entries, so the lcm and the rescale run only
+    over the entries with a nonzero numerator.  Every entry's numerator
+    is read, so one that is not an int or a Fraction (None, "", a float)
+    fails the check, as does a subset ``_split`` refuses.
     """
     try:
         idx, others = _split(vs, subset)
-        if len(cert.normal) != vs.scheme.ambient_dim:
+        dim = vs.scheme.ambient_dim
+        if len(cert.normal) != dim:
             return False
         # One integer copy of the normal and no other temporary of its size:
         # more short-lived copies per check measurably raised a scan's peak RSS.
-        den = reduce(math.lcm, (x.denominator for x in chain(cert.normal, (cert.offset, cert.epsilon))), 1)
-        normal = [x.numerator * (den // x.denominator) for x in cert.normal]
+        support = [(o, x) for o, x in enumerate(cert.normal) if x.numerator]
+        den = reduce(math.lcm, (x.denominator for _, x in support), cert.offset.denominator)
+        den = math.lcm(den, cert.epsilon.denominator)
+        normal = [0] * dim
+        for o, x in support:
+            normal[o] = x.numerator * (den // x.denominator)
         offset, eps = (x.numerator * (den // x.denominator) for x in (cert.offset, cert.epsilon))
         if eps <= 0:
             return False

@@ -22,6 +22,13 @@ independent of the pivoting code:
   that combine to the contradiction 0 < 0;
 * ``unbounded`` -- a feasible point and an improving recession ray.
 
+Phase 1 ends as soon as its value reaches 0, not when its row prices
+out: every artificial is then at 0, so the basis is feasible, and the
+remaining basic artificials are driven out before phase 2 (Chvatal
+1983, ch. 8).  The face-test support LP starts phase 1 at 0 (its
+artificials sit on the subset rows, whose rhs is 0), so its phase 1
+makes only the drive-out pivots, at most one per subset row.
+
 Pivoting uses the largest-reduced-cost rule, switches to least-index
 (Bland) selection after a long streak of degenerate pivots, and returns
 to largest-reduced-cost after the next non-degenerate pivot.  This
@@ -240,7 +247,6 @@ class _Solver:
         self.slack_of, self.art_of = slack_of, art_of
         self.m = m
         self.basis = [art_of[r] if art_of[r] >= 0 else slack_of[r] for r in range(m)]
-        self.need_phase1 = any(a >= 0 for a in art_of)
 
         # Nonbasic at the start: the structural columns and the slacks of
         # rows whose artificial is basic.
@@ -335,11 +341,20 @@ class _Solver:
         return best
 
     def _run(self, o):
-        """Pivot until objective row o is optimal or unbounded."""
+        """Pivot until objective row o is optimal or unbounded.
+
+        Phase 1 (o == obj1) is optimal as soon as its value is 0: every
+        artificial is then at 0 and the basis is feasible, so the pivots
+        that would price the row out are left to the drive-out and phase
+        2 (Chvatal 1983, ch. 8).  An LP without artificials has an
+        all-zero phase-1 row and ends here before its first pivot.
+        """
         threshold = 2 * (self.m + self.ncols + 1)  # rows + columns + rhs
         bland = self.pivot_rule == "bland"
         streak = 0
         while True:
+            if o == self.obj1 and self.rows[o][-1] == 0:
+                return "optimal"
             c = self._entering(self.rows[o], bland)
             if c < 0:
                 return "optimal"
@@ -399,23 +414,22 @@ class _Solver:
 
     def solve(self) -> LPResult:
         lp = self.lp
-        if self.need_phase1:
-            self._run(self.obj1)
-            # objective rows carry the negated value in the rhs cell
-            phase1_value = -Q(self.rows[self.obj1][-1], self.dens[self.obj1])
-            if phase1_value < 0:
-                return self._infeasible_result()
-            # Drive basic artificials (all at value 0 now) out of the basis.
-            for r in range(self.m):
-                if self.basis[r] >= self.art_start:
-                    row = self.rows[r]
-                    j = min(
-                        (col for k, col in enumerate(self.col_at) if col < self.art_start and row[k]),
-                        default=-1,
-                    )
-                    if j >= 0:
-                        self._pivot(r, j)
-                    # else: redundant row; it is inert from here on.
+        self._run(self.obj1)
+        # The objective rows carry the negated value in the rhs cell, so a
+        # nonzero one here is a negative phase-1 optimum.
+        if self.rows[self.obj1][-1] != 0:
+            return self._infeasible_result()
+        # Drive basic artificials (all at value 0 now) out of the basis.
+        for r in range(self.m):
+            if self.basis[r] >= self.art_start:
+                row = self.rows[r]
+                j = min(
+                    (col for k, col in enumerate(self.col_at) if col < self.art_start and row[k]),
+                    default=-1,
+                )
+                if j >= 0:
+                    self._pivot(r, j)
+                # else: redundant row; it is inert from here on.
         status = self._run(self.obj2)
         if status != "optimal":
             return self._unbounded_result(status)

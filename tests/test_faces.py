@@ -264,10 +264,19 @@ def test_verify_face_certificate_matches_fraction_reference_random(case):
         assert verdict
 
 
+def _at_first_zero(normal, value):
+    """normal with its first zero entry replaced by value; the rescale skips zeros, but must read it."""
+    i = normal.index(0)
+    return normal[:i] + (value,) + normal[i + 1 :]
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
         lambda c: FaceCertificate(("1/2",) + c.normal[1:], c.offset, c.epsilon),
+        lambda c: FaceCertificate(_at_first_zero(c.normal, ""), c.offset, c.epsilon),
+        lambda c: FaceCertificate(_at_first_zero(c.normal, None), c.offset, c.epsilon),
+        lambda c: FaceCertificate(_at_first_zero(c.normal, 0.0), c.offset, c.epsilon),
         lambda c: FaceCertificate((None,) + c.normal[1:], c.offset, c.epsilon),
         lambda c: FaceCertificate(c.normal, str(c.offset), c.epsilon),
         lambda c: FaceCertificate(c.normal, None, c.epsilon),
@@ -278,7 +287,8 @@ def test_verify_face_certificate_matches_fraction_reference_random(case):
         lambda c: FaceCertificate(None, c.offset, c.epsilon),
     ],
     ids=[
-        "str-normal-entry", "none-normal-entry", "str-offset", "none-offset",
+        "str-normal-entry", "empty-str-at-a-zero", "none-at-a-zero", "float-zero-at-a-zero",
+        "none-normal-entry", "str-offset", "none-offset",
         "str-epsilon", "none-epsilon", "short-normal", "long-normal", "no-normal",
     ],
 )

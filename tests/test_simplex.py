@@ -194,34 +194,50 @@ def test_determinism_bit_for_bit():
         assert again == first
 
 
-def random_boxed_lp(rng):
-    n = rng.randint(1, 4)
-    m = rng.randint(1, 8)
+def random_boxed_lp(rng, homogeneous=False):
+    """A small LP in the box [-5, 5]^n.
+
+    With homogeneous, the box is [0, 5]^n and the rows are a.x = 0 or
+    a.x >= 0, so phase 1 starts at its optimum 0 (the "=" rows carry
+    artificials at value 0).  Half of these LPs get one more row
+    a.x >= r with r > 0, whose artificial starts positive, so phase 1
+    reaches 0, if at all, only after a non-degenerate pivot.
+    """
+    n = rng.randint(1, 3 if homogeneous else 4)  # keeps the oracle's vertex enumeration short
+    m = rng.randint(1, 5 if homogeneous else 8)
     cons = []
     for _ in range(m):
         coeffs = tuple(Q(rng.randint(-4, 4)) for _ in range(n))
-        rel = rng.choice(("<=", ">=", "<="))
-        cons.append((coeffs, rel, Q(rng.randint(-6, 6))))
+        if homogeneous:
+            cons.append((coeffs, rng.choice(("=", ">=")), Q(0)))
+        else:
+            cons.append((coeffs, rng.choice(("<=", ">=", "<=")), Q(rng.randint(-6, 6))))
+    if homogeneous and rng.random() < 0.5:
+        cons.append((tuple(Q(rng.randint(-1, 4)) for _ in range(n)), ">=", Q(rng.randint(1, 6))))
     obj = [Q(rng.randint(-5, 5)) for _ in range(n)]
-    return make_lp(obj, cons, lower=[-5] * n, upper=[5] * n)
+    lo = 0 if homogeneous else -5
+    return make_lp(obj, cons, lower=[lo] * n, upper=[5] * n)
 
 
 def test_agreement_with_vertex_enumeration_oracle():
     rng = random.Random(2024)
     solved = infeasible = 0
-    for _ in range(120):
-        lp = random_boxed_lp(rng)
-        res = lp_solve(lp)
-        assert verify_lp_certificate(lp, res)
+    for homogeneous in [False] * 120 + [True] * 80:
+        lp = random_boxed_lp(rng, homogeneous)
         expected = brute_force_optimum(lp)
+        for rule in ("hybrid", "bland"):
+            res = lp_solve(lp, pivot_rule=rule)
+            assert verify_lp_certificate(lp, res)
+            if expected is None:
+                assert res.status == "infeasible"
+            else:
+                assert res.status == "optimal"
+                assert res.objective_value == expected
         if expected is None:
-            assert res.status == "infeasible"
             infeasible += 1
         else:
-            assert res.status == "optimal"
-            assert res.objective_value == expected
             solved += 1
-    assert solved > 20 and infeasible > 5
+    assert solved > 60 and infeasible > 5
 
 
 def test_verify_rejects_tampering():
@@ -280,7 +296,11 @@ def random_trace_lp(rng):
     )
 
 
-PIVOT_TRACE_DIGEST = "0156f7e7f31c57860896aea88561458c1950876b7a80c90a3fbc1dcf3630eba2"
+TRACED_FACE_TESTS = (
+    ("phi", [(0, 1, 2), (0, 3, 4), (0, 8, 12), (0, 5, 10)]),
+    ("qap", [(0, 1, 2), (0, 7, 13), (3, 11, 20)]),
+)
+PIVOT_TRACE_DIGEST = "7a0e7ffd4da61867acab0d5987613b5c45dba2741f5fc03595114b730598f9ab"
 
 
 def test_pivot_trace_is_pinned(monkeypatch):
@@ -289,7 +309,10 @@ def test_pivot_trace_is_pinned(monkeypatch):
     It was first pinned when the tableau stored all columns, and re-pinned
     when face tests stopped solving a first row-generation round: the new
     log is the old one with each of those solves removed.  So the compact
-    tableau pivots exactly as the full-width one did."""
+    tableau pivots exactly as the full-width one did.  It was re-pinned
+    again when phase 1 began to end as soon as its value reaches 0: every
+    traced LP kept its status and optimal value, and every LP whose phase
+    1 had not been at 0 with pivots left kept its pivots and its result."""
     log = []
     pivot, solve = simplex._Solver._pivot, simplex._Solver.solve
 
@@ -316,10 +339,7 @@ def test_pivot_trace_is_pinned(monkeypatch):
     assert statuses == {"optimal", "infeasible", "unbounded"}
     log.append("beale")
     lp_solve(BEALE_LP)  # cycles under the largest-coefficient rule until Bland takes over
-    for family, subsets in (
-        ("phi", [(0, 1, 2), (0, 3, 4), (0, 8, 12), (0, 5, 10)]),
-        ("qap", [(0, 1, 2), (0, 7, 13), (3, 11, 20)]),
-    ):
+    for family, subsets in TRACED_FACE_TESTS:
         vs = generate(family, 4)
         ctx = FaceContext(vs)
         for subset in subsets:
@@ -327,6 +347,46 @@ def test_pivot_trace_is_pinned(monkeypatch):
             is_face(vs, subset, ctx)
     digest = hashlib.sha256(repr(log).encode()).hexdigest()
     assert digest == PIVOT_TRACE_DIGEST
+
+
+def test_support_lp_phase1_only_drives_artificials_out(monkeypatch):
+    """The support LP's artificials sit on the subset rows, whose rhs is 0.
+
+    So phase 1 starts at its optimum 0 and makes no pivot of its own:
+    before phase 2 first prices, each support LP makes at most |S|
+    pivots, and each one drives an artificial out of the basis."""
+    lps = []
+    pivot, run, solve = simplex._Solver._pivot, simplex._Solver._run, simplex._Solver.solve
+
+    def traced_solve(self):
+        lps.append({"phase": "drive-out", "early": []})
+        return solve(self)
+
+    def traced_run(self, o):
+        lps[-1]["phase"] = "phase 1" if o == self.obj1 else "phase 2"
+        status = run(self, o)
+        if o == self.obj1:
+            lps[-1]["phase"] = "drive-out"
+        return status
+
+    def traced_pivot(self, p, c):
+        if lps[-1]["phase"] != "phase 2":
+            lps[-1]["early"].append((lps[-1]["phase"], self.basis[p] >= self.art_start))
+        pivot(self, p, c)
+
+    monkeypatch.setattr(simplex._Solver, "solve", traced_solve)
+    monkeypatch.setattr(simplex._Solver, "_run", traced_run)
+    monkeypatch.setattr(simplex._Solver, "_pivot", traced_pivot)
+    for family, subsets in TRACED_FACE_TESTS:
+        vs = generate(family, 4)
+        ctx = FaceContext(vs)
+        for subset in subsets:
+            del lps[:]
+            is_face(vs, subset, ctx)
+            assert len(lps) == 1
+            early = lps[0]["early"]
+            assert len(early) <= len(subset), (family, subset, early)
+            assert all(p == ("drive-out", True) for p in early), (family, subset, early)
 
 
 small_fractions = st.fractions(-3, 3, max_denominator=3)
