@@ -24,7 +24,7 @@ from .faces import (
     verify_face_certificate,
     verify_nonface_witness,
 )
-from .families import VertexSet, generate
+from .families import GENERATE_GUARDS, VertexSet, generate
 from .scenarios import SCENARIOS, run_scenario
 
 def _warn(msg: str) -> None:
@@ -42,16 +42,16 @@ def _write_json(data: dict, path: str | None) -> None:
 
 def cmd_generate(args) -> int:
     family, n = args.family, args.n
-    if family == "bqp":
-        if n > 16 and not args.force:
-            print(f"error: bqp guard is m <= 16 (got {n}); use --force to override", file=sys.stderr)
-            return 2
-    else:
-        if n > 7 and not args.force:
-            print(f"error: {family} guard is n <= 7 (got {n}); use --force to override", file=sys.stderr)
-            return 2
-        if n > 5:
-            _warn(f"{family}({n}) has {n}! = large vertex count; generation may be slow")
+    guard = GENERATE_GUARDS[family]
+    if n > guard and not args.force:
+        name = "m" if family == "bqp" else "n"
+        print(
+            f"error: {family} guard is {name} <= {guard} (got {n}); use --force to override",
+            file=sys.stderr,
+        )
+        return 2
+    if family != "bqp" and n > 5:
+        _warn(f"{family}({n}) has {n}! = large vertex count; generation may be slow")
     try:
         vs = generate(family, n)
     except ValueError as exc:

@@ -58,7 +58,7 @@ from itertools import chain, combinations, islice, permutations, repeat
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame
-from .families import Permutation, VertexSet, coordinate_map, phi_vertex, qap_vertex
+from .families import MAX_DENSE_CELLS, Permutation, VertexSet, coordinate_map, phi_vertex, qap_vertex
 from .simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -257,6 +257,12 @@ class FaceContext:
     """
 
     def __init__(self, vs: VertexSet):
+        cells = len(vs) * vs.scheme.ambient_dim
+        if cells > MAX_DENSE_CELLS:
+            raise ValueError(
+                f"vertex set too large to densify: {len(vs)} vertices x dimension {vs.scheme.ambient_dim} "
+                f"= {cells} cells, above the {MAX_DENSE_CELLS} of the largest set generate writes"
+            )
         self.vs = vs
         dense = vs.dense_all()
         self.frame: AffineHullFrame = affine_hull_frame(dense)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 
@@ -336,6 +336,19 @@ def phi_vertices(n: int, order: str = "default") -> VertexSet:
         labels.append(p.label)
         verts.append(phi_vertex(p))
     return VertexSet(scheme, tuple(labels), tuple(verts))
+
+
+# The desk-scale guards of ``polyface generate``: the largest order of each
+# family it writes without --force.
+GENERATE_GUARDS = {"bqp": 16, "qap": 7, "phi": 7}
+
+# Dense cells (vertices x ambient dimension) of the largest vertex set the
+# guards admit: bqp(16), 65,536 vertices x 256 coordinates.  Densifying
+# costs one list cell per dense cell, so ``FaceContext`` refuses a larger set.
+MAX_DENSE_CELLS = max(
+    (2 ** n if family == "bqp" else factorial(n)) * scheme_for(family, n).ambient_dim
+    for family, n in GENERATE_GUARDS.items()
+)
 
 
 def generate(family: str, n: int) -> VertexSet:

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import re
+import time
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyface.cli import main
-from polyface.families import VertexSet
+from polyface.families import MAX_DENSE_CELLS, VertexSet
 from polyface.scenarios import SCENARIOS
 
 # certificates `polyface face` writes for phi(3): {0, 1} is a face, {0, 1, 2} is not
@@ -231,6 +233,25 @@ def test_neighborly_exit_codes(tmp_path, capsys):
     run(["generate", "--family", "bqp", "--n", "2", "--out", str(bpath)], capsys)
     code, _, _ = run(["neighborly", "--vertices", str(bpath), "--k", "3"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["face", "--subset", "0,1"], ["neighborly", "--k", "3"]], ids=["face", "neighborly"]
+)
+def test_vertex_file_too_big_to_densify_is_an_error(tmp_path, capsys, argv):
+    """Four one-position phi(100) vertices would densify to 98 million cells.
+
+    The bound is the dense size of bqp(16), the largest set generate
+    writes without --force."""
+    assert MAX_DENSE_CELLS == 2 ** 16 * 16 ** 2
+    vpath = tmp_path / "phi100.json"
+    data = {"family": "phi", "n": 100, "ambient_dim": comb(100, 2) ** 2, "labels": list("abcd")}
+    vpath.write_text(json.dumps({**data, "vertices": [[0], [1], [2], [3]]}))
+    start = time.perf_counter()
+    code, out, err = run(argv + ["--vertices", str(vpath)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: vertex set too large to densify: 4 vertices") and "Traceback" not in err
 
 
 def test_neighborly_bad_k_is_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction as Q
 from itertools import combinations
@@ -387,6 +388,63 @@ def test_support_lp_phase1_only_drives_artificials_out(monkeypatch):
             early = lps[0]["early"]
             assert len(early) <= len(subset), (family, subset, early)
             assert all(p == ("drive-out", True) for p in early), (family, subset, early)
+
+
+def dense_pivot(rows, dens, p, s, d):
+    """Rows and denominators after a pivot on row p and slot s, by the dense rule.
+
+    The reference for ``_Solver._pivot``: every other row with entry f
+    in slot s becomes row*pv - f*prow over den*pv on every cell, divided
+    by the gcd of its denominator and cells.  d is the basic cell."""
+    prow = [x if rows[p][s] > 0 else -x for x in rows[p]]
+    pv = prow[s]
+    prow[s], prow[d] = prow[d], 0
+    out_rows, out_dens = [], []
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        f = row[s]
+        if i != p and f != 0:
+            row = [0 if k == s else x for k, x in enumerate(row)]
+            row, den = [x * pv - f * y for x, y in zip(row, prow)], den * pv
+            g = math.gcd(den, *row)
+            row, den = [x // g for x in row], den // g
+        out_rows.append(list(row))
+        out_dens.append(den)
+    out_rows[p] = prow[:d] + [pv] + prow[d + 1:]
+    return out_rows, out_dens
+
+
+def test_pivot_update_matches_the_dense_rule(monkeypatch):
+    """Every pivot leaves the tableau exactly as the dense rule does, every row primitive.
+
+    A rational row has one form row/den with den > 0 and gcd(den, *row)
+    == 1, so the sparse update must reach it, through the scale by b =
+    pv / gcd(f, pv) and the gcd pass on rows over a denominator above 1."""
+    pivot = simplex._Solver._pivot
+    counts = {"pivots": 0, "scaled": 0}
+
+    def checked_pivot(self, p, c):
+        s = self.slot_of[c]
+        expected = dense_pivot(self.rows, self.dens, p, s, self.basic_cell)
+        pv = abs(self.rows[p][s])
+        counts["scaled"] += any(i != p and row[s] % pv for i, row in enumerate(self.rows))
+        pivot(self, p, c)
+        assert (self.rows, self.dens) == expected
+        assert all(den > 0 and math.gcd(den, *row) == 1 for row, den in zip(self.rows, self.dens))
+        counts["pivots"] += 1
+
+    monkeypatch.setattr(simplex._Solver, "_pivot", checked_pivot)
+    trace_rng, boxed_rng = random.Random(41), random.Random(7)
+    lps = [random_trace_lp(trace_rng) for _ in range(200)]
+    lps += [random_boxed_lp(boxed_rng, homogeneous=True) for _ in range(80)] + [BEALE_LP]
+    for lp in lps:
+        for rule in ("hybrid", "bland"):
+            lp_solve(lp, pivot_rule=rule)
+    for family, subsets in TRACED_FACE_TESTS:
+        vs = generate(family, 4)
+        ctx = FaceContext(vs)
+        for subset in subsets:
+            is_face(vs, subset, ctx)
+    assert counts["pivots"] > 1000 and counts["scaled"] > 100, counts
 
 
 small_fractions = st.fractions(-3, 3, max_denominator=3)
