@@ -12,21 +12,21 @@ result is read back.
 
 Hull frames follow the same rule.  ``AffineHullFrame`` stores its
 inverse once, as integer columns over one denominator L read straight
-from ``_invert``'s elimination rows.  ``coords_of`` (checked, Fraction
-coordinates) and ``integer_coords`` (integer rows over L) share one
-loop over those columns, and ``ambient_functional`` scales the frame
-functional once to integers and lifts it by integer dot products,
-building Fractions only for the functional it returns.  ``_over_lcm``
-writes a rational vector as integers over the lcm of its denominators;
-``simplex`` and ``faces`` use it too.
+from ``_invert``'s elimination rows.  ``integer_coords`` (integer rows
+over L) weights those columns by a point's deltas from the origin, and
+``ambient_functional`` scales the frame functional once to integers and
+lifts it by integer dot products, building Fractions only for the
+functional it returns.  ``_over_lcm`` writes a rational vector as
+integers over the lcm of its denominators; ``simplex`` uses it too.
 
 The kernels other modules rely on:
 
-* ``solve_linear_system`` -- exact solve with an inconsistency witness
-  (row combination y with y*A = 0, y*b != 0) when there is none.
-* ``matrix_rank`` / ``nullspace`` -- rank and kernel over the rationals.
+* ``nullspace`` -- kernel over the rationals.
 * ``affine_dependencies`` -- basis of the affine dependencies of a point
   list (coefficients summing to zero with vanishing weighted sum).
+* ``greedy_basis`` -- the vectors of a list that are independent of the
+  ones before them; the hull frame picks its directions with it, and
+  ``faces`` its invariant functionals.
 * ``affine_hull_frame`` -- exact reduced coordinates on the affine hull
   of a point set, used to shrink LP dimensions before face tests; origin
   and basis keep the input's number type (ints for vertex sets).
@@ -38,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Q = Fraction
 
@@ -118,68 +118,6 @@ def _reduce(v: list[int], rows: Sequence[list[int]], pivots: Sequence[int]) -> l
     return v
 
 
-def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place Gauss-Jordan elimination to reduced row echelon form.
-
-    Returns (rows, pivot_cols) with `Fraction` entries.
-    """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    ints = [_int_row(row) for row in rows]
-    pivots = _eliminate(ints, ncols)
-    for i, row in enumerate(ints):
-        den = row[pivots[i]] if i < len(pivots) else 1
-        rows[i] = [Q(x, den) for x in row]
-    return rows, pivots
-
-
-def matrix_rank(m: Sequence[Sequence]) -> int:
-    return len(_eliminate([_int_row(row) for row in m], len(m[0]) if m else 0))
-
-
-@dataclass(frozen=True)
-class LinearSolveResult:
-    """Outcome of an exact linear solve A x = b.
-
-    status is "unique", "underdetermined" (solution is one particular
-    solution, free variables set to zero), or "inconsistent" (witness is
-    a row combination y with y*A = 0 and y*b != 0).
-    """
-
-    status: str
-    solution: Vector | None = None
-    witness: Vector | None = None
-    free_columns: tuple[int, ...] = ()
-
-
-def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> LinearSolveResult:
-    """Solve A x = b exactly over the rationals."""
-    nrows = len(a)
-    if nrows != len(b):
-        raise ValueError(f"A has {nrows} rows but b has {len(b)} entries")
-    ncols = len(a[0]) if nrows else 0
-    # [A | I | b]: the identity block records the row operations.
-    rows = [
-        _int_row([*a[r], *(1 if i == r else 0 for i in range(nrows)), b[r]])
-        for r in range(nrows)
-    ]
-    pivots = _eliminate(rows, ncols)
-    rank = len(pivots)
-    # Inconsistent iff some zero row of A maps to a nonzero rhs.
-    for row in rows[rank:]:
-        if row[-1] != 0:
-            return LinearSolveResult(
-                status="inconsistent", witness=tuple(Q(x) for x in row[ncols:-1])
-            )
-    sol = [Q(0)] * ncols
-    for row, c in zip(rows, pivots):
-        sol[c] = Q(row[-1], row[c])
-    free = tuple(c for c in range(ncols) if c not in set(pivots))
-    status = "unique" if rank == ncols else "underdetermined"
-    return LinearSolveResult(status=status, solution=tuple(sol), free_columns=free)
-
-
 def nullspace(m: Sequence[Sequence]) -> list[Vector]:
     """Basis of {x : M x = 0}, one vector per free column of the rref."""
     ncols = len(m[0]) if m else 0
@@ -221,6 +159,26 @@ def affine_dependencies(points: Sequence[Sequence]) -> list[Vector]:
     return [canonical_integer_vector(v) for v in nullspace(m)]
 
 
+def greedy_basis(vectors: Iterable[Sequence]) -> tuple[list[int], list[int]]:
+    """(chosen, leads): the indices, in order, of the vectors independent of all earlier ones.
+
+    Each vector is reduced against the echelon rows of those chosen
+    before it; leads[i] is the first nonzero column of the reduced form
+    of vectors[chosen[i]], so the leads are distinct.
+    """
+    echelon: list[list[int]] = []
+    chosen: list[int] = []
+    leads: list[int] = []
+    for i, v in enumerate(vectors):
+        v = _reduce(_int_row(v), echelon, leads)
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            echelon.append(v)
+            chosen.append(i)
+            leads.append(lead)
+    return chosen, leads
+
+
 @dataclass(frozen=True)
 class AffineHullFrame:
     """Exact reduced coordinates on the affine hull of a point set.
@@ -259,13 +217,6 @@ class AffineHullFrame:
                 acc = [a + d * x for a, x in zip(acc, col)]
         return acc
 
-    def coords_of(self, point: Sequence) -> Vector:
-        """Reduced coordinates of a hull point; ValueError for a point off the hull."""
-        coords = tuple(Q(a, self.inverse_den) for a in self._weighted_columns(point))
-        if self.reconstruct(coords) != tuple(Q(x) for x in point):
-            raise ValueError("point does not lie in the affine hull")
-        return coords
-
     def integer_coords(self, points: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         """(rows, inverse_den) with rows[i] / inverse_den the coordinates of the i-th point.
 
@@ -276,21 +227,11 @@ class AffineHullFrame:
             raise ValueError("origin is not an integer point")
         return [self._weighted_columns(p) for p in points], self.inverse_den
 
-    def reconstruct(self, coords: Sequence) -> Vector:
-        out = list(self.origin)
-        for c, direction in zip(coords, self.basis, strict=True):
-            if c == 0:
-                continue
-            for i, d in enumerate(direction):
-                if d != 0:
-                    out[i] += c * d
-        return tuple(out)
-
     def ambient_functional(self, a_frame: Sequence, b_frame) -> tuple[Vector, Fraction]:
         """Lift a functional on frame coordinates to ambient coordinates.
 
-        Returns (a, b) with a . p - b == a_frame . coords_of(p) - b_frame
-        for every p in the hull.  a_frame is scaled once to integers over
+        Returns (a, b) with a . p - b == a_frame . c - b_frame for every
+        p in the hull, where c are the reduced coordinates of p.  a_frame is scaled once to integers over
         its lcm denominator D, so each pivot entry of a is one integer dot
         product with an inverse column, over D * inverse_den.
         """
@@ -317,18 +258,9 @@ def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
     if not points:
         raise ValueError("need at least one point")
     origin = tuple(points[0])
-    basis: list[Vector] = []
-    reduced: list[list[int]] = []  # echelon state of accepted directions
-    pivot_cols: list[int] = []
-    for p in points[1:]:
-        d = tuple(x - o for x, o in zip(p, origin, strict=True))
-        v = _reduce(_int_row(d), reduced, pivot_cols)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        basis.append(d)
-        reduced.append(v)
-        pivot_cols.append(lead)
+    # directions one at a time: a list of all of them would double the memory of a large vertex set
+    chosen, pivot_cols = greedy_basis(tuple(x - o for x, o in zip(p, origin, strict=True)) for p in points[1:])
+    basis = [tuple(x - o for x, o in zip(points[i + 1], origin)) for i in chosen]
     m = len(basis)
     square = [[basis[j][c] for j in range(m)] for c in pivot_cols]
     # the inverse maps pivot-coordinate deltas to basis coefficients:

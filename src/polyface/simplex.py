@@ -655,14 +655,3 @@ def _verify_unbounded(lp, result) -> bool:
             return False
     return True
 
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Plain-text dump for debugging: one constraint per line, exact rationals."""
-    lines = ["max " + " + ".join(f"{c}*x{i}" for i, c in enumerate(lp.objective) if c != 0)]
-    for con in lp.constraints:
-        terms = " + ".join(f"{a}*x{i}" for i, a in enumerate(con.coeffs) if a != 0) or "0"
-        lines.append(f"{terms} {con.rel} {con.rhs}")
-    for i, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
-        if lo is not None or hi is not None:
-            lines.append(f"{'-inf' if lo is None else lo} <= x{i} <= {'inf' if hi is None else hi}")
-    return "\n".join(lines)

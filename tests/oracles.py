@@ -1,0 +1,145 @@
+"""Reference code that only the tests use.
+
+Each piece is an independent way to compute what the library computes
+another way, or a debugging aid for the tests: exact solves, ranks and
+reduced row echelon forms on the library's elimination kernel, the
+checked hull coordinates of a point and their inverse, a plain-text LP
+dump, and the witness-LP face oracle.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from polyface.exactmath import AffineHullFrame, Vector, _eliminate, _int_row
+from polyface.faces import FaceContext, _split
+from polyface.families import VertexSet
+from polyface.simplex import Constraint, LinearProgram, lp_solve
+
+Q = Fraction
+
+
+def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place Gauss-Jordan elimination to reduced row echelon form.
+
+    Returns (rows, pivot_cols) with `Fraction` entries.
+    """
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    ints = [_int_row(row) for row in rows]
+    pivots = _eliminate(ints, ncols)
+    for i, row in enumerate(ints):
+        den = row[pivots[i]] if i < len(pivots) else 1
+        rows[i] = [Q(x, den) for x in row]
+    return rows, pivots
+
+
+def matrix_rank(m: Sequence[Sequence]) -> int:
+    return len(_eliminate([_int_row(row) for row in m], len(m[0]) if m else 0))
+
+
+@dataclass(frozen=True)
+class LinearSolveResult:
+    """Outcome of an exact linear solve A x = b.
+
+    status is "unique", "underdetermined" (solution is one particular
+    solution, free variables set to zero), or "inconsistent" (witness is
+    a row combination y with y*A = 0 and y*b != 0).
+    """
+
+    status: str
+    solution: Vector | None = None
+    witness: Vector | None = None
+    free_columns: tuple[int, ...] = ()
+
+
+def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> LinearSolveResult:
+    """Solve A x = b exactly over the rationals."""
+    nrows = len(a)
+    if nrows != len(b):
+        raise ValueError(f"A has {nrows} rows but b has {len(b)} entries")
+    ncols = len(a[0]) if nrows else 0
+    # [A | I | b]: the identity block records the row operations.
+    rows = [
+        _int_row([*a[r], *(1 if i == r else 0 for i in range(nrows)), b[r]])
+        for r in range(nrows)
+    ]
+    pivots = _eliminate(rows, ncols)
+    rank = len(pivots)
+    # Inconsistent iff some zero row of A maps to a nonzero rhs.
+    for row in rows[rank:]:
+        if row[-1] != 0:
+            return LinearSolveResult(
+                status="inconsistent", witness=tuple(Q(x) for x in row[ncols:-1])
+            )
+    sol = [Q(0)] * ncols
+    for row, c in zip(rows, pivots):
+        sol[c] = Q(row[-1], row[c])
+    free = tuple(c for c in range(ncols) if c not in set(pivots))
+    status = "unique" if rank == ncols else "underdetermined"
+    return LinearSolveResult(status=status, solution=tuple(sol), free_columns=free)
+
+
+def reconstruct(frame: AffineHullFrame, coords: Sequence) -> Vector:
+    """The hull point with the given reduced coordinates: origin + sum(c_i * basis_i)."""
+    out = list(frame.origin)
+    for c, direction in zip(coords, frame.basis, strict=True):
+        if c == 0:
+            continue
+        for i, d in enumerate(direction):
+            if d != 0:
+                out[i] += c * d
+    return tuple(out)
+
+
+def coords_of(frame: AffineHullFrame, point: Sequence) -> Vector:
+    """Reduced coordinates of a hull point; ValueError for a point off the hull."""
+    coords = tuple(Q(a, frame.inverse_den) for a in frame._weighted_columns(point))
+    if reconstruct(frame, coords) != tuple(Q(x) for x in point):
+        raise ValueError("point does not lie in the affine hull")
+    return coords
+
+
+def lp_to_text(lp: LinearProgram) -> str:
+    """Plain-text dump for debugging: one constraint per line, exact rationals."""
+    lines = ["max " + " + ".join(f"{c}*x{i}" for i, c in enumerate(lp.objective) if c != 0)]
+    for con in lp.constraints:
+        terms = " + ".join(f"{a}*x{i}" for i, a in enumerate(con.coeffs) if a != 0) or "0"
+        lines.append(f"{terms} {con.rel} {con.rhs}")
+    for i, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
+        if lo is not None or hi is not None:
+            lines.append(f"{'-inf' if lo is None else lo} <= x{i} <= {'inf' if hi is None else hi}")
+    return "\n".join(lines)
+
+
+def _witness_lp(ctx: FaceContext, subset, others):
+    """Feasibility LP for a common point of aff(S) and conv(rest); oracle only."""
+    ns, no = len(subset), len(others)
+    nv = ns + no
+    m = ctx.frame.dim
+    points = [tuple(Q(x, ctx.coords_den) for x in row) for row in ctx.coords]
+    cons = []
+    cons.append(Constraint((Q(1),) * ns + (Q(0),) * no, "=", Q(1)))
+    cons.append(Constraint((Q(0),) * ns + (Q(1),) * no, "=", Q(1)))
+    for i in range(m):
+        coeffs = tuple(points[s][i] for s in subset) + tuple(-points[t][i] for t in others)
+        cons.append(Constraint(coeffs, "=", Q(0)))
+    lower = (None,) * ns + (Q(0),) * no
+    lp = LinearProgram(nv, (Q(0),) * nv, tuple(cons), lower, (None,) * nv)
+    return lp_solve(lp)
+
+
+def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None) -> bool:
+    """Face test by the witness formulation alone (brute-force oracle).
+
+    True iff aff(S) and conv(V minus S) are disjoint, i.e. the witness-LP
+    is infeasible.
+    """
+    idx, others = _split(vs, subset)
+    if ctx is None:
+        ctx = FaceContext(vs)
+    res = _witness_lp(ctx, idx, others)
+    return res.status == "infeasible"

@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from oracles import witness_oracle_is_face
 
 from polyface.cli import main as cli_main
 from polyface.exactmath import affine_dependencies, affine_hull_frame
@@ -23,7 +24,6 @@ from polyface.faces import (
     is_face,
     k_neighborly_scan,
     verify_nonface_witness,
-    witness_oracle_is_face,
 )
 from polyface.families import VertexSet, bqp_vertices, phi_vertices, qap_vertices
 from polyface.scenarios import run_scenario

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pickle
 import random
 from fractions import Fraction as Q
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import witness_oracle_is_face
 from polyface import faces
 from polyface.faces import (
     FaceCertificate,
@@ -20,7 +24,6 @@ from polyface.faces import (
     k_neighborly_scan,
     verify_face_certificate,
     verify_nonface_witness,
-    witness_oracle_is_face,
 )
 from polyface.families import VertexSet, bqp_vertices, phi_scheme, phi_vertices, qap_vertices
 from polyface.simplex import lp_solve
@@ -100,7 +103,7 @@ def test_nonface_witness_comes_from_the_support_lp_alone(monkeypatch):
     def no_witness_lp(*args):
         raise AssertionError("is_face called the witness-LP")
 
-    monkeypatch.setattr(faces, "_witness_lp", no_witness_lp)
+    monkeypatch.setattr(oracles, "_witness_lp", no_witness_lp)
     for vs, subset in ((phi_vertices(3), (0, 1, 2)), (phi_vertices(4), (0, 3, 4))):
         wit = is_face(vs, subset)
         assert isinstance(wit, NonFaceWitness)
@@ -396,7 +399,7 @@ def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, monkeypatch
     verdict is_face gives that subset, and it solves one LP per orbit."""
     vs = make(n)
     ctx = FaceContext(vs)
-    orbits = faces._Orbits(vs, k)
+    orbits = faces._Orbits(ctx, k)
     solved = []
 
     def recording_is_face(vs, subset, ctx):
@@ -502,3 +505,147 @@ def test_compose_with_face_lifts_certificates():
 def _thm2_equations(k):
     ps = phi_scheme(2 * k)
     return [(ps.encode((2 * i - 1, 2 * i), (2 * i - 1, 2 * i)), 1) for i in range(1, k + 1)]
+
+
+# --- the orbit LP: face tests over the subset's stabiliser -------------------
+
+# phi5-facetest's design: triples (0, i, j) of phi(5) by vertex position
+PHI5_FACETEST_PAIRS = (
+    (1, 20), (3, 4), (4, 75), (6, 93), (7, 86), (7, 106), (34, 116), (35, 63),
+    (42, 90), (45, 59), (49, 85), (49, 100), (49, 105), (51, 54), (55, 76),
+    (66, 115), (67, 77), (76, 87), (76, 100), (84, 113), (87, 115), (99, 111),
+    (103, 115), (104, 107),
+)
+# The frame LP's verdicts, measured before the orbit LP existed: of the 36
+# fix-first representatives of phi(5) triples and the 24 triples above,
+# (0, 3, 4) is the only non-face.
+PHI5_FRAME_LP_NONFACES = {(0, 3, 4)}
+# sha256 of the JSON of the frame LP's certificates for these subsets
+FRAME_LP_CERTIFICATES = {
+    ("phi", (0, 1, 20)): "fadb42e497f05dafa756fc7d58cf5e86845a0b36f4ebaf52fca6228e6503fee8",
+    ("phi", (0, 4, 75)): "8fd807a0cd9d1ca220967b2b1d02a757a7f7b47a9caaa285d37fe8e829caea26",
+    ("qap", (0, 1, 2)): "50cd740f07614eb6b670d7f79323183e828f23fecf89a15898f0e99f471708b4",
+}
+
+
+@pytest.fixture(scope="module")
+def phi5():
+    vs = phi_vertices(5)
+    return vs, FaceContext(vs)
+
+
+@pytest.fixture(scope="module")
+def qap5():
+    vs = qap_vertices(5)
+    return vs, FaceContext(vs)
+
+
+def _recording_lp_solve(monkeypatch):
+    lps = []
+
+    def recording(lp, *args, **kwargs):
+        lps.append(lp)
+        return lp_solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(faces, "lp_solve", recording)
+    return lps
+
+
+def _frame_rows(ctx, subset):
+    others = [t for t in range(len(ctx.vs)) if t not in subset]
+    return [ctx.member_row(s) for s in subset] + [ctx.norm_row] + [ctx.outside_row(t) for t in others]
+
+
+def test_orbit_lp_matches_the_frame_lp_verdicts_on_phi5(phi5, monkeypatch):
+    """Every fix-first representative and every benchmark triple of phi(5) goes
+    through the orbit LP, one LP smaller than the frame LP, with the frame
+    LP's verdict and a certificate that passes substitution."""
+    vs, ctx = phi5
+    orbits = faces._Orbits(ctx, 3)
+    reps = [s for s, link in zip(orbits.subsets, orbits.links) if link is None]
+    assert len(reps) == 36
+    lps = _recording_lp_solve(monkeypatch)
+    for subset in sorted(set(reps) | {(0, i, j) for i, j in PHI5_FACETEST_PAIRS}):
+        lps.clear()
+        result = is_face(vs, subset, ctx)
+        assert isinstance(result, NonFaceWitness) == (subset in PHI5_FRAME_LP_NONFACES)
+        assert _verifies(vs, subset, result)
+        (lp,) = lps
+        assert len(lp.constraints) < len(vs) + 1 and lp.num_vars < 2 * ctx.frame.dim + 3
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(1, 119), min_size=2, max_size=2, unique=True))
+def test_orbit_lp_matches_the_frame_lp_on_qap5_random(qap5, rest):
+    vs, ctx = qap5
+    subset = (0, *sorted(rest))
+    result = is_face(vs, subset, ctx)
+    assert _verifies(vs, subset, result)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(faces, "_stabiliser_moves", lambda ctx, subset: [])
+        frame = is_face(vs, subset, ctx)
+    assert type(result) is type(frame) is FaceCertificate  # qap(5) is 3-neighborly
+
+
+@pytest.mark.parametrize("family, subset", list(FRAME_LP_CERTIFICATES), ids=lambda x: str(x))
+def test_trivial_stabiliser_solves_the_frame_lp(family, subset, phi5, qap5, monkeypatch):
+    """With the stabiliser search cut to the identity, is_face solves the frame
+    LP, row for row, and returns its certificate."""
+    vs, ctx = phi5 if family == "phi" else qap5
+    identity = tuple(range(5))
+    monkeypatch.setattr(faces, "_stabiliser", lambda perms, subset: [(identity, identity, False)])
+    lps = _recording_lp_solve(monkeypatch)
+    cert = is_face(vs, subset, ctx)
+    (lp,) = lps
+    assert list(lp.constraints) == _frame_rows(ctx, subset)
+    digest = hashlib.sha256(json.dumps(cert.to_json(subset)).encode()).hexdigest()
+    assert digest == FRAME_LP_CERTIFICATES[family, subset]
+
+
+def test_vertex_sets_without_every_permutation_get_the_frame_lp(monkeypatch):
+    """The orbit LP needs all n! vertices: phi(5) less a vertex and the standalone
+    face of corollary-3n-face solve the frame LP."""
+    from polyface.maps import thm2_face_iso
+
+    base = phi_vertices(5)
+    face = thm2_face_iso(3).face
+    phi6 = phi_vertices(6)
+    for vs, subset in (
+        (_reordered(base, range(119)), (0, 3, 4)),
+        (_reordered(phi6, face.subset), (0, 1, 2)),
+    ):
+        ctx = FaceContext(vs)
+        lps = _recording_lp_solve(monkeypatch)
+        assert _verifies(vs, subset, is_face(vs, subset, ctx))
+        (lp,) = lps
+        assert list(lp.constraints) == _frame_rows(ctx, subset)
+
+
+def test_spread_dual_witness_passes_check(tmp_path, capsys):
+    from polyface.cli import main
+
+    vpath, cpath = tmp_path / "phi5.json", tmp_path / "wit.json"
+    assert main(["generate", "--family", "phi", "--n", "5", "--out", str(vpath)]) == 0
+    assert main(["face", "--vertices", str(vpath), "--subset", "0,3,4", "--out", str(cpath)]) == 1
+    assert json.loads(cpath.read_text())["kind"] == "nonface"
+    assert main(["check", "--vertices", str(vpath), "--certificate", str(cpath)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "certificate verifies"
+
+
+def test_orbit_lp_scan_parallel_matches_serial(phi5):
+    vs, ctx = phi5
+    ctx.vertex_permutations()  # the workers get the table with the context
+    serial = k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True, ctx=ctx)
+    assert serial.counterexample_subset == (0, 3, 4)
+    assert k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True, jobs=2, ctx=ctx) == serial
+
+
+def test_a_context_built_for_another_vertex_set_is_refused():
+    vs, other = phi_vertices(4), _reordered(phi_vertices(4), (1, 0, *range(2, 24)))
+    ctx = FaceContext(other)
+    with pytest.raises(ValueError, match="another vertex set"):
+        is_face(vs, (0, 1, 2), ctx)
+    with pytest.raises(ValueError, match="another vertex set"):
+        k_neighborly_scan(vs, 3, ctx=ctx)
+    copy = pickle.loads(pickle.dumps(vs))  # equal, not identical: accepted
+    assert is_face(copy, (0, 3, 4), FaceContext(vs)) == is_face(vs, (0, 3, 4))

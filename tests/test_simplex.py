@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lp_to_text, solve_linear_system
 from polyface import simplex
-from polyface.exactmath import solve_linear_system, vec_dot
+from polyface.exactmath import vec_dot
 from polyface.faces import FaceContext, is_face
 from polyface.families import generate
 from polyface.simplex import (
     LPResult,
     lp_solve,
-    lp_to_text,
     make_lp,
     verify_lp_certificate,
 )
