@@ -55,14 +55,16 @@ lacks a vertex has no such symmetry to use.
 
 Scans: ``k_neighborly_scan`` tests subsets in lex order.  With
 fix_first (qap and phi) it scans the subsets through vertex 0 and
-solves one support-LP per orbit of the S_n x S_n x C_2 symmetry (left
-and right multiplication, inversion; ``families.coordinate_map``), each
-through ``is_face`` and so through the orbit LP where its rule applies.
+solves one support-LP per orbit of the S_n x S_n x C_2 symmetry (the
+action is stated once, in ``families.coordinate_map``), each through
+``is_face`` and so through the orbit LP where its rule applies.
 The other members of an orbit get the representative's certificate
 permuted onto them, and every such carried certificate is re-verified
 by substitution.  The symmetry itself is checked on the vertex set
 before it is used, through the same permutation table
-(``FaceContext.vertex_permutations``) that the stabiliser search reads.
+(``FaceContext.vertex_permutations``) that the stabiliser search reads,
+and the scan's moves and the stabiliser's generators pass the same
+check (``_checked_moves``).
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -91,7 +93,7 @@ from itertools import chain, combinations, islice, permutations, repeat
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame, greedy_basis
-from .families import MAX_DENSE_CELLS, Permutation, VertexSet, coordinate_map, phi_vertex, qap_vertex
+from .families import MAX_DENSE_CELLS, VertexSet, compose, coordinate_map, inverse, phi_vertex, qap_vertex
 from .simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -328,7 +330,7 @@ class FaceContext:
         if self._permutations is None:
             scheme = self.vs.scheme
             make = qap_vertex if scheme.family == "qap" else phi_vertex
-            of = {make(_one_based(p)): p for p in permutations(range(scheme.n))}
+            of = {make(p): p for p in permutations(range(scheme.n))}
             self._permutations = [of.get(v) for v in self.vs.vertices]
         return self._permutations
 
@@ -579,26 +581,22 @@ class NeighborlinessReport:
         return data
 
 
-def _one_based(p: tuple[int, ...]) -> Permutation:
-    return Permutation(tuple(x + 1 for x in p))
+def _checked_moves(vs: VertexSet, specs, error: Exception, keep=()) -> list[tuple[list[int], list[int]]]:
+    """(vertex map, coordinate map) of each move (a, b, transpose) in specs, acting as ``coordinate_map`` says.
 
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
-def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """f after g, for permutations as tuples of 0-based images."""
-    return tuple(f[x] for x in g)
-
-
-def _vertex_map(vs: VertexSet, index: dict, cmap: list[int]) -> list[int] | None:
-    """The vertex permutation that the coordinate permutation cmap induces; None unless it maps vs to itself."""
-    vmap = [index.get(tuple(sorted(cmap[o] for o in v))) for v in vs.vertices]
-    return None if None in vmap or len(set(vmap)) != len(vmap) else vmap
+    Raises error unless every move maps the vertices of vs onto
+    themselves, one to one, and the vertices in keep onto keep.
+    """
+    index = {v: i for i, v in enumerate(vs.vertices)}
+    kept = set(keep)
+    moves = []
+    for a, b, transpose in specs:
+        cmap = coordinate_map(vs.scheme, a, b, transpose)
+        vmap = [index.get(tuple(sorted(cmap[o] for o in v))) for v in vs.vertices]
+        if None in vmap or len(set(vmap)) != len(vmap) or {vmap[s] for s in keep} != kept:
+            raise error
+        moves.append((vmap, cmap))
+    return moves
 
 
 def _symmetry_moves(ctx: FaceContext) -> list[tuple[list[int], list[int]]]:
@@ -616,21 +614,16 @@ def _symmetry_moves(ctx: FaceContext) -> list[tuple[list[int], list[int]]]:
     if scheme.family not in ("qap", "phi"):
         raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
     n = scheme.n
-    ident = Permutation.identity(n)
-    swap, cycle = Permutation((2, 1, *range(3, n + 1))), Permutation((*range(2, n + 1), 1))
+    ident = tuple(range(n))
+    swap, cycle = (1, 0, *range(2, n)), (*range(1, n), 0)
     specs = [(swap, swap, False), (cycle, cycle, False), (ident, ident, True)]
     for m, p in enumerate(ctx.vertex_permutations()):
         if p is None:
             raise ValueError(f"fix-first reduction refused: vertex {m} is not in {scheme.family}({n})")
-        specs.append((ident, _one_based(_inverse(p)), False))
-    index = {v: i for i, v in enumerate(vs.vertices)}
-    moves = []
-    for a, b, transpose in specs:
-        cmap = coordinate_map(scheme, a, b, transpose)
-        vmap = _vertex_map(vs, index, cmap)
-        if vmap is None:
-            raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
-        moves.append((vmap, cmap))
+        specs.append((ident, inverse(p), False))
+    moves = _checked_moves(
+        vs, specs, ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
+    )
     if any(vmap[0] != 0 for vmap, _ in moves[:3]) or any(moves[3 + m][0][m] != 0 for m in range(len(vs))):
         raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
     return moves
@@ -639,19 +632,19 @@ def _symmetry_moves(ctx: FaceContext) -> list[tuple[list[int], list[int]]]:
 def _stabiliser(perms: list[tuple[int, ...]], subset) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
     """Every move (a, b, transpose) of S_n x S_n x C_2 that maps the subset's permutations onto themselves.
 
-    perms holds all n! permutations, one per vertex.  The move sends p
-    to b.p.a^-1, or to b.p^-1.a^-1 with transpose (``coordinate_map``).
-    For each a, transpose flag and image p_t of the first member p_0, b
-    is forced: p_t.a.p_0^-1, or p_t.a.p_0.  Member p_s then goes to
-    p_t.(a.d_s.a^-1) with d_s = p_0^-1.p_s (p_0.p_s^-1 with transpose),
-    so the move is kept when every such conjugate lies in {p_t^-1.p_u}.
+    perms holds all n! permutations, one per vertex, and a move acts on
+    them as ``coordinate_map`` states.  For each a, transpose flag and
+    image p_t of the first member p_0, b is forced: p_t.a.p_0^-1, or
+    p_t.a.p_0.  Member p_s then goes to p_t.(a.d_s.a^-1) with
+    d_s = p_0^-1.p_s (p_0.p_s^-1 with transpose), so the move is kept
+    when every such conjugate lies in {p_t^-1.p_u}.
     """
     members = [perms[s] for s in subset]
     found = []
     for transpose in (False, True):
-        base = members[0] if transpose else _inverse(members[0])
-        steps = [_compose(base, _inverse(p) if transpose else p) for p in members[1:]]
-        targets = [(pt, {_compose(_inverse(pt), pu) for pu in members}) for pt in members]
+        base = members[0] if transpose else inverse(members[0])
+        steps = [compose(base, inverse(p) if transpose else p) for p in members[1:]]
+        targets = [(pt, {compose(inverse(pt), pu) for pu in members}) for pt in members]
         for a in perms:
             conjugates = []
             for d in steps:
@@ -661,7 +654,7 @@ def _stabiliser(perms: list[tuple[int, ...]], subset) -> list[tuple[tuple[int, .
                 conjugates.append(tuple(c))
             for pt, allowed in targets:
                 if all(c in allowed for c in conjugates):
-                    found.append((a, _compose(pt, _compose(a, base)), transpose))
+                    found.append((a, compose(pt, compose(a, base)), transpose))
     return found
 
 
@@ -670,8 +663,8 @@ def _then(first, second):
     a1, b1, t1 = first
     a2, b2, t2 = second
     if t2:  # b2.(b1.p^e.a1^-1)^-1.a2^-1 = (b2.a1).p^-e.(a2.b1)^-1
-        return _compose(a2, b1), _compose(b2, a1), not t1
-    return _compose(a2, a1), _compose(b2, b1), t1
+        return compose(a2, b1), compose(b2, a1), not t1
+    return compose(a2, a1), compose(b2, b1), t1
 
 
 def _generators(group: list) -> list:
@@ -718,16 +711,8 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
     group = _stabiliser(perms, subset)
     if len(group) == 1:
         return []
-    index = {v: i for i, v in enumerate(vs.vertices)}
-    sset = set(subset)
-    moves = []
-    for a, b, transpose in _generators(group):
-        cmap = coordinate_map(scheme, _one_based(a), _one_based(b), transpose)
-        vmap = _vertex_map(vs, index, cmap)
-        if vmap is None or {vmap[s] for s in subset} != sset:
-            raise InternalInconsistencyError("a stabiliser move does not map the vertex set or the subset to itself")
-        moves.append((vmap, cmap))
-    return moves
+    error = InternalInconsistencyError("a stabiliser move does not map the vertex set or the subset to itself")
+    return _checked_moves(vs, _generators(group), error, keep=subset)
 
 
 def _orbit_labels(size: int, maps: list[list[int]]) -> list[int]:

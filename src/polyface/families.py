@@ -11,12 +11,16 @@ Three families share one storage format:
 Conventions (the single source of truth for index translation):
 
 * semantic multi-indices are 1-based, flat offsets are 0-based;
+* a permutation sigma of S_n is the tuple of its 0-based images, the
+  one form ``compose``, ``inverse``, ``label`` and the generators share;
+  its label is the 1-based one-line notation;
 * a permutation matrix has entry (i, j) = 1 iff sigma(i) = j;
 * the edge matrix has rows indexed by the source edge and columns by its
   image: z[e, f] = 1 iff sigma maps edge e onto edge f elementwise.
 
 The same layout gives ``qap_vertex``, ``phi_vertex`` and ``coordinate_map``,
-the action of S_n x S_n x C_2 that the fix-first scan in ``faces`` uses.
+the action of S_n x S_n x C_2 that the fix-first scan and the orbit LP
+in ``faces`` use.
 
 Vertices are stored sparsely as sorted tuples of one-positions and
 densified on demand (a qap(5) vertex has 25 ones out of 625 entries).
@@ -28,48 +32,24 @@ import json
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb, factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of {1, ..., n} in one-line notation: images[i-1] = sigma(i)."""
+def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """f after g."""
+    return tuple(f[x] for x in g)
 
-    images: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Apply self first, then other (row-vector convention)."""
-        return Permutation(tuple(other(self(i)) for i in range(1, self.n + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    def edge_image(self, e: tuple[int, int]) -> tuple[int, int]:
-        a, b = self(e[0]), self(e[1])
-        return (a, b) if a < b else (b, a)
-
-    @property
-    def label(self) -> str:
-        return "".join(str(i) for i in self.images)
+def label(p: tuple[int, ...]) -> str:
+    """p in 1-based one-line notation: (1, 2, 0) -> "231"."""
+    return "".join(str(x + 1) for x in p)
 
 
 def edge_index(i: int, j: int, n: int) -> int:
@@ -92,7 +72,6 @@ class IndexScheme:
     n: int
     ambient_dim: int
     encode: Callable[..., int]
-    decode: Callable[[int], tuple]
 
     def __eq__(self, other):
         return (
@@ -104,7 +83,7 @@ class IndexScheme:
         return hash((self.family, self.n, self.ambient_dim))
 
     def __reduce__(self):
-        # encode/decode are closures, which pickle cannot send to a worker process
+        # encode is a closure, which pickle cannot send to a worker process
         return scheme_for, (self.family, self.n)
 
 
@@ -114,10 +93,7 @@ def bqp_scheme(m: int) -> IndexScheme:
             raise ValueError(f"bqp index out of range: ({i},{j})")
         return (i - 1) * m + (j - 1)
 
-    def decode(off: int) -> tuple[int, int]:
-        return off // m + 1, off % m + 1
-
-    return IndexScheme("bqp", m, m * m, encode, decode)
+    return IndexScheme("bqp", m, m * m, encode)
 
 
 def qap_scheme(n: int) -> IndexScheme:
@@ -127,11 +103,7 @@ def qap_scheme(n: int) -> IndexScheme:
                 raise ValueError(f"qap index out of range: ({i},{j},{k},{l})")
         return ((i - 1) * n + (j - 1)) * n * n + (k - 1) * n + (l - 1)
 
-    def decode(off: int) -> tuple[int, int, int, int]:
-        kl, ij = off % (n * n), off // (n * n)
-        return ij // n + 1, ij % n + 1, kl // n + 1, kl % n + 1
-
-    return IndexScheme("qap", n, n ** 4, encode, decode)
+    return IndexScheme("qap", n, n ** 4, encode)
 
 
 def phi_scheme(n: int) -> IndexScheme:
@@ -140,12 +112,7 @@ def phi_scheme(n: int) -> IndexScheme:
     def encode(e: tuple[int, int], f: tuple[int, int]) -> int:
         return edge_index(*e, n) * ne + edge_index(*f, n)
 
-    # edges per call: a vertex file's header must not cost C(n,2) tuples before it is checked
-    def decode(off: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        edges = edge_list(n)
-        return edges[off // ne], edges[off % ne]
-
-    return IndexScheme("phi", n, ne * ne, encode, decode)
+    return IndexScheme("phi", n, ne * ne, encode)
 
 
 def scheme_for(family: str, n: int) -> IndexScheme:
@@ -249,37 +216,39 @@ def bqp_vertices(m: int) -> VertexSet:
     return VertexSet(scheme, tuple(labels), tuple(verts))
 
 
-def qap_vertex(p: Permutation) -> tuple[int, ...]:
+def qap_vertex(p: tuple[int, ...]) -> tuple[int, ...]:
     """One-positions of the tensor square of p's permutation matrix."""
-    n = p.n
-    cells = [(i, p(i)) for i in range(1, n + 1)]
-    offs = [((i - 1) * n + (j - 1)) * n * n + (k - 1) * n + (l - 1) for (i, j) in cells for (k, l) in cells]
-    return tuple(sorted(offs))
+    n = len(p)
+    cells = [i * n + x for i, x in enumerate(p)]
+    return tuple(sorted(c * n * n + d for c in cells for d in cells))
 
 
 def qap_vertices(n: int) -> VertexSet:
     if n < 2:
         raise ValueError("qap needs n >= 2")
-    scheme = qap_scheme(n)
-    labels, verts = [], []
-    for images in permutations(range(1, n + 1)):
-        p = Permutation(images)
-        labels.append(p.label)
-        verts.append(qap_vertex(p))
-    return VertexSet(scheme, tuple(labels), tuple(verts))
+    perms = list(permutations(range(n)))
+    return VertexSet(qap_scheme(n), tuple(map(label, perms)), tuple(map(qap_vertex, perms)))
 
 
-def phi_vertex(p: Permutation) -> tuple[int, ...]:
+def _edge_images(p: tuple[int, ...]) -> list[int]:
+    """Rank of the image under p of each edge of K_n, in edge-list order."""
+    n = len(p)
+    images = []
+    for i, j in edge_list(n):
+        x, y = sorted((p[i - 1] + 1, p[j - 1] + 1))
+        images.append(edge_index(x, y, n))
+    return images
+
+
+def phi_vertex(p: tuple[int, ...]) -> tuple[int, ...]:
     """One-positions of the edge-permutation matrix of p on K_n."""
-    n = p.n
-    if n < 3:
+    if len(p) < 3:
         raise ValueError("phi needs n >= 3")
-    ne = comb(n, 2)
-    offs = [edge_index(*e, n) * ne + edge_index(*p.edge_image(e), n) for e in edge_list(n)]
-    return tuple(sorted(offs))
+    ne = comb(len(p), 2)
+    return tuple(sorted(e * ne + f for e, f in enumerate(_edge_images(p))))
 
 
-def coordinate_map(scheme: IndexScheme, a: Permutation, b: Permutation, transpose: bool) -> list[int]:
+def coordinate_map(scheme: IndexScheme, a: tuple[int, ...], b: tuple[int, ...], transpose: bool) -> list[int]:
     """Image of every ambient offset under the move (a, b, transpose).
 
     The move sends the vertex of the permutation p to the vertex of
@@ -290,17 +259,11 @@ def coordinate_map(scheme: IndexScheme, a: Permutation, b: Permutation, transpos
     """
     n = scheme.n
     if scheme.family == "qap":
-        cells = [
-            (a(j) - 1) * n + b(i) - 1 if transpose else (a(i) - 1) * n + b(j) - 1
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        ]
+        cells = [a[j] * n + b[i] if transpose else a[i] * n + b[j] for i in range(n) for j in range(n)]
         size = n * n
         return [cells[o // size] * size + cells[o % size] for o in range(size * size)]
-    edges = edge_list(n)
-    size = len(edges)
-    rows = [edge_index(*a.edge_image(e), n) for e in edges]
-    cols = [edge_index(*b.edge_image(e), n) for e in edges]
+    rows, cols = _edge_images(a), _edge_images(b)
+    size = len(rows)
     if transpose:
         return [rows[o % size] * size + cols[o // size] for o in range(size * size)]
     return [rows[o // size] * size + cols[o % size] for o in range(size * size)]
@@ -308,34 +271,15 @@ def coordinate_map(scheme: IndexScheme, a: Permutation, b: Permutation, transpos
 
 # Display order for the six K_3 edge matrices: identity, the two
 # 3-cycles, then the transpositions (13), (12), (23).
-_PHI3_ORDER = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 1, 3), (1, 3, 2))
+_PHI3_ORDER = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (1, 0, 2), (0, 2, 1))
 
 
-def phi_vertices(n: int, order: str = "default") -> VertexSet:
-    """All n! edge-permutation matrices of K_n.
-
-    order: "lex" for lexicographic one-line generator order, "display"
-    for the classical six-matrix display order (n = 3 only).  The
-    default is "display" for n = 3 and "lex" otherwise.
-    """
+def phi_vertices(n: int) -> VertexSet:
+    """All n! edge-permutation matrices of K_n: in the classical display order for n = 3, else in lex order."""
     if n < 3:
         raise ValueError("phi needs n >= 3")
-    if order == "default":
-        order = "display" if n == 3 else "lex"
-    if order == "display" and n != 3:
-        raise ValueError("display order is only defined for n = 3")
-    scheme = phi_scheme(n)
-    gens: Iterable[tuple[int, ...]]
-    if order == "display":
-        gens = _PHI3_ORDER
-    else:
-        gens = permutations(range(1, n + 1))
-    labels, verts = [], []
-    for images in gens:
-        p = Permutation(tuple(images))
-        labels.append(p.label)
-        verts.append(phi_vertex(p))
-    return VertexSet(scheme, tuple(labels), tuple(verts))
+    perms = _PHI3_ORDER if n == 3 else list(permutations(range(n)))
+    return VertexSet(phi_scheme(n), tuple(map(label, perms)), tuple(map(phi_vertex, perms)))
 
 
 # The desk-scale guards of ``polyface generate``: the largest order of each

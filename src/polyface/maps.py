@@ -510,7 +510,11 @@ class IsoSearchResult:
     map: AffineMap | None = None
 
 
-def brute_force_iso_search(dom, cod, max_vertices: int = 8) -> IsoSearchResult:
+# The most vertices brute_force_iso_search takes: 8! bijections.
+ISO_SEARCH_MAX_VERTICES = 8
+
+
+def brute_force_iso_search(dom, cod) -> IsoSearchResult:
     """Try all bijections; return the first affine isomorphism, if any.
 
     Each bijection is tested by exact affine-dependency transport (a
@@ -521,8 +525,8 @@ def brute_force_iso_search(dom, cod, max_vertices: int = 8) -> IsoSearchResult:
     dpts, cpts = _dense_points(dom), _dense_points(cod)
     if len(dpts) != len(cpts):
         raise ValueError("vertex sets have different sizes")
-    if len(dpts) > max_vertices:
-        raise ValueError(f"refusing to search beyond {max_vertices} vertices")
+    if len(dpts) > ISO_SEARCH_MAX_VERTICES:
+        raise ValueError(f"refusing to search beyond {ISO_SEARCH_MAX_VERTICES} vertices")
     npts = len(dpts)
     dim_d = affine_hull_frame(dpts).dim
     dim_c = affine_hull_frame(cpts).dim

@@ -621,6 +621,31 @@ def test_vertex_sets_without_every_permutation_get_the_frame_lp(monkeypatch):
         assert list(lp.constraints) == _frame_rows(ctx, subset)
 
 
+def _closure(identity, generators, then):
+    group, queue = {identity}, [identity]
+    for x in queue:
+        for g in generators:
+            y = then(x, g)
+            if y not in group:
+                group.add(y)
+                queue.append(y)
+    return group
+
+
+@pytest.mark.parametrize("pair", PHI5_FACETEST_PAIRS, ids=str)
+def test_picked_generators_generate_the_whole_stabiliser(pair, phi5):
+    """The moves _generators picks generate, under _then, the stabiliser that
+    _stabiliser lists, and so do their checked vertex maps."""
+    vs, ctx = phi5
+    subset = (0, *pair)
+    group = faces._stabiliser(ctx.vertex_permutations(), subset)
+    identity = tuple(range(5))
+    generated = _closure((identity, identity, False), faces._generators(group), faces._then)
+    assert generated == set(group) and len(generated) == len(group)
+    vmaps = [tuple(vmap) for vmap, _ in faces._stabiliser_moves(ctx, subset)]
+    assert len(_closure(tuple(range(len(vs))), vmaps, lambda x, g: tuple(g[t] for t in x))) == len(group)
+
+
 def test_spread_dual_witness_passes_check(tmp_path, capsys):
     from polyface.cli import main
 

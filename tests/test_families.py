@@ -1,16 +1,22 @@
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyface.families import (
-    Permutation,
     VertexSet,
+    bqp_scheme,
     bqp_vertices,
+    compose,
+    coordinate_map,
     edge_index,
     edge_list,
     generate,
+    inverse,
+    label,
     phi_scheme,
     phi_vertex,
     phi_vertices,
@@ -59,23 +65,15 @@ def test_edge_index_matches_edge_list(n):
 
 
 def test_schemes_encode_decode_round_trip():
-    s = qap_scheme(3)
-    for off in range(s.ambient_dim):
-        assert s.encode(*s.decode(off)) == off
+    """encode maps the index box one to one onto range(ambient_dim)."""
+    q = qap_scheme(3)
+    box = product(range(1, 4), repeat=4)
+    assert sorted(q.encode(*idx) for idx in box) == list(range(q.ambient_dim))
     p = phi_scheme(4)
-    for off in range(p.ambient_dim):
-        e, f = p.decode(off)
-        assert p.encode(e, f) == off
-    from polyface.families import bqp_scheme
-
+    assert sorted(p.encode(e, f) for e in edge_list(4) for f in edge_list(4)) == list(range(p.ambient_dim))
     b = bqp_scheme(3)
-    for off in range(b.ambient_dim):
-        assert b.encode(*b.decode(off)) == off
-
-
-def test_phi_display_order_only_for_n3():
-    with pytest.raises(ValueError):
-        phi_vertices(4, order="display")
+    box = product(range(1, 4), repeat=2)
+    assert sorted(b.encode(*idx) for idx in box) == list(range(b.ambient_dim))
 
 
 def test_bqp_counts_and_guard():
@@ -104,7 +102,7 @@ def test_bqp_vertices_satisfy_product_identity():
 
 
 def test_qap_identity_n2_ones():
-    v = qap_vertex(Permutation.identity(2))
+    v = qap_vertex((0, 1))
     s = qap_scheme(2)
     expected = sorted(s.encode(*t) for t in [(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2)])
     assert list(v) == expected
@@ -113,9 +111,9 @@ def test_qap_identity_n2_ones():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_qap_vertex_tensor_square_identity_and_sums(n):
     s = qap_scheme(n)
-    for images in permutations(range(1, n + 1)):
+    for images in permutations(range(n)):
         y = [0] * s.ambient_dim
-        for off in qap_vertex(Permutation(images)):
+        for off in qap_vertex(images):
             y[off] = 1
         diag = lambda i, j: y[s.encode(i, j, i, j)]
         for i in range(1, n + 1):
@@ -146,16 +144,17 @@ def test_phi3_display_order_matches_golden_matrices():
 
 
 def test_phi3_lex_order_is_sorted_labels():
-    vs = phi_vertices(3, order="lex")
-    assert vs.labels == tuple(sorted(vs.labels))
+    for n in (4, 5):
+        vs = phi_vertices(n)
+        assert vs.labels == tuple(sorted(vs.labels))
 
 
 def test_phi_vertex_row_and_column_sums():
     for n in (3, 4, 5):
         ne = comb(n, 2)
-        for images in permutations(range(1, n + 1)):
+        for images in permutations(range(n)):
             dense = [0] * (ne * ne)
-            for off in phi_vertex(Permutation(images)):
+            for off in phi_vertex(images):
                 dense[off] = 1
             m = as_matrix(tuple(dense), ne)
             assert all(sum(row) == 1 for row in m)
@@ -174,7 +173,7 @@ def test_phi_vertex_injective_and_homomorphism():
     n = 4
     ne = comb(n, 2)
     seen = set()
-    perms = [Permutation(im) for im in permutations(range(1, n + 1))]
+    perms = list(permutations(range(n)))
     for p in perms:
         seen.add(phi_vertex(p))
     assert len(seen) == factorial(n)
@@ -183,7 +182,7 @@ def test_phi_vertex_injective_and_homomorphism():
         for q in perms[:8]:
             mp = as_matrix_dense(phi_vertex(p), ne)
             mq = as_matrix_dense(phi_vertex(q), ne)
-            mpq = as_matrix_dense(phi_vertex(p.then(q)), ne)
+            mpq = as_matrix_dense(phi_vertex(compose(q, p)), ne)
             prod = tuple(
                 tuple(sum(mp[r][k] * mq[k][c] for k in range(ne)) for c in range(ne)) for r in range(ne)
             )
@@ -198,13 +197,43 @@ def as_matrix_dense(offsets, ne):
 
 
 def test_permutation_basics():
-    p = Permutation((2, 3, 1))
-    assert p(1) == 2 and p(3) == 1
-    assert p.inverse().images == (3, 1, 2)
-    assert p.then(p.inverse()).images == (1, 2, 3)
-    assert p.edge_image((1, 3)) == (1, 2)
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
+    p = (1, 2, 0)
+    assert label(p) == "231"
+    assert label(inverse(p)) == "312"
+    assert compose(inverse(p), p) == compose(p, inverse(p)) == (0, 1, 2)
+    assert compose(p, (1, 0, 2)) == (2, 1, 0)  # (1 2) first, then p
+
+
+def _assert_move_acts(scheme, make, a, b, transpose):
+    """coordinate_map carries vertex(p) onto vertex(b.p.a^-1), or vertex(b.p^-1.a^-1) with transpose."""
+    cmap = coordinate_map(scheme, a, b, transpose)
+    for p in permutations(range(scheme.n)):
+        q = compose(b, compose(inverse(p) if transpose else p, inverse(a)))
+        assert tuple(sorted(cmap[o] for o in make(p))) == make(q)
+
+
+@pytest.mark.parametrize("family", ["qap", "phi"])
+def test_coordinate_map_acts_on_every_vertex_n3(family):
+    scheme = qap_scheme(3) if family == "qap" else phi_scheme(3)
+    make = qap_vertex if family == "qap" else phi_vertex
+    perms = list(permutations(range(3)))
+    moves = list(product(perms, perms, (False, True)))
+    assert len(moves) == 72
+    for a, b, transpose in moves:
+        _assert_move_acts(scheme, make, a, b, transpose)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["qap", "phi"]),
+    st.permutations(range(4)),
+    st.permutations(range(4)),
+    st.booleans(),
+)
+def test_coordinate_map_acts_on_every_vertex_n4(family, a, b, transpose):
+    scheme = qap_scheme(4) if family == "qap" else phi_scheme(4)
+    make = qap_vertex if family == "qap" else phi_vertex
+    _assert_move_acts(scheme, make, tuple(a), tuple(b), transpose)
 
 
 def test_vertex_set_json_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from polyface.exactmath import canonical_integer_vector
 from polyface.faces import NonFaceWitness, is_face, verify_nonface_witness
 from polyface.families import (
-    Permutation,
     bqp_vertices,
     phi_scheme,
     phi_vertex,
@@ -43,17 +42,17 @@ def test_projection_sends_generators_pointwise(n):
     pmap = prop1_projection(n)
     qs = qap_vertices(n)
     for idx in range(len(qs)):
-        images = tuple(int(ch) for ch in qs.labels[idx])
+        images = tuple(int(ch) - 1 for ch in qs.labels[idx])
         got = pmap.apply_vertex(qs.vertices[idx])
-        want = phi_vertex(Permutation(images))
+        want = phi_vertex(images)
         assert one_positions(got) == want
 
 
 def test_projection_identity_to_identity():
     pmap = prop1_projection(3)
-    ident = qap_vertex(Permutation.identity(3))
+    ident = qap_vertex((0, 1, 2))
     got = pmap.apply_vertex(ident)
-    assert one_positions(got) == phi_vertex(Permutation.identity(3))
+    assert one_positions(got) == phi_vertex((0, 1, 2))
 
 
 def test_projection_surjective_onto_phi4():
@@ -392,7 +391,7 @@ def test_iso_search_two_point_sets():
 
 def test_iso_search_size_guard():
     with pytest.raises(ValueError):
-        brute_force_iso_search(qap_vertices(3), phi_vertices(3), max_vertices=4)
+        brute_force_iso_search(bqp_vertices(4), bqp_vertices(4))
 
 
 def dense_apply(amap, point):
