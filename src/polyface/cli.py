@@ -24,7 +24,7 @@ from .faces import (
     verify_face_certificate,
     verify_nonface_witness,
 )
-from .families import GENERATE_GUARDS, VertexSet, generate
+from .families import GENERATE_GUARDS, VertexSet, generate, load_json
 from .scenarios import SCENARIOS, run_scenario
 
 def _warn(msg: str) -> None:
@@ -129,8 +129,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     vs = VertexSet.load(args.vertices)
-    with open(args.certificate) as fh:
-        data = json.load(fh)
+    data = load_json(args.certificate, "certificate file")
     try:
         subset, cert = certificate_from_json(data)
     except (KeyError, ValueError) as exc:

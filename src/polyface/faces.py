@@ -59,12 +59,10 @@ solves one support-LP per orbit of the S_n x S_n x C_2 symmetry (the
 action is stated once, in ``families.coordinate_map``), each through
 ``is_face`` and so through the orbit LP where its rule applies.
 The other members of an orbit get the representative's certificate
-permuted onto them, and every such carried certificate is re-verified
-by substitution.  The symmetry itself is checked on the vertex set
-before it is used, through the same permutation table
-(``FaceContext.vertex_permutations``) that the stabiliser search reads,
-and the scan's moves and the stabiliser's generators pass the same
-check (``_checked_moves``).
+moved by one move (a, b, transpose), the one form a move takes, and
+each is re-verified by substitution.  The orbit search finds its moves
+as ``_stabiliser`` does: once one member's image is fixed, a fixes b
+(``_forced``).  The symmetry is checked first (``_fix_first_table``).
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -90,6 +88,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, islice, permutations, repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame, greedy_basis
@@ -599,34 +598,54 @@ def _checked_moves(vs: VertexSet, specs, error: Exception, keep=()) -> list[tupl
     return moves
 
 
-def _symmetry_moves(ctx: FaceContext) -> list[tuple[list[int], list[int]]]:
-    """(vertex map, coordinate map) of every move of ``_Orbits``, checked on ctx.vs.
-
-    Moves 0-2 are conjugation by the transposition (1 2), conjugation by
-    the n-cycle (1 2 ... n) and inversion; move 3 + m is translation by
-    the inverse of vertex m's permutation, read from the context's
-    permutation table.  Raises ValueError unless every move maps the
-    vertex set onto itself, moves 0-2 fix vertex 0 and move 3 + m sends
-    vertex m to vertex 0.
-    """
-    vs = ctx.vs
-    scheme = vs.scheme
+def _full_table(ctx: FaceContext) -> list[tuple[int, ...]]:
+    """ctx's permutation table; ValueError, a fix-first scan's refusal, unless it lists all of S_n once."""
+    scheme = ctx.vs.scheme
     if scheme.family not in ("qap", "phi"):
         raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
-    n = scheme.n
-    ident = tuple(range(n))
-    swap, cycle = (1, 0, *range(2, n)), (*range(1, n), 0)
-    specs = [(swap, swap, False), (cycle, cycle, False), (ident, ident, True)]
-    for m, p in enumerate(ctx.vertex_permutations()):
-        if p is None:
-            raise ValueError(f"fix-first reduction refused: vertex {m} is not in {scheme.family}({n})")
-        specs.append((ident, inverse(p), False))
-    moves = _checked_moves(
-        vs, specs, ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
-    )
-    if any(vmap[0] != 0 for vmap, _ in moves[:3]) or any(moves[3 + m][0][m] != 0 for m in range(len(vs))):
+    if len(ctx.vs) != math.factorial(scheme.n):
+        raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
+    perms = ctx.vertex_permutations()
+    if None in perms:
+        where = f"vertex {perms.index(None)} is not in {scheme.family}({scheme.n})"
+        raise ValueError(f"fix-first reduction refused: {where}")
+    return perms
+
+
+def _act(move, p: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation the move (a, b, transpose) sends p to: b.p.a^-1, or b.p^-1.a^-1 (``coordinate_map``)."""
+    a, b, transpose = move
+    return compose(b, compose(inverse(p) if transpose else p, inverse(a)))
+
+
+def _fix_first_table(ctx: FaceContext) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """(permutation table, vertex of each permutation) for a fix-first scan, checked; ValueError if it fails.
+
+    The table must list all of S_n with the identity at vertex 0, and the
+    coordinate map of each generator of the group (``_checked_moves``)
+    must move the vertices as ``_act`` moves their permutations.  Both
+    are group actions, so they then agree on every move.
+    """
+    perms = _full_table(ctx)
+    n = ctx.vs.scheme.n
+    ident, swap, cycle = tuple(range(n)), (1, 0, *range(2, n)), (*range(1, n), 0)
+    if perms[0] != ident:
         raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
-    return moves
+    index = {p: t for t, p in enumerate(perms)}
+    sides = [(g, ident, False) for g in (swap, cycle)] + [(ident, g, False) for g in (swap, cycle)]
+    gens = sides + [(ident, ident, True)]  # a transposition and an n-cycle on either side, and inversion
+    error = ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
+    for move, (vmap, _) in zip(gens, _checked_moves(ctx.vs, gens, error)):
+        if vmap != [index[_act(move, p)] for p in perms]:
+            raise ValueError("fix-first reduction refused: a move maps the vertices unlike their permutations")
+    return perms, index
+
+
+def _forced(members: list[tuple[int, ...]], s: int, transpose: bool):
+    """(q, steps): the moves (a, a.q, transpose) send members[s] to the identity, and member u to a.d_u.a^-1,
+    where steps lists d_u = q.p_u (q.p_u^-1 with transpose) for the other members in order."""
+    q = members[s] if transpose else inverse(members[s])
+    return q, [compose(q, inverse(p) if transpose else p) for u, p in enumerate(members) if u != s]
 
 
 def _stabiliser(perms: list[tuple[int, ...]], subset) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
@@ -642,8 +661,7 @@ def _stabiliser(perms: list[tuple[int, ...]], subset) -> list[tuple[tuple[int, .
     members = [perms[s] for s in subset]
     found = []
     for transpose in (False, True):
-        base = members[0] if transpose else inverse(members[0])
-        steps = [compose(base, inverse(p) if transpose else p) for p in members[1:]]
+        base, steps = _forced(members, 0, transpose)
         targets = [(pt, {compose(inverse(pt), pu) for pu in members}) for pt in members]
         for a in perms:
             conjugates = []
@@ -699,20 +717,17 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
     and the subset onto themselves raises InternalInconsistencyError; the
     group it generates with the others then holds only such maps.
     """
-    vs = ctx.vs
-    scheme = vs.scheme
-    if scheme.family not in ("qap", "phi") or scheme.n < ORBIT_LP_MIN_N:
+    if ctx.vs.scheme.n < ORBIT_LP_MIN_N:
         return []
-    if len(vs) != math.factorial(scheme.n):
-        return []
-    perms = ctx.vertex_permutations()
-    if None in perms:
+    try:
+        perms = _full_table(ctx)
+    except ValueError:
         return []
     group = _stabiliser(perms, subset)
     if len(group) == 1:
         return []
     error = InternalInconsistencyError("a stabiliser move does not map the vertex set or the subset to itself")
-    return _checked_moves(vs, _generators(group), error, keep=subset)
+    return _checked_moves(ctx.vs, _generators(group), error, keep=subset)
 
 
 def _orbit_labels(size: int, maps: list[list[int]]) -> list[int]:
@@ -732,81 +747,61 @@ def _orbit_labels(size: int, maps: list[list[int]]) -> list[int]:
     return label
 
 
-def _carry(cert, subset, vmap, cmap):
-    """cert for subset, moved to its image: vertex t -> vmap[t], offset o -> cmap[o]."""
-    moved = [None] * len(cmap)
-    if isinstance(cert, FaceCertificate):
-        for o, x in zip(cmap, cert.normal):
-            moved[o] = x
-        return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
-    for o, x in zip(cmap, cert.point):
-        moved[o] = x
-    sset = set(subset)
-    others = (t for t in range(len(vmap)) if t not in sset)
-    weight = [None] * len(vmap)
-    for t, x in zip(chain(subset, others), chain(cert.alpha, cert.mu)):
-        weight[vmap[t]] = x
-    image = sorted(vmap[s] for s in subset)
-    iset = set(image)
-    return NonFaceWitness(
-        alpha=tuple(weight[t] for t in image),
-        mu=tuple(weight[t] for t in range(len(vmap)) if t not in iset),
-        point=tuple(moved),
-    )
-
-
 class _Orbits:
     """The k-subsets through vertex 0, split into orbits of S_n x S_n x C_2.
 
-    The vertices of qap(n) and phi(n) are the permutations of S_n, and
-    left multiplication, right multiplication and inversion act on both
-    families as permutations of the coordinates (``coordinate_map``).
-    Such a move maps faces to faces, so a certificate carries over to the
-    image of its subset.  Every k-subset maps into one through vertex 0
-    (translate by the inverse of a member), so the subsets through vertex
-    0 meet every orbit.
-
-    subsets lists them in lex order.  links[i] is None when subsets[i] is
-    the lex-min member of its orbit, its representative; otherwise it is
-    (j, move), where moves[move] maps subsets[j] onto subsets[i] and j
-    leads back to the representative along such links.
+    The moves (a, b, transpose) act on qap(n) and phi(n) as permutations
+    of the coordinates (``coordinate_map``), so they map faces to faces
+    and carry certificates.  Every orbit meets the subsets through vertex
+    0, listed in lex order in subsets; the first one not yet seen is its
+    orbit's lex-min member, its representative.  A move that sends the
+    representative to such a subset sends a member to the identity, and
+    then a fixes b (``_forced``), so these 2 k n! moves reach the orbit.
+    links[i] is None for a representative, else (r, move) with the move
+    mapping subsets[r] onto subsets[i].
     """
 
     def __init__(self, ctx: FaceContext, k: int):
-        self.moves = _symmetry_moves(ctx)
-        self.subsets = [(0,) + rest for rest in combinations(range(1, len(ctx.vs)), k - 1)]
+        self.vs = ctx.vs
+        self.perms, self.index = perms, index = _fix_first_table(ctx)
+        self.subsets = [(0,) + rest for rest in combinations(range(1, len(perms)), k - 1)]
         position = {s: i for i, s in enumerate(self.subsets)}
-        self.links: list[tuple[int, int] | None] = [None] * len(self.subsets)
+        self.links: list[tuple[int, tuple] | None] = [None] * len(self.subsets)
         seen = bytearray(len(self.subsets))
         self.count = 0
-        for i in range(len(self.subsets)):
+        # itemgetter(*p)(x) is compose(x, p) in one C call, so member u goes to a_undo(step(a)) = a.d_u.a^-1
+        undo = [itemgetter(*inverse(a)) for a in perms]
+        for i, subset in enumerate(self.subsets):
             if seen[i]:
                 continue
             seen[i] = 1
             self.count += 1
-            queue = [i]
-            for j in queue:  # breadth-first over the orbit; the queue grows as it runs
-                members = self.subsets[j]
-                # the stabiliser moves, and the translations that send a member to vertex 0
-                for move in chain(range(3), (3 + m for m in members[1:])):
-                    vmap = self.moves[move][0]
-                    t = position[tuple(sorted(vmap[x] for x in members))]
-                    if not seen[t]:
-                        seen[t] = 1
-                        self.links[t] = (j, move)
-                        queue.append(t)
+            members = [perms[s] for s in subset]
+            for transpose in (False, True):
+                for s in range(k):
+                    q, steps = _forced(members, s, transpose)
+                    forced_b, steps = itemgetter(*q), [itemgetter(*d) for d in steps]
+                    for a, a_undo in zip(perms, undo):
+                        j = position[tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))]
+                        if not seen[j]:
+                            seen[j] = 1
+                            self.links[j] = (i, (a, perms[index[forced_b(a)]], transpose))
 
     def carry(self, i: int, solved: dict):
-        """Certificate for subsets[i], carried from its representative's in solved."""
-        path = []
-        while self.links[i] is not None:
-            i, move = self.links[i]
-            path.append(move)
-        vmap, cmap = self.moves[path.pop()]
-        for move in reversed(path):
-            v, c = self.moves[move]
-            vmap, cmap = [v[x] for x in vmap], [c[x] for x in cmap]
-        return _carry(solved[i], self.subsets[i], vmap, cmap)
+        """Certificate for subsets[i], carried from its representative's in solved by the one move of its link."""
+        r, move = self.links[i]
+        cert = solved[r]
+        face = isinstance(cert, FaceCertificate)
+        moved = [None] * self.vs.scheme.ambient_dim
+        for o, x in zip(coordinate_map(self.vs.scheme, *move), cert.normal if face else cert.point):
+            moved[o] = x
+        if face:
+            return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
+        weight = [None] * len(self.perms)
+        for t, x in zip(chain(*_split(self.vs, self.subsets[r])), chain(cert.alpha, cert.mu)):
+            weight[self.index[_act(move, self.perms[t])]] = x
+        image, others = _split(self.vs, self.subsets[i])
+        return NonFaceWitness(tuple(weight[t] for t in image), tuple(weight[t] for t in others), tuple(moved))
 
 
 _WORKER_STATE: dict = {}
@@ -872,11 +867,8 @@ def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits 
                     solved[i] = cert
             else:
                 cert = orbits.carry(i, solved)
-                if isinstance(cert, FaceCertificate):
-                    ok = verify_face_certificate(vs, subset, cert)
-                else:
-                    ok = verify_nonface_witness(vs, subset, cert)
-                if not ok:
+                verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
+                if not verify(vs, subset, cert):
                     raise InternalInconsistencyError(f"certificate carried to {subset} failed substitution")
             yield subset, cert
 
@@ -901,7 +893,7 @@ def k_neighborly_scan(
     one a subset-by-subset scan gives.  The first non-face in lex order is
     the lex-min member of its orbit, so the scan stops at the same
     counterexample, with the witness ``is_face`` returns for it.  The
-    symmetry is checked on the vertex set first (``_symmetry_moves``);
+    symmetry is checked on the vertex set first (``_fix_first_table``);
     a vertex set it does not fit raises ValueError.
     """
     n = len(vs)

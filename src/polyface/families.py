@@ -195,8 +195,16 @@ class VertexSet:
 
     @staticmethod
     def load(path) -> "VertexSet":
-        with open(path) as fh:
-            return VertexSet.from_json(json.load(fh))
+        return VertexSet.from_json(load_json(path, "vertex file"))
+
+
+def load_json(path, what: str):
+    """The parsed JSON of the file at path; JSON nested too deeply for the parser raises ValueError naming what."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what} nests its JSON too deeply to read") from None
 
 
 def bqp_vertex_offsets(bits: Sequence[int], m: int) -> tuple[int, ...]:

@@ -213,6 +213,27 @@ def test_face_malformed_vertex_file_is_an_error(tmp_path, capsys, spoil):
     assert err.startswith("error: vertex file")
 
 
+@pytest.mark.parametrize(
+    "argv, deep",
+    [
+        (["face", "--vertices", "{deep}", "--subset", "0,1"], "vertex file"),
+        (["neighborly", "--vertices", "{deep}", "--k", "2"], "vertex file"),
+        (["check", "--vertices", "{deep}", "--certificate", "{cert}"], "vertex file"),
+        (["check", "--vertices", "{phi3}", "--certificate", "{deep}"], "certificate file"),
+    ],
+    ids=["face", "neighborly", "check-vertex-file", "check-certificate-file"],
+)
+def test_deeply_nested_json_is_an_error(tmp_path, capsys, argv, deep):
+    """JSON nested past the parser's recursion limit is malformed input, not a RecursionError."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("deep", "phi3", "cert")}
+    paths["deep"].write_text("[" * 100_000)
+    run(["generate", "--family", "phi", "--n", "3", "--out", str(paths["phi3"])], capsys)
+    paths["cert"].write_text(json.dumps(PHI3_FACE))
+    code, out, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {deep} nests its JSON too deeply to read")
+
+
 def test_neighborly_exit_codes(tmp_path, capsys):
     vpath = tmp_path / "phi3.json"
     run(["generate", "--family", "phi", "--n", "3", "--out", str(vpath)], capsys)

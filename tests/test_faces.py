@@ -25,7 +25,7 @@ from polyface.faces import (
     verify_face_certificate,
     verify_nonface_witness,
 )
-from polyface.families import VertexSet, bqp_vertices, phi_scheme, phi_vertices, qap_vertices
+from polyface.families import VertexSet, bqp_vertices, coordinate_map, phi_scheme, phi_vertices, qap_vertices
 from polyface.simplex import lp_solve
 
 
@@ -387,14 +387,14 @@ def test_scan_fix_first_counts_and_guards():
 
 
 @pytest.mark.parametrize(
-    "make, n, k",
+    "make, n, k, count",
     [
-        (qap_vertices, 3, 3), (phi_vertices, 3, 3), (phi_vertices, 4, 2),
-        (qap_vertices, 4, 3), (phi_vertices, 4, 3),
+        (qap_vertices, 3, 3, 2), (phi_vertices, 3, 3, 2), (phi_vertices, 4, 2, 4),
+        (qap_vertices, 4, 3, 10), (phi_vertices, 4, 3, 10), (qap_vertices, 3, 1, 1),
     ],
-    ids=["qap3-triples", "phi3-triples", "phi4-pairs", "qap4-triples", "phi4-triples"],
+    ids=["qap3-triples", "phi3-triples", "phi4-pairs", "qap4-triples", "phi4-triples", "qap3-singletons"],
 )
-def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, monkeypatch):
+def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, count, monkeypatch):
     """The orbit scan's certificate for every subset through vertex 0 has the
     verdict is_face gives that subset, and it solves one LP per orbit."""
     vs = make(n)
@@ -409,7 +409,7 @@ def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, monkeypatch
     monkeypatch.setattr(faces, "is_face", recording_is_face)
     scanned = list(faces._certified_subsets(vs, ctx, k, orbits, 1))
     assert [s for s, _ in scanned] == [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
-    assert len(solved) == orbits.count < len(scanned)
+    assert len(solved) == orbits.count == count
     for subset, cert in scanned:
         assert type(cert) is type(is_face(vs, subset, ctx))
         verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
@@ -421,6 +421,44 @@ def test_orbit_scan_report_names_the_group_and_the_orbits_solved():
     assert (rep.total_subsets, rep.faces_certified, rep.counterexample_subset) == (253, 249, (0, 3, 4))
     assert rep.symmetry_reduction.startswith("S_4 x S_4 x C_2")
     assert "LPs for 10 of the 10 orbits" in rep.symmetry_reduction
+
+
+def test_full_phi5_orbit_scan_carries_faces_and_non_faces(phi5):
+    """The whole fix-first phi(5) triple scan, without stopping: 36 LPs, and
+    face certificates and non-face witnesses carried to the other subsets."""
+    vs, ctx = phi5
+    rep = k_neighborly_scan(vs, 3, fix_first=True, ctx=ctx)
+    assert (rep.total_subsets, rep.faces_certified, rep.counterexample_subset) == (7021, 7011, (0, 3, 4))
+    assert not rep.stopped_early
+    assert "LPs for 36 of the 36 orbits" in rep.symmetry_reduction
+
+
+@pytest.mark.parametrize(
+    "make, n", [(qap_vertices, 4), (phi_vertices, 4), (phi_vertices, 5)], ids=["qap4", "phi4", "phi5"]
+)
+def test_each_link_move_maps_its_representative_onto_its_subset(make, n):
+    """links[i] = (r, move) with subsets[r] a representative, and the move's
+    coordinate map sends the vertices of subsets[r] onto subsets[i]."""
+    vs = make(n)
+    orbits = faces._Orbits(FaceContext(vs), 3)
+    index = {v: t for t, v in enumerate(vs.vertices)}
+    for i, (subset, link) in enumerate(zip(orbits.subsets, orbits.links)):
+        if link is not None:
+            r, move = link
+            assert r < i and orbits.links[r] is None
+            cmap = coordinate_map(vs.scheme, *move)
+            image = sorted(index[tuple(sorted(cmap[o] for o in vs.vertices[s]))] for s in orbits.subsets[r])
+            assert tuple(image) == subset
+
+
+@pytest.mark.parametrize("make", [qap_vertices, phi_vertices], ids=["qap4", "phi4"])
+def test_orbit_scan_refuses_a_coordinate_map_that_swaps_its_sides(make, monkeypatch):
+    """With a and b swapped, each generator still maps the vertex set onto
+    itself, but not as it maps the permutations, so the scan is refused."""
+    right = faces.coordinate_map
+    monkeypatch.setattr(faces, "coordinate_map", lambda scheme, a, b, transpose: right(scheme, b, a, transpose))
+    with pytest.raises(ValueError, match="^fix-first reduction refused"):
+        k_neighborly_scan(make(4), 3, fix_first=True)
 
 
 def test_orbit_scan_parallel_matches_serial():
