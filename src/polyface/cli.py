@@ -52,11 +52,7 @@ def cmd_generate(args) -> int:
         return 2
     if family != "bqp" and n > 5:
         _warn(f"{family}({n}) has {n}! = large vertex count; generation may be slow")
-    try:
-        vs = generate(family, n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    vs = generate(family, n)
     vs.save(args.out)
     print(f"wrote {len(vs)} vertices of {family}({n}) (ambient dim {vs.scheme.ambient_dim}) to {args.out}")
     return 0

@@ -24,9 +24,9 @@ the witness-LP, is kept as a test oracle.
 The orbit LP.  When the vertex set holds all n! vertices of qap(n) or
 phi(n) with n >= 5, ``is_face`` first finds the stabiliser H of S in
 S_n x S_n x C_2 (``_stabiliser``: for each a, transpose flag and image
-of the first member, b is forced, so 2 n! |S| candidates), and checks
-a generating set of it on the vertex set as coordinate permutations
-that map the vertex set and S onto themselves.  If H is not trivial the
+of the first member, b is forced, so 2 n! |S| candidates), and reads
+the vertex maps of a generating set of it from the vertex set's
+checked table (``FaceContext.symmetry``).  If H is not trivial the
 LP is solved over the H-invariant functionals only (Boedi, Herr and
 Joswig, Math. Program. 137, 2013): averaging a supporting hyperplane of
 S over H gives an invariant one with the same gap, so the verdict is
@@ -62,7 +62,18 @@ The other members of an orbit get the representative's certificate
 moved by one move (a, b, transpose), the one form a move takes, and
 each is re-verified by substitution.  The orbit search finds its moves
 as ``_stabiliser`` does: once one member's image is fixed, a fixes b
-(``_forced``).  The symmetry is checked first (``_fix_first_table``).
+(``_forced``).
+
+The symmetry is checked once per vertex set, and both searches read
+the outcome from ``FaceContext.symmetry``: the permutation behind each
+vertex, the vertex of each permutation, and products as ``itemgetter``
+calls (``_vertex_map``: where a move sends every vertex).  The check
+(``_checked_symmetry``) asks for all n! vertices of qap(n) or phi(n)
+and for five generators of the group whose coordinate maps move the
+vertices as the table moves their permutations.  Both are group
+actions, so they then agree on every move, the stabiliser generators
+and the orbit links included; every certificate is still verified by
+substitution.  A fix-first scan also needs vertex 0 to be the identity.
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -287,8 +298,9 @@ class FaceContext:
     Holds the affine-hull frame, every vertex's frame coordinates as
     integer rows over one denominator (vertex t sits at coords[t] /
     coords_den), and the reusable LP rows, whose Fraction coefficients
-    are built from those integers on first use.  For qap and phi it also
-    holds, once first asked for, the permutation behind each vertex.
+    are built from those integers on first use.  Once first asked for,
+    it also holds the outcome of the symmetry check (``symmetry``): the
+    checked permutation table, or the reason the vertex set has none.
     """
 
     def __init__(self, vs: VertexSet):
@@ -304,7 +316,7 @@ class FaceContext:
         self.coords, self.coords_den = self.frame.integer_coords(dense)
         self.norm_row = _norm_row(self.frame.dim)
         self._rows: dict[tuple[int, str], Constraint] = {}
-        self._permutations: list[tuple[int, ...] | None] | None = None
+        self._symmetry: _Symmetry | str | None = None
 
     def outside_row(self, t: int) -> Constraint:
         return self._frame_row(t, "<=")
@@ -319,19 +331,63 @@ class FaceContext:
             row = self._rows[t, rel] = _lp_row(tuple(Q(x, self.coords_den) for x in self.coords[t]), rel)
         return row
 
-    def vertex_permutations(self) -> list[tuple[int, ...] | None]:
-        """The permutation of S_n behind each vertex of a qap or phi set; None for a vertex of neither.
+    def symmetry(self) -> _Symmetry:
+        """The vertex set's table from ``_checked_symmetry``, checked on first use and kept, as the LP rows are.
 
-        A permutation is the tuple of its 0-based images.  The table is
-        built on first use and kept, as the LP rows are: the stabiliser
-        search of ``is_face`` and the moves of a fix-first scan read it.
+        A vertex set without one raises the same ValueError every time.
         """
-        if self._permutations is None:
-            scheme = self.vs.scheme
-            make = qap_vertex if scheme.family == "qap" else phi_vertex
-            of = {make(p): p for p in permutations(range(scheme.n))}
-            self._permutations = [of.get(v) for v in self.vs.vertices]
-        return self._permutations
+        if self._symmetry is None:
+            try:
+                self._symmetry = _checked_symmetry(self.vs)
+            except ValueError as exc:
+                self._symmetry = str(exc)
+        if isinstance(self._symmetry, str):
+            raise ValueError(self._symmetry)
+        return self._symmetry
+
+
+@dataclass(frozen=True)
+class _Symmetry:
+    """The permutation behind each vertex and its products: itemgetter(*p)(x) is compose(x, p) in one C call."""
+
+    perms: list[tuple[int, ...]]  # of each vertex, as the tuple of its 0-based images
+    index: dict[tuple[int, ...], int]  # the vertex of each permutation
+    get: list[itemgetter]  # itemgetter(*perms[t])
+    undo: list[itemgetter]  # itemgetter(*inverse(perms[t]))
+
+
+def _vertex_map(table: _Symmetry, move) -> list[int]:
+    """The vertex each vertex goes to under the move (a, b, transpose): p to b.p.a^-1, or b.p^-1.a^-1."""
+    a, b, transpose = move
+    a_undo = table.undo[table.index[a]]
+    return [table.index[a_undo(get(b))] for get in (table.undo if transpose else table.get)]
+
+
+def _checked_symmetry(vs: VertexSet) -> _Symmetry:
+    """The table of vs; ValueError, a fix-first scan's refusal, unless it holds all n! vertices of qap(n) or
+    phi(n) and the coordinate maps of five generators of the group move them as ``_vertex_map`` says."""
+    scheme = vs.scheme
+    if scheme.family not in ("qap", "phi"):
+        raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
+    if len(vs) != math.factorial(scheme.n):
+        raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
+    make = qap_vertex if scheme.family == "qap" else phi_vertex
+    of = {make(p): p for p in permutations(range(scheme.n))}
+    perms = [of.get(v) for v in vs.vertices]
+    if None in perms:
+        where = f"vertex {perms.index(None)} is not in {scheme.family}({scheme.n})"
+        raise ValueError(f"fix-first reduction refused: {where}")
+    index = {p: t for t, p in enumerate(perms)}
+    table = _Symmetry(perms, index, [itemgetter(*p) for p in perms], [itemgetter(*inverse(p)) for p in perms])
+    n = scheme.n
+    ident, swap, cycle = tuple(range(n)), (1, 0, *range(2, n)), (*range(1, n), 0)
+    sides = [(g, ident, False) for g in (swap, cycle)] + [(ident, g, False) for g in (swap, cycle)]
+    for move in sides + [(ident, ident, True)]:  # a transposition and an n-cycle on either side, and inversion
+        cmap = coordinate_map(scheme, *move)
+        images = (vs.vertices[u] for u in _vertex_map(table, move))
+        if any(tuple(sorted(cmap[o] for o in v)) != w for v, w in zip(vs.vertices, images)):
+            raise ValueError("fix-first reduction refused: a move maps the vertices unlike their permutations")
+    return table
 
 
 def _context(vs: VertexSet, ctx: FaceContext | None) -> FaceContext:
@@ -580,67 +636,6 @@ class NeighborlinessReport:
         return data
 
 
-def _checked_moves(vs: VertexSet, specs, error: Exception, keep=()) -> list[tuple[list[int], list[int]]]:
-    """(vertex map, coordinate map) of each move (a, b, transpose) in specs, acting as ``coordinate_map`` says.
-
-    Raises error unless every move maps the vertices of vs onto
-    themselves, one to one, and the vertices in keep onto keep.
-    """
-    index = {v: i for i, v in enumerate(vs.vertices)}
-    kept = set(keep)
-    moves = []
-    for a, b, transpose in specs:
-        cmap = coordinate_map(vs.scheme, a, b, transpose)
-        vmap = [index.get(tuple(sorted(cmap[o] for o in v))) for v in vs.vertices]
-        if None in vmap or len(set(vmap)) != len(vmap) or {vmap[s] for s in keep} != kept:
-            raise error
-        moves.append((vmap, cmap))
-    return moves
-
-
-def _full_table(ctx: FaceContext) -> list[tuple[int, ...]]:
-    """ctx's permutation table; ValueError, a fix-first scan's refusal, unless it lists all of S_n once."""
-    scheme = ctx.vs.scheme
-    if scheme.family not in ("qap", "phi"):
-        raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
-    if len(ctx.vs) != math.factorial(scheme.n):
-        raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
-    perms = ctx.vertex_permutations()
-    if None in perms:
-        where = f"vertex {perms.index(None)} is not in {scheme.family}({scheme.n})"
-        raise ValueError(f"fix-first reduction refused: {where}")
-    return perms
-
-
-def _act(move, p: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation the move (a, b, transpose) sends p to: b.p.a^-1, or b.p^-1.a^-1 (``coordinate_map``)."""
-    a, b, transpose = move
-    return compose(b, compose(inverse(p) if transpose else p, inverse(a)))
-
-
-def _fix_first_table(ctx: FaceContext) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-    """(permutation table, vertex of each permutation) for a fix-first scan, checked; ValueError if it fails.
-
-    The table must list all of S_n with the identity at vertex 0, and the
-    coordinate map of each generator of the group (``_checked_moves``)
-    must move the vertices as ``_act`` moves their permutations.  Both
-    are group actions, so they then agree on every move.
-    """
-    perms = _full_table(ctx)
-    n = ctx.vs.scheme.n
-    ident, swap, cycle = tuple(range(n)), (1, 0, *range(2, n)), (*range(1, n), 0)
-    if perms[0] != ident:
-        raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
-    index = {p: t for t, p in enumerate(perms)}
-    sides = [(g, ident, False) for g in (swap, cycle)] + [(ident, g, False) for g in (swap, cycle)]
-    gens = sides + [(ident, ident, True)]  # a transposition and an n-cycle on either side, and inversion
-    error = ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
-    for move, (vmap, _) in zip(gens, _checked_moves(ctx.vs, gens, error)):
-        if vmap != [index[_act(move, p)] for p in perms]:
-            raise ValueError("fix-first reduction refused: a move maps the vertices unlike their permutations")
-    return perms, index
-
-
 def _forced(members: list[tuple[int, ...]], s: int, transpose: bool):
     """(q, steps): the moves (a, a.q, transpose) send members[s] to the identity, and member u to a.d_u.a^-1,
     where steps lists d_u = q.p_u (q.p_u^-1 with transpose) for the other members in order."""
@@ -648,28 +643,24 @@ def _forced(members: list[tuple[int, ...]], s: int, transpose: bool):
     return q, [compose(q, inverse(p) if transpose else p) for u, p in enumerate(members) if u != s]
 
 
-def _stabiliser(perms: list[tuple[int, ...]], subset) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+def _stabiliser(table: _Symmetry, subset) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
     """Every move (a, b, transpose) of S_n x S_n x C_2 that maps the subset's permutations onto themselves.
 
-    perms holds all n! permutations, one per vertex, and a move acts on
+    table holds all n! permutations, one per vertex, and a move acts on
     them as ``coordinate_map`` states.  For each a, transpose flag and
     image p_t of the first member p_0, b is forced: p_t.a.p_0^-1, or
     p_t.a.p_0.  Member p_s then goes to p_t.(a.d_s.a^-1) with
     d_s = p_0^-1.p_s (p_0.p_s^-1 with transpose), so the move is kept
     when every such conjugate lies in {p_t^-1.p_u}.
     """
-    members = [perms[s] for s in subset]
+    members = [table.perms[s] for s in subset]
     found = []
     for transpose in (False, True):
         base, steps = _forced(members, 0, transpose)
+        steps = [itemgetter(*d) for d in steps]
         targets = [(pt, {compose(inverse(pt), pu) for pu in members}) for pt in members]
-        for a in perms:
-            conjugates = []
-            for d in steps:
-                c = [0] * len(a)
-                for i, x in enumerate(d):
-                    c[a[i]] = a[x]
-                conjugates.append(tuple(c))
+        for a, a_undo in zip(table.perms, table.undo):
+            conjugates = [a_undo(step(a)) for step in steps]  # a.d_s.a^-1
             for pt, allowed in targets:
                 if all(c in allowed for c in conjugates):
                     found.append((a, compose(pt, compose(a, base)), transpose))
@@ -709,25 +700,30 @@ ORBIT_LP_MIN_N = 5
 
 
 def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[int]]]:
-    """(vertex map, coordinate map) of generators of the subset's stabiliser H, each checked on ctx.vs.
+    """(vertex map, coordinate map) of generators of the subset's stabiliser H.
 
     Empty, so that ``is_face`` solves the frame LP, unless the vertex set
-    holds all n! vertices of qap(n) or phi(n) with n >= ORBIT_LP_MIN_N
-    and H is not trivial.  A generator that does not map the vertex set
-    and the subset onto themselves raises InternalInconsistencyError; the
-    group it generates with the others then holds only such maps.
+    has a checked table (``FaceContext.symmetry``) with n >= ORBIT_LP_MIN_N
+    and H is not trivial.  The vertex maps are read from the table; one
+    that does not map the subset onto itself raises
+    InternalInconsistencyError.
     """
     if ctx.vs.scheme.n < ORBIT_LP_MIN_N:
         return []
     try:
-        perms = _full_table(ctx)
+        table = ctx.symmetry()
     except ValueError:
         return []
-    group = _stabiliser(perms, subset)
+    group = _stabiliser(table, subset)
     if len(group) == 1:
         return []
-    error = InternalInconsistencyError("a stabiliser move does not map the vertex set or the subset to itself")
-    return _checked_moves(ctx.vs, _generators(group), error, keep=subset)
+    moves = []
+    for move in _generators(group):
+        vmap = _vertex_map(table, move)
+        if {vmap[s] for s in subset} != set(subset):
+            raise InternalInconsistencyError("a stabiliser move does not map the subset onto itself")
+        moves.append((vmap, coordinate_map(ctx.vs.scheme, *move)))
+    return moves
 
 
 def _orbit_labels(size: int, maps: list[list[int]]) -> list[int]:
@@ -763,14 +759,15 @@ class _Orbits:
 
     def __init__(self, ctx: FaceContext, k: int):
         self.vs = ctx.vs
-        self.perms, self.index = perms, index = _fix_first_table(ctx)
+        self.table = ctx.symmetry()
+        perms, index, undo = self.table.perms, self.table.index, self.table.undo
+        if perms[0] != tuple(range(len(perms[0]))):
+            raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
         self.subsets = [(0,) + rest for rest in combinations(range(1, len(perms)), k - 1)]
         position = {s: i for i, s in enumerate(self.subsets)}
         self.links: list[tuple[int, tuple] | None] = [None] * len(self.subsets)
         seen = bytearray(len(self.subsets))
         self.count = 0
-        # itemgetter(*p)(x) is compose(x, p) in one C call, so member u goes to a_undo(step(a)) = a.d_u.a^-1
-        undo = [itemgetter(*inverse(a)) for a in perms]
         for i, subset in enumerate(self.subsets):
             if seen[i]:
                 continue
@@ -781,7 +778,7 @@ class _Orbits:
                 for s in range(k):
                     q, steps = _forced(members, s, transpose)
                     forced_b, steps = itemgetter(*q), [itemgetter(*d) for d in steps]
-                    for a, a_undo in zip(perms, undo):
+                    for a, a_undo in zip(perms, undo):  # member u goes to a.d_u.a^-1
                         j = position[tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))]
                         if not seen[j]:
                             seen[j] = 1
@@ -797,9 +794,9 @@ class _Orbits:
             moved[o] = x
         if face:
             return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
-        weight = [None] * len(self.perms)
+        weight, vmap = [None] * len(self.vs), _vertex_map(self.table, move)
         for t, x in zip(chain(*_split(self.vs, self.subsets[r])), chain(cert.alpha, cert.mu)):
-            weight[self.index[_act(move, self.perms[t])]] = x
+            weight[vmap[t]] = x
         image, others = _split(self.vs, self.subsets[i])
         return NonFaceWitness(tuple(weight[t] for t in image), tuple(weight[t] for t in others), tuple(moved))
 
@@ -893,8 +890,9 @@ def k_neighborly_scan(
     one a subset-by-subset scan gives.  The first non-face in lex order is
     the lex-min member of its orbit, so the scan stops at the same
     counterexample, with the witness ``is_face`` returns for it.  The
-    symmetry is checked on the vertex set first (``_fix_first_table``);
-    a vertex set it does not fit raises ValueError.
+    symmetry is checked on the vertex set first (``FaceContext.symmetry``,
+    and vertex 0 must be the identity); a vertex set it does not fit
+    raises ValueError.
     """
     n = len(vs)
     if not 1 <= k < n:

@@ -239,13 +239,12 @@ def qap_vertices(n: int) -> VertexSet:
 
 
 def _edge_images(p: tuple[int, ...]) -> list[int]:
-    """Rank of the image under p of each edge of K_n, in edge-list order."""
+    """Rank of the image under p of each edge of K_n, in edge-list order.
+
+    The 0-based edge {x, y} with x < y has rank start[x] + y, its ``edge_index``."""
     n = len(p)
-    images = []
-    for i, j in edge_list(n):
-        x, y = sorted((p[i - 1] + 1, p[j - 1] + 1))
-        images.append(edge_index(x, y, n))
-    return images
+    start = [x * n - x * (x + 3) // 2 - 1 for x in range(n)]
+    return [start[x] + y if x < y else start[y] + x for i, x in enumerate(p) for y in p[i + 1 :]]
 
 
 def phi_vertex(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -528,11 +528,11 @@ def brute_force_iso_search(dom, cod) -> IsoSearchResult:
     if len(dpts) > ISO_SEARCH_MAX_VERTICES:
         raise ValueError(f"refusing to search beyond {ISO_SEARCH_MAX_VERTICES} vertices")
     npts = len(dpts)
-    dim_d = affine_hull_frame(dpts).dim
-    dim_c = affine_hull_frame(cpts).dim
     deps_d = [_int_row(v) for v in affine_dependencies(dpts)]
     # Echelonized codomain dependency space for membership tests.
     red = [_int_row(v) for v in affine_dependencies(cpts)]
+    # npts points spanning a hull of dimension d have npts - 1 - d independent affine dependencies
+    dim_d, dim_c = npts - 1 - len(deps_d), npts - 1 - len(red)
     piv = _eliminate(red, npts)
     tried = 0
     for perm in permutations(range(npts)):

@@ -56,6 +56,14 @@ def test_generate_guard_and_force(tmp_path, capsys):
     assert code == 0
 
 
+def test_generate_below_the_family_minimum_is_an_error(tmp_path, capsys):
+    path = tmp_path / "phi2.json"
+    code, out, err = run(["generate", "--family", "phi", "--n", "2", "--out", str(path)], capsys)
+    assert code == 2
+    assert (out, err) == ("", "error: phi needs n >= 3\n")
+    assert not path.exists()
+
+
 def test_generate_bad_family_guarded_by_argparse(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["generate", "--family", "tsp", "--n", "3", "--out", str(tmp_path / "x.json")])

@@ -3,7 +3,7 @@ import json
 import pickle
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -461,6 +461,63 @@ def test_orbit_scan_refuses_a_coordinate_map_that_swaps_its_sides(make, monkeypa
         k_neighborly_scan(make(4), 3, fix_first=True)
 
 
+def _coordinate_vertex_map(vs, move):
+    """Where the move's coordinate map sends each vertex, by sorting its image."""
+    cmap = coordinate_map(vs.scheme, *move)
+    index = {v: t for t, v in enumerate(vs.vertices)}
+    return [index[tuple(sorted(cmap[o] for o in v))] for v in vs.vertices]
+
+
+@pytest.mark.parametrize("make", [qap_vertices, phi_vertices], ids=["qap3", "phi3"])
+def test_vertex_map_is_the_coordinate_action_on_every_move_n3(make):
+    vs = make(3)
+    table = FaceContext(vs).symmetry()
+    perms = list(permutations(range(3)))
+    moves = list(product(perms, perms, (False, True)))
+    assert len(moves) == 72
+    for move in moves:
+        assert faces._vertex_map(table, move) == _coordinate_vertex_map(vs, move)
+
+
+@pytest.fixture(scope="module")
+def n4_tables():
+    return {make: (vs, FaceContext(vs).symmetry()) for make in (qap_vertices, phi_vertices) for vs in [make(4)]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([qap_vertices, phi_vertices]),
+    st.permutations(range(4)),
+    st.permutations(range(4)),
+    st.booleans(),
+)
+def test_vertex_map_is_the_coordinate_action_n4(n4_tables, make, a, b, transpose):
+    vs, table = n4_tables[make]
+    move = (tuple(a), tuple(b), transpose)
+    assert faces._vertex_map(table, move) == _coordinate_vertex_map(vs, move)
+
+
+def test_symmetry_is_checked_once_per_context_and_a_refusal_is_kept(monkeypatch):
+    """symmetry() runs the check on first use only: a refused vertex set raises the
+    same ValueError on every call, and a second orbit search maps no coordinates."""
+    checks, maps = [], []
+    check, cmap = faces._checked_symmetry, faces.coordinate_map
+    monkeypatch.setattr(faces, "_checked_symmetry", lambda vs: checks.append(vs) or check(vs))
+    monkeypatch.setattr(faces, "coordinate_map", lambda *move: maps.append(move) or cmap(*move))
+    ctx = FaceContext(_reordered(phi_vertices(5), range(119)))  # last vertex removed
+    for _ in range(2):
+        with pytest.raises(ValueError) as refusal:
+            ctx.symmetry()
+        assert str(refusal.value) == "fix-first reduction refused: a move does not map the vertex set onto itself"
+    assert len(checks) == 1
+    ctx = FaceContext(phi_vertices(4))
+    first = faces._Orbits(ctx, 3)
+    assert (len(checks), len(maps)) == (2, 5)  # the five generators of the check
+    second = faces._Orbits(ctx, 3)
+    assert (len(checks), len(maps)) == (2, 5)
+    assert second.links == first.links
+
+
 def test_orbit_scan_parallel_matches_serial():
     vs = phi_vertices(4)
     serial = k_neighborly_scan(vs, 3, fix_first=True)
@@ -659,6 +716,26 @@ def test_vertex_sets_without_every_permutation_get_the_frame_lp(monkeypatch):
         assert list(lp.constraints) == _frame_rows(ctx, subset)
 
 
+def test_a_symmetry_that_fails_its_check_leaves_is_face_on_the_frame_lp(phi5, monkeypatch):
+    """With a and b swapped in coordinate_map the table check refuses, and is_face
+    solves (0, 1, 20), whose stabiliser is not trivial, by the frame LP."""
+    vs, checked = phi5
+    subset = (0, 1, 20)
+    assert len(faces._stabiliser(checked.symmetry(), subset)) > 1  # read before the patch
+    right = faces.coordinate_map
+    monkeypatch.setattr(faces, "coordinate_map", lambda scheme, a, b, transpose: right(scheme, b, a, transpose))
+    ctx = FaceContext(vs)
+    lps = _recording_lp_solve(monkeypatch)
+    cert = is_face(vs, subset, ctx)
+    (lp,) = lps
+    assert list(lp.constraints) == _frame_rows(ctx, subset)
+    assert verify_face_certificate(vs, subset, cert)
+    digest = hashlib.sha256(json.dumps(cert.to_json(subset)).encode()).hexdigest()
+    assert digest == FRAME_LP_CERTIFICATES["phi", subset]
+    with pytest.raises(ValueError, match="unlike their permutations"):
+        ctx.symmetry()
+
+
 def _closure(identity, generators, then):
     group, queue = {identity}, [identity]
     for x in queue:
@@ -676,7 +753,7 @@ def test_picked_generators_generate_the_whole_stabiliser(pair, phi5):
     _stabiliser lists, and so do their checked vertex maps."""
     vs, ctx = phi5
     subset = (0, *pair)
-    group = faces._stabiliser(ctx.vertex_permutations(), subset)
+    group = faces._stabiliser(ctx.symmetry(), subset)
     identity = tuple(range(5))
     generated = _closure((identity, identity, False), faces._generators(group), faces._then)
     assert generated == set(group) and len(generated) == len(group)
@@ -697,7 +774,7 @@ def test_spread_dual_witness_passes_check(tmp_path, capsys):
 
 def test_orbit_lp_scan_parallel_matches_serial(phi5):
     vs, ctx = phi5
-    ctx.vertex_permutations()  # the workers get the table with the context
+    ctx.symmetry()  # the workers get the table with the context
     serial = k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True, ctx=ctx)
     assert serial.counterexample_subset == (0, 3, 4)
     assert k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True, jobs=2, ctx=ctx) == serial

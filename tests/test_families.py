@@ -49,6 +49,16 @@ def test_edge_index_examples():
     assert edge_index(2, 4, 5) == 5
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_edge_images_are_the_edge_index_of_each_image(n):
+    """_edge_images is the edge_index of each image edge, in edge-list order, for every permutation."""
+    from polyface.families import _edge_images
+
+    for p in permutations(range(n)):
+        reference = [edge_index(*sorted((p[i - 1] + 1, p[j - 1] + 1)), n) for i, j in edge_list(n)]
+        assert _edge_images(p) == reference
+
+
 def test_edge_index_rejects_bad_input():
     with pytest.raises(ValueError):
         edge_index(2, 2, 4)
