@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .faces import (
@@ -196,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"error: --jobs must be at least 1 (got {args.jobs})", file=sys.stderr)
+    jobs, cpus = getattr(args, "jobs", 1), os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:  # checked before any worker process starts
+        print(f"error: --jobs must be at least 1 and at most the {cpus} CPUs (got {jobs})", file=sys.stderr)
         return 2
     try:
         return args.func(args)

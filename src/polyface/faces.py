@@ -25,18 +25,20 @@ The orbit LP.  When the vertex set holds all n! vertices of qap(n) or
 phi(n) with n >= 5, ``is_face`` first finds the stabiliser H of S in
 S_n x S_n x C_2 (``_stabiliser``: for each a, transpose flag and image
 of the first member, b is forced, so 2 n! |S| candidates), and reads
-the vertex maps of a generating set of it from the vertex set's
-checked table (``FaceContext.symmetry``).  If H is not trivial the
-LP is solved over the H-invariant functionals only (Boedi, Herr and
-Joswig, Math. Program. 137, 2013): averaging a supporting hyperplane of
-S over H gives an invariant one with the same gap, so the verdict is
-the same.  The lift of a frame functional is supported on the frame's
-pivot columns, and its average over H is constant on each coordinate
-orbit, so the invariant functionals are spanned by the indicators of
-the coordinate orbits that meet the pivot columns.  An invariant
-functional takes one value on each vertex orbit, so the LP has one row
-per H-orbit of S and one per H-orbit of the other vertices, and one
-column per independent orbit indicator (``_orbit_lp``).  A face
+the vertex map of every move of H from the vertex set's checked table
+(``FaceContext.symmetry``), with its coordinate map.  If H is not
+trivial the LP is solved over the H-invariant functionals only (Boedi,
+Herr and Joswig, Math. Program. 137, 2013): averaging a supporting
+hyperplane of S over H gives an invariant one with the same gap, so
+the verdict is the same.  The lift of a frame functional is supported
+on the frame's pivot columns, and its average over H is constant on
+each coordinate orbit, so the invariant functionals are spanned by the
+indicators of the coordinate orbits that meet the pivot columns.  Each
+orbit, of coordinates or of vertices, is labelled by its least point,
+a point's least image over all of H.  An invariant functional takes
+one value on each vertex orbit, so the LP has one row per H-orbit of
+S and one per H-orbit of the other vertices, and one column per
+independent orbit indicator (``_orbit_lp``).  A face
 certificate is the functional constant c_j on the coordinates of orbit
 j, verified by substitution on every vertex.  At zero gap each orbit
 row's multiplier is spread evenly over the orbit's members, y_t = y_O /
@@ -71,8 +73,8 @@ calls (``_vertex_map``: where a move sends every vertex).  The check
 (``_checked_symmetry``) asks for all n! vertices of qap(n) or phi(n)
 and for five generators of the group whose coordinate maps move the
 vertices as the table moves their permutations.  Both are group
-actions, so they then agree on every move, the stabiliser generators
-and the orbit links included; every certificate is still verified by
+actions, so they then agree on every move, the stabiliser's moves and
+the orbit links included; every certificate is still verified by
 substitution.  A fix-first scan also needs vertex 0 to be the identity.
 
 Subsets whose points are affinely dependent need no special casing: the
@@ -450,25 +452,33 @@ def _frame_lp(ctx: FaceContext, subset, others):
     return eps, None, (dual[: len(subset)], dual[len(subset) + 1 :])
 
 
-def _orbit_lp(ctx: FaceContext, subset, others, moves):
-    """The support-LP over the functionals invariant under the group H the moves generate.
+def _least_images(maps: list[list[int]]) -> list[int]:
+    """label[x]: the least image of x under the maps, the least point of x's orbit when they are a whole group."""
+    return [min(images) for images in zip(*maps)]
 
-    Same return as ``_frame_lp``.  The invariant affine functionals on
-    the hull are spanned by the indicators of the coordinate orbits of H
-    that meet the frame's pivot columns (module docstring).  Such a
-    functional takes one value on each vertex orbit: how many of the
-    vertex's one-positions lie in the coordinate orbit, here less the
-    count of vertex 0, the frame's origin.  With one row per vertex
-    orbit (the subset's orbits, the norm row, then the other orbits),
-    the columns are the coordinate orbits whose count columns are
-    independent of the ones before them (``greedy_basis``), so a column
-    j holds the value c_j that the functional takes on each coordinate of
-    its orbit.  At zero gap each orbit row's multiplier is spread evenly
-    over the orbit's members.
+
+def _orbit_lp(ctx: FaceContext, subset, others, moves):
+    """The support-LP over the functionals invariant under a group H, given by every one of its moves.
+
+    Same return as ``_frame_lp``.  moves holds the (vertex map,
+    coordinate map) of every move of H, not only of generators: a
+    point's least image over the whole group is the least point of its
+    orbit and labels the orbit (``_least_images``).  The invariant affine
+    functionals on the hull are spanned by the indicators of the
+    coordinate orbits of H that meet the frame's pivot columns (module
+    docstring).  Such a functional takes one value on each vertex orbit:
+    how many of the vertex's one-positions lie in the coordinate orbit,
+    here less the count of vertex 0, the frame's origin.  With one row
+    per vertex orbit (the subset's orbits, the norm row, then the other
+    orbits), the columns are the coordinate orbits whose count columns
+    are independent of the ones before them (``greedy_basis``), so a
+    column j holds the value c_j that the functional takes on each
+    coordinate of its orbit.  At zero gap each orbit row's multiplier is
+    spread evenly over the orbit's members.
     """
     vs = ctx.vs
-    coord = _orbit_labels(vs.scheme.ambient_dim, [cmap for _, cmap in moves])
-    vertex = _orbit_labels(len(vs), [vmap for vmap, _ in moves])
+    vertex = _least_images([vmap for vmap, _ in moves])
+    coord = _least_images([cmap for _, cmap in moves])
     groups: dict[int, list[int]] = {}  # the subset's orbits come first: they hold no other vertex
     for t in chain(subset, others):
         groups.setdefault(vertex[t], []).append(t)
@@ -667,44 +677,16 @@ def _stabiliser(table: _Symmetry, subset) -> list[tuple[tuple[int, ...], tuple[i
     return found
 
 
-def _then(first, second):
-    """The move first, followed by the move second."""
-    a1, b1, t1 = first
-    a2, b2, t2 = second
-    if t2:  # b2.(b1.p^e.a1^-1)^-1.a2^-1 = (b2.a1).p^-e.(a2.b1)^-1
-        return compose(a2, b1), compose(b2, a1), not t1
-    return compose(a2, a1), compose(b2, b1), t1
-
-
-def _generators(group: list) -> list:
-    """The moves of group that lie outside the subgroup generated by those picked before them."""
-    n = len(group[0][0])
-    generated = {(tuple(range(n)), tuple(range(n)), False)}
-    picked = []
-    for move in group:
-        if move in generated:
-            continue
-        picked.append(move)
-        queue = list(generated)
-        for x in queue:  # the closure; the queue grows as it runs
-            for g in picked:
-                y = _then(x, g)
-                if y not in generated:
-                    generated.add(y)
-                    queue.append(y)
-    return picked
-
-
 # The smallest n at which is_face solves the orbit LP; see the module docstring.
 ORBIT_LP_MIN_N = 5
 
 
 def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[int]]]:
-    """(vertex map, coordinate map) of generators of the subset's stabiliser H.
+    """(vertex map, coordinate map) of every move of the subset's stabiliser H, as ``_stabiliser`` lists them.
 
     Empty, so that ``is_face`` solves the frame LP, unless the vertex set
     has a checked table (``FaceContext.symmetry``) with n >= ORBIT_LP_MIN_N
-    and H is not trivial.  The vertex maps are read from the table; one
+    and H is not trivial.  The vertex maps are read from the table; any
     that does not map the subset onto itself raises
     InternalInconsistencyError.
     """
@@ -718,29 +700,12 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
     if len(group) == 1:
         return []
     moves = []
-    for move in _generators(group):
+    for move in group:
         vmap = _vertex_map(table, move)
         if {vmap[s] for s in subset} != set(subset):
             raise InternalInconsistencyError("a stabiliser move does not map the subset onto itself")
         moves.append((vmap, coordinate_map(ctx.vs.scheme, *move)))
     return moves
-
-
-def _orbit_labels(size: int, maps: list[list[int]]) -> list[int]:
-    """label[x]: the least point of x's orbit under the group the maps generate."""
-    label = [-1] * size
-    for x in range(size):
-        if label[x] < 0:
-            label[x] = x
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for mp in maps:
-                    z = mp[y]
-                    if label[z] < 0:
-                        label[z] = x
-                        stack.append(z)
-    return label
 
 
 class _Orbits:

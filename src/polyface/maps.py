@@ -531,14 +531,14 @@ def brute_force_iso_search(dom, cod) -> IsoSearchResult:
     deps_d = [_int_row(v) for v in affine_dependencies(dpts)]
     # Echelonized codomain dependency space for membership tests.
     red = [_int_row(v) for v in affine_dependencies(cpts)]
-    # npts points spanning a hull of dimension d have npts - 1 - d independent affine dependencies
-    dim_d, dim_c = npts - 1 - len(deps_d), npts - 1 - len(red)
+    # npts points spanning a hull of dimension d have npts - 1 - d independent affine dependencies,
+    # so hulls of different dimensions differ in that count, and no bijection fits
+    if len(deps_d) != len(red):
+        return IsoSearchResult(found=False, tried=math.factorial(npts))
     piv = _eliminate(red, npts)
     tried = 0
     for perm in permutations(range(npts)):
         tried += 1
-        if dim_d != dim_c:
-            continue
         ok = True
         for dep in deps_d:
             t = [0] * npts

@@ -202,6 +202,22 @@ def test_check_survives_any_one_field_replaced(phi3_file, cert):
     assert main(["check", "--vertices", str(phi3_file), "--certificate", str(cpath)]) in (0, 1, 2)
 
 
+small_int_lists = st.lists(st.lists(st.integers(-1, 10), max_size=4), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["family", "n", "ambient_dim", "labels", "vertices"]), json_values | small_int_lists)
+def test_face_and_neighborly_survive_any_one_vertex_field_replaced(phi3_file, field, value):
+    vpath = phi3_file.parent / "spoiled.json"
+    vpath.write_text(json.dumps({**json.loads(phi3_file.read_text()), field: value}))
+    for argv in (
+        ["face", "--subset", "0,1"],
+        ["neighborly", "--k", "2"],
+        ["neighborly", "--k", "2", "--fix-first"],
+    ):
+        assert main(argv + ["--vertices", str(vpath)]) in (0, 1, 2)
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -305,6 +321,28 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, argv):
     code, out, err = run([a.format(v=vpath) for a in argv], capsys)
     assert code == 2
     assert "--jobs must be at least 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["neighborly", "--vertices", "{v}", "--k", "2", "--jobs", "3"],
+        ["verify", "phi-not-3-neighborly", "--n", "4", "--jobs", "3"],
+    ],
+    ids=["neighborly", "verify"],
+)
+def test_jobs_above_the_cpu_count_is_an_error_before_any_pool(tmp_path, capsys, monkeypatch, argv):
+    import multiprocessing
+    import os
+
+    vpath = tmp_path / "qap3.json"
+    run(["generate", "--family", "qap", "--n", "3", "--out", str(vpath)], capsys)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *args, **kwargs: pytest.fail("a pool was started"))
+    code, out, err = run([a.format(v=vpath) for a in argv], capsys)
+    assert code == 2
+    assert "--jobs must be at least 1 and at most the 2 CPUs (got 3)" in err
     assert out == ""
 
 

@@ -736,29 +736,51 @@ def test_a_symmetry_that_fails_its_check_leaves_is_face_on_the_frame_lp(phi5, mo
         ctx.symmetry()
 
 
-def _closure(identity, generators, then):
+def _closure(identity, maps):
+    """Every product of the maps, each a tuple of images."""
     group, queue = {identity}, [identity]
     for x in queue:
-        for g in generators:
-            y = then(x, g)
+        for g in maps:
+            y = tuple(g[t] for t in x)
             if y not in group:
                 group.add(y)
                 queue.append(y)
     return group
 
 
-@pytest.mark.parametrize("pair", PHI5_FACETEST_PAIRS, ids=str)
-def test_picked_generators_generate_the_whole_stabiliser(pair, phi5):
-    """The moves _generators picks generate, under _then, the stabiliser that
-    _stabiliser lists, and so do their checked vertex maps."""
-    vs, ctx = phi5
-    subset = (0, *pair)
-    group = faces._stabiliser(ctx.symmetry(), subset)
-    identity = tuple(range(5))
-    generated = _closure((identity, identity, False), faces._generators(group), faces._then)
-    assert generated == set(group) and len(generated) == len(group)
-    vmaps = [tuple(vmap) for vmap, _ in faces._stabiliser_moves(ctx, subset)]
-    assert len(_closure(tuple(range(len(vs))), vmaps, lambda x, g: tuple(g[t] for t in x))) == len(group)
+# two fix-first representatives of qap(5) triples, with stabilisers of order 72 and 20
+QAP5_STABILISER_SUBSETS = ((0, 3, 4), (0, 33, 64))
+
+
+@pytest.mark.parametrize(
+    "case", PHI5_FACETEST_PAIRS + tuple(("qap", s) for s in QAP5_STABILISER_SUBSETS), ids=str
+)
+def test_picked_generators_generate_the_whole_stabiliser(case, phi5, qap5, monkeypatch):
+    """The moves _stabiliser_moves hands the orbit LP are the whole stabiliser
+    _stabiliser lists, one distinct vertex map each and closed under
+    composition, and the orbit LP labels every vertex and coordinate by the
+    least point of its orbit under the group they generate."""
+    if case[0] == "qap":
+        (vs, ctx), subset = qap5, case[1]
+    else:
+        (vs, ctx), subset = phi5, (0, *case)
+    moves = faces._stabiliser_moves(ctx, subset)
+    vmaps = {tuple(vmap) for vmap, _ in moves}
+    assert len(vmaps) == len(moves) == len(faces._stabiliser(ctx.symmetry(), subset))
+    assert _closure(tuple(range(len(vs))), vmaps) == vmaps
+    labels, least = [], faces._least_images
+
+    def recording(maps):
+        labels.append(least(maps))
+        return labels[-1]
+
+    monkeypatch.setattr(faces, "_least_images", recording)
+    assert _verifies(vs, subset, is_face(vs, subset, ctx))
+    expected = []
+    for size, maps in ((len(vs), vmaps), (vs.scheme.ambient_dim, {tuple(cmap) for _, cmap in moves})):
+        group = _closure(tuple(range(size)), maps)
+        expected.append([min(g[x] for g in group) for x in range(size)])
+    assert labels == expected
 
 
 def test_spread_dual_witness_passes_check(tmp_path, capsys):
