@@ -10,7 +10,8 @@ Three families share one storage format:
 
 Conventions (the single source of truth for index translation):
 
-* semantic multi-indices are 1-based, flat offsets are 0-based;
+* semantic multi-indices are 1-based, flat offsets are 0-based, and
+  ``IndexScheme.encode`` is the one translation between them;
 * a permutation sigma of S_n is the tuple of its 0-based images, the
   one form ``compose``, ``inverse``, ``label`` and the generators share;
   its label is the 1-based one-line notation;
@@ -32,7 +33,7 @@ import json
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
@@ -71,55 +72,33 @@ class IndexScheme:
     family: str  # "bqp" | "qap" | "phi"
     n: int
     ambient_dim: int
-    encode: Callable[..., int]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IndexScheme)
-            and (self.family, self.n, self.ambient_dim) == (other.family, other.n, other.ambient_dim)
-        )
-
-    def __hash__(self):
-        return hash((self.family, self.n, self.ambient_dim))
-
-    def __reduce__(self):
-        # encode is a closure, which pickle cannot send to a worker process
-        return scheme_for, (self.family, self.n)
+    def encode(self, *index) -> int:
+        """0-based flat offset of a 1-based multi-index: (i, j) in bqp,
+        (i, j, k, l) in qap, an edge pair (e, f) in phi; out of range raises ValueError."""
+        n = self.n
+        if self.family == "phi":
+            e, f = index
+            return edge_index(*e, n) * comb(n, 2) + edge_index(*f, n)
+        if not all(1 <= x <= n for x in index):
+            raise ValueError(f"{self.family} index out of range: {index}")
+        if self.family == "bqp":
+            i, j = index
+            return (i - 1) * n + (j - 1)
+        i, j, k, l = index
+        return ((i - 1) * n + (j - 1)) * n * n + (k - 1) * n + (l - 1)
 
 
 def bqp_scheme(m: int) -> IndexScheme:
-    def encode(i: int, j: int) -> int:
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise ValueError(f"bqp index out of range: ({i},{j})")
-        return (i - 1) * m + (j - 1)
-
-    return IndexScheme("bqp", m, m * m, encode)
+    return IndexScheme("bqp", m, m * m)
 
 
 def qap_scheme(n: int) -> IndexScheme:
-    def encode(i: int, j: int, k: int, l: int) -> int:
-        for x in (i, j, k, l):
-            if not 1 <= x <= n:
-                raise ValueError(f"qap index out of range: ({i},{j},{k},{l})")
-        return ((i - 1) * n + (j - 1)) * n * n + (k - 1) * n + (l - 1)
-
-    return IndexScheme("qap", n, n ** 4, encode)
+    return IndexScheme("qap", n, n ** 4)
 
 
 def phi_scheme(n: int) -> IndexScheme:
-    ne = comb(n, 2)
-
-    def encode(e: tuple[int, int], f: tuple[int, int]) -> int:
-        return edge_index(*e, n) * ne + edge_index(*f, n)
-
-    return IndexScheme("phi", n, ne * ne, encode)
-
-
-def scheme_for(family: str, n: int) -> IndexScheme:
-    try:
-        return {"bqp": bqp_scheme, "qap": qap_scheme, "phi": phi_scheme}[family](n)
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
+    return IndexScheme("phi", n, comb(n, 2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -289,6 +268,30 @@ def phi_vertices(n: int) -> VertexSet:
     return VertexSet(phi_scheme(n), tuple(map(label, perms)), tuple(map(phi_vertex, perms)))
 
 
+# Each family's scheme constructor and vertex generator, the one family
+# dispatch of ``scheme_for`` and ``generate``.
+_FAMILIES = {
+    "bqp": (bqp_scheme, bqp_vertices),
+    "qap": (qap_scheme, qap_vertices),
+    "phi": (phi_scheme, phi_vertices),
+}
+
+
+def _family(family: str):
+    try:
+        return _FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+
+
+def scheme_for(family: str, n: int) -> IndexScheme:
+    return _family(family)[0](n)
+
+
+def generate(family: str, n: int) -> VertexSet:
+    return _family(family)[1](n)
+
+
 # The desk-scale guards of ``polyface generate``: the largest order of each
 # family it writes without --force.
 GENERATE_GUARDS = {"bqp": 16, "qap": 7, "phi": 7}
@@ -300,13 +303,3 @@ MAX_DENSE_CELLS = max(
     (2 ** n if family == "bqp" else factorial(n)) * scheme_for(family, n).ambient_dim
     for family, n in GENERATE_GUARDS.items()
 )
-
-
-def generate(family: str, n: int) -> VertexSet:
-    if family == "bqp":
-        return bqp_vertices(n)
-    if family == "qap":
-        return qap_vertices(n)
-    if family == "phi":
-        return phi_vertices(n)
-    raise ValueError(f"unknown family {family!r}")

@@ -225,8 +225,8 @@ def _h_indicator_cells(i: int, k: int):
     return cells
 
 
-def lemma1_face_iso(n: int, vs: VertexSet | None = None) -> FaceIsoResult:
-    """Face of phi(n) fixing graph vertices 4..n, mapped onto phi(3).
+def lemma1_face_iso(n: int) -> FaceIsoResult:
+    """Face of ``phi_vertices(n)`` fixing graph vertices 4..n, mapped onto phi(3).
 
     forward: projection onto the 9 coordinates with all endpoints in [3];
     inverse: reconstructs every coordinate, using h_{ik} (an affine
@@ -235,8 +235,7 @@ def lemma1_face_iso(n: int, vs: VertexSet | None = None) -> FaceIsoResult:
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    if vs is None:
-        vs = phi_vertices(n)
+    vs = phi_vertices(n)
     ps, p3 = phi_scheme(n), phi_scheme(3)
     equations = []
     for i, j in edge_list(n):
@@ -312,8 +311,8 @@ def _block(x: int) -> int:
     return (x + 1) // 2
 
 
-def thm2_face_iso(k: int, vs: VertexSet | None = None) -> FaceIsoResult:
-    """Face of phi(2k) whose generators swap or fix each pair (2i-1, 2i).
+def thm2_face_iso(k: int) -> FaceIsoResult:
+    """Face of ``phi_vertices(2k)`` whose generators swap or fix each pair (2i-1, 2i).
 
     The face is cut out by fixing the intra-pair coordinates to one; its
     vertices correspond to bit vectors u with u_i = 1 exactly when pair i
@@ -323,8 +322,7 @@ def thm2_face_iso(k: int, vs: VertexSet | None = None) -> FaceIsoResult:
     if k < 2:
         raise ValueError("need k >= 2")
     n2 = 2 * k
-    if vs is None:
-        vs = phi_vertices(n2)
+    vs = phi_vertices(n2)
     ps, bs = phi_scheme(n2), bqp_scheme(k)
     equations = [(ps.encode((2 * i - 1, 2 * i), (2 * i - 1, 2 * i)), 1) for i in range(1, k + 1)]
     face = face_by_equations(vs, equations)
@@ -403,7 +401,7 @@ def thm2_face_iso(k: int, vs: VertexSet | None = None) -> FaceIsoResult:
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             A, B, C, D = 2 * i - 1, 2 * i, 2 * j - 1, 2 * j
-            enc = lambda e, f: ps.encode(e, f)
+            enc = ps.encode
             groups.append(("equal", (enc((A, C), (A, C)), enc((A, D), (A, D)), enc((B, C), (B, C)), enc((B, D), (B, D)))))
             groups.append(("equal", (enc((A, C), (A, D)), enc((A, D), (A, C)), enc((B, C), (B, D)), enc((B, D), (B, C)))))
             groups.append(("equal", (enc((A, C), (B, C)), enc((A, D), (B, D)), enc((B, C), (A, C)), enc((B, D), (A, D)))))

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
 import pytest
@@ -216,6 +218,43 @@ def test_face_and_neighborly_survive_any_one_vertex_field_replaced(phi3_file, fi
         ["neighborly", "--k", "2", "--fix-first"],
     ):
         assert main(argv + ["--vertices", str(vpath)]) in (0, 1, 2)
+
+
+def _exit_code(argv):
+    """main's exit code and stderr, with argparse's SystemExit read as its code."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(max_size=12) | st.lists(st.integers(-2, 8), max_size=7).map(lambda xs: ",".join(map(str, xs))))
+@example("٣")
+@example("1_0")
+@example("9" * 5000)
+@example("0,,1")
+def test_face_survives_any_subset_text(phi3_file, subset):
+    code, err = _exit_code(["face", "--vertices", str(phi3_file), "--subset", subset])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+flag_values = st.text(max_size=6) | st.integers(-2, 7).map(str)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag_values, flag_values)
+@example("2", "2")
+@example("3", "1")
+@example("9" * 5000, "1")
+def test_neighborly_survives_any_k_and_jobs(phi3_file, k, jobs):
+    code, err = _exit_code(["neighborly", "--vertices", str(phi3_file), "--k", k, "--jobs", jobs])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -526,6 +526,18 @@ def test_orbit_scan_parallel_matches_serial():
     assert k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True, jobs=2) == stopped
 
 
+@pytest.mark.parametrize(
+    "vs, fix_first", [(phi_vertices(4), True), (bqp_vertices(3), False)], ids=["phi4-fix-first", "bqp3-exhaustive"]
+)
+def test_scan_through_spawned_workers_matches_serial(monkeypatch, vs, fix_first):
+    """spawn, the default start method on macOS and Windows, pickles the vertex set and context to each worker."""
+    import multiprocessing
+
+    serial = k_neighborly_scan(vs, 3, fix_first=fix_first)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert k_neighborly_scan(vs, 3, fix_first=fix_first, jobs=2) == serial
+
+
 def _reordered(vs, order):
     return VertexSet(vs.scheme, tuple(vs.labels[i] for i in order), tuple(vs.vertices[i] for i in order))
 

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from itertools import permutations, product
 from math import comb, factorial
@@ -23,6 +24,7 @@ from polyface.families import (
     qap_scheme,
     qap_vertex,
     qap_vertices,
+    scheme_for,
 )
 
 # The six 3x3 edge matrices of K_3 in display order: identity, the two
@@ -84,6 +86,36 @@ def test_schemes_encode_decode_round_trip():
     b = bqp_scheme(3)
     box = product(range(1, 4), repeat=2)
     assert sorted(b.encode(*idx) for idx in box) == list(range(b.ambient_dim))
+
+
+@pytest.mark.parametrize(
+    "family, n, index",
+    [
+        ("bqp", 3, (0, 1)),
+        ("bqp", 3, (1, 4)),
+        ("qap", 3, (1, 1, 1, 0)),
+        ("qap", 3, (4, 1, 1, 1)),
+        ("phi", 4, ((1, 2), (2, 5))),
+        ("phi", 4, ((2, 1), (1, 2))),
+    ],
+)
+def test_encode_rejects_an_out_of_range_index(family, n, index):
+    with pytest.raises(ValueError, match="out of range|need 1 <= i < j <= n"):
+        scheme_for(family, n).encode(*index)
+
+
+@pytest.mark.parametrize("family, n", [("bqp", 3), ("qap", 3), ("phi", 4)])
+def test_scheme_is_a_value(family, n):
+    """A scheme pickles, compares and hashes by its fields, as a worker process receives it."""
+    s = pickle.loads(pickle.dumps(scheme_for(family, n)))
+    assert s == scheme_for(family, n) and hash(s) == hash(scheme_for(family, n))
+    assert s != scheme_for(family, n + 1)
+
+
+def test_unknown_family_is_one_error():
+    for build in (scheme_for, generate):
+        with pytest.raises(ValueError, match="unknown family 'xyz'"):
+            build("xyz", 3)
 
 
 def test_bqp_counts_and_guard():
