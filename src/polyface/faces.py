@@ -55,27 +55,45 @@ n = 4 it does not pay: the 10 representatives of qap(4) triples took
 23 ms against 16 ms (phi(4): 16 ms either way).  A vertex set that
 lacks a vertex has no such symmetry to use.
 
-Scans: ``k_neighborly_scan`` tests subsets in lex order.  With
-fix_first (qap and phi) it scans the subsets through vertex 0 and
-solves one support-LP per orbit of the S_n x S_n x C_2 symmetry (the
-action is stated once, in ``families.coordinate_map``), each through
-``is_face`` and so through the orbit LP where its rule applies.
-The other members of an orbit get the representative's certificate
-moved by one move (a, b, transpose), the one form a move takes, and
-each is re-verified by substitution.  The orbit search finds its moves
-as ``_stabiliser`` does: once one member's image is fixed, a fixes b
-(``_forced``).
+Scans: ``k_neighborly_scan`` tests subsets in lex order and solves one
+representative per orbit of a checked symmetry (the action is stated
+once, in ``families.coordinate_map``).  With fix_first (qap and phi) it
+scans the subsets through vertex 0 under S_n x S_n x C_2.  On a full
+bqp(m) set without fix_first it scans every k-subset under the bit
+permutations S_m, the moves (a, a, False); any other scan makes every
+subset a representative.  The other members of an orbit get the
+representative's certificate moved by one move (a, b, transpose), the
+one form a move takes, and each is re-verified by substitution.  The
+fix-first orbit search finds its moves as ``_stabiliser`` does: once
+one member's image is fixed, a fixes b (``_forced``); the bit orbits
+are walked from the representative by a transposition and an m-cycle.
 
-The symmetry is checked once per vertex set, and both searches read
-the outcome from ``FaceContext.symmetry``: the permutation behind each
-vertex, the vertex of each permutation, and products as ``itemgetter``
-calls (``_vertex_map``: where a move sends every vertex).  The check
-(``_checked_symmetry``) asks for all n! vertices of qap(n) or phi(n)
-and for five generators of the group whose coordinate maps move the
-vertices as the table moves their permutations.  Both are group
-actions, so they then agree on every move, the stabiliser's moves and
-the orbit links included; every certificate is still verified by
-substitution.  A fix-first scan also needs vertex 0 to be the identity.
+Coordinate fixings come before any LP (Ziegler, "Lectures on
+0/1-polytopes", DMV Seminar 29, 2000).  Each vertex is one integer
+bitmask of its one-positions (``FaceContext.masks``).  With I the AND
+and U the OR of the representative's masks, fixing every coordinate on
+which S agrees cuts out the face F = {v : I <= v <= U}.  When F holds
+only S, the fixing functional certifies S with gap 1 and no LP is
+solved (``_fixings``, ``_fixing_certificate``): on a vertex set whose
+vertices all have w ones (qap, phi) it is 1 on U plus 1 on I, with
+offset w + |I|; otherwise +1 on I and -1 off U, with offset |I|.  It is
+verified by substitution like every certificate.  A representative
+whose F is larger goes to ``is_face`` unchanged, so a non-face witness
+always comes from the support LP.
+
+The symmetry is checked once per vertex set, and the searches read the
+outcome from ``FaceContext.symmetry``: for qap and phi the permutation
+behind each vertex, the vertex of each permutation, and products as
+``itemgetter`` calls; for bqp the bit vector behind each vertex.  Each
+table's ``vertex_map`` says where a move sends every vertex.  The check
+(``_checked_symmetry``) asks for all n! vertices of qap(n) or phi(n),
+or all 2^m of bqp(m), and for generators of the group (five for qap
+and phi, a transposition and an m-cycle of the bits for bqp) whose
+coordinate maps move the vertices as the table moves their
+permutations or bit vectors.  Both are group actions, so they then
+agree on every move, the stabiliser's moves and the orbit links
+included; every certificate is still verified by substitution.  A
+fix-first scan also needs vertex 0 to be the identity.
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -96,7 +114,7 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -105,7 +123,16 @@ from operator import itemgetter
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame, greedy_basis
-from .families import MAX_DENSE_CELLS, VertexSet, compose, coordinate_map, inverse, phi_vertex, qap_vertex
+from .families import (
+    MAX_DENSE_CELLS,
+    VertexSet,
+    bqp_vertex_offsets,
+    compose,
+    coordinate_map,
+    inverse,
+    phi_vertex,
+    qap_vertex,
+)
 from .simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -300,9 +327,11 @@ class FaceContext:
     Holds the affine-hull frame, every vertex's frame coordinates as
     integer rows over one denominator (vertex t sits at coords[t] /
     coords_den), and the reusable LP rows, whose Fraction coefficients
-    are built from those integers on first use.  Once first asked for,
-    it also holds the outcome of the symmetry check (``symmetry``): the
-    checked permutation table, or the reason the vertex set has none.
+    are built from those integers on first use.  masks[t] is vertex t's
+    one-positions as one integer bitmask, and weight their common number
+    of ones, or None when the vertices differ in it.  Once first asked
+    for, it also holds the outcome of the symmetry check (``symmetry``):
+    the checked table, or the reason the vertex set has none.
     """
 
     def __init__(self, vs: VertexSet):
@@ -317,8 +346,11 @@ class FaceContext:
         self.frame: AffineHullFrame = affine_hull_frame(dense)
         self.coords, self.coords_den = self.frame.integer_coords(dense)
         self.norm_row = _norm_row(self.frame.dim)
+        self.masks = [sum(1 << o for o in v) for v in vs.vertices]
+        weights = {len(v) for v in vs.vertices}
+        self.weight = weights.pop() if len(weights) == 1 else None
         self._rows: dict[tuple[int, str], Constraint] = {}
-        self._symmetry: _Symmetry | str | None = None
+        self._symmetry: _Symmetry | _BitSymmetry | str | None = None
 
     def outside_row(self, t: int) -> Constraint:
         return self._frame_row(t, "<=")
@@ -333,7 +365,7 @@ class FaceContext:
             row = self._rows[t, rel] = _lp_row(tuple(Q(x, self.coords_den) for x in self.coords[t]), rel)
         return row
 
-    def symmetry(self) -> _Symmetry:
+    def symmetry(self) -> _Symmetry | _BitSymmetry:
         """The vertex set's table from ``_checked_symmetry``, checked on first use and kept, as the LP rows are.
 
         A vertex set without one raises the same ValueError every time.
@@ -348,29 +380,88 @@ class FaceContext:
         return self._symmetry
 
 
+def _swap_and_cycle(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transposition of 0 and 1 and the n-cycle i -> i + 1, which generate S_n."""
+    return (1, 0, *range(2, n)), (*range(1, n), 0)
+
+
 @dataclass(frozen=True)
 class _Symmetry:
-    """The permutation behind each vertex and its products: itemgetter(*p)(x) is compose(x, p) in one C call."""
+    """The permutation behind each vertex of qap(n) or phi(n) and its products: itemgetter(*p)(x) is compose(x, p)
+    in one C call."""
 
     perms: list[tuple[int, ...]]  # of each vertex, as the tuple of its 0-based images
     index: dict[tuple[int, ...], int]  # the vertex of each permutation
     get: list[itemgetter]  # itemgetter(*perms[t])
     undo: list[itemgetter]  # itemgetter(*inverse(perms[t]))
 
+    def vertex_map(self, move) -> list[int]:
+        """The vertex each vertex goes to under the move (a, b, transpose): p to b.p.a^-1, or b.p^-1.a^-1."""
+        a, b, transpose = move
+        a_undo = self.undo[self.index[a]]
+        return [self.index[a_undo(get(b))] for get in (self.undo if transpose else self.get)]
 
-def _vertex_map(table: _Symmetry, move) -> list[int]:
-    """The vertex each vertex goes to under the move (a, b, transpose): p to b.p.a^-1, or b.p^-1.a^-1."""
-    a, b, transpose = move
-    a_undo = table.undo[table.index[a]]
-    return [table.index[a_undo(get(b))] for get in (table.undo if transpose else table.get)]
+    def scanned(self, k: int) -> list[tuple[int, ...]]:
+        """The subsets a fix-first scan walks: the k-subsets through vertex 0, which must be the identity."""
+        if self.perms[0] != tuple(range(len(self.perms[0]))):
+            raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
+        return [(0,) + rest for rest in combinations(range(1, len(self.perms)), k - 1)]
+
+    def orbit(self, subset, position: dict, seen: bytearray):
+        """(j, move) for each scanned subset j of subset's orbit not yet seen, now marked seen, with a move
+        from subset to it: the 2 k n! moves that send a member of subset to the identity, so that a fixes b
+        (``_forced``), reach every member of the orbit through vertex 0."""
+        perms, index = self.perms, self.index
+        members = [perms[s] for s in subset]
+        for transpose in (False, True):
+            for s in range(len(subset)):
+                q, steps = _forced(members, s, transpose)
+                forced_b, steps = itemgetter(*q), [itemgetter(*d) for d in steps]
+                for a, a_undo in zip(perms, self.undo):  # member u goes to a.d_u.a^-1
+                    j = position[tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))]
+                    if not seen[j]:
+                        seen[j] = 1
+                        yield j, (a, perms[index[forced_b(a)]], transpose)
 
 
-def _checked_symmetry(vs: VertexSet) -> _Symmetry:
-    """The table of vs; ValueError, a fix-first scan's refusal, unless it holds all n! vertices of qap(n) or
-    phi(n) and the coordinate maps of five generators of the group move them as ``_vertex_map`` says."""
+@dataclass(frozen=True)
+class _BitSymmetry:
+    """The bit vector u behind each vertex u (x) u of bqp(m), as a tuple of 0/1 entries, and the vertex of each."""
+
+    bits: list[tuple[int, ...]]
+    index: dict[tuple[int, ...], int]
+
+    def vertex_map(self, move) -> list[int]:
+        """The vertex each vertex goes to under the bit permutation (a, a, False): u to u' with u'(a(i)) = u(i)."""
+        get = itemgetter(*inverse(move[0]))
+        return [self.index[get(u)] for u in self.bits]
+
+    def scanned(self, k: int) -> list[tuple[int, ...]]:
+        """Every k-subset: the bit permutations fix the zero vector, so no single vertex meets every orbit."""
+        return list(combinations(range(len(self.bits)), k))
+
+    def orbit(self, subset, position: dict, seen: bytearray):
+        """(j, move) for each subset j of subset's orbit not yet seen, now marked seen, with a move from subset
+        to it: the orbit is walked from subset by a transposition and an m-cycle, and each move is the product
+        of the steps that reached its subset."""
+        m = len(self.bits[0])
+        steps = [(g, self.vertex_map((g, g, False))) for g in _swap_and_cycle(m)]
+        queue = [(subset, tuple(range(m)))]
+        for member, a in queue:
+            for g, vmap in steps:
+                image = tuple(sorted(vmap[t] for t in member))
+                j = position[image]
+                if not seen[j]:
+                    seen[j] = 1
+                    b = compose(g, a)
+                    queue.append((image, b))
+                    yield j, (b, b, False)
+
+
+def _permutation_table(vs: VertexSet) -> _Symmetry:
+    """The table of a vertex set that holds all n! vertices of qap(n) or phi(n); ValueError, a fix-first scan's
+    refusal, otherwise."""
     scheme = vs.scheme
-    if scheme.family not in ("qap", "phi"):
-        raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
     if len(vs) != math.factorial(scheme.n):
         raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
     make = qap_vertex if scheme.family == "qap" else phi_vertex
@@ -380,15 +471,45 @@ def _checked_symmetry(vs: VertexSet) -> _Symmetry:
         where = f"vertex {perms.index(None)} is not in {scheme.family}({scheme.n})"
         raise ValueError(f"fix-first reduction refused: {where}")
     index = {p: t for t, p in enumerate(perms)}
-    table = _Symmetry(perms, index, [itemgetter(*p) for p in perms], [itemgetter(*inverse(p)) for p in perms])
-    n = scheme.n
-    ident, swap, cycle = tuple(range(n)), (1, 0, *range(2, n)), (*range(1, n), 0)
-    sides = [(g, ident, False) for g in (swap, cycle)] + [(ident, g, False) for g in (swap, cycle)]
-    for move in sides + [(ident, ident, True)]:  # a transposition and an n-cycle on either side, and inversion
+    return _Symmetry(perms, index, [itemgetter(*p) for p in perms], [itemgetter(*inverse(p)) for p in perms])
+
+
+def _bit_table(vs: VertexSet) -> _BitSymmetry:
+    """The table of a vertex set that holds all 2^m tensor squares of bqp(m); ValueError otherwise."""
+    m = vs.scheme.n
+    if m < 2:
+        raise ValueError("bit-permutation reduction refused: bqp needs m >= 2")
+    if len(vs) != 2 ** m:
+        raise ValueError("bit-permutation reduction refused: a move does not map the vertex set onto itself")
+    bits = []
+    for t, v in enumerate(vs.vertices):
+        ones = set(v)
+        u = tuple(int(i * (m + 1) in ones) for i in range(m))  # the diagonal of u (x) u
+        if bqp_vertex_offsets(u, m) != v:
+            raise ValueError(f"bit-permutation reduction refused: vertex {t} is not a tensor square")
+        bits.append(u)
+    return _BitSymmetry(bits, {u: t for t, u in enumerate(bits)})  # 2^m distinct squares: all of them
+
+
+def _checked_symmetry(vs: VertexSet) -> _Symmetry | _BitSymmetry:
+    """The table of vs; ValueError unless it holds every vertex of its family and order (``_permutation_table``,
+    ``_bit_table``) and the coordinate maps of generators of the group move them as the table's
+    ``vertex_map`` says: a transposition and an n-cycle on either side and inversion for qap and phi, a
+    transposition and an m-cycle of the bits for bqp."""
+    scheme = vs.scheme
+    ident, (swap, cycle) = tuple(range(scheme.n)), _swap_and_cycle(scheme.n)
+    if scheme.family == "bqp":
+        table, refused, what = _bit_table(vs), "bit-permutation reduction refused", "bit vectors"
+        moves = [(g, g, False) for g in (swap, cycle)]
+    else:
+        table, refused, what = _permutation_table(vs), "fix-first reduction refused", "permutations"
+        moves = [(g, ident, False) for g in (swap, cycle)] + [(ident, g, False) for g in (swap, cycle)]
+        moves.append((ident, ident, True))
+    for move in moves:
         cmap = coordinate_map(scheme, *move)
-        images = (vs.vertices[u] for u in _vertex_map(table, move))
+        images = (vs.vertices[u] for u in table.vertex_map(move))
         if any(tuple(sorted(cmap[o] for o in v)) != w for v, w in zip(vs.vertices, images)):
-            raise ValueError("fix-first reduction refused: a move maps the vertices unlike their permutations")
+            raise ValueError(f"{refused}: a move maps the vertices unlike their {what}")
     return table
 
 
@@ -685,12 +806,12 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
     """(vertex map, coordinate map) of every move of the subset's stabiliser H, as ``_stabiliser`` lists them.
 
     Empty, so that ``is_face`` solves the frame LP, unless the vertex set
-    has a checked table (``FaceContext.symmetry``) with n >= ORBIT_LP_MIN_N
-    and H is not trivial.  The vertex maps are read from the table; any
-    that does not map the subset onto itself raises
+    is qap(n) or phi(n) with a checked table (``FaceContext.symmetry``),
+    n >= ORBIT_LP_MIN_N and H is not trivial.  The vertex maps are read
+    from the table; any that does not map the subset onto itself raises
     InternalInconsistencyError.
     """
-    if ctx.vs.scheme.n < ORBIT_LP_MIN_N:
+    if ctx.vs.scheme.family == "bqp" or ctx.vs.scheme.n < ORBIT_LP_MIN_N:
         return []
     try:
         table = ctx.symmetry()
@@ -701,7 +822,7 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
         return []
     moves = []
     for move in group:
-        vmap = _vertex_map(table, move)
+        vmap = table.vertex_map(move)
         if {vmap[s] for s in subset} != set(subset):
             raise InternalInconsistencyError("a stabiliser move does not map the subset onto itself")
         moves.append((vmap, coordinate_map(ctx.vs.scheme, *move)))
@@ -709,26 +830,23 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
 
 
 class _Orbits:
-    """The k-subsets through vertex 0, split into orbits of S_n x S_n x C_2.
+    """The scanned k-subsets, split into orbits of the vertex set's checked symmetry (``FaceContext.symmetry``).
 
-    The moves (a, b, transpose) act on qap(n) and phi(n) as permutations
+    On qap(n) and phi(n) these are the subsets through vertex 0 under
+    S_n x S_n x C_2, on bqp(m) every k-subset under the bit permutations
+    S_m (``scanned``).  The moves (a, b, transpose) act as permutations
     of the coordinates (``coordinate_map``), so they map faces to faces
-    and carry certificates.  Every orbit meets the subsets through vertex
-    0, listed in lex order in subsets; the first one not yet seen is its
-    orbit's lex-min member, its representative.  A move that sends the
-    representative to such a subset sends a member to the identity, and
-    then a fixes b (``_forced``), so these 2 k n! moves reach the orbit.
-    links[i] is None for a representative, else (r, move) with the move
-    mapping subsets[r] onto subsets[i].
+    and carry certificates.  The subsets are listed in lex order in
+    subsets; the first one not yet seen is its orbit's lex-min member,
+    its representative, and the table's ``orbit`` reaches the rest of
+    its orbit.  links[i] is None for a representative, else (r, move)
+    with the move mapping subsets[r] onto subsets[i].
     """
 
     def __init__(self, ctx: FaceContext, k: int):
         self.vs = ctx.vs
         self.table = ctx.symmetry()
-        perms, index, undo = self.table.perms, self.table.index, self.table.undo
-        if perms[0] != tuple(range(len(perms[0]))):
-            raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
-        self.subsets = [(0,) + rest for rest in combinations(range(1, len(perms)), k - 1)]
+        self.subsets = self.table.scanned(k)
         position = {s: i for i, s in enumerate(self.subsets)}
         self.links: list[tuple[int, tuple] | None] = [None] * len(self.subsets)
         seen = bytearray(len(self.subsets))
@@ -738,16 +856,8 @@ class _Orbits:
                 continue
             seen[i] = 1
             self.count += 1
-            members = [perms[s] for s in subset]
-            for transpose in (False, True):
-                for s in range(k):
-                    q, steps = _forced(members, s, transpose)
-                    forced_b, steps = itemgetter(*q), [itemgetter(*d) for d in steps]
-                    for a, a_undo in zip(perms, undo):  # member u goes to a.d_u.a^-1
-                        j = position[tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))]
-                        if not seen[j]:
-                            seen[j] = 1
-                            self.links[j] = (i, (a, perms[index[forced_b(a)]], transpose))
+            for j, move in self.table.orbit(subset, position, seen):
+                self.links[j] = (i, move)
 
     def carry(self, i: int, solved: dict):
         """Certificate for subsets[i], carried from its representative's in solved by the one move of its link."""
@@ -759,11 +869,49 @@ class _Orbits:
             moved[o] = x
         if face:
             return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
-        weight, vmap = [None] * len(self.vs), _vertex_map(self.table, move)
+        weight, vmap = [None] * len(self.vs), self.table.vertex_map(move)
         for t, x in zip(chain(*_split(self.vs, self.subsets[r])), chain(cert.alpha, cert.mu)):
             weight[vmap[t]] = x
         image, others = _split(self.vs, self.subsets[i])
         return NonFaceWitness(tuple(weight[t] for t in image), tuple(weight[t] for t in others), tuple(moved))
+
+
+def _fixings(ctx: FaceContext, subset) -> tuple[int, int] | None:
+    """(I, U), the AND and the OR of the subset's vertex masks, when the coordinate face {v : I <= v <= U}
+    holds only the subset; None as soon as it holds one vertex more."""
+    masks = ctx.masks
+    inter = union = masks[subset[0]]
+    for s in subset[1:]:
+        inter &= masks[s]
+        union |= masks[s]
+    spare = len(subset)  # the face holds the subset itself
+    for v in masks:
+        if v & inter == inter and v | union == union:
+            spare -= 1
+            if spare < 0:
+                return None
+    return inter, union
+
+
+_ZERO, _ONE, _TWO, _MINUS_ONE = Q(0), Q(1), Q(2), Q(-1)
+
+
+def _fixing_certificate(vs: VertexSet, subset, inter: int, union: int, weight: int | None) -> FaceCertificate:
+    """The coordinate-fixing functional of ``_fixings``, as a face certificate with gap 1, verified by substitution.
+
+    With every vertex of weight w it is 1 on U plus 1 on I, with offset
+    w + |I|: a vertex outside U or missing a coordinate of I loses at
+    least 1.  With weight None it is +1 on I and -1 off U, with offset |I|.
+    """
+    if weight is None:
+        on_i, on_u, off_u, offset = _ONE, _ZERO, _MINUS_ONE, inter.bit_count()
+    else:
+        on_i, on_u, off_u, offset = _TWO, _ONE, _ZERO, weight + inter.bit_count()
+    normal = (on_i if inter >> o & 1 else on_u if union >> o & 1 else off_u for o in range(vs.scheme.ambient_dim))
+    cert = FaceCertificate(tuple(normal), Q(offset), _ONE)
+    if not verify_face_certificate(vs, subset, cert):
+        raise InternalInconsistencyError("coordinate-fixing certificate failed substitution")
+    return cert
 
 
 _WORKER_STATE: dict = {}
@@ -798,33 +946,43 @@ def _pooled_is_face(pool, reps, chunk: int, window: int):
 def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits | None, jobs: int):
     """(subset, verified certificate) for every scanned subset, in lex order.
 
-    Without orbits every k-subset is a representative.  Representatives
-    are solved by ``is_face``, through a pool of jobs worker processes
-    when jobs > 1; every other subset gets its representative's
-    certificate carried over and re-verified by substitution.
+    Without orbits every k-subset is a representative.  A representative
+    whose coordinate face holds only itself (``_fixings``) gets the
+    fixing certificate, in this process; the others are solved by
+    ``is_face``, through a pool of jobs worker processes when jobs > 1.
+    Every other subset gets its representative's certificate carried
+    over and re-verified by substitution.
     """
     if orbits is None:
-        # reps is read apart from subsets, so it is an iterator of its own
         subsets, links = combinations(range(len(vs)), k), repeat(None)
-        reps = combinations(range(len(vs)), k)
     else:
         subsets, links = orbits.subsets, orbits.links
-        reps = [s for s, link in zip(subsets, links) if link is None]
     with ExitStack() as stack:
         if jobs == 1:
-            results = (is_face(vs, s, ctx) for s in reps)
+            results = None
         else:
             import multiprocessing as mp
 
             pool = mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs, ctx))
             stack.callback(pool.join)
             stack.callback(pool.close)  # runs first
+            # The pool reads ahead of the loop below, so it repeats the fixing test of each representative
+            # (integer operations on the vertex masks) rather than hold every fixed one it passes.
+            if orbits is None:
+                reps = combinations(range(len(vs)), k)
+            else:
+                reps = (s for s, link in zip(subsets, links) if link is None)
             # representatives of orbits are few and slow, so they go one at a time
-            results = _pooled_is_face(pool, reps, 16 if orbits is None else 1, 2 * jobs)
+            lp_reps = (s for s in reps if _fixings(ctx, s) is None)
+            results = _pooled_is_face(pool, lp_reps, 16 if orbits is None else 1, 2 * jobs)
         solved = {}
         for i, (subset, link) in enumerate(zip(subsets, links)):
             if link is None:
-                cert = next(results)
+                fixed = _fixings(ctx, subset)
+                if fixed is not None:
+                    cert = _fixing_certificate(vs, subset, *fixed, ctx.weight)
+                else:
+                    cert = is_face(vs, subset, ctx) if results is None else next(results)
                 if orbits is not None:
                     solved[i] = cert
             else:
@@ -848,16 +1006,22 @@ def k_neighborly_scan(
 
     Subsets are scanned in lexicographic order, so reports do not depend
     on jobs.  With fix_first (qap and phi only) the scanned subsets are
-    those through vertex 0, and only one LP is solved per orbit of
-    ``_Orbits``: the orbit's lex-min member, reached first in the scan.
-    The other members get its certificate carried over by the symmetry
-    and re-verified by substitution, so every verdict and count is the
-    one a subset-by-subset scan gives.  The first non-face in lex order is
-    the lex-min member of its orbit, so the scan stops at the same
-    counterexample, with the witness ``is_face`` returns for it.  The
-    symmetry is checked on the vertex set first (``FaceContext.symmetry``,
-    and vertex 0 must be the identity); a vertex set it does not fit
-    raises ValueError.
+    those through vertex 0, and only one representative is solved per
+    orbit of ``_Orbits``: the orbit's lex-min member, reached first in
+    the scan.  A full bqp(m) set is scanned the same way without
+    fix_first, over all k-subsets and the bit permutations.  A
+    representative is solved by coordinate fixings where they single it
+    out, else by ``is_face``.  The other members get its certificate
+    carried over by the symmetry and re-verified by substitution, so
+    every verdict and count is the one a subset-by-subset scan gives.
+    The first non-face in lex order is the lex-min member of its orbit,
+    so the scan stops at the same counterexample, with the witness
+    ``is_face`` returns for it.  The symmetry is checked on the vertex
+    set first (``FaceContext.symmetry``, and vertex 0 must be the
+    identity); with fix_first a vertex set it does not fit raises
+    ValueError, and a bqp set that fails it is scanned subset by subset.
+    In symmetry_reduction, "LPs for N of the M orbits" counts the N
+    representatives scanned, each solved by an LP or by fixings.
     """
     n = len(vs)
     if not 1 <= k < n:
@@ -865,7 +1029,14 @@ def k_neighborly_scan(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     ctx = _context(vs, ctx)
-    orbits = _Orbits(ctx, k) if fix_first else None
+    orbits = None
+    if fix_first:
+        if vs.scheme.family == "bqp":
+            raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
+        orbits = _Orbits(ctx, k)
+    elif vs.scheme.family == "bqp":
+        with suppress(ValueError):  # no checked bit symmetry: every subset is a representative
+            orbits = _Orbits(ctx, k)
     total = faces = 0
     first_bad = None
     first_wit = None
@@ -884,9 +1055,14 @@ def k_neighborly_scan(
         symmetry = "none (exhaustive scan)"
     else:
         solved = sum(link is None for link in orbits.links[:total])
+        m = vs.scheme.n
+        if vs.scheme.family == "bqp":
+            group, scanned = f"S_{m} (bit permutations)", f"{k}-subsets"
+        else:
+            group = f"S_{m} x S_{m} x C_2 (left and right multiplication, inversion)"
+            scanned = f"{k}-subsets through vertex 0"
         symmetry = (
-            f"S_{vs.scheme.n} x S_{vs.scheme.n} x C_2 (left and right multiplication, inversion): "
-            f"LPs for {solved} of the {orbits.count} orbits of {k}-subsets through vertex 0, "
+            f"{group}: LPs for {solved} of the {orbits.count} orbits of {scanned}, "
             "every other subset by a carried certificate re-verified by substitution"
         )
     return NeighborlinessReport(

@@ -21,7 +21,7 @@ Conventions (the single source of truth for index translation):
 
 The same layout gives ``qap_vertex``, ``phi_vertex`` and ``coordinate_map``,
 the action of S_n x S_n x C_2 that the fix-first scan and the orbit LP
-in ``faces`` use.
+in ``faces`` use; on bqp the same cell map, with b = a, permutes the bits.
 
 Vertices are stored sparsely as sorted tuples of one-positions and
 densified on demand (a qap(5) vertex has 25 ones out of 625 entries).
@@ -241,11 +241,15 @@ def coordinate_map(scheme: IndexScheme, a: tuple[int, ...], b: tuple[int, ...], 
     b.p.a^-1, or of b.p^-1.a^-1 when transpose is set: cell (i, j) of a
     permutation matrix goes to (a(i), b(j)), or to (a(j), b(i)).  In qap
     both tensor factors move by that cell map; in phi, a moves the source
-    edge and b the image edge, and transpose swaps the two.
+    edge and b the image edge, and transpose swaps the two.  In bqp the
+    cell map is the coordinate map, and the moves (a, a, False) are the
+    bit permutations: u (x) u goes to u' (x) u' with u'(a(i)) = u(i).
     """
     n = scheme.n
-    if scheme.family == "qap":
+    if scheme.family in ("qap", "bqp"):
         cells = [a[j] * n + b[i] if transpose else a[i] * n + b[j] for i in range(n) for j in range(n)]
+        if scheme.family == "bqp":
+            return cells
         size = n * n
         return [cells[o // size] * size + cells[o % size] for o in range(size * size)]
     rows, cols = _edge_images(a), _edge_images(b)

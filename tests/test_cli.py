@@ -463,7 +463,7 @@ def test_missing_file_is_error(capsys):
     assert code == 2
 
 
-CLI_OUTPUTS_DIGEST = "c04a736b4363740bf8968ffb0f79be649e8238b13f81f06def2015248db4efb5"
+CLI_OUTPUTS_DIGEST = "89ddf736185d41e238f73ef2dceb4e015c70742c0c8ba1a1d95ff61aa3b267cc"
 
 
 def test_cli_outputs_are_pinned(tmp_path, capsys):

@@ -25,7 +25,16 @@ from polyface.faces import (
     verify_face_certificate,
     verify_nonface_witness,
 )
-from polyface.families import VertexSet, bqp_vertices, coordinate_map, phi_scheme, phi_vertices, qap_vertices
+from polyface.families import (
+    VertexSet,
+    bqp_scheme,
+    bqp_vertices,
+    coordinate_map,
+    inverse,
+    phi_scheme,
+    phi_vertices,
+    qap_vertices,
+)
 from polyface.simplex import lp_solve
 
 
@@ -391,12 +400,17 @@ def test_scan_fix_first_counts_and_guards():
     [
         (qap_vertices, 3, 3, 2), (phi_vertices, 3, 3, 2), (phi_vertices, 4, 2, 4),
         (qap_vertices, 4, 3, 10), (phi_vertices, 4, 3, 10), (qap_vertices, 3, 1, 1),
+        (bqp_vertices, 3, 3, 16), (bqp_vertices, 4, 2, 17), (bqp_vertices, 4, 3, 52),
     ],
-    ids=["qap3-triples", "phi3-triples", "phi4-pairs", "qap4-triples", "phi4-triples", "qap3-singletons"],
+    ids=[
+        "qap3-triples", "phi3-triples", "phi4-pairs", "qap4-triples", "phi4-triples", "qap3-singletons",
+        "bqp3-triples", "bqp4-pairs", "bqp4-triples",
+    ],
 )
 def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, count, monkeypatch):
-    """The orbit scan's certificate for every subset through vertex 0 has the
-    verdict is_face gives that subset, and it solves one LP per orbit."""
+    """The orbit scan's certificate for every scanned subset (through vertex 0 for
+    qap and phi, all of them for bqp) has the verdict is_face gives that subset,
+    and it solves one representative per orbit, by an LP or by fixings."""
     vs = make(n)
     ctx = FaceContext(vs)
     orbits = faces._Orbits(ctx, k)
@@ -406,10 +420,15 @@ def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, count, monk
         solved.append(subset)
         return is_face(vs, subset, ctx)
 
+    fixing = faces._fixing_certificate
     monkeypatch.setattr(faces, "is_face", recording_is_face)
+    monkeypatch.setattr(faces, "_fixing_certificate", lambda vs, s, *rest: solved.append(s) or fixing(vs, s, *rest))
     scanned = list(faces._certified_subsets(vs, ctx, k, orbits, 1))
-    assert [s for s, _ in scanned] == [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
-    assert len(solved) == orbits.count == count
+    if vs.scheme.family == "bqp":
+        assert [s for s, _ in scanned] == list(combinations(range(len(vs)), k))
+    else:
+        assert [s for s, _ in scanned] == [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
+    assert len(solved) == len(set(solved)) == orbits.count == count
     for subset, cert in scanned:
         assert type(cert) is type(is_face(vs, subset, ctx))
         verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
@@ -476,7 +495,7 @@ def test_vertex_map_is_the_coordinate_action_on_every_move_n3(make):
     moves = list(product(perms, perms, (False, True)))
     assert len(moves) == 72
     for move in moves:
-        assert faces._vertex_map(table, move) == _coordinate_vertex_map(vs, move)
+        assert table.vertex_map(move) == _coordinate_vertex_map(vs, move)
 
 
 @pytest.fixture(scope="module")
@@ -494,7 +513,7 @@ def n4_tables():
 def test_vertex_map_is_the_coordinate_action_n4(n4_tables, make, a, b, transpose):
     vs, table = n4_tables[make]
     move = (tuple(a), tuple(b), transpose)
-    assert faces._vertex_map(table, move) == _coordinate_vertex_map(vs, move)
+    assert table.vertex_map(move) == _coordinate_vertex_map(vs, move)
 
 
 def test_symmetry_is_checked_once_per_context_and_a_refusal_is_kept(monkeypatch):
@@ -823,3 +842,148 @@ def test_a_context_built_for_another_vertex_set_is_refused():
         k_neighborly_scan(vs, 3, ctx=ctx)
     copy = pickle.loads(pickle.dumps(vs))  # equal, not identical: accepted
     assert is_face(copy, (0, 3, 4), FaceContext(vs)) == is_face(vs, (0, 3, 4))
+
+
+# --- scans: coordinate fixings, then the bit-permutation orbits of bqp --------
+
+
+def _counting(monkeypatch, name):
+    """Calls of faces.<name>, recorded by their second argument (the subset)."""
+    calls, original = [], getattr(faces, name)
+    monkeypatch.setattr(faces, name, lambda first, subset, *rest: calls.append(subset) or original(first, subset, *rest))
+    return calls
+
+
+def test_qap4_fix_first_scan_solves_no_lp(monkeypatch):
+    """Every one of the 10 representatives is singled out by its coordinate fixings."""
+    lps, fixed = _recording_lp_solve(monkeypatch), _counting(monkeypatch, "_fixing_certificate")
+    rep = k_neighborly_scan(qap_vertices(4), 3, fix_first=True)
+    assert (rep.total_subsets, rep.faces_certified) == (253, 253)
+    assert "LPs for 10 of the 10 orbits" in rep.symmetry_reduction
+    assert (len(lps), len(fixed)) == (0, 10)
+
+
+def test_phi4_fix_first_scan_takes_both_routes(monkeypatch):
+    """5 representatives by fixings, the other 5 (the non-face among them) by is_face."""
+    fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
+    rep = k_neighborly_scan(phi_vertices(4), 3, fix_first=True)
+    assert (rep.total_subsets, rep.faces_certified, rep.counterexample_subset) == (253, 249, (0, 3, 4))
+    assert (len(fixed), len(solved)) == (5, 5)
+    assert (0, 3, 4) in solved and not set(fixed) & set(solved)
+
+
+def test_bqp4_fixing_certificates_take_the_plus_minus_one_form(monkeypatch):
+    """bqp vertices differ in weight: +1 on I, -1 off U, offset |I|."""
+    ctx = FaceContext(bqp_vertices(4))
+    assert ctx.weight is None
+    certs, fixing = [], faces._fixing_certificate
+    monkeypatch.setattr(faces, "_fixing_certificate", lambda *args: certs.append(args) or fixing(*args))
+    solved = _counting(monkeypatch, "is_face")
+    rep = k_neighborly_scan(ctx.vs, 3, ctx=ctx)
+    assert (rep.total_subsets, rep.faces_certified, len(certs), len(solved)) == (560, 560, 3, 49)
+    for _, subset, inter, union, _ in certs:
+        cert = fixing(ctx.vs, subset, inter, union, None)
+        want = [1 if inter >> o & 1 else 0 if union >> o & 1 else -1 for o in range(16)]
+        assert list(cert.normal) == want and -1 in want
+        assert (cert.offset, cert.epsilon) == (bin(inter).count("1"), 1)
+
+
+def _coordinate_face(vs, subset):
+    """The vertices that agree with every coordinate on which the subset agrees, by sets."""
+    inter = set.intersection(*(set(vs.vertices[s]) for s in subset))
+    union = set.union(*(set(vs.vertices[s]) for s in subset))
+    return inter, union, [t for t, v in enumerate(vs.vertices) if inter <= set(v) <= union]
+
+
+_FIXING_BASES = {"qap3": qap_vertices(3), "phi4": phi_vertices(4), "bqp3": bqp_vertices(3)}
+_FIXING_CONTEXTS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FIXING_BASES)), st.data())
+def test_fixing_certificates_verify_and_need_every_coordinate(name, data):
+    """Whenever the bitmask rule says F = S, the fixing certificate passes substitution
+    and is_face agrees that S is a face.  In either form, dropping a coordinate of I
+    breaks it; in the 1-on-U form every nonzero coordinate is needed, and a -1 off U
+    of the other form is needed exactly when dropping it lets some other vertex in."""
+    vs = _FIXING_BASES[name]
+    ctx = _FIXING_CONTEXTS.setdefault(name, FaceContext(vs))
+    size = data.draw(st.integers(1, min(6, len(vs) - 1)))
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, len(vs) - 1), min_size=size, max_size=size))))
+    inter, union, face = _coordinate_face(vs, subset)
+    fixed = faces._fixings(ctx, subset)
+    assert (fixed is not None) == (face == list(subset))
+    if fixed is None:
+        return
+    assert isinstance(is_face(vs, subset, ctx), FaceCertificate)
+    for weight in {ctx.weight, None}:  # the +-1 form holds on any 0/1 set: check it on qap and phi too
+        cert = faces._fixing_certificate(vs, subset, *fixed, weight)
+        assert verify_face_certificate(vs, subset, cert)
+        for o, x in enumerate(cert.normal):
+            if x == 0:
+                continue
+            dropped = FaceCertificate(cert.normal[:o] + (Q(0),) + cert.normal[o + 1 :], cert.offset, cert.epsilon)
+            needed = True
+            if x < 0:  # off U: the weaker fixings cut out a face larger than S unless no vertex has o
+                needed = any(inter <= set(v) <= union | {o} for v in vs.vertices if o in v)
+            assert verify_face_certificate(vs, subset, dropped) is not needed
+
+
+def test_bqp_orbit_scan_finds_the_non_faces_a_subset_by_subset_scan_finds(monkeypatch):
+    """bqp(3) 4-subsets include non-faces: the orbit scan gives every subset the verdict
+    is_face gives it, and the same first counterexample with the same witness."""
+    vs = bqp_vertices(3)
+    ctx = FaceContext(vs)
+    rep = k_neighborly_scan(vs, 4, ctx=ctx)
+    assert rep.symmetry_reduction.startswith("S_3 (bit permutations): LPs for 20 of the 20 orbits of 4-subsets")
+    direct = {s: is_face(vs, s, ctx) for s in combinations(range(8), 4)}
+    nonfaces = [s for s, cert in direct.items() if isinstance(cert, NonFaceWitness)]
+    assert (rep.total_subsets, rep.faces_certified) == (70, 70 - len(nonfaces)) and nonfaces
+    assert rep.counterexample_subset == nonfaces[0]
+    assert rep.counterexample_witness == direct[nonfaces[0]]
+    for subset, cert in faces._certified_subsets(vs, ctx, 4, faces._Orbits(ctx, 4), 1):
+        assert type(cert) is type(direct[subset]) and _verifies(vs, subset, cert)
+    stopped = k_neighborly_scan(vs, 4, ctx=ctx, stop_at_first=True)
+    assert (stopped.counterexample_subset, stopped.counterexample_witness) == (nonfaces[0], direct[nonfaces[0]])
+
+
+def test_bqp_orbit_scan_with_the_bits_shuffled_gives_the_same_counts():
+    base = bqp_vertices(4)
+    index = {label: t for t, label in enumerate(base.labels)}
+    order = [index[label[2] + label[0] + label[3] + label[1]] for label in base.labels]
+    assert order[0] == 0 and order != list(range(16))
+    rep = k_neighborly_scan(_reordered(base, order), 3)
+    assert (rep.total_subsets, rep.faces_certified) == (560, 560)
+    assert "LPs for 52 of the 52 orbits of 3-subsets" in rep.symmetry_reduction
+
+
+def test_bqp_set_without_a_vertex_is_scanned_subset_by_subset():
+    vs = _reordered(bqp_vertices(3), range(7))
+    with pytest.raises(ValueError, match="^bit-permutation reduction refused"):
+        FaceContext(vs).symmetry()
+    rep = k_neighborly_scan(vs, 3)
+    assert (rep.total_subsets, rep.faces_certified, rep.symmetry_reduction) == (35, 35, "none (exhaustive scan)")
+    tiny = VertexSet(bqp_scheme(1), ("0", "1"), ((), (0,)))  # m = 1 has no transposition to check
+    rep = k_neighborly_scan(tiny, 1)
+    assert (rep.total_subsets, rep.faces_certified, rep.symmetry_reduction) == (2, 2, "none (exhaustive scan)")
+
+
+def test_a_wrong_bqp_coordinate_map_is_caught_and_nothing_is_carried(monkeypatch):
+    """With each bit permutation replaced by its inverse, the m-cycle moves the
+    vertices unlike their bit vectors: the scan falls back to every subset."""
+    right = faces.coordinate_map
+    monkeypatch.setattr(
+        faces, "coordinate_map", lambda scheme, a, b, transpose: right(scheme, inverse(a), inverse(b), transpose)
+    )
+    monkeypatch.setattr(faces._Orbits, "carry", lambda *args: pytest.fail("a certificate was carried"))
+    vs = bqp_vertices(3)
+    ctx = FaceContext(vs)
+    rep = k_neighborly_scan(vs, 3, ctx=ctx)
+    assert (rep.total_subsets, rep.faces_certified, rep.symmetry_reduction) == (56, 56, "none (exhaustive scan)")
+    with pytest.raises(ValueError, match="unlike their bit vectors"):
+        ctx.symmetry()
+
+
+def test_bqp_fix_first_is_still_refused():
+    with pytest.raises(ValueError, match="qap or phi"):
+        k_neighborly_scan(bqp_vertices(3), 3, fix_first=True)
