@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .faces import (
@@ -81,7 +80,6 @@ def cmd_neighborly(args) -> int:
         args.k,
         fix_first=args.fix_first,
         stop_at_first=args.stop_at_first,
-        jobs=args.jobs,
     )
     if report.counterexample_subset is None:
         print(
@@ -114,7 +112,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    report = run_scenario(name, param, jobs=args.jobs)
+    report = run_scenario(name, param)
     for step in report.steps:
         mark = "PASS" if step.passed else "FAIL"
         print(f"[{mark}] {name} {param_name}={param}: {step.name}")
@@ -174,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under left and right multiplication and inversion",
     )
     n.add_argument("--stop-at-first", action="store_true", help="stop at the first counterexample")
-    n.add_argument("--jobs", type=int, default=1)
     n.add_argument("--out", default=None)
     n.set_defaults(func=cmd_neighborly)
 
@@ -182,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("scenario", choices=sorted(SCENARIOS))
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--k", type=int, default=None)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", default=None)
     v.add_argument("--force", action="store_true", help="override the scenario parameter guard")
     v.set_defaults(func=cmd_verify)
@@ -197,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    jobs, cpus = getattr(args, "jobs", 1), os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:  # checked before any worker process starts
-        print(f"error: --jobs must be at least 1 and at most the {cpus} CPUs (got {jobs})", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except InternalInconsistencyError as exc:

@@ -113,13 +113,12 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
-from contextlib import ExitStack, closing, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, islice, permutations, repeat
-from operator import itemgetter
+from itertools import chain, combinations, permutations, repeat
+from operator import itemgetter, or_
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame, greedy_basis
@@ -516,9 +515,8 @@ def _checked_symmetry(vs: VertexSet) -> _Symmetry | _BitSymmetry:
 def _context(vs: VertexSet, ctx: FaceContext | None) -> FaceContext:
     """ctx, or a new context when it is None.
 
-    A context built for another vertex set raises ValueError.  Identity
-    is tried first; equality lets a context and vertex set that reached
-    a worker process as separate copies through.
+    A context built for another vertex set raises ValueError; one built
+    for an equal copy of vs is accepted.
     """
     if ctx is None:
         return FaceContext(vs)
@@ -681,33 +679,24 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
 
     On 0/1 vertices every coordinate lies in [0, 1], so each equation
     (offset, value) with value in {0, 1} is tight on a face, the equation
-    set defines a face and the returned subset is exactly its vertex set.
+    set defines a face and the returned subset is exactly its vertex set:
+    the vertices v with I <= v <= U, I the value-1 offsets and U every
+    offset but the value-0 ones, certified by ``_fixing_certificate``.
     An empty subset is reported, not raised.
     """
     dim = vs.scheme.ambient_dim
-    eqs = []
-    for off, val in equations:
+    eqs = list(equations)
+    for off, val in eqs:
         if not 0 <= off < dim:
             raise ValueError(f"coordinate {off} out of range")
         if val not in (0, 1):
             raise ValueError(f"value must be 0 or 1, got {val}")
-        eqs.append((off, val))
-    ones = [set(v) for v in vs.vertices]
-    reports = [EquationReport(off, val, any((off in o) == bool(val) for o in ones)) for off, val in eqs]
-    subset = [i for i, o in enumerate(ones) if all((off in o) == bool(val) for off, val in eqs)]
-    cert = None
-    if 0 < len(subset) < len(vs):
-        a = [Q(0)] * dim
-        b = Q(0)
-        for off, val in eqs:
-            if val == 1:
-                a[off] += 1
-                b += 1
-            else:
-                a[off] -= 1
-        cert = FaceCertificate(normal=tuple(a), offset=b, epsilon=Q(1))
-        if not verify_face_certificate(vs, subset, cert):
-            raise InternalInconsistencyError("coordinate-fixing certificate failed substitution")
+    masks = [sum(1 << o for o in v) for v in vs.vertices]
+    reports = [EquationReport(off, val, any(m >> off & 1 == val for m in masks)) for off, val in eqs]
+    inter = reduce(or_, (1 << off for off, val in eqs if val == 1), 0)
+    union = ((1 << dim) - 1) & ~reduce(or_, (1 << off for off, val in eqs if val == 0), 0)
+    subset = [t for t, m in enumerate(masks) if m & inter == inter and m | union == union]
+    cert = _fixing_certificate(vs, subset, inter, union, None) if 0 < len(subset) < len(vs) else None
     return FaceByEquations(tuple(subset), tuple(reports), cert)
 
 
@@ -914,83 +903,32 @@ def _fixing_certificate(vs: VertexSet, subset, inter: int, union: int, weight: i
     return cert
 
 
-_WORKER_STATE: dict = {}
-
-
-def _scan_worker_init(vs, ctx):
-    _WORKER_STATE["vs"], _WORKER_STATE["ctx"] = vs, ctx
-
-
-def _scan_worker(batch):
-    return [is_face(_WORKER_STATE["vs"], s, _WORKER_STATE["ctx"]) for s in batch]
-
-
-def _pooled_is_face(pool, reps, chunk: int, window: int):
-    """is_face on each of reps through pool, in order, in batches of chunk.
-
-    At most window batches are in flight, so an early stop waits only
-    for those: the pool is closed and joined, never terminated, because
-    terminating a pool while its task thread still feeds the workers
-    can deadlock.
-    """
-    pending = deque()
-    reps = iter(reps)
-    while batch := list(islice(reps, chunk)):
-        pending.append(pool.apply_async(_scan_worker, (batch,)))
-        if len(pending) == window:
-            yield from pending.popleft().get()
-    for res in pending:
-        yield from res.get()
-
-
-def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits | None, jobs: int):
+def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits | None):
     """(subset, verified certificate) for every scanned subset, in lex order.
 
     Without orbits every k-subset is a representative.  A representative
     whose coordinate face holds only itself (``_fixings``) gets the
-    fixing certificate, in this process; the others are solved by
-    ``is_face``, through a pool of jobs worker processes when jobs > 1.
-    Every other subset gets its representative's certificate carried
-    over and re-verified by substitution.
+    fixing certificate; the others are solved by ``is_face``.  Every
+    other subset gets its representative's certificate carried over and
+    re-verified by substitution.
     """
     if orbits is None:
         subsets, links = combinations(range(len(vs)), k), repeat(None)
     else:
         subsets, links = orbits.subsets, orbits.links
-    with ExitStack() as stack:
-        if jobs == 1:
-            results = None
+    solved = {}
+    for i, (subset, link) in enumerate(zip(subsets, links)):
+        if link is None:
+            fixed = _fixings(ctx, subset)
+            cert = is_face(vs, subset, ctx) if fixed is None else _fixing_certificate(vs, subset, *fixed, ctx.weight)
+            if orbits is not None:
+                solved[i] = cert
         else:
-            import multiprocessing as mp
-
-            pool = mp.Pool(jobs, initializer=_scan_worker_init, initargs=(vs, ctx))
-            stack.callback(pool.join)
-            stack.callback(pool.close)  # runs first
-            # The pool reads ahead of the loop below, so it repeats the fixing test of each representative
-            # (integer operations on the vertex masks) rather than hold every fixed one it passes.
-            if orbits is None:
-                reps = combinations(range(len(vs)), k)
-            else:
-                reps = (s for s, link in zip(subsets, links) if link is None)
-            # representatives of orbits are few and slow, so they go one at a time
-            lp_reps = (s for s in reps if _fixings(ctx, s) is None)
-            results = _pooled_is_face(pool, lp_reps, 16 if orbits is None else 1, 2 * jobs)
-        solved = {}
-        for i, (subset, link) in enumerate(zip(subsets, links)):
-            if link is None:
-                fixed = _fixings(ctx, subset)
-                if fixed is not None:
-                    cert = _fixing_certificate(vs, subset, *fixed, ctx.weight)
-                else:
-                    cert = is_face(vs, subset, ctx) if results is None else next(results)
-                if orbits is not None:
-                    solved[i] = cert
-            else:
-                cert = orbits.carry(i, solved)
-                verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
-                if not verify(vs, subset, cert):
-                    raise InternalInconsistencyError(f"certificate carried to {subset} failed substitution")
-            yield subset, cert
+            cert = orbits.carry(i, solved)
+            verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
+            if not verify(vs, subset, cert):
+                raise InternalInconsistencyError(f"certificate carried to {subset} failed substitution")
+        yield subset, cert
 
 
 def k_neighborly_scan(
@@ -999,35 +937,32 @@ def k_neighborly_scan(
     *,
     fix_first: bool = False,
     stop_at_first: bool = False,
-    jobs: int = 1,
     ctx: FaceContext | None = None,
 ) -> NeighborlinessReport:
     """Certify every k-subset (or every one through vertex 0) as a face.
 
-    Subsets are scanned in lexicographic order, so reports do not depend
-    on jobs.  With fix_first (qap and phi only) the scanned subsets are
-    those through vertex 0, and only one representative is solved per
-    orbit of ``_Orbits``: the orbit's lex-min member, reached first in
-    the scan.  A full bqp(m) set is scanned the same way without
-    fix_first, over all k-subsets and the bit permutations.  A
-    representative is solved by coordinate fixings where they single it
-    out, else by ``is_face``.  The other members get its certificate
-    carried over by the symmetry and re-verified by substitution, so
-    every verdict and count is the one a subset-by-subset scan gives.
-    The first non-face in lex order is the lex-min member of its orbit,
-    so the scan stops at the same counterexample, with the witness
-    ``is_face`` returns for it.  The symmetry is checked on the vertex
-    set first (``FaceContext.symmetry``, and vertex 0 must be the
-    identity); with fix_first a vertex set it does not fit raises
-    ValueError, and a bqp set that fails it is scanned subset by subset.
-    In symmetry_reduction, "LPs for N of the M orbits" counts the N
-    representatives scanned, each solved by an LP or by fixings.
+    Subsets are scanned in lexicographic order.  With fix_first (qap and
+    phi only) the scanned subsets are those through vertex 0, and only
+    one representative is solved per orbit of ``_Orbits``: the orbit's
+    lex-min member, reached first in the scan.  A full bqp(m) set is
+    scanned the same way without fix_first, over all k-subsets and the
+    bit permutations.  A representative is solved by coordinate fixings
+    where they single it out, else by ``is_face``.  The other members
+    get its certificate carried over by the symmetry and re-verified by
+    substitution, so every verdict and count is the one a
+    subset-by-subset scan gives.  The first non-face in lex order is the
+    lex-min member of its orbit, so the scan stops at the same
+    counterexample, with the witness ``is_face`` returns for it.  The
+    symmetry is checked on the vertex set first (``FaceContext.symmetry``,
+    and vertex 0 must be the identity); with fix_first a vertex set it
+    does not fit raises ValueError, and a bqp set that fails it is
+    scanned subset by subset.  In symmetry_reduction, "LPs for N of the
+    M orbits" counts the N representatives scanned, each solved by an LP
+    or by fixings.
     """
     n = len(vs)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got {k}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
     ctx = _context(vs, ctx)
     orbits = None
     if fix_first:
@@ -1041,16 +976,15 @@ def k_neighborly_scan(
     first_bad = None
     first_wit = None
     stopped = False
-    with closing(_certified_subsets(vs, ctx, k, orbits, jobs)) as certified:
-        for subset, cert in certified:
-            total += 1
-            if isinstance(cert, FaceCertificate):
-                faces += 1
-            elif first_bad is None:
-                first_bad, first_wit = subset, cert
-                if stop_at_first:
-                    stopped = True
-                    break
+    for subset, cert in _certified_subsets(vs, ctx, k, orbits):
+        total += 1
+        if isinstance(cert, FaceCertificate):
+            faces += 1
+        elif first_bad is None:
+            first_bad, first_wit = subset, cert
+            if stop_at_first:
+                stopped = True
+                break
     if orbits is None:
         symmetry = "none (exhaustive scan)"
     else:

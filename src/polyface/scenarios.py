@@ -94,7 +94,7 @@ def _round_trip(res: FaceIsoResult, targets: VertexSet) -> tuple[bool, bool]:
     return invertible, matches
 
 
-def scenario_prop1(n: int, jobs: int = 1) -> list[Step]:
+def scenario_prop1(n: int) -> list[Step]:
     """The projection carries assignment tensors onto edge permutations."""
     steps = []
     pmap = prop1_projection(n)
@@ -128,7 +128,7 @@ def scenario_prop1(n: int, jobs: int = 1) -> list[Step]:
     return steps
 
 
-def scenario_thm1(n: int, jobs: int = 1) -> list[Step]:
+def scenario_thm1(n: int) -> list[Step]:
     """Assignment tensors are exactly a coordinate-fixed face of the quadric cube."""
     steps = []
     emb = thm1_embedding(n)
@@ -191,7 +191,7 @@ def scenario_thm1(n: int, jobs: int = 1) -> list[Step]:
     return steps
 
 
-def scenario_lemma1(n: int, jobs: int = 1) -> list[Step]:
+def scenario_lemma1(n: int) -> list[Step]:
     """The order-3 edge polytope sits inside phi(n) as a coordinate-zero face."""
     steps = []
     res = lemma1_face_iso(n)
@@ -245,7 +245,7 @@ def scenario_lemma1(n: int, jobs: int = 1) -> list[Step]:
     return steps
 
 
-def scenario_thm2(k: int, jobs: int = 1) -> list[Step]:
+def scenario_thm2(k: int) -> list[Step]:
     """The Boolean quadric polytope of order k is a face of phi(2k)."""
     steps = []
     res = thm2_face_iso(k)
@@ -300,10 +300,10 @@ def scenario_thm2(k: int, jobs: int = 1) -> list[Step]:
     return steps
 
 
-def scenario_phi_not_3_neighborly(n: int, jobs: int = 1) -> list[Step]:
+def scenario_phi_not_3_neighborly(n: int) -> list[Step]:
     """Some triple of edge-permutation vertices is not a face."""
     vs = phi_vertices(n)
-    rep = k_neighborly_scan(vs, 3, fix_first=n >= 5, stop_at_first=True, jobs=jobs)
+    rep = k_neighborly_scan(vs, 3, fix_first=n >= 5, stop_at_first=True)
     found = rep.counterexample_subset is not None
     return [
         Step(
@@ -321,11 +321,11 @@ def scenario_phi_not_3_neighborly(n: int, jobs: int = 1) -> list[Step]:
     ]
 
 
-def scenario_qap_3_neighborly(n: int, jobs: int = 1) -> list[Step]:
+def scenario_qap_3_neighborly(n: int) -> list[Step]:
     """Every assignment-tensor triple is a face."""
     vs = qap_vertices(n)
     fix = n >= 4
-    rep = k_neighborly_scan(vs, 3, fix_first=fix, jobs=jobs)
+    rep = k_neighborly_scan(vs, 3, fix_first=fix)
     expected = comb(factorial(n) - 1, 2) if fix else comb(factorial(n), 3)
     return [
         Step(
@@ -342,7 +342,7 @@ def scenario_qap_3_neighborly(n: int, jobs: int = 1) -> list[Step]:
     ]
 
 
-def scenario_nonisomorphism(n: int, jobs: int = 1) -> list[Step]:
+def scenario_nonisomorphism(n: int) -> list[Step]:
     """The two n!-vertex families are not isomorphic, affinely or facially."""
     if n != 3:
         raise ValueError("the exhaustive bijection search is sized for n = 3")
@@ -402,7 +402,7 @@ def scenario_nonisomorphism(n: int, jobs: int = 1) -> list[Step]:
     return steps
 
 
-def scenario_corollary_3n_face(k: int, jobs: int = 1) -> list[Step]:
+def scenario_corollary_3n_face(k: int) -> list[Step]:
     """phi(2k) has a 3-neighborly face with 2^k vertices."""
     steps = []
     res = thm2_face_iso(k)
@@ -480,11 +480,11 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, param: int, jobs: int = 1) -> Report:
-    """Run one scenario and time it; every scenario takes (param, jobs) and returns its steps."""
+def run_scenario(name: str, param: int) -> Report:
+    """Run one scenario and time it; every scenario takes its parameter and returns its steps."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     func, param_name, _, _ = SCENARIOS[name]
     t0 = time.monotonic()
-    steps = func(param, jobs=jobs)
+    steps = func(param)
     return Report(name, {param_name: param}, steps, time.monotonic() - t0)

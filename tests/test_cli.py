@@ -247,12 +247,12 @@ flag_values = st.text(max_size=6) | st.integers(-2, 7).map(str)
 
 
 @settings(max_examples=40, deadline=None)
-@given(flag_values, flag_values)
-@example("2", "2")
-@example("3", "1")
-@example("9" * 5000, "1")
-def test_neighborly_survives_any_k_and_jobs(phi3_file, k, jobs):
-    code, err = _exit_code(["neighborly", "--vertices", str(phi3_file), "--k", k, "--jobs", jobs])
+@given(flag_values)
+@example("2")
+@example("3")
+@example("9" * 5000)
+def test_neighborly_survives_any_k(phi3_file, k):
+    code, err = _exit_code(["neighborly", "--vertices", str(phi3_file), "--k", k])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -347,42 +347,16 @@ def test_neighborly_bad_k_is_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["neighborly", "--vertices", "{v}", "--k", "2", "--jobs", "0"],
-        ["neighborly", "--vertices", "{v}", "--k", "2", "--jobs", "-2"],
-        ["verify", "thm1", "--jobs", "0"],
-    ],
-    ids=["neighborly-0", "neighborly-minus-2", "verify-0"],
-)
-def test_jobs_below_one_is_an_error(tmp_path, capsys, argv):
-    vpath = tmp_path / "qap3.json"
-    run(["generate", "--family", "qap", "--n", "3", "--out", str(vpath)], capsys)
-    code, out, err = run([a.format(v=vpath) for a in argv], capsys)
-    assert code == 2
-    assert "--jobs must be at least 1" in err
-    assert out == ""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["neighborly", "--vertices", "{v}", "--k", "2", "--jobs", "3"],
-        ["verify", "phi-not-3-neighborly", "--n", "4", "--jobs", "3"],
-    ],
+    [["neighborly", "--vertices", "{v}", "--k", "2", "--jobs", "2"], ["verify", "thm1", "--jobs", "2"]],
     ids=["neighborly", "verify"],
 )
-def test_jobs_above_the_cpu_count_is_an_error_before_any_pool(tmp_path, capsys, monkeypatch, argv):
-    import multiprocessing
-    import os
-
-    vpath = tmp_path / "qap3.json"
-    run(["generate", "--family", "qap", "--n", "3", "--out", str(vpath)], capsys)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", lambda *args, **kwargs: pytest.fail("a pool was started"))
-    code, out, err = run([a.format(v=vpath) for a in argv], capsys)
+def test_jobs_flag_is_refused(phi3_file, tmp_path, argv):
+    out = tmp_path / "report.json"
+    code, err = _exit_code([a.format(v=phi3_file) for a in argv] + ["--out", str(out)])
     assert code == 2
-    assert "--jobs must be at least 1 and at most the 2 CPUs (got 3)" in err
-    assert out == ""
+    assert "unrecognized arguments: --jobs 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_verify_scenarios_and_report_file(tmp_path, capsys):
