@@ -11,13 +11,15 @@ reduces one vector against echelon rows.  Fractions appear only when a
 result is read back.
 
 Hull frames follow the same rule.  ``AffineHullFrame`` stores its
-inverse once, as integer columns over one denominator L read straight
-from ``_invert``'s elimination rows.  ``integer_coords`` (integer rows
-over L) weights those columns by a point's deltas from the origin, and
-``ambient_functional`` scales the frame functional once to integers and
-lifts it by integer dot products, building Fractions only for the
-functional it returns.  ``_over_lcm`` writes a rational vector as
-integers over the lcm of its denominators; ``simplex`` uses it too.
+origin, its pivot columns and the inverse of its basis there, once, as
+integer columns over one denominator L read straight from ``_invert``'s
+elimination rows; the basis itself is not kept.  ``weighted_columns``
+weights those columns by a point's deltas from the origin (its
+coordinates times L), and ``ambient_functional`` scales the frame
+functional once to integers and lifts it by integer dot products,
+building Fractions only for the functional it returns.  ``_over_lcm``
+writes a rational vector as integers over the lcm of its denominators;
+``simplex`` uses it too.
 
 The kernels other modules rely on:
 
@@ -28,8 +30,8 @@ The kernels other modules rely on:
   ones before them; the hull frame picks its directions with it, and
   ``faces`` its invariant functionals.
 * ``affine_hull_frame`` -- exact reduced coordinates on the affine hull
-  of a point set, used to shrink LP dimensions before face tests; origin
-  and basis keep the input's number type (ints for vertex sets).
+  of a point set, used to shrink LP dimensions before face tests; the
+  origin keeps the input's number type (ints for vertex sets).
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ from typing import Iterable, Sequence
 Q = Fraction
 
 Vector = tuple  # tuple of Fraction|int
-
-
-def vec_dot(u: Sequence, v: Sequence):
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -154,8 +150,8 @@ def affine_dependencies(points: Sequence[Sequence]) -> list[Vector]:
         return []
     dim = len(points[0])
     cols = len(points)
-    m = [[Q(points[j][i]) for j in range(cols)] for i in range(dim)]
-    m.append([Q(1)] * cols)
+    m = [[points[j][i] for j in range(cols)] for i in range(dim)]
+    m.append([1] * cols)
     return [canonical_integer_vector(v) for v in nullspace(m)]
 
 
@@ -183,49 +179,44 @@ def greedy_basis(vectors: Iterable[Sequence]) -> tuple[list[int], list[int]]:
 class AffineHullFrame:
     """Exact reduced coordinates on the affine hull of a point set.
 
-    origin + sum(c_i * basis_i) reconstructs any hull point from its
-    reduced coordinates c.  origin and basis keep the input's number
-    type (ints for every vertex set).  `pivot_cols` are ambient
-    coordinate positions at which the basis matrix is invertible.  The
-    inverse of that square submatrix is stored once, as integer columns
-    over one denominator: inverse_cols[j][i] / inverse_den is its entry
-    (i, j), and inverse_den is the lcm of the entries' denominators.
-    Coordinates are the inverse columns weighted by the point's deltas
-    from the origin at pivot_cols, over inverse_den.
+    The basis is the differences from the origin of the points
+    ``affine_hull_frame`` chose; origin + sum(c_i * basis_i) is the hull
+    point with reduced coordinates c.  The origin keeps the input's
+    number type (ints for every vertex set).  `pivot_cols` are ambient
+    coordinate positions at which the basis matrix is invertible, one
+    per basis vector.  The inverse of that square submatrix is stored
+    once, as integer columns over one denominator: inverse_cols[j][i] /
+    inverse_den is its entry (i, j), and inverse_den is the lcm of the
+    entries' denominators.  Coordinates are the inverse columns weighted
+    by the point's deltas from the origin at pivot_cols, over
+    inverse_den.
     """
 
     origin: Vector
-    basis: tuple[Vector, ...]
     pivot_cols: tuple[int, ...]
     inverse_cols: tuple[tuple[int, ...], ...]
     inverse_den: int
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivot_cols)
 
     @property
     def ambient_dim(self) -> int:
         return len(self.origin)
 
-    def _weighted_columns(self, point: Sequence) -> list:
-        """Reduced coordinates of point, times inverse_den (exact for any rational point)."""
+    def weighted_columns(self, point: Sequence) -> list:
+        """Reduced coordinates of a hull point, times inverse_den (exact for any rational point).
+
+        Integer rows for integer points over an integer origin; the point
+        is not checked to lie in the hull.
+        """
         acc = [0] * self.dim
         for col, c in zip(self.inverse_cols, self.pivot_cols):
             d = point[c] - self.origin[c]
             if d:
                 acc = [a + d * x for a, x in zip(acc, col)]
         return acc
-
-    def integer_coords(self, points: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-        """(rows, inverse_den) with rows[i] / inverse_den the coordinates of the i-th point.
-
-        Points are not checked to lie in the hull.  Points and the origin
-        must be integer points, so every row is an integer row.
-        """
-        if any(self.origin[c].denominator != 1 for c in self.pivot_cols):
-            raise ValueError("origin is not an integer point")
-        return [self._weighted_columns(p) for p in points], self.inverse_den
 
     def ambient_functional(self, a_frame: Sequence, b_frame) -> tuple[Vector, Fraction]:
         """Lift a functional on frame coordinates to ambient coordinates.
@@ -260,15 +251,11 @@ def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
     origin = tuple(points[0])
     # directions one at a time: a list of all of them would double the memory of a large vertex set
     chosen, pivot_cols = greedy_basis(tuple(x - o for x, o in zip(p, origin, strict=True)) for p in points[1:])
-    basis = [tuple(x - o for x, o in zip(points[i + 1], origin)) for i in chosen]
-    m = len(basis)
-    square = [[basis[j][c] for j in range(m)] for c in pivot_cols]
-    # the inverse maps pivot-coordinate deltas to basis coefficients:
-    # coords = inverse * (p - origin)[pivot_cols].
+    # the basis at the pivot columns, read from the chosen points; its inverse maps
+    # pivot-coordinate deltas to basis coefficients: coords = inverse * (p - origin)[pivot_cols].
+    square = [[points[i + 1][c] - origin[c] for i in chosen] for c in pivot_cols]
     cols, den = _invert(square)
-    return AffineHullFrame(
-        origin=origin, basis=tuple(basis), pivot_cols=tuple(pivot_cols), inverse_cols=cols, inverse_den=den
-    )
+    return AffineHullFrame(origin=origin, pivot_cols=tuple(pivot_cols), inverse_cols=cols, inverse_den=den)
 
 
 def _invert(square: list[list]) -> tuple[tuple[tuple[int, ...], ...], int]:

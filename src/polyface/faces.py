@@ -100,8 +100,10 @@ support-LP still has optimum zero exactly when S is not the vertex set
 of a face.
 
 Arithmetic: integers from the hull frame to the certificate check.
-``FaceContext`` holds every vertex's frame coordinates as integer rows
-over one denominator; the lift to ambient coordinates runs on integers
+A frame-LP row reads its vertex's frame coordinates as one integer row
+over the frame's denominator (``AffineHullFrame.weighted_columns``),
+built the first time the row is asked for, so the orbit LP computes
+none; the lift to ambient coordinates runs on integers
 (``AffineHullFrame.ambient_functional``); ``verify_face_certificate``
 scales the certificate once and sums integers per vertex.  Fractions
 are built only for the LP rows (same rational values, so every LP and
@@ -320,17 +322,21 @@ def verify_nonface_witness(vs: VertexSet, subset: Sequence[int], wit: NonFaceWit
         return False
 
 
+def _masks(vs: VertexSet) -> list[int]:
+    """Each vertex's one-positions as one integer bitmask."""
+    return [sum(1 << o for o in v) for v in vs.vertices]
+
+
 class FaceContext:
     """Per-vertex-set precomputation shared across face tests.
 
-    Holds the affine-hull frame, every vertex's frame coordinates as
-    integer rows over one denominator (vertex t sits at coords[t] /
-    coords_den), and the reusable LP rows, whose Fraction coefficients
-    are built from those integers on first use.  masks[t] is vertex t's
-    one-positions as one integer bitmask, and weight their common number
-    of ones, or None when the vertices differ in it.  Once first asked
-    for, it also holds the outcome of the symmetry check (``symmetry``):
-    the checked table, or the reason the vertex set has none.
+    Holds the affine-hull frame and the reusable frame-LP rows, each
+    built on first use from its vertex's frame coordinates.  masks[t] is
+    vertex t's one-positions as one integer bitmask (``_masks``), and
+    weight their common number of ones, or None when the vertices differ
+    in it.  Once first asked for, it also holds the outcome of the
+    symmetry check (``symmetry``): the checked table, or the reason the
+    vertex set has none.
     """
 
     def __init__(self, vs: VertexSet):
@@ -341,11 +347,9 @@ class FaceContext:
                 f"= {cells} cells, above the {MAX_DENSE_CELLS} of the largest set generate writes"
             )
         self.vs = vs
-        dense = vs.dense_all()
-        self.frame: AffineHullFrame = affine_hull_frame(dense)
-        self.coords, self.coords_den = self.frame.integer_coords(dense)
+        self.frame: AffineHullFrame = affine_hull_frame(vs.dense_all())
         self.norm_row = _norm_row(self.frame.dim)
-        self.masks = [sum(1 << o for o in v) for v in vs.vertices]
+        self.masks = _masks(vs)
         weights = {len(v) for v in vs.vertices}
         self.weight = weights.pop() if len(weights) == 1 else None
         self._rows: dict[tuple[int, str], Constraint] = {}
@@ -358,10 +362,12 @@ class FaceContext:
         return self._frame_row(s, "=")
 
     def _frame_row(self, t: int, rel: str) -> Constraint:
-        """a . w_t - b (+ eps off the subset) <= 0 or = 0, built once per (t, rel)."""
+        """a . w_t - b (+ eps off the subset) <= 0 or = 0, w_t vertex t's frame coordinates; built once per (t, rel)."""
         row = self._rows.get((t, rel))
         if row is None:
-            row = self._rows[t, rel] = _lp_row(tuple(Q(x, self.coords_den) for x in self.coords[t]), rel)
+            den = self.frame.inverse_den
+            w = tuple(Q(x, den) for x in self.frame.weighted_columns(self.vs.dense(t)))
+            row = self._rows[t, rel] = _lp_row(w, rel)
         return row
 
     def symmetry(self) -> _Symmetry | _BitSymmetry:
@@ -691,7 +697,7 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
             raise ValueError(f"coordinate {off} out of range")
         if val not in (0, 1):
             raise ValueError(f"value must be 0 or 1, got {val}")
-    masks = [sum(1 << o for o in v) for v in vs.vertices]
+    masks = _masks(vs)
     reports = [EquationReport(off, val, any(m >> off & 1 == val for m in masks)) for off, val in eqs]
     inter = reduce(or_, (1 << off for off, val in eqs if val == 1), 0)
     union = ((1 << dim) - 1) & ~reduce(or_, (1 << off for off, val in eqs if val == 0), 0)

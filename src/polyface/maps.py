@@ -24,6 +24,7 @@ verdict.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -54,19 +55,24 @@ Q = Fraction
 
 @dataclass(frozen=True)
 class AffineMap:
-    """apply(v) = linear . v + offset, all entries exact rationals."""
+    """apply(v) = L v + offset, all entries exact rationals (ints or Fractions).
+
+    The linear part L is kept as its nonzero entries only: entries lists
+    (row, column, value) in row-major order, and every other entry of L
+    is zero.
+    """
 
     name: str
     domain_dim: int
     codomain_dim: int
-    linear: tuple
+    entries: tuple[tuple[int, int, Fraction], ...]
     offset: tuple
 
     def __post_init__(self):
-        if len(self.linear) != self.codomain_dim or len(self.offset) != self.codomain_dim:
+        if len(self.offset) != self.codomain_dim:
             raise ValueError("map shape mismatch")
-        for row in self.linear:
-            if len(row) != self.domain_dim:
+        for r, j, _ in self.entries:
+            if not (0 <= r < self.codomain_dim and 0 <= j < self.domain_dim):
                 raise ValueError("map shape mismatch")
 
     @cached_property
@@ -74,13 +80,11 @@ class AffineMap:
         """(columns, offset, den): the map as integers over den, the lcm of
         all its denominators; columns[j] lists (row, entry) for the nonzero
         entries of column j."""
-        entries = chain(chain.from_iterable(self.linear), self.offset)
-        den = reduce(math.lcm, (x.denominator for x in entries), 1)
+        values = chain((x for _, _, x in self.entries), self.offset)
+        den = reduce(math.lcm, (x.denominator for x in values), 1)
         columns: list[list[tuple[int, int]]] = [[] for _ in range(self.domain_dim)]
-        for r, row in enumerate(self.linear):
-            for j, x in enumerate(row):
-                if x:
-                    columns[j].append((r, x.numerator * (den // x.denominator)))
+        for r, j, x in self.entries:
+            columns[j].append((r, x.numerator * (den // x.denominator)))
         return columns, [x.numerator * (den // x.denominator) for x in self.offset], den
 
     def _sum(self, terms) -> tuple:
@@ -114,8 +118,11 @@ class VertexCorrespondence:
             raise ValueError("correspondence is not bijective")
 
 
-def _zero_rows(nrows, ncols):
-    return [[Q(0)] * ncols for _ in range(nrows)]
+def _sparse_map(name: str, domain_dim: int, codomain_dim: int, cells: Counter, offset=None) -> AffineMap:
+    """The AffineMap whose linear part holds cells[row, column] (zero where absent); offset zero when None."""
+    entries = tuple(sorted((r, j, x) for (r, j), x in cells.items() if x))
+    offset = (Q(0),) * codomain_dim if offset is None else tuple(offset)
+    return AffineMap(name, domain_dim, codomain_dim, entries, offset)
 
 
 # --- projection of assignment tensors onto edge permutations --------------
@@ -126,19 +133,13 @@ def prop1_projection(n: int) -> AffineMap:
     if n < 3:
         raise ValueError("need n >= 3")
     qs, ps = qap_scheme(n), phi_scheme(n)
-    rows = _zero_rows(ps.ambient_dim, qs.ambient_dim)
+    cells = Counter()
     for i, j in edge_list(n):
         for k, l in edge_list(n):
             r = ps.encode((i, j), (k, l))
-            rows[r][qs.encode(i, k, j, l)] += 1
-            rows[r][qs.encode(i, l, j, k)] += 1
-    return AffineMap(
-        name=f"qap({n})->phi({n}) projection",
-        domain_dim=qs.ambient_dim,
-        codomain_dim=ps.ambient_dim,
-        linear=tuple(tuple(r) for r in rows),
-        offset=(Q(0),) * ps.ambient_dim,
-    )
+            cells[r, qs.encode(i, k, j, l)] += 1
+            cells[r, qs.encode(i, l, j, k)] += 1
+    return _sparse_map(f"qap({n})->phi({n}) projection", qs.ambient_dim, ps.ambient_dim, cells)
 
 
 # --- the assignment polytope as a face of the Boolean quadric cube --------
@@ -246,42 +247,27 @@ def lemma1_face_iso(n: int) -> FaceIsoResult:
                 equations.append((ps.encode((i, j), (k, l)), 0))
     face = face_by_equations(vs, equations)
 
-    fwd_rows = _zero_rows(p3.ambient_dim, ps.ambient_dim)
-    for e in edge_list(3):
-        for f in edge_list(3):
-            fwd_rows[p3.encode(e, f)][ps.encode(e, f)] = Q(1)
-    forward = AffineMap(
-        name=f"phi({n}) face -> phi(3) projection",
-        domain_dim=ps.ambient_dim,
-        codomain_dim=p3.ambient_dim,
-        linear=tuple(tuple(r) for r in fwd_rows),
-        offset=(Q(0),) * p3.ambient_dim,
-    )
+    fwd = Counter({(p3.encode(e, f), ps.encode(e, f)): 1 for e in edge_list(3) for f in edge_list(3)})
+    forward = _sparse_map(f"phi({n}) face -> phi(3) projection", ps.ambient_dim, p3.ambient_dim, fwd)
 
-    inv_rows = _zero_rows(ps.ambient_dim, p3.ambient_dim)
+    inv = Counter()
     inv_offset = [Q(0)] * ps.ambient_dim
     for i, j in edge_list(n):
         for k, l in edge_list(n):
             r = ps.encode((i, j), (k, l))
             if j <= 3 and l <= 3:
-                inv_rows[r][p3.encode((i, j), (k, l))] = Q(1)
+                inv[r, p3.encode((i, j), (k, l))] = 1
             elif j >= 4 and i <= 3:
                 if l == j and k <= 3:
                     # z[(i,j),(k,j)] = h_{ik}
                     for e, f in _h_indicator_cells(i, k):
-                        inv_rows[r][p3.encode(e, f)] += 1
+                        inv[r, p3.encode(e, f)] += 1
                     inv_offset[r] -= 1
             elif i >= 4:
                 if (k, l) == (i, j):
                     inv_offset[r] = Q(1)
             # remaining coordinates stay identically zero on the face
-    inverse = AffineMap(
-        name=f"phi(3) -> phi({n}) face",
-        domain_dim=p3.ambient_dim,
-        codomain_dim=ps.ambient_dim,
-        linear=tuple(tuple(r) for r in inv_rows),
-        offset=tuple(inv_offset),
-    )
+    inverse = _sparse_map(f"phi(3) -> phi({n}) face", p3.ambient_dim, ps.ambient_dim, inv, inv_offset)
 
     phi3 = phi_vertices(3)
     label_to_phi3 = {lab: i for i, lab in enumerate(phi3.labels)}
@@ -327,29 +313,23 @@ def thm2_face_iso(k: int) -> FaceIsoResult:
     equations = [(ps.encode((2 * i - 1, 2 * i), (2 * i - 1, 2 * i)), 1) for i in range(1, k + 1)]
     face = face_by_equations(vs, equations)
 
-    fwd_rows = _zero_rows(bs.ambient_dim, ps.ambient_dim)
+    fwd = Counter()
     for r in range(1, k + 1):
         for c in range(1, k + 1):
             out = bs.encode(r, c)
             if r < c:
-                fwd_rows[out][ps.encode((2 * r, 2 * c), (2 * r, 2 * c))] = Q(1)
+                fwd[out, ps.encode((2 * r, 2 * c), (2 * r, 2 * c))] = 1
             elif r > c:
-                fwd_rows[out][ps.encode((2 * c, 2 * r), (2 * c, 2 * r))] = Q(1)
+                fwd[out, ps.encode((2 * c, 2 * r), (2 * c, 2 * r))] = 1
             elif r == 1:
-                fwd_rows[out][ps.encode((2, 4), (2, 4))] = Q(1)
-                fwd_rows[out][ps.encode((2, 4), (2, 3))] = Q(1)
+                fwd[out, ps.encode((2, 4), (2, 4))] = 1
+                fwd[out, ps.encode((2, 4), (2, 3))] = 1
             else:
-                fwd_rows[out][ps.encode((2, 2 * r), (2, 2 * r))] = Q(1)
-                fwd_rows[out][ps.encode((2, 2 * r), (1, 2 * r))] = Q(1)
-    forward = AffineMap(
-        name=f"phi({n2}) face -> bqp({k})",
-        domain_dim=ps.ambient_dim,
-        codomain_dim=bs.ambient_dim,
-        linear=tuple(tuple(r) for r in fwd_rows),
-        offset=(Q(0),) * bs.ambient_dim,
-    )
+                fwd[out, ps.encode((2, 2 * r), (2, 2 * r))] = 1
+                fwd[out, ps.encode((2, 2 * r), (1, 2 * r))] = 1
+    forward = _sparse_map(f"phi({n2}) face -> bqp({k})", ps.ambient_dim, bs.ambient_dim, fwd)
 
-    inv_rows = _zero_rows(ps.ambient_dim, bs.ambient_dim)
+    inv = Counter()
     inv_offset = [Q(0)] * ps.ambient_dim
     for a, b in edge_list(n2):
         bi, bj = _block(a), _block(b)
@@ -361,29 +341,22 @@ def thm2_face_iso(k: int) -> FaceIsoResult:
                 continue
             if _block(c) != bi or _block(d) != bj:
                 continue
-            row = inv_rows[r]
             same_a, same_b = c == a, d == b
-            xii, xjj, xij = bs.encode(bi, bi), bs.encode(bj, bj), bs.encode(bi, bj)
+            xii, xjj, xij = (r, bs.encode(bi, bi)), (r, bs.encode(bj, bj)), (r, bs.encode(bi, bj))
             if same_a and same_b:
-                row[xij] += 1
+                inv[xij] += 1
             elif same_a:
-                row[xii] += 1
-                row[xij] -= 1
+                inv[xii] += 1
+                inv[xij] -= 1
             elif same_b:
-                row[xjj] += 1
-                row[xij] -= 1
+                inv[xjj] += 1
+                inv[xij] -= 1
             else:
                 inv_offset[r] += 1
-                row[xii] -= 1
-                row[xjj] -= 1
-                row[xij] += 1
-    inverse = AffineMap(
-        name=f"bqp({k}) -> phi({n2}) face",
-        domain_dim=bs.ambient_dim,
-        codomain_dim=ps.ambient_dim,
-        linear=tuple(tuple(r) for r in inv_rows),
-        offset=tuple(inv_offset),
-    )
+                inv[xii] -= 1
+                inv[xjj] -= 1
+                inv[xij] += 1
+    inverse = _sparse_map(f"bqp({k}) -> phi({n2}) face", bs.ambient_dim, ps.ambient_dim, inv, inv_offset)
 
     bqp = bqp_vertices(k)
     bits_to_idx = {lab: i for i, lab in enumerate(bqp.labels)}
@@ -413,7 +386,7 @@ def thm2_face_iso(k: int) -> FaceIsoResult:
         forward=forward,
         inverse=inverse,
         correspondence=corr,
-        extra={"bqp": bqp, "consistency_groups": tuple(groups), "k": k},
+        extra={"bqp": bqp, "consistency_groups": tuple(groups)},
     )
 
 
@@ -476,22 +449,16 @@ def fit_affine_map(dom, cod, corr: Sequence[int], name: str = "fitted") -> FitRe
                     failure_dependency=canonical_integer_vector(row[nunk:tcol]),
                     failure_coordinate=rr,
                 )
-    rows = _zero_rows(cdim, ddim)
+    cells = Counter()
     offset = [Q(0)] * cdim
     for row, c in zip(work, pivots):
         for rr in range(cdim):
             val = Q(row[tcol + rr], row[c])
             if c < ddim:
-                rows[rr][c] = val
+                cells[rr, c] = val
             else:
                 offset[rr] = val
-    amap = AffineMap(
-        name=name,
-        domain_dim=ddim,
-        codomain_dim=cdim,
-        linear=tuple(tuple(r) for r in rows),
-        offset=tuple(offset),
-    )
+    amap = _sparse_map(name, ddim, cdim, cells, offset)
     return FitResult(
         map=amap,
         is_isomorphism=dim_d == dim_c,

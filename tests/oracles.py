@@ -1,10 +1,11 @@
 """Reference code that only the tests use.
 
 Each piece is an independent way to compute what the library computes
-another way, or a debugging aid for the tests: exact solves, ranks and
-reduced row echelon forms on the library's elimination kernel, the
-checked hull coordinates of a point and their inverse, a plain-text LP
-dump, and the witness-LP face oracle.
+another way, or a debugging aid for the tests: a Fraction dot product,
+exact solves, ranks and reduced row echelon forms on the library's
+elimination kernel, the hull frame's basis and coordinates recomputed
+from their definition and their inverse, a plain-text LP dump, and the
+witness-LP face oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from polyface.exactmath import AffineHullFrame, Vector, _eliminate, _int_row
-from polyface.faces import FaceContext, _split
+from polyface.exactmath import Vector, _eliminate, _int_row
+from polyface.faces import _split
 from polyface.families import VertexSet
 from polyface.simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
+
+
+def vec_dot(u: Sequence, v: Sequence):
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
 def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -83,24 +90,48 @@ def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> LinearSolveResult
     return LinearSolveResult(status=status, solution=tuple(sol), free_columns=free)
 
 
-def reconstruct(frame: AffineHullFrame, coords: Sequence) -> Vector:
+def _frame_by_elimination(points: Sequence[Sequence], queries: Sequence[Sequence]):
+    """(basis, coords): the hull frame of points from its definition, and each query's coordinates in it.
+
+    The frame's origin is points[0] and its basis the differences p -
+    origin, in input order, that are independent of the ones before them:
+    the pivot columns of the reduced echelon form of the matrix whose
+    columns are all the differences.  Its columns for the queries, after
+    the points', then hold the coefficients that combine the basis into
+    each query's difference.  ValueError for a query off the hull.
+    """
+    origin = points[0]
+    diffs = [[Q(x) - Q(o) for x, o in zip(p, origin, strict=True)] for p in [*points[1:], *queries]]
+    rows = [_int_row(row) for row in zip(*diffs)]
+    npoints = len(points) - 1
+    pivots = _eliminate(rows, npoints)
+    if any(row[npoints:] != [0] * len(queries) for row in rows[len(pivots) :]):
+        raise ValueError("point does not lie in the affine hull")
+    basis = tuple(tuple(diffs[c]) for c in pivots)
+    coords = [tuple(Q(row[npoints + q], row[c]) for row, c in zip(rows, pivots)) for q in range(len(queries))]
+    return basis, coords
+
+
+def hull_basis(points: Sequence[Sequence]) -> tuple[Vector, ...]:
+    """The basis of the hull frame of points: the differences from points[0] independent of the ones before them."""
+    return _frame_by_elimination(points, ())[0]
+
+
+def coords_of(points: Sequence[Sequence], queries: Sequence[Sequence]) -> list[Vector]:
+    """The reduced coordinates of each query in the hull frame of points; ValueError for a query off the hull."""
+    return _frame_by_elimination(points, queries)[1]
+
+
+def reconstruct(origin: Sequence, basis: Sequence[Vector], coords: Sequence) -> Vector:
     """The hull point with the given reduced coordinates: origin + sum(c_i * basis_i)."""
-    out = list(frame.origin)
-    for c, direction in zip(coords, frame.basis, strict=True):
+    out = list(origin)
+    for c, direction in zip(coords, basis, strict=True):
         if c == 0:
             continue
         for i, d in enumerate(direction):
             if d != 0:
                 out[i] += c * d
     return tuple(out)
-
-
-def coords_of(frame: AffineHullFrame, point: Sequence) -> Vector:
-    """Reduced coordinates of a hull point; ValueError for a point off the hull."""
-    coords = tuple(Q(a, frame.inverse_den) for a in frame._weighted_columns(point))
-    if reconstruct(frame, coords) != tuple(Q(x) for x in point):
-        raise ValueError("point does not lie in the affine hull")
-    return coords
 
 
 def lp_to_text(lp: LinearProgram) -> str:
@@ -115,12 +146,13 @@ def lp_to_text(lp: LinearProgram) -> str:
     return "\n".join(lines)
 
 
-def _witness_lp(ctx: FaceContext, subset, others):
-    """Feasibility LP for a common point of aff(S) and conv(rest); oracle only."""
+def _witness_lp(vs: VertexSet, subset, others):
+    """Feasibility LP for a common point of aff(S) and conv(rest) in hull coordinates; oracle only."""
     ns, no = len(subset), len(others)
     nv = ns + no
-    m = ctx.frame.dim
-    points = [tuple(Q(x, ctx.coords_den) for x in row) for row in ctx.coords]
+    dense = vs.dense_all()
+    points = coords_of(dense, dense)
+    m = len(points[0])
     cons = []
     cons.append(Constraint((Q(1),) * ns + (Q(0),) * no, "=", Q(1)))
     cons.append(Constraint((Q(0),) * ns + (Q(1),) * no, "=", Q(1)))
@@ -132,14 +164,12 @@ def _witness_lp(ctx: FaceContext, subset, others):
     return lp_solve(lp)
 
 
-def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None) -> bool:
+def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int]) -> bool:
     """Face test by the witness formulation alone (brute-force oracle).
 
     True iff aff(S) and conv(V minus S) are disjoint, i.e. the witness-LP
     is infeasible.
     """
     idx, others = _split(vs, subset)
-    if ctx is None:
-        ctx = FaceContext(vs)
-    res = _witness_lp(ctx, idx, others)
+    res = _witness_lp(vs, idx, others)
     return res.status == "infeasible"

@@ -227,7 +227,7 @@ def test_criterion_12b_oracle_equivalence():
             for size in range(1, n):
                 for subset in combinations(range(n), size):
                     primary = is_face(vs, subset, ctx)
-                    oracle = witness_oracle_is_face(vs, subset, ctx)
+                    oracle = witness_oracle_is_face(vs, subset)
                     assert isinstance(primary, FaceCertificate) == oracle
                     total += 1
         assert total == 62 + 62 + 14 + 254

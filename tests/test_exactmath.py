@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coords_of, matrix_rank, reconstruct, row_reduce, solve_linear_system
-from polyface.exactmath import affine_dependencies, affine_hull_frame, nullspace, vec_dot
+from oracles import coords_of, hull_basis, matrix_rank, reconstruct, row_reduce, solve_linear_system, vec_dot
+from polyface.exactmath import affine_dependencies, affine_hull_frame, nullspace
 from polyface.families import bqp_vertices, phi_vertices, qap_vertices
 
 
@@ -91,9 +91,8 @@ def fraction_inverse(frame):
 
 
 def fraction_coords(frame, points):
-    """Fraction view of integer_coords: one coordinate tuple per point."""
-    rows, den = frame.integer_coords(points)
-    return [tuple(Q(a, den) for a in row) for row in rows]
+    """The frame's coordinates of each point as Fractions, read from weighted_columns."""
+    return [tuple(Q(a, frame.inverse_den) for a in frame.weighted_columns(p)) for p in points]
 
 
 def test_solve_scalar_division():
@@ -189,7 +188,7 @@ def test_dependency_count_vs_hull_dimension():
 def test_frame_single_point():
     frame = affine_hull_frame([(1, 2, 3)])
     assert frame.dim == 0
-    assert coords_of(frame, (1, 2, 3)) == ()
+    assert fraction_coords(frame, [(1, 2, 3)]) == coords_of([(1, 2, 3)], [(1, 2, 3)]) == [()]
 
 
 def test_frame_phi3_dim_4_and_bqp2_dim_3():
@@ -215,9 +214,10 @@ def test_frame_phi3_dim_4_and_bqp2_dim_3():
 def test_frame_round_trip(make):
     pts = make().dense_all()
     frame = affine_hull_frame(pts)
-    coords = [coords_of(frame, p) for p in pts]
+    coords = coords_of(pts, pts)
+    basis = hull_basis(pts)
     for p, c in zip(pts, coords):
-        assert reconstruct(frame, c) == p
+        assert reconstruct(frame.origin, basis, c) == p
     assert fraction_coords(frame, pts) == coords
 
 
@@ -229,7 +229,7 @@ def test_frame_round_trip(make):
 def test_frame_matches_fraction_reference(make):
     pts = make().dense_all()
     frame = affine_hull_frame(pts)
-    assert (frame.basis, frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
+    assert (hull_basis(pts), frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
 
 
 small_point_sets = st.integers(1, 5).flatmap(
@@ -243,14 +243,8 @@ small_point_sets = st.integers(1, 5).flatmap(
 @given(small_point_sets)
 def test_frame_matches_fraction_reference_random(pts):
     frame = affine_hull_frame(pts)
-    assert (frame.basis, frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
-    assert fraction_coords(frame, pts) == [coords_of(frame, p) for p in pts]
-
-
-def test_integer_point_coords_need_an_integer_origin():
-    frame = affine_hull_frame([(Q(1, 2), 0), (1, 1)])
-    with pytest.raises(ValueError):
-        frame.integer_coords([(1, 1)])
+    assert (hull_basis(pts), frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
+    assert fraction_coords(frame, pts) == coords_of(pts, pts)
 
 
 small_rational_matrices = st.integers(1, 5).flatmap(
@@ -269,9 +263,8 @@ def test_row_reduce_matches_fraction_reference_random(m):
 
 
 def test_frame_rejects_point_off_hull():
-    frame = affine_hull_frame([(0, 0), (1, 0)])
     with pytest.raises(ValueError):
-        coords_of(frame, (0, 1))
+        coords_of([(0, 0), (1, 0)], [(0, 1)])
 
 
 def test_ambient_functional_agrees_on_hull():
@@ -281,8 +274,8 @@ def test_ambient_functional_agrees_on_hull():
     a_frame = tuple(Q(i + 1, 3) for i in range(frame.dim))
     b_frame = Q(5, 7)
     a, b = frame.ambient_functional(a_frame, b_frame)
-    for p in pts:
-        assert vec_dot(a, p) - b == vec_dot(a_frame, coords_of(frame, p)) - b_frame
+    for p, c in zip(pts, coords_of(pts, pts)):
+        assert vec_dot(a, p) - b == vec_dot(a_frame, c) - b_frame
 
 
 def reference_ambient_functional(frame, a_frame, b_frame):

@@ -97,7 +97,7 @@ def test_oracle_equivalence_all_proper_subsets(vs):
     for size in range(1, n):
         for subset in combinations(range(n), size):
             primary = is_face(vs, subset, ctx)
-            oracle = witness_oracle_is_face(vs, subset, ctx)
+            oracle = witness_oracle_is_face(vs, subset)
             assert isinstance(primary, FaceCertificate) == oracle
 
 
@@ -105,6 +105,15 @@ def _verifies(vs, subset, result):
     if isinstance(result, FaceCertificate):
         return verify_face_certificate(vs, subset, result)
     return verify_nonface_witness(vs, subset, result)
+
+
+@pytest.mark.parametrize("vs", [phi_vertices(4), bqp_vertices(3)], ids=["phi4", "bqp3"])
+def test_frame_lp_rows_hold_each_vertexs_frame_coordinates(vs):
+    ctx = FaceContext(vs)
+    dense = vs.dense_all()
+    for t, coords in enumerate(oracles.coords_of(dense, dense)):
+        assert ctx.member_row(t) == faces._lp_row(coords, "=")
+        assert ctx.outside_row(t) == faces._lp_row(coords, "<=")
 
 
 def test_nonface_witness_comes_from_the_support_lp_alone(monkeypatch):
@@ -141,7 +150,7 @@ def test_is_face_matches_witness_oracle_random(case):
     vs, subset = case
     ctx = FaceContext(vs)
     result = is_face(vs, subset, ctx)
-    assert isinstance(result, FaceCertificate) == witness_oracle_is_face(vs, subset, ctx)
+    assert isinstance(result, FaceCertificate) == witness_oracle_is_face(vs, subset)
     assert _verifies(vs, subset, result)
 
 

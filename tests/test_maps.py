@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -65,9 +66,8 @@ def test_projection_surjective_onto_phi4():
 
 def test_projection_rows_have_two_ones():
     pmap = prop1_projection(3)
-    for row in pmap.linear:
-        assert sum(row) == 2
-        assert all(x in (0, 1) for x in row)
+    assert all(x == 1 for _, _, x in pmap.entries)
+    assert Counter(r for r, _, _ in pmap.entries) == {r: 2 for r in range(pmap.codomain_dim)}
     assert all(x == 0 for x in pmap.offset)
 
 
@@ -394,9 +394,12 @@ def test_iso_search_size_guard():
         brute_force_iso_search(bqp_vertices(4), bqp_vertices(4))
 
 
-def dense_apply(amap, point):
-    """The map applied row by row over dense Fractions: the reference for apply."""
-    return tuple(off + sum(a * x for a, x in zip(row, point)) for row, off in zip(amap.linear, amap.offset))
+def reference_apply(amap, point):
+    """The map applied entry by entry over Fractions: the reference for apply."""
+    out = [Q(x) for x in amap.offset]
+    for r, j, x in amap.entries:
+        out[r] += x * point[j]
+    return tuple(out)
 
 
 @pytest.fixture(scope="module")
@@ -415,26 +418,42 @@ def named_maps():
 small_fractions = st.fractions(-3, 3, max_denominator=4) | st.just(Q(0))
 
 
-@st.composite
-def random_maps(draw):
-    """(map, None): a small map with random Fraction entries."""
-    d, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    linear = tuple(tuple(draw(small_fractions) for _ in range(d)) for _ in range(c))
-    offset = tuple(draw(small_fractions) for _ in range(c))
-    return AffineMap("random", d, c, linear, offset), None
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_apply_paths_match_the_dense_product(named_maps, data):
-    amap, vs = data.draw(st.sampled_from(named_maps) | random_maps())
+    amap, vs = data.draw(st.sampled_from(named_maps))
     point = data.draw(st.lists(small_fractions, min_size=amap.domain_dim, max_size=amap.domain_dim))
-    assert amap.apply(point) == dense_apply(amap, point)
-    if vs is None:
-        bits = data.draw(st.lists(st.booleans(), min_size=amap.domain_dim, max_size=amap.domain_dim))
-        vertices = [tuple(j for j, bit in enumerate(bits) if bit)]
-    else:
-        vertices = vs.vertices
-    for ones in vertices:
+    assert amap.apply(point) == reference_apply(amap, point)
+    for ones in vs.vertices:
         dense = tuple(int(j in ones) for j in range(amap.domain_dim))
-        assert amap.apply_vertex(ones) == amap.apply(dense) == dense_apply(amap, dense)
+        assert amap.apply_vertex(ones) == amap.apply(dense) == reference_apply(amap, dense)
+
+
+@st.composite
+def random_maps(draw):
+    """A small map with random Fraction entries and offset, at least one entry negative and fractional."""
+    d, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(0, c - 1), st.integers(0, d - 1))
+    cells = draw(st.dictionaries(cell, small_fractions))
+    cells[draw(cell)] = draw(st.sampled_from([Q(-1, 2), Q(-3, 4), Q(-5, 3)]))  # one certainly negative and fractional
+    entries = tuple(sorted((r, j, x) for (r, j), x in cells.items() if x))
+    offset = tuple(draw(small_fractions) for _ in range(c))
+    return AffineMap("random", d, c, entries, offset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_maps(), st.data())
+def test_apply_agrees_with_the_reference_on_random_maps(amap, data):
+    point = data.draw(st.lists(small_fractions, min_size=amap.domain_dim, max_size=amap.domain_dim))
+    assert amap.apply(point) == reference_apply(amap, point)
+    bits = data.draw(st.lists(st.booleans(), min_size=amap.domain_dim, max_size=amap.domain_dim))
+    ones = tuple(j for j, bit in enumerate(bits) if bit)
+    dense = tuple(int(bit) for bit in bits)
+    assert amap.apply_vertex(ones) == reference_apply(amap, dense)
+
+
+def test_maps_store_only_their_nonzero_entries():
+    for amap in (prop1_projection(5), lemma1_face_iso(5).inverse, thm2_face_iso(3).inverse):
+        assert all(x != 0 for _, _, x in amap.entries)
+        assert len({(r, j) for r, j, _ in amap.entries}) == len(amap.entries)
+    assert len(prop1_projection(5).entries) == 200

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lp_to_text, solve_linear_system
+from oracles import lp_to_text, solve_linear_system, vec_dot
 from polyface import simplex
-from polyface.exactmath import vec_dot
 from polyface.faces import FaceContext, is_face
 from polyface.families import generate
 from polyface.simplex import (
