@@ -74,7 +74,7 @@ def cmd_face(args) -> int:
 def cmd_neighborly(args) -> int:
     vs = VertexSet.load(args.vertices)
     if len(vs) > 100 and args.k >= 3 and not args.fix_first and not args.stop_at_first:
-        _warn(f"exhaustive {args.k}-subset scan over {len(vs)} vertices is long-running")
+        _warn(f"a scan of every {args.k}-subset of {len(vs)} vertices is long-running")
     report = k_neighborly_scan(
         vs,
         args.k,

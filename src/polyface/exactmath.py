@@ -25,7 +25,8 @@ The kernels other modules rely on:
 
 * ``nullspace`` -- kernel over the rationals.
 * ``affine_dependencies`` -- basis of the affine dependencies of a point
-  list (coefficients summing to zero with vanishing weighted sum).
+  list (coefficients summing to zero with vanishing weighted sum), as
+  int tuples.
 * ``greedy_basis`` -- the vectors of a list that are independent of the
   ones before them; the hull frame picks its directions with it, and
   ``faces`` its invariant functionals.
@@ -132,17 +133,17 @@ def nullspace(m: Sequence[Sequence]) -> list[Vector]:
     return basis
 
 
-def canonical_integer_vector(v: Sequence) -> Vector:
-    """Scale to coprime integers with a positive leading nonzero entry."""
+def canonical_integer_vector(v: Sequence) -> tuple[int, ...]:
+    """Scale to coprime ints with a positive leading nonzero entry."""
     ints = _int_row(v)
     sign = -1 if next((x for x in ints if x), 0) < 0 else 1
-    return tuple(Q(sign * x) for x in ints)
+    return tuple(sign * x for x in ints)
 
 
-def affine_dependencies(points: Sequence[Sequence]) -> list[Vector]:
+def affine_dependencies(points: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Basis of all lambda with sum(lambda_i * p_i) = 0 and sum(lambda_i) = 0.
 
-    Basis vectors are canonicalized to coprime integers with positive
+    Basis vectors are canonicalized to coprime ints with positive
     leading entry, so expected dependency patterns can be asserted
     verbatim in tests.
     """

@@ -16,9 +16,9 @@ The four named constructions:
   polytope whose generators swap-or-fix the pairs (2i-1, 2i), affinely
   isomorphic to the Boolean quadric polytope.
 
-plus generic affine-map fitting over vertex correspondences and the
-brute-force affine-isomorphism search used for the non-isomorphism
-verdict.
+plus the brute-force affine-isomorphism search used for the
+non-isomorphism verdict, which decides each vertex bijection by
+substituting the domain's affine dependencies into the codomain points.
 """
 
 from __future__ import annotations
@@ -31,14 +31,7 @@ from functools import cached_property, reduce
 from itertools import chain, permutations
 from typing import Sequence
 
-from .exactmath import (
-    _eliminate,
-    _int_row,
-    _reduce,
-    affine_dependencies,
-    affine_hull_frame,
-    canonical_integer_vector,
-)
+from .exactmath import affine_dependencies
 from .faces import FaceByEquations, face_by_equations
 from .families import (
     VertexSet,
@@ -390,17 +383,14 @@ def thm2_face_iso(k: int) -> FaceIsoResult:
     )
 
 
-# --- generic fitting and isomorphism search --------------------------------
+# --- isomorphism search -----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FitResult:
-    map: AffineMap | None
-    is_isomorphism: bool
-    domain_hull_dim: int
-    codomain_hull_dim: int
-    failure_dependency: tuple | None = None
-    failure_coordinate: int | None = None
+class IsoSearchResult:
+    found: bool
+    tried: int
+    correspondence: tuple[int, ...] | None = None
 
 
 def _dense_points(v) -> list[tuple]:
@@ -409,70 +399,10 @@ def _dense_points(v) -> list[tuple]:
     return [tuple(x) for x in v]
 
 
-def fit_affine_map(dom, cod, corr: Sequence[int], name: str = "fitted") -> FitResult:
-    """Affine map with apply(v_i) = w_{corr[i]} exactly, when one exists.
-
-    Returns the map (free parameters set to zero) or the affine
-    dependency of the domain points that the correspondence fails to
-    transport.  is_isomorphism reports whether the hulls have equal
-    dimension, i.e. whether the fitted map restricts to an affine
-    isomorphism of hulls.
-    """
-    dpts, cpts = _dense_points(dom), _dense_points(cod)
-    if len(dpts) != len(cpts):
-        raise ValueError("vertex sets have different sizes")
-    if sorted(corr) != list(range(len(cpts))):
-        raise ValueError("correspondence is not a bijection")
-    ddim = len(dpts[0])
-    cdim = len(cpts[0])
-    npts = len(dpts)
-    dim_d = affine_hull_frame(dpts).dim
-    dim_c = affine_hull_frame(cpts).dim
-    # One shared elimination for all output coordinates: [v_i | 1 | I | targets],
-    # pivoting on the unknown block; the identity block of a row that is
-    # zero there is an affine dependency of the domain points.
-    nunk = ddim + 1
-    tcol = nunk + npts
-    work = [
-        _int_row([*dpts[i], 1, *(1 if j == i else 0 for j in range(npts)), *cpts[corr[i]]])
-        for i in range(npts)
-    ]
-    pivots = _eliminate(work, nunk)
-    for rr in range(cdim):
-        for row in work[len(pivots) :]:
-            if row[tcol + rr] != 0:
-                return FitResult(
-                    map=None,
-                    is_isomorphism=False,
-                    domain_hull_dim=dim_d,
-                    codomain_hull_dim=dim_c,
-                    failure_dependency=canonical_integer_vector(row[nunk:tcol]),
-                    failure_coordinate=rr,
-                )
-    cells = Counter()
-    offset = [Q(0)] * cdim
-    for row, c in zip(work, pivots):
-        for rr in range(cdim):
-            val = Q(row[tcol + rr], row[c])
-            if c < ddim:
-                cells[rr, c] = val
-            else:
-                offset[rr] = val
-    amap = _sparse_map(name, ddim, cdim, cells, offset)
-    return FitResult(
-        map=amap,
-        is_isomorphism=dim_d == dim_c,
-        domain_hull_dim=dim_d,
-        codomain_hull_dim=dim_c,
-    )
-
-
-@dataclass(frozen=True)
-class IsoSearchResult:
-    found: bool
-    tried: int
-    correspondence: tuple[int, ...] | None = None
-    map: AffineMap | None = None
+def _substitutes_to_zero(dep: Sequence[int], points: Sequence[tuple]) -> bool:
+    """Whether sum(dep[i] * points[i]) is the zero vector."""
+    terms = [(c, p) for c, p in zip(dep, points) if c]
+    return all(sum(c * p[r] for c, p in terms) == 0 for r in range(len(points[0])))
 
 
 # The most vertices brute_force_iso_search takes: 8! bijections.
@@ -480,12 +410,17 @@ ISO_SEARCH_MAX_VERTICES = 8
 
 
 def brute_force_iso_search(dom, cod) -> IsoSearchResult:
-    """Try all bijections; return the first affine isomorphism, if any.
+    """The first bijection, in lexicographic order, that extends to an affine isomorphism of hulls.
 
-    Each bijection is tested by exact affine-dependency transport (a
-    bijection extends to an affine isomorphism of hulls iff hull
-    dimensions agree and every affine dependency carries over); the
-    first hit is refitted into an explicit map.
+    correspondence[i] is the codomain point that domain point i goes to.
+    A bijection extends to an affine map iff it carries every affine
+    dependency of the domain points to one of the codomain points, and
+    that map is an isomorphism of hulls iff the hull dimensions agree as
+    well.  Hulls of different dimensions have different numbers of
+    independent dependencies, so no bijection fits and none is tested.
+    Otherwise each bijection substitutes a basis of the domain's
+    dependencies into the codomain points it names, and it fits when
+    every substitution is zero.
     """
     dpts, cpts = _dense_points(dom), _dense_points(cod)
     if len(dpts) != len(cpts):
@@ -493,28 +428,13 @@ def brute_force_iso_search(dom, cod) -> IsoSearchResult:
     if len(dpts) > ISO_SEARCH_MAX_VERTICES:
         raise ValueError(f"refusing to search beyond {ISO_SEARCH_MAX_VERTICES} vertices")
     npts = len(dpts)
-    deps_d = [_int_row(v) for v in affine_dependencies(dpts)]
-    # Echelonized codomain dependency space for membership tests.
-    red = [_int_row(v) for v in affine_dependencies(cpts)]
-    # npts points spanning a hull of dimension d have npts - 1 - d independent affine dependencies,
-    # so hulls of different dimensions differ in that count, and no bijection fits
-    if len(deps_d) != len(red):
+    deps = affine_dependencies(dpts)
+    if len(deps) != len(affine_dependencies(cpts)):
         return IsoSearchResult(found=False, tried=math.factorial(npts))
-    piv = _eliminate(red, npts)
     tried = 0
     for perm in permutations(range(npts)):
         tried += 1
-        ok = True
-        for dep in deps_d:
-            t = [0] * npts
-            for i, coef in enumerate(dep):
-                t[perm[i]] = coef
-            if any(_reduce(t, red, piv)):
-                ok = False
-                break
-        if ok:
-            fit = fit_affine_map(dpts, cpts, perm, name="isomorphism")
-            if fit.map is None or not fit.is_isomorphism:
-                raise RuntimeError("dependency transport and fit disagree")
-            return IsoSearchResult(found=True, tried=tried, correspondence=perm, map=fit.map)
+        images = [cpts[j] for j in perm]
+        if all(_substitutes_to_zero(dep, images) for dep in deps):
+            return IsoSearchResult(found=True, tried=tried, correspondence=perm)
     return IsoSearchResult(found=False, tried=tried)

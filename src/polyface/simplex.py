@@ -43,8 +43,7 @@ Pivoting uses the largest-reduced-cost rule, switches to least-index
 to largest-reduced-cost after the next non-degenerate pivot.  This
 still terminates: a non-degenerate pivot strictly improves the
 objective, so no basis recurs across one, and Bland's rule ends every
-degenerate run.  ``pivot_rule="bland"`` forces least-index selection
-throughout.
+degenerate run.
 """
 
 from __future__ import annotations
@@ -174,9 +173,8 @@ class _Solver:
     cell).  Every selection rule speaks original column indices.
     """
 
-    def __init__(self, lp: LinearProgram, pivot_rule: str):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.pivot_rule = pivot_rule
         self._build()
 
     # --- standard form construction -------------------------------------
@@ -381,27 +379,18 @@ class _Solver:
         all-zero phase-1 row and ends here before its first pivot.
         """
         threshold = 2 * (self.m + self.ncols + 1)  # rows + columns + rhs
-        bland = self.pivot_rule == "bland"
-        streak = 0
+        streak = 0  # degenerate pivots in a row
         while True:
             if o == self.obj1 and self.rows[o][-1] == 0:
                 return "optimal"
-            c = self._entering(self.rows[o], bland)
+            c = self._entering(self.rows[o], streak > threshold)
             if c < 0:
                 return "optimal"
             p = self._leaving(c)
             if p < 0:
                 return c  # unbounded along column c
-            degenerate = self.rows[p][-1] == 0
+            streak = streak + 1 if self.rows[p][-1] == 0 else 0
             self._pivot(p, c)
-            if self.pivot_rule == "hybrid":
-                if degenerate:
-                    streak += 1
-                    if streak > threshold:
-                        bland = True
-                else:
-                    streak = 0
-                    bland = False
 
     # --- solution read-out ------------------------------------------------
 
@@ -519,16 +508,13 @@ class _Solver:
         return LPResult(status="unbounded", ray_point=point, ray_direction=direction)
 
 
-def lp_solve(lp: LinearProgram, pivot_rule: str = "hybrid") -> LPResult:
+def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve exactly; the result always passes verify_lp_certificate.
 
-    Both rules terminate on every input: "bland" is least-index
-    selection throughout, "hybrid" (default) uses largest reduced cost
-    but falls back to least-index after a degenerate streak.
+    Terminates on every input: largest reduced cost, falling back to
+    least-index selection after a degenerate streak.
     """
-    if pivot_rule not in ("hybrid", "bland"):
-        raise ValueError(f"unknown pivot rule {pivot_rule!r}")
-    return _Solver(lp, pivot_rule).solve()
+    return _Solver(lp).solve()
 
 
 # --- certificate verification (substitution only, no solver state) --------

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyface import cli
 from polyface.cli import main
-from polyface.families import MAX_DENSE_CELLS, VertexSet
+from polyface.faces import NeighborlinessReport
+from polyface.families import MAX_DENSE_CELLS, VertexSet, generate
 from polyface.scenarios import SCENARIOS
 
 # certificates `polyface face` writes for phi(3): {0, 1} is a face, {0, 1, 2} is not
@@ -317,6 +319,21 @@ def test_neighborly_exit_codes(tmp_path, capsys):
     run(["generate", "--family", "bqp", "--n", "2", "--out", str(bpath)], capsys)
     code, _, _ = run(["neighborly", "--vertices", str(bpath), "--k", "3"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("family, n, size", [("bqp", 7, 128), ("phi", 5, 120)])
+def test_neighborly_warns_of_a_long_scan(tmp_path, capsys, monkeypatch, family, n, size):
+    """Over 100 vertices without --fix-first the warning names the scan that runs.
+
+    bqp splits its subsets into bit-permutation orbits, phi scans them
+    one by one; both certify every 3-subset.  The scan is stubbed out."""
+    vpath = tmp_path / f"{family}{n}.json"
+    generate(family, n).save(str(vpath))
+    stub = NeighborlinessReport(3, 0, 0, None, None, "stub", False)
+    monkeypatch.setattr(cli, "k_neighborly_scan", lambda vs, k, **options: stub)
+    code, _, err = run(["neighborly", "--vertices", str(vpath), "--k", "3"], capsys)
+    assert code == 0
+    assert err == f"warning: a scan of every 3-subset of {size} vertices is long-running\n"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyface.exactmath import canonical_integer_vector
+from polyface.exactmath import affine_dependencies
 from polyface.faces import NonFaceWitness, is_face, verify_nonface_witness
 from polyface.families import (
     bqp_vertices,
@@ -18,7 +18,6 @@ from polyface.families import (
 from polyface.maps import (
     AffineMap,
     brute_force_iso_search,
-    fit_affine_map,
     lemma1_face_iso,
     prop1_projection,
     thm1_embedding,
@@ -316,56 +315,40 @@ def test_thm2_diagonal_read_is_consistent_across_blocks():
             assert reads == {x[(i - 1) * 3 + (i - 1)]}
 
 
-# --- fitting and isomorphism search ------------------------------------------
+# --- isomorphism search -----------------------------------------------------
 
 
-def test_fit_identity_map():
-    vs = phi_vertices(3)
-    fit = fit_affine_map(vs, vs, tuple(range(6)))
-    assert fit.map is not None and fit.is_isomorphism
-    for v in vs.dense_all():
-        assert fit.map.apply(v) == tuple(v)
+def substituted(dep, points):
+    """sum(dep[i] * points[i]), coordinate by coordinate."""
+    return tuple(sum(c * p[r] for c, p in zip(dep, points)) for r in range(len(points[0])))
 
 
-def test_fit_qap3_to_phi3_exists_but_is_no_isomorphism():
+UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+def test_phi3_dependency_does_not_carry_to_qap3():
+    """phi(3)'s one dependency does not vanish on the qap(3) generators of the same labels.
+
+    So no affine map sends each phi(3) generator to the qap(3) generator with its label."""
     qs, ps = qap_vertices(3), phi_vertices(3)
-    corr = tuple(ps.labels.index(lab) for lab in qs.labels)
-    fit = fit_affine_map(qs, ps, corr)
-    assert fit.map is not None
-    assert fit.domain_hull_dim == 5 and fit.codomain_hull_dim == 4
-    assert not fit.is_isomorphism
-    for i in range(6):
-        assert as_binary(fit.map.apply(qs.dense(i))) == ps.dense(corr[i])
-
-
-def test_fit_phi3_to_qap3_fails_with_dependency_witness():
-    qs, ps = qap_vertices(3), phi_vertices(3)
+    (dep,) = affine_dependencies(ps.dense_all())
+    assert dep == (1, 1, 1, -1, -1, -1)
     corr = tuple(qs.labels.index(lab) for lab in ps.labels)
-    fit = fit_affine_map(ps, qs, corr)
-    assert fit.map is None
-    dep = fit.failure_dependency
-    assert dep is not None
-    # dep really is an affine dependency of phi(3) not transported to qap(3)
-    assert sum(dep) == 0
-    dim = ps.scheme.ambient_dim
-    comb_ = [Q(0)] * dim
-    for coef, v in zip(dep, ps.dense_all()):
-        for i in range(dim):
-            comb_[i] += coef * v[i]
-    assert all(x == 0 for x in comb_)
-    # ... that the correspondence fails to transport at failure_coordinate
-    fc = fit.failure_coordinate
-    assert sum(coef * qs.dense(corr[i])[fc] for i, coef in enumerate(dep)) != 0
-    assert dep == canonical_integer_vector(dep)
+    assert any(substituted(dep, [qs.dense(j) for j in corr]))
 
 
-def test_fit_three_points_onto_any_three():
-    first = [tuple(map(Q, p)) for p in [(0, 0), (1, 0), (0, 1)]]
-    second = [tuple(map(Q, p)) for p in [(5, 1), (2, 2), (7, 7)]]
-    fit = fit_affine_map(first, second, (0, 1, 2))
-    assert fit.map is not None
-    for a, b in zip(first, second):
-        assert fit.map.apply(a) == b
+def test_iso_search_misses_at_equal_dimension():
+    """Square and trapezoid: both hulls are planes, yet no bijection carries the square's dependency."""
+    res = brute_force_iso_search(UNIT_SQUARE, [(0, 0), (2, 0), (1, 1), (0, 1)])
+    assert (res.found, res.tried, res.correspondence) == (False, 24, None)
+
+
+def test_iso_search_finds_a_relabelled_square():
+    cod = [(0, 0), (1, 1), (1, 0), (0, 1)]
+    res = brute_force_iso_search(UNIT_SQUARE, cod)
+    assert (res.found, res.tried, res.correspondence) == (True, 3, (0, 2, 1, 3))
+    (dep,) = affine_dependencies(UNIT_SQUARE)
+    assert not any(substituted(dep, [cod[j] for j in res.correspondence]))
 
 
 def test_iso_search_phi3_self_finds_identity_first():
@@ -386,7 +369,7 @@ def test_iso_search_two_point_sets():
     first = [(Q(0), Q(0), Q(0)), (Q(1), Q(1), Q(0))]
     second = [(Q(4),), (Q(9),)]
     res = brute_force_iso_search(first, second)
-    assert res.found and res.map is not None
+    assert (res.found, res.tried, res.correspondence) == (True, 1, (0, 1))
 
 
 def test_iso_search_size_guard():

@@ -157,12 +157,21 @@ BEALE_LP = make_lp(
 )
 
 
-def test_beale_degenerate_terminates_both_rules():
-    for rule in ("hybrid", "bland"):
-        res = lp_solve(BEALE_LP, pivot_rule=rule)
-        assert res.status == "optimal"
-        assert res.objective_value == Q(1, 20)
-        assert verify_lp_certificate(BEALE_LP, res)
+def test_beale_terminates_through_the_least_index_fallback(monkeypatch):
+    """Beale's LP cycles under the largest-coefficient rule alone, so the solve must pick by least index."""
+    entering = simplex._Solver._entering
+    selections = []
+
+    def traced_entering(self, obj, bland):
+        selections.append(bland)
+        return entering(self, obj, bland)
+
+    monkeypatch.setattr(simplex._Solver, "_entering", traced_entering)
+    res = lp_solve(BEALE_LP)
+    assert any(selections), selections
+    assert res.status == "optimal"
+    assert res.objective_value == Q(1, 20)
+    assert verify_lp_certificate(BEALE_LP, res)
 
 
 def test_degenerate_ties_terminate():
@@ -175,10 +184,9 @@ def test_degenerate_ties_terminate():
             coeffs = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
             cons.append((coeffs, "<=", rng.choice((0, 0, 1))))
         lp = make_lp([rng.choice((-1, 0, 1)) for _ in range(n)], cons, lower=[0] * n, upper=[2] * n)
-        for rule in ("hybrid", "bland"):
-            res = lp_solve(lp, pivot_rule=rule)
-            assert res.status == "optimal"
-            assert verify_lp_certificate(lp, res)
+        res = lp_solve(lp)
+        assert res.status == "optimal"
+        assert verify_lp_certificate(lp, res)
 
 
 def test_determinism_bit_for_bit():
@@ -225,14 +233,13 @@ def test_agreement_with_vertex_enumeration_oracle():
     for homogeneous in [False] * 120 + [True] * 80:
         lp = random_boxed_lp(rng, homogeneous)
         expected = brute_force_optimum(lp)
-        for rule in ("hybrid", "bland"):
-            res = lp_solve(lp, pivot_rule=rule)
-            assert verify_lp_certificate(lp, res)
-            if expected is None:
-                assert res.status == "infeasible"
-            else:
-                assert res.status == "optimal"
-                assert res.objective_value == expected
+        res = lp_solve(lp)
+        assert verify_lp_certificate(lp, res)
+        if expected is None:
+            assert res.status == "infeasible"
+        else:
+            assert res.status == "optimal"
+            assert res.objective_value == expected
         if expected is None:
             infeasible += 1
         else:
@@ -300,7 +307,7 @@ TRACED_FACE_TESTS = (
     ("phi", [(0, 1, 2), (0, 3, 4), (0, 8, 12), (0, 5, 10)]),
     ("qap", [(0, 1, 2), (0, 7, 13), (3, 11, 20)]),
 )
-PIVOT_TRACE_DIGEST = "7a0e7ffd4da61867acab0d5987613b5c45dba2741f5fc03595114b730598f9ab"
+PIVOT_TRACE_DIGEST = "a89cf4c9d0d033a49aef06b823187c57f98a0f3778ac546e1ff9b638b4fcdae5"
 
 
 def test_pivot_trace_is_pinned(monkeypatch):
@@ -312,7 +319,10 @@ def test_pivot_trace_is_pinned(monkeypatch):
     tableau pivots exactly as the full-width one did.  It was re-pinned
     again when phase 1 began to end as soon as its value reaches 0: every
     traced LP kept its status and optimal value, and every LP whose phase
-    1 had not been at 0 with pivots left kept its pivots and its result."""
+    1 had not been at 0 with pivots left kept its pivots and its result.
+    It was re-pinned once more when the Bland-only rule was removed: the
+    log dropped each random LP's rule label and its Bland-only solve,
+    and nothing else."""
     log = []
     pivot, solve = simplex._Solver._pivot, simplex._Solver.solve
 
@@ -331,11 +341,9 @@ def test_pivot_trace_is_pinned(monkeypatch):
     statuses = set()
     for _ in range(200):
         lp = random_trace_lp(rng)
-        for rule in ("hybrid", "bland"):
-            log.append(rule)
-            res = lp_solve(lp, pivot_rule=rule)
-            assert verify_lp_certificate(lp, res)
-            statuses.add(res.status)
+        res = lp_solve(lp)
+        assert verify_lp_certificate(lp, res)
+        statuses.add(res.status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
     log.append("beale")
     lp_solve(BEALE_LP)  # cycles under the largest-coefficient rule until Bland takes over
@@ -433,11 +441,10 @@ def test_pivot_update_matches_the_dense_rule(monkeypatch):
 
     monkeypatch.setattr(simplex._Solver, "_pivot", checked_pivot)
     trace_rng, boxed_rng = random.Random(41), random.Random(7)
-    lps = [random_trace_lp(trace_rng) for _ in range(200)]
+    lps = [random_trace_lp(trace_rng) for _ in range(300)]
     lps += [random_boxed_lp(boxed_rng, homogeneous=True) for _ in range(80)] + [BEALE_LP]
     for lp in lps:
-        for rule in ("hybrid", "bland"):
-            lp_solve(lp, pivot_rule=rule)
+        lp_solve(lp)
     for family, subsets in TRACED_FACE_TESTS:
         vs = generate(family, 4)
         ctx = FaceContext(vs)
@@ -473,9 +480,7 @@ def small_lps(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_lps())
 def test_lp_solve_properties_random(lp):
-    """Certificates verify, both rules agree, and a second solve repeats the first."""
-    hybrid, bland = lp_solve(lp), lp_solve(lp, pivot_rule="bland")
-    assert verify_lp_certificate(lp, hybrid) and verify_lp_certificate(lp, bland)
-    assert hybrid.status == bland.status
-    assert hybrid.objective_value == bland.objective_value
-    assert lp_solve(lp) == hybrid
+    """The certificate verifies, and a second solve repeats the first."""
+    res = lp_solve(lp)
+    assert verify_lp_certificate(lp, res)
+    assert lp_solve(lp) == res
