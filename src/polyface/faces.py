@@ -725,7 +725,7 @@ def compose_with_face(
     lam = upper - inner_cert.offset + inner_cert.epsilon
     if lam < 0:
         lam = Q(0)
-    a = tuple(x + lam * y for x, y in zip(inner_cert.normal, a_f))
+    a = tuple(x + lam * y if y else x for x, y in zip(inner_cert.normal, a_f))
     b = inner_cert.offset + lam * b_f
     cert = FaceCertificate(normal=a, offset=b, epsilon=inner_cert.epsilon)
     global_subset = [face.subset[i] for i in inner_subset]

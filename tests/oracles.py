@@ -2,8 +2,9 @@
 
 Each piece is an independent way to compute what the library computes
 another way, or a debugging aid for the tests: a Fraction dot product,
-exact solves, ranks and reduced row echelon forms on the library's
-elimination kernel, the hull frame's basis and coordinates recomputed
+exact solves, ranks and reduced row echelon forms by a plain Fraction
+Gauss-Jordan that shares no code with the library's integer kernel,
+the hull frame's basis and coordinates recomputed
 from their definition and their inverse, a plain-text LP dump, and the
 witness-LP face oracle.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from polyface.exactmath import Vector, _eliminate, _int_row
+from polyface.exactmath import Vector
 from polyface.faces import _split
 from polyface.families import VertexSet
 from polyface.simplex import Constraint, LinearProgram, lp_solve
@@ -28,24 +29,39 @@ def vec_dot(u: Sequence, v: Sequence):
     return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
-def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place Gauss-Jordan elimination to reduced row echelon form.
+def row_reduce(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan over Fraction cells to reduced row echelon form, pivots from the first ncols columns (all by default).
 
-    Returns (rows, pivot_cols) with `Fraction` entries.
+    Returns (rows, pivot_cols), a new list of Fraction rows: each pivot
+    row is scaled to 1 at its pivot, and every other row is zero there.
+    Cells that are zero in the pivot row are skipped, which changes no
+    value.
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    ints = [_int_row(row) for row in rows]
-    pivots = _eliminate(ints, ncols)
-    for i, row in enumerate(ints):
-        den = row[pivots[i]] if i < len(pivots) else 1
-        rows[i] = [Q(x, den) for x in row]
+    rows = [[x if isinstance(x, Q) else Q(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        nonzero = [(j, y / pv) for j, y in enumerate(rows[r]) if y]
+        for j, y in nonzero:
+            rows[r][j] = y
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                for j, y in nonzero:
+                    row[j] -= f * y
+        pivots.append(c)
     return rows, pivots
 
 
 def matrix_rank(m: Sequence[Sequence]) -> int:
-    return len(_eliminate([_int_row(row) for row in m], len(m[0]) if m else 0))
+    return len(row_reduce(m)[1])
 
 
 @dataclass(frozen=True)
@@ -70,21 +86,15 @@ def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> LinearSolveResult
         raise ValueError(f"A has {nrows} rows but b has {len(b)} entries")
     ncols = len(a[0]) if nrows else 0
     # [A | I | b]: the identity block records the row operations.
-    rows = [
-        _int_row([*a[r], *(1 if i == r else 0 for i in range(nrows)), b[r]])
-        for r in range(nrows)
-    ]
-    pivots = _eliminate(rows, ncols)
+    rows, pivots = row_reduce([[*a[r], *(1 if i == r else 0 for i in range(nrows)), b[r]] for r in range(nrows)], ncols)
     rank = len(pivots)
     # Inconsistent iff some zero row of A maps to a nonzero rhs.
     for row in rows[rank:]:
         if row[-1] != 0:
-            return LinearSolveResult(
-                status="inconsistent", witness=tuple(Q(x) for x in row[ncols:-1])
-            )
+            return LinearSolveResult(status="inconsistent", witness=tuple(row[ncols:-1]))
     sol = [Q(0)] * ncols
     for row, c in zip(rows, pivots):
-        sol[c] = Q(row[-1], row[c])
+        sol[c] = row[-1]
     free = tuple(c for c in range(ncols) if c not in set(pivots))
     status = "unique" if rank == ncols else "underdetermined"
     return LinearSolveResult(status=status, solution=tuple(sol), free_columns=free)
@@ -102,13 +112,12 @@ def _frame_by_elimination(points: Sequence[Sequence], queries: Sequence[Sequence
     """
     origin = points[0]
     diffs = [[Q(x) - Q(o) for x, o in zip(p, origin, strict=True)] for p in [*points[1:], *queries]]
-    rows = [_int_row(row) for row in zip(*diffs)]
     npoints = len(points) - 1
-    pivots = _eliminate(rows, npoints)
-    if any(row[npoints:] != [0] * len(queries) for row in rows[len(pivots) :]):
+    rows, pivots = row_reduce(list(zip(*diffs)), npoints)
+    if any(any(row[npoints:]) for row in rows[len(pivots) :]):
         raise ValueError("point does not lie in the affine hull")
     basis = tuple(tuple(diffs[c]) for c in pivots)
-    coords = [tuple(Q(row[npoints + q], row[c]) for row, c in zip(rows, pivots)) for q in range(len(queries))]
+    coords = [tuple(row[npoints + q] for row in rows[: len(pivots)]) for q in range(len(queries))]
     return basis, coords
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coords_of, hull_basis, matrix_rank, reconstruct, row_reduce, solve_linear_system, vec_dot
-from polyface.exactmath import affine_dependencies, affine_hull_frame, nullspace
+from polyface.exactmath import _eliminate, _int_row, affine_dependencies, affine_hull_frame, greedy_basis, nullspace
 from polyface.families import bqp_vertices, phi_vertices, qap_vertices
 
 
@@ -44,44 +44,40 @@ def rank_by_minors(m):
     return 0
 
 
-def reference_rref(rows):
-    """Gauss-Jordan over Fraction cells, the oracle for the integer-row kernel."""
-    rows = [[Q(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows, pivots
+def kernel_rref(rows):
+    """The reduced row echelon form of the library's integer-row kernel, read back as Fractions."""
+    ints = [_int_row(row) for row in rows]
+    pivots = _eliminate(ints, len(rows[0]) if rows else 0)
+    dens = [row[c] for row, c in zip(ints, pivots)]
+    dens += [1] * (len(ints) - len(pivots))
+    return [[Q(row.get(j, 0), den) for j in range(len(rows[0]))] for row, den in zip(ints, dens)], pivots
+
+
+def reference_greedy_basis(vectors):
+    """(chosen, leads) of the greedy Fraction echelon: each vector reduced against the ones chosen before it."""
+    reduced, chosen, leads = [], [], []
+    for i, v in enumerate(vectors):
+        r = [Q(x) for x in v]
+        for row, c in zip(reduced, leads):
+            if r[c] != 0:
+                f = r[c] / row[c]
+                r = [x - f * y if y else x for x, y in zip(r, row)]
+        lead = next((j for j, x in enumerate(r) if x != 0), None)
+        if lead is not None:
+            reduced.append(r)
+            chosen.append(i)
+            leads.append(lead)
+    return chosen, leads
 
 
 def reference_frame(points):
     """(basis, pivot_cols, inverse) of the greedy Fraction echelon, the inverse as Fraction rows."""
-    origin = [Q(x) for x in points[0]]
-    basis, reduced, pivots = [], [], []
-    for p in points[1:]:
-        d = [Q(x) - o for x, o in zip(p, origin)]
-        r = d
-        for row, c in zip(reduced, pivots):
-            if r[c] != 0:
-                f = r[c] / row[c]
-                r = [x - f * y for x, y in zip(r, row)]
-        lead = next((i for i, x in enumerate(r) if x != 0), None)
-        if lead is not None:
-            basis.append(tuple(d))
-            reduced.append(r)
-            pivots.append(lead)
+    diffs = [tuple(Q(x) - Q(o) for x, o in zip(p, points[0])) for p in points[1:]]
+    chosen, pivots = reference_greedy_basis(diffs)
+    basis = [diffs[i] for i in chosen]
     m = len(basis)
     aug = [[b[c] for b in basis] + [int(i == j) for j in range(m)] for i, c in enumerate(pivots)]
-    inv = tuple(tuple(row[m:]) for row in reference_rref(aug)[0])
+    inv = tuple(tuple(row[m:]) for row in row_reduce(aug)[0])
     return tuple(basis), tuple(pivots), inv
 
 
@@ -223,8 +219,8 @@ def test_frame_round_trip(make):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: phi_vertices(4), lambda: qap_vertices(4), lambda: bqp_vertices(3)],
-    ids=["phi4", "qap4", "bqp3"],
+    [lambda: phi_vertices(4), lambda: phi_vertices(5), lambda: qap_vertices(4), lambda: qap_vertices(5), lambda: bqp_vertices(3)],
+    ids=["phi4", "phi5", "qap4", "qap5", "bqp3"],
 )
 def test_frame_matches_fraction_reference(make):
     pts = make().dense_all()
@@ -247,6 +243,27 @@ def test_frame_matches_fraction_reference_random(pts):
     assert fraction_coords(frame, pts) == coords_of(pts, pts)
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Wide, mostly-zero integer rows, some of them sums of earlier rows so that dependencies and cancellation occur."""
+    ncols = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if rows and draw(st.booleans()):
+            picks = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(-2, 2)), min_size=1, max_size=3))
+            rows.append([sum(k * row[j] for row, k in picks) for j in range(ncols)])
+        else:
+            cells = draw(st.dictionaries(st.integers(0, ncols - 1), st.integers(-2, 2), max_size=5))
+            rows.append([cells.get(j, 0) for j in range(ncols)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_greedy_basis_matches_fraction_reference_on_sparse_rows(m):
+    assert greedy_basis(m) == reference_greedy_basis(m)
+
+
 small_rational_matrices = st.integers(1, 5).flatmap(
     lambda ncols: st.lists(
         st.lists(st.fractions(-4, 4, max_denominator=3), min_size=ncols, max_size=ncols),
@@ -259,7 +276,7 @@ small_rational_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=40, deadline=None)
 @given(small_rational_matrices)
 def test_row_reduce_matches_fraction_reference_random(m):
-    assert row_reduce([list(row) for row in m]) == reference_rref(m)
+    assert kernel_rref(m) == row_reduce(m)
 
 
 def test_frame_rejects_point_off_hull():
