@@ -55,18 +55,23 @@ n = 4 it does not pay: the 10 representatives of qap(4) triples took
 23 ms against 16 ms (phi(4): 16 ms either way).  A vertex set that
 lacks a vertex has no such symmetry to use.
 
-Scans: ``k_neighborly_scan`` tests subsets in lex order and solves one
-representative per orbit of a checked symmetry (the action is stated
-once, in ``families.coordinate_map``).  With fix_first (qap and phi) it
-scans the subsets through vertex 0 under S_n x S_n x C_2.  On a full
-bqp(m) set without fix_first it scans every k-subset under the bit
-permutations S_m, the moves (a, a, False); any other scan makes every
-subset a representative.  The other members of an orbit get the
-representative's certificate moved by one move (a, b, transpose), the
-one form a move takes, and each is re-verified by substitution.  The
-fix-first orbit search finds its moves as ``_stabiliser`` does: once
-one member's image is fixed, a fixes b (``_forced``); the bit orbits
-are walked from the representative by a transposition and an m-cycle.
+Scans: ``k_neighborly_scan`` decides one representative per orbit of a
+checked symmetry (the action is stated once, in
+``families.coordinate_map``), the orbit's lex-min member.  With
+fix_first (qap and phi) it scans the subsets through vertex 0 under
+S_n x S_n x C_2.  On a full bqp(m) set without fix_first it scans every
+k-subset under the bit permutations S_m, the moves (a, a, False); any
+other scan makes every subset a representative.  A move (a, b,
+transpose), the one form a move takes, permutes the coordinates and
+maps the vertex set onto itself, so it maps faces to faces and
+non-faces to non-faces: the checked generators and the
+representative's certificate, verified by substitution, decide every
+member of its orbit, and only the orbit's size is kept.  The fix-first
+orbit search finds its moves as ``_stabiliser`` does: once one member's
+image is fixed, a fixes b (``_forced``); the bit orbits are walked from
+the representative by a transposition and an m-cycle.  The members
+seen are marked in one bytearray indexed by their lex position among
+the scanned subsets (``_lex_rank``).
 
 Coordinate fixings come before any LP (Ziegler, "Lectures on
 0/1-polytopes", DMV Seminar 29, 2000).  Each vertex is one integer
@@ -91,8 +96,8 @@ or all 2^m of bqp(m), and for generators of the group (five for qap
 and phi, a transposition and an m-cycle of the bits for bqp) whose
 coordinate maps move the vertices as the table moves their
 permutations or bit vectors.  Both are group actions, so they then
-agree on every move, the stabiliser's moves and the orbit links
-included; every certificate is still verified by substitution.  A
+agree on every move, the stabiliser's moves and the orbit walks'
+included; every certificate handed out is verified by substitution.  A
 fix-first scan also needs vertex 0 to be the identity.
 
 Subsets whose points are affinely dependent need no special casing: the
@@ -118,9 +123,9 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, combinations, permutations, repeat
-from operator import itemgetter, or_
+from functools import cached_property, reduce
+from itertools import chain, combinations, permutations
+from operator import getitem, itemgetter, or_
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame, greedy_basis
@@ -331,12 +336,14 @@ class FaceContext:
     """Per-vertex-set precomputation shared across face tests.
 
     Holds the affine-hull frame and the reusable frame-LP rows, each
-    built on first use from its vertex's frame coordinates.  masks[t] is
-    vertex t's one-positions as one integer bitmask (``_masks``), and
-    weight their common number of ones, or None when the vertices differ
-    in it.  Once first asked for, it also holds the outcome of the
-    symmetry check (``symmetry``): the checked table, or the reason the
-    vertex set has none.
+    built on first use: the frame by the first LP, so a scan whose
+    representatives are all certified by fixings builds none, and each
+    row from its vertex's frame coordinates.  masks[t] is vertex t's
+    one-positions as one integer bitmask (``_masks``), and weight their
+    common number of ones, or None when the vertices differ in it.  Once
+    first asked for, it also holds the outcome of the symmetry check
+    (``symmetry``): the checked table, or the reason the vertex set has
+    none.
     """
 
     def __init__(self, vs: VertexSet):
@@ -347,13 +354,19 @@ class FaceContext:
                 f"= {cells} cells, above the {MAX_DENSE_CELLS} of the largest set generate writes"
             )
         self.vs = vs
-        self.frame: AffineHullFrame = affine_hull_frame(vs.dense_all())
-        self.norm_row = _norm_row(self.frame.dim)
         self.masks = _masks(vs)
         weights = {len(v) for v in vs.vertices}
         self.weight = weights.pop() if len(weights) == 1 else None
         self._rows: dict[tuple[int, str], Constraint] = {}
         self._symmetry: _Symmetry | _BitSymmetry | str | None = None
+
+    @cached_property
+    def frame(self) -> AffineHullFrame:
+        return affine_hull_frame(self.vs.dense_all())
+
+    @cached_property
+    def norm_row(self) -> Constraint:
+        return _norm_row(self.frame.dim)
 
     def outside_row(self, t: int) -> Constraint:
         return self._frame_row(t, "<=")
@@ -406,16 +419,19 @@ class _Symmetry:
         a_undo = self.undo[self.index[a]]
         return [self.index[a_undo(get(b))] for get in (self.undo if transpose else self.get)]
 
-    def scanned(self, k: int) -> list[tuple[int, ...]]:
-        """The subsets a fix-first scan walks: the k-subsets through vertex 0, which must be the identity."""
+    fixed = 1  # every scanned subset holds vertex 0
+
+    def scanned(self, k: int):
+        """The subsets a fix-first scan walks, in lex order: the k-subsets through vertex 0, which must be the
+        identity."""
         if self.perms[0] != tuple(range(len(self.perms[0]))):
             raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
-        return [(0,) + rest for rest in combinations(range(1, len(self.perms)), k - 1)]
+        return ((0,) + rest for rest in combinations(range(1, len(self.perms)), k - 1))
 
-    def orbit(self, subset, position: dict, seen: bytearray):
-        """(j, move) for each scanned subset j of subset's orbit not yet seen, now marked seen, with a move
-        from subset to it: the 2 k n! moves that send a member of subset to the identity, so that a fixes b
-        (``_forced``), reach every member of the orbit through vertex 0."""
+    def orbit(self, subset, rank, seen: bytearray):
+        """(member, move) for each scanned member of subset's orbit whose rank is not yet seen, now marked seen,
+        with a move from subset to it: the 2 k n! moves that send a member of subset to the identity, so that a
+        fixes b (``_forced``), reach every member of the orbit through vertex 0."""
         perms, index = self.perms, self.index
         members = [perms[s] for s in subset]
         for transpose in (False, True):
@@ -423,10 +439,11 @@ class _Symmetry:
                 q, steps = _forced(members, s, transpose)
                 forced_b, steps = itemgetter(*q), [itemgetter(*d) for d in steps]
                 for a, a_undo in zip(perms, self.undo):  # member u goes to a.d_u.a^-1
-                    j = position[tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))]
+                    image = tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))
+                    j = rank(image)
                     if not seen[j]:
                         seen[j] = 1
-                        yield j, (a, perms[index[forced_b(a)]], transpose)
+                        yield image, (a, forced_b(a), transpose)
 
 
 @dataclass(frozen=True)
@@ -441,26 +458,28 @@ class _BitSymmetry:
         get = itemgetter(*inverse(move[0]))
         return [self.index[get(u)] for u in self.bits]
 
-    def scanned(self, k: int) -> list[tuple[int, ...]]:
-        """Every k-subset: the bit permutations fix the zero vector, so no single vertex meets every orbit."""
-        return list(combinations(range(len(self.bits)), k))
+    fixed = 0  # the bit permutations fix the zero vector, so no single vertex meets every orbit
 
-    def orbit(self, subset, position: dict, seen: bytearray):
-        """(j, move) for each subset j of subset's orbit not yet seen, now marked seen, with a move from subset
-        to it: the orbit is walked from subset by a transposition and an m-cycle, and each move is the product
-        of the steps that reached its subset."""
+    def scanned(self, k: int):
+        """Every k-subset, in lex order."""
+        return combinations(range(len(self.bits)), k)
+
+    def orbit(self, subset, rank, seen: bytearray):
+        """(member, move) for each member of subset's orbit whose rank is not yet seen, now marked seen, with a
+        move from subset to it: the orbit is walked from subset by a transposition and an m-cycle, and each move
+        is the product of the steps that reached its member."""
         m = len(self.bits[0])
         steps = [(g, self.vertex_map((g, g, False))) for g in _swap_and_cycle(m)]
         queue = [(subset, tuple(range(m)))]
         for member, a in queue:
             for g, vmap in steps:
                 image = tuple(sorted(vmap[t] for t in member))
-                j = position[image]
+                j = rank(image)
                 if not seen[j]:
                     seen[j] = 1
                     b = compose(g, a)
                     queue.append((image, b))
-                    yield j, (b, b, False)
+                    yield image, (b, b, False)
 
 
 def _permutation_table(vs: VertexSet) -> _Symmetry:
@@ -824,51 +843,44 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
     return moves
 
 
-class _Orbits:
-    """The scanned k-subsets, split into orbits of the vertex set's checked symmetry (``FaceContext.symmetry``).
+def _lex_rank(size: int, k: int, fixed: int):
+    """(count, rank): how many k-subsets of range(size) hold range(fixed), and rank(subset), the lex position of
+    such a sorted subset among them.
 
-    On qap(n) and phi(n) these are the subsets through vertex 0 under
-    S_n x S_n x C_2, on bqp(m) every k-subset under the bit permutations
-    S_m (``scanned``).  The moves (a, b, transpose) act as permutations
-    of the coordinates (``coordinate_map``), so they map faces to faces
-    and carry certificates.  The subsets are listed in lex order in
-    subsets; the first one not yet seen is its orbit's lex-min member,
-    its representative, and the table's ``orbit`` reaches the rest of
-    its orbit.  links[i] is None for a representative, else (r, move)
-    with the move mapping subsets[r] onto subsets[i].
+    The combinatorial number system: with r = k - fixed free members and
+    c the j-th of them, C(size - 1 - c, r - j) subsets agree with this
+    one before j and have a larger member at j, so they come after it;
+    its rank is count - 1 less their sum over j.
+    """
+    r = k - fixed
+    count = math.comb(size - fixed, r)
+    rows = [[math.comb(size - 1 - c, r - j) for c in range(size)] for j in range(r)]
+    return count, lambda subset: count - 1 - sum(map(getitem, rows, subset[fixed:]))
+
+
+class _Orbits:
+    """The orbits of the scanned k-subsets under the vertex set's checked symmetry (``FaceContext.symmetry``).
+
+    On qap(n) and phi(n) the scanned subsets are those through vertex 0
+    under S_n x S_n x C_2, on bqp(m) every k-subset under the bit
+    permutations S_m (``scanned``).  They are walked lazily in lex
+    order; the first one not yet seen is its orbit's lex-min member, its
+    representative, and the table's ``orbit`` marks the rest of its
+    orbit seen, in one bytearray indexed by ``rank``, the lex position
+    among the scanned subsets.  reps lists (position, representative,
+    orbit size) in lex order; count is the number of scanned subsets.
     """
 
     def __init__(self, ctx: FaceContext, k: int):
-        self.vs = ctx.vs
         self.table = ctx.symmetry()
-        self.subsets = self.table.scanned(k)
-        position = {s: i for i, s in enumerate(self.subsets)}
-        self.links: list[tuple[int, tuple] | None] = [None] * len(self.subsets)
-        seen = bytearray(len(self.subsets))
-        self.count = 0
-        for i, subset in enumerate(self.subsets):
-            if seen[i]:
-                continue
-            seen[i] = 1
-            self.count += 1
-            for j, move in self.table.orbit(subset, position, seen):
-                self.links[j] = (i, move)
-
-    def carry(self, i: int, solved: dict):
-        """Certificate for subsets[i], carried from its representative's in solved by the one move of its link."""
-        r, move = self.links[i]
-        cert = solved[r]
-        face = isinstance(cert, FaceCertificate)
-        moved = [None] * self.vs.scheme.ambient_dim
-        for o, x in zip(coordinate_map(self.vs.scheme, *move), cert.normal if face else cert.point):
-            moved[o] = x
-        if face:
-            return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
-        weight, vmap = [None] * len(self.vs), self.table.vertex_map(move)
-        for t, x in zip(chain(*_split(self.vs, self.subsets[r])), chain(cert.alpha, cert.mu)):
-            weight[vmap[t]] = x
-        image, others = _split(self.vs, self.subsets[i])
-        return NonFaceWitness(tuple(weight[t] for t in image), tuple(weight[t] for t in others), tuple(moved))
+        self.count, self.rank = _lex_rank(len(ctx.vs), k, self.table.fixed)
+        seen = bytearray(self.count)
+        self.reps: list[tuple[int, tuple[int, ...], int]] = []
+        for i, subset in enumerate(self.table.scanned(k)):
+            if not seen[i]:
+                seen[i] = 1
+                size = 1 + sum(1 for _ in self.table.orbit(subset, self.rank, seen))
+                self.reps.append((i, subset, size))
 
 
 def _fixings(ctx: FaceContext, subset) -> tuple[int, int] | None:
@@ -909,34 +921,6 @@ def _fixing_certificate(vs: VertexSet, subset, inter: int, union: int, weight: i
     return cert
 
 
-def _certified_subsets(vs: VertexSet, ctx: FaceContext, k: int, orbits: _Orbits | None):
-    """(subset, verified certificate) for every scanned subset, in lex order.
-
-    Without orbits every k-subset is a representative.  A representative
-    whose coordinate face holds only itself (``_fixings``) gets the
-    fixing certificate; the others are solved by ``is_face``.  Every
-    other subset gets its representative's certificate carried over and
-    re-verified by substitution.
-    """
-    if orbits is None:
-        subsets, links = combinations(range(len(vs)), k), repeat(None)
-    else:
-        subsets, links = orbits.subsets, orbits.links
-    solved = {}
-    for i, (subset, link) in enumerate(zip(subsets, links)):
-        if link is None:
-            fixed = _fixings(ctx, subset)
-            cert = is_face(vs, subset, ctx) if fixed is None else _fixing_certificate(vs, subset, *fixed, ctx.weight)
-            if orbits is not None:
-                solved[i] = cert
-        else:
-            cert = orbits.carry(i, solved)
-            verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
-            if not verify(vs, subset, cert):
-                raise InternalInconsistencyError(f"certificate carried to {subset} failed substitution")
-        yield subset, cert
-
-
 def k_neighborly_scan(
     vs: VertexSet,
     k: int,
@@ -949,22 +933,24 @@ def k_neighborly_scan(
 
     Subsets are scanned in lexicographic order.  With fix_first (qap and
     phi only) the scanned subsets are those through vertex 0, and only
-    one representative is solved per orbit of ``_Orbits``: the orbit's
+    one representative is decided per orbit of ``_Orbits``: the orbit's
     lex-min member, reached first in the scan.  A full bqp(m) set is
     scanned the same way without fix_first, over all k-subsets and the
-    bit permutations.  A representative is solved by coordinate fixings
-    where they single it out, else by ``is_face``.  The other members
-    get its certificate carried over by the symmetry and re-verified by
-    substitution, so every verdict and count is the one a
-    subset-by-subset scan gives.  The first non-face in lex order is the
-    lex-min member of its orbit, so the scan stops at the same
-    counterexample, with the witness ``is_face`` returns for it.  The
-    symmetry is checked on the vertex set first (``FaceContext.symmetry``,
-    and vertex 0 must be the identity); with fix_first a vertex set it
-    does not fit raises ValueError, and a bqp set that fails it is
-    scanned subset by subset.  In symmetry_reduction, "LPs for N of the
-    M orbits" counts the N representatives scanned, each solved by an LP
-    or by fixings.
+    bit permutations.  A representative is certified by coordinate
+    fixings where they single it out, else by ``is_face``.  A move of the
+    checked symmetry maps it onto each other member of its orbit and its
+    verified certificate onto a certificate for that member, so the
+    orbit's size counts towards faces_certified when it is a face, and
+    every verdict and count is the one a subset-by-subset scan gives.
+    The first non-face in lex order is the lex-min member of its orbit,
+    so the scan stops at the same counterexample, with the witness
+    ``is_face`` returns for it, after the subsets before it, all faces.
+    The symmetry is checked on the vertex set first
+    (``FaceContext.symmetry``, and vertex 0 must be the identity); with
+    fix_first a vertex set it does not fit raises ValueError, and a bqp
+    set that fails it is scanned subset by subset.  In
+    symmetry_reduction, "LPs for N of the M orbits" counts the N
+    representatives decided, each by an LP or by fixings.
     """
     n = len(vs)
     if not 1 <= k < n:
@@ -978,23 +964,28 @@ def k_neighborly_scan(
     elif vs.scheme.family == "bqp":
         with suppress(ValueError):  # no checked bit symmetry: every subset is a representative
             orbits = _Orbits(ctx, k)
-    total = faces = 0
-    first_bad = None
-    first_wit = None
+    if orbits is None:
+        total = math.comb(n, k)
+        reps = ((i, subset, 1) for i, subset in enumerate(combinations(range(n), k)))
+    else:
+        total, reps = orbits.count, orbits.reps
+    faces = solved = 0
+    first_bad = first_wit = None
     stopped = False
-    for subset, cert in _certified_subsets(vs, ctx, k, orbits):
-        total += 1
+    for i, subset, size in reps:
+        solved += 1
+        fixed = _fixings(ctx, subset)
+        cert = is_face(vs, subset, ctx) if fixed is None else _fixing_certificate(vs, subset, *fixed, ctx.weight)
         if isinstance(cert, FaceCertificate):
-            faces += 1
+            faces += size
         elif first_bad is None:
             first_bad, first_wit = subset, cert
             if stop_at_first:
-                stopped = True
+                total, faces, stopped = i + 1, i, True
                 break
     if orbits is None:
         symmetry = "none (exhaustive scan)"
     else:
-        solved = sum(link is None for link in orbits.links[:total])
         m = vs.scheme.n
         if vs.scheme.family == "bqp":
             group, scanned = f"S_{m} (bit permutations)", f"{k}-subsets"
@@ -1002,8 +993,8 @@ def k_neighborly_scan(
             group = f"S_{m} x S_{m} x C_2 (left and right multiplication, inversion)"
             scanned = f"{k}-subsets through vertex 0"
         symmetry = (
-            f"{group}: LPs for {solved} of the {orbits.count} orbits of {scanned}, "
-            "every other subset by a carried certificate re-verified by substitution"
+            f"{group}: LPs for {solved} of the {len(orbits.reps)} orbits of {scanned}, "
+            "every other subset by a move of the checked symmetry"
         )
     return NeighborlinessReport(
         k=k,

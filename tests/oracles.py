@@ -5,19 +5,22 @@ another way, or a debugging aid for the tests: a Fraction dot product,
 exact solves, ranks and reduced row echelon forms by a plain Fraction
 Gauss-Jordan that shares no code with the library's integer kernel,
 the hull frame's basis and coordinates recomputed
-from their definition and their inverse, a plain-text LP dump, and the
-witness-LP face oracle.
+from their definition and their inverse, a plain-text LP dump, the
+witness-LP face oracle, and the orbit scan's certificates carried to
+every member of every orbit and verified by substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
+from polyface import faces
 from polyface.exactmath import Vector
-from polyface.faces import _split
-from polyface.families import VertexSet
+from polyface.faces import FaceCertificate, NonFaceWitness, _split
+from polyface.families import VertexSet, coordinate_map
 from polyface.simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -182,3 +185,54 @@ def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int]) -> bool:
     idx, others = _split(vs, subset)
     res = _witness_lp(vs, idx, others)
     return res.status == "infeasible"
+
+
+def _carried(vs: VertexSet, subset, cert, move, image):
+    """cert for subset, moved by the move (a, b, transpose) to a certificate for image.
+
+    A face certificate's normal, or a witness's point, is permuted by the
+    move's coordinate map; a witness's weights follow their vertices,
+    each sent where the coordinate map sends its one-positions.
+    """
+    cmap = coordinate_map(vs.scheme, *move)
+    moved = [None] * vs.scheme.ambient_dim
+    for o, x in zip(cmap, cert.normal if isinstance(cert, FaceCertificate) else cert.point):
+        moved[o] = x
+    if isinstance(cert, FaceCertificate):
+        return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
+    index = {v: t for t, v in enumerate(vs.vertices)}
+    weight = [None] * len(vs)
+    for t, x in zip(chain(*_split(vs, subset)), chain(cert.alpha, cert.mu)):
+        weight[index[tuple(sorted(cmap[o] for o in vs.vertices[t]))]] = x
+    members, others = _split(vs, image)
+    return NonFaceWitness(tuple(weight[t] for t in members), tuple(weight[t] for t in others), tuple(moved))
+
+
+def carried_orbit_scan(vs: VertexSet, k: int, ctx) -> list[tuple[tuple[int, ...], object]]:
+    """(subset, certificate) for every subset the program's orbit scan covers, in lex order.
+
+    The orbits are the program's (``faces._Orbits``): each representative
+    is decided by ``is_face``, its orbit is walked again by the table's
+    ``orbit``, and each member gets the representative's certificate
+    carried by the move the walk gives it (``_carried``), verified by
+    substitution.  AssertionError when a carried certificate fails, when
+    an orbit's walk disagrees with its recorded size, or when a scanned
+    subset is reached twice or never.
+    """
+    orbits = faces._Orbits(ctx, k)
+    seen = bytearray(orbits.count)
+    reached = {}
+    for i, rep, size in orbits.reps:
+        assert rep not in reached, f"representative {rep} was reached before"
+        cert = reached[rep] = faces.is_face(vs, rep, ctx)
+        seen[i] = 1
+        members = list(orbits.table.orbit(rep, orbits.rank, seen))
+        assert len(members) + 1 == size, f"the orbit of {rep} has {len(members) + 1} members, not {size}"
+        verify = faces.verify_face_certificate if isinstance(cert, FaceCertificate) else faces.verify_nonface_witness
+        for member, move in members:
+            assert member not in reached, f"{member} was reached twice"
+            carried = reached[member] = _carried(vs, rep, cert, move, member)
+            assert verify(vs, member, carried), f"the certificate carried from {rep} to {member} failed substitution"
+    scanned = list(orbits.table.scanned(k))
+    assert len(scanned) == orbits.count and sorted(reached) == scanned, "the orbits do not cover the scan"
+    return [(s, reached[s]) for s in scanned]

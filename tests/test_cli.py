@@ -454,7 +454,7 @@ def test_missing_file_is_error(capsys):
     assert code == 2
 
 
-CLI_OUTPUTS_DIGEST = "89ddf736185d41e238f73ef2dceb4e015c70742c0c8ba1a1d95ff61aa3b267cc"
+CLI_OUTPUTS_DIGEST = "4b84109674294e89eb228379840f5b9308af4d7acbed8bf276d29f2de56d8539"
 
 
 def test_cli_outputs_are_pinned(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -416,12 +417,14 @@ def test_scan_fix_first_counts_and_guards():
     ],
 )
 def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, count, monkeypatch):
-    """The orbit scan's certificate for every scanned subset (through vertex 0 for
-    qap and phi, all of them for bqp) has the verdict is_face gives that subset,
-    and it solves one representative per orbit, by an LP or by fixings."""
+    """The certificate carried to every scanned subset (through vertex 0 for qap
+    and phi, all of them for bqp) by its orbit's move verifies and has the
+    verdict is_face gives that subset, the scan's counts and counterexample are
+    those of the carried certificates, and it decides one representative per
+    orbit, by an LP or by fixings."""
     vs = make(n)
     ctx = FaceContext(vs)
-    orbits = faces._Orbits(ctx, k)
+    carried = oracles.carried_orbit_scan(vs, k, ctx)
     solved = []
 
     def recording_is_face(vs, subset, ctx):
@@ -431,13 +434,17 @@ def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, count, monk
     fixing = faces._fixing_certificate
     monkeypatch.setattr(faces, "is_face", recording_is_face)
     monkeypatch.setattr(faces, "_fixing_certificate", lambda vs, s, *rest: solved.append(s) or fixing(vs, s, *rest))
-    scanned = list(faces._certified_subsets(vs, ctx, k, orbits))
+    rep = k_neighborly_scan(vs, k, fix_first=vs.scheme.family != "bqp", ctx=ctx)
     if vs.scheme.family == "bqp":
-        assert [s for s, _ in scanned] == list(combinations(range(len(vs)), k))
+        assert [s for s, _ in carried] == list(combinations(range(len(vs)), k))
     else:
-        assert [s for s, _ in scanned] == [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
-    assert len(solved) == len(set(solved)) == orbits.count == count
-    for subset, cert in scanned:
+        assert [s for s, _ in carried] == [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
+    assert len(solved) == len(set(solved)) == count
+    assert f"LPs for {count} of the {count} orbits" in rep.symmetry_reduction
+    nonfaces = [s for s, cert in carried if isinstance(cert, NonFaceWitness)]
+    assert (rep.total_subsets, rep.faces_certified) == (len(carried), len(carried) - len(nonfaces))
+    assert rep.counterexample_subset == (nonfaces[0] if nonfaces else None)
+    for subset, cert in carried:
         assert type(cert) is type(is_face(vs, subset, ctx))
         verify = verify_face_certificate if isinstance(cert, FaceCertificate) else verify_nonface_witness
         assert verify(vs, subset, cert)
@@ -452,30 +459,40 @@ def test_orbit_scan_report_names_the_group_and_the_orbits_solved():
 
 def test_full_phi5_orbit_scan_carries_faces_and_non_faces(phi5):
     """The whole fix-first phi(5) triple scan, without stopping: 36 LPs, and
-    face certificates and non-face witnesses carried to the other subsets."""
+    face certificates and non-face witnesses carried to the other subsets by
+    the orbit walk's moves pass substitution and give the scan's counts."""
     vs, ctx = phi5
     rep = k_neighborly_scan(vs, 3, fix_first=True, ctx=ctx)
     assert (rep.total_subsets, rep.faces_certified, rep.counterexample_subset) == (7021, 7011, (0, 3, 4))
     assert not rep.stopped_early
     assert "LPs for 36 of the 36 orbits" in rep.symmetry_reduction
+    carried = oracles.carried_orbit_scan(vs, 3, ctx)
+    nonfaces = [s for s, cert in carried if isinstance(cert, NonFaceWitness)]
+    assert (len(carried), len(carried) - len(nonfaces), nonfaces[0]) == (7021, 7011, (0, 3, 4))
 
 
 @pytest.mark.parametrize(
     "make, n", [(qap_vertices, 4), (phi_vertices, 4), (phi_vertices, 5)], ids=["qap4", "phi4", "phi5"]
 )
 def test_each_link_move_maps_its_representative_onto_its_subset(make, n):
-    """links[i] = (r, move) with subsets[r] a representative, and the move's
-    coordinate map sends the vertices of subsets[r] onto subsets[i]."""
+    """Walked from its representative, each orbit yields its other members, all
+    after the representative in lex order and as many as the orbit's size, and
+    the move given with each member has a coordinate map that sends the
+    representative's vertices onto that member."""
     vs = make(n)
     orbits = faces._Orbits(FaceContext(vs), 3)
     index = {v: t for t, v in enumerate(vs.vertices)}
-    for i, (subset, link) in enumerate(zip(orbits.subsets, orbits.links)):
-        if link is not None:
-            r, move = link
-            assert r < i and orbits.links[r] is None
+    seen = bytearray(orbits.count)
+    for i, rep, size in orbits.reps:
+        seen[i] = 1
+        members = list(orbits.table.orbit(rep, orbits.rank, seen))
+        assert len(members) + 1 == size
+        for member, move in members:
+            assert member > rep
             cmap = coordinate_map(vs.scheme, *move)
-            image = sorted(index[tuple(sorted(cmap[o] for o in vs.vertices[s]))] for s in orbits.subsets[r])
-            assert tuple(image) == subset
+            image = sorted(index[tuple(sorted(cmap[o] for o in vs.vertices[s]))] for s in rep)
+            assert tuple(image) == member
+    assert all(seen)
 
 
 @pytest.mark.parametrize("make", [qap_vertices, phi_vertices], ids=["qap4", "phi4"])
@@ -542,7 +559,7 @@ def test_symmetry_is_checked_once_per_context_and_a_refusal_is_kept(monkeypatch)
     assert (len(checks), len(maps)) == (2, 5)  # the five generators of the check
     second = faces._Orbits(ctx, 3)
     assert (len(checks), len(maps)) == (2, 5)
-    assert second.links == first.links
+    assert second.reps == first.reps
 
 
 def _reordered(vs, order):
@@ -653,7 +670,7 @@ def test_orbit_lp_matches_the_frame_lp_verdicts_on_phi5(phi5, monkeypatch):
     LP's verdict and a certificate that passes substitution."""
     vs, ctx = phi5
     orbits = faces._Orbits(ctx, 3)
-    reps = [s for s, link in zip(orbits.subsets, orbits.links) if link is None]
+    reps = [s for _, s, _ in orbits.reps]
     assert len(reps) == 36
     lps = _recording_lp_solve(monkeypatch)
     for subset in sorted(set(reps) | {(0, i, j) for i, j in PHI5_FACETEST_PAIRS}):
@@ -826,6 +843,53 @@ def test_qap4_fix_first_scan_solves_no_lp(monkeypatch):
     assert (len(lps), len(fixed)) == (0, 10)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_qap_fix_first_scan_builds_no_hull_frame(n, monkeypatch):
+    """Fixings certify every representative of a fix-first qap(4) or qap(5) triple
+    scan, so the hull frame, built by the first LP, is never built."""
+    monkeypatch.setattr(faces, "affine_hull_frame", lambda points: pytest.fail("a hull frame was built"))
+    vs = qap_vertices(n)
+    rep = k_neighborly_scan(vs, 3, fix_first=True)
+    assert rep.is_k_neighborly and rep.total_subsets == rep.faces_certified == comb(len(vs) - 1, 2)
+
+
+_SCAN_BASES = {  # each base with the k it is scanned at
+    "qap4": (qap_vertices(4), (2, 3)), "phi4": (phi_vertices(4), (2, 3)), "bqp3": (bqp_vertices(3), (2, 3, 4))
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(_SCAN_BASES)), st.integers(0, 2**32 - 1))
+def test_orbit_scan_counts_match_is_face_on_a_symmetric_reordering(name, seed):
+    """Reordered by a seeded move (a, a, transpose) that keeps vertex 0 first, the
+    orbit scan gives the counts, counterexample and witness of an is_face loop
+    over the same subsets in lex order, with stop_at_first on and off."""
+    base, ks = _SCAN_BASES[name]
+    rng = random.Random(seed)
+    a = list(range(base.scheme.n))
+    rng.shuffle(a)
+    fix_first = base.scheme.family != "bqp"
+    order = _coordinate_vertex_map(base, (tuple(a), tuple(a), fix_first and rng.random() < 0.5))
+    assert order[0] == 0
+    vs = _reordered(base, order)
+    ctx = FaceContext(vs)
+    for k in ks:
+        if fix_first:
+            scanned = [(0,) + rest for rest in combinations(range(1, len(vs)), k - 1)]
+        else:
+            scanned = list(combinations(range(len(vs)), k))
+        verdicts = {s: is_face(vs, s, ctx) for s in scanned}
+        nonfaces = [s for s in scanned if isinstance(verdicts[s], NonFaceWitness)]
+        first = nonfaces[0] if nonfaces else None
+        for stop in (False, True):
+            rep = k_neighborly_scan(vs, k, fix_first=fix_first, stop_at_first=stop, ctx=ctx)
+            total = scanned.index(first) + 1 if stop and nonfaces else len(scanned)
+            faces_before = total - 1 if stop and nonfaces else total - len(nonfaces)
+            assert (rep.total_subsets, rep.faces_certified) == (total, faces_before)
+            assert (rep.counterexample_subset, rep.stopped_early) == (first, stop and first is not None)
+            assert rep.counterexample_witness == (verdicts[first] if nonfaces else None)
+
+
 def test_phi4_fix_first_scan_takes_both_routes(monkeypatch):
     """5 representatives by fixings, the other 5 (the non-face among them) by is_face."""
     fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
@@ -904,7 +968,7 @@ def test_bqp_orbit_scan_finds_the_non_faces_a_subset_by_subset_scan_finds(monkey
     assert (rep.total_subsets, rep.faces_certified) == (70, 70 - len(nonfaces)) and nonfaces
     assert rep.counterexample_subset == nonfaces[0]
     assert rep.counterexample_witness == direct[nonfaces[0]]
-    for subset, cert in faces._certified_subsets(vs, ctx, 4, faces._Orbits(ctx, 4)):
+    for subset, cert in oracles.carried_orbit_scan(vs, 4, ctx):
         assert type(cert) is type(direct[subset]) and _verifies(vs, subset, cert)
     stopped = k_neighborly_scan(vs, 4, ctx=ctx, stop_at_first=True)
     assert (stopped.counterexample_subset, stopped.counterexample_witness) == (nonfaces[0], direct[nonfaces[0]])
@@ -933,16 +997,18 @@ def test_bqp_set_without_a_vertex_is_scanned_subset_by_subset():
 
 def test_a_wrong_bqp_coordinate_map_is_caught_and_nothing_is_carried(monkeypatch):
     """With each bit permutation replaced by its inverse, the m-cycle moves the
-    vertices unlike their bit vectors: the scan falls back to every subset."""
+    vertices unlike their bit vectors: the scan walks no orbit and decides every subset."""
     right = faces.coordinate_map
     monkeypatch.setattr(
         faces, "coordinate_map", lambda scheme, a, b, transpose: right(scheme, inverse(a), inverse(b), transpose)
     )
-    monkeypatch.setattr(faces._Orbits, "carry", lambda *args: pytest.fail("a certificate was carried"))
+    monkeypatch.setattr(faces._BitSymmetry, "orbit", lambda *args: pytest.fail("an orbit was walked"))
+    fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
     vs = bqp_vertices(3)
     ctx = FaceContext(vs)
     rep = k_neighborly_scan(vs, 3, ctx=ctx)
     assert (rep.total_subsets, rep.faces_certified, rep.symmetry_reduction) == (56, 56, "none (exhaustive scan)")
+    assert sorted(fixed + solved) == list(combinations(range(8), 3))
     with pytest.raises(ValueError, match="unlike their bit vectors"):
         ctx.symmetry()
 
