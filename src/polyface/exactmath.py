@@ -6,12 +6,13 @@ tuples; integers are accepted anywhere a rational is (they are exact).
 
 All elimination runs in one private fraction-free kernel over sparse
 primitive integer rows: a row is a dict from column to nonzero int,
-gcd-normalized after every combination.  ``_eliminate`` is Gauss-Jordan,
-``_reduce`` reduces one vector against echelon rows, and ``_combine``
-touches only the pivot row's nonzeros, as echelon rows are sparse
-(qap(5) frame: 57 nonzeros on average, at most 152, of 625 columns;
-qap(6) 72 (257) of 1,296; phi(6) 35 (97) of 225; entries of at most 4
-bits).  Fractions appear only when a result is read back.
+gcd-normalized after every combination.  ``_eliminate`` is Gauss-Jordan
+and ``_combine`` touches only the pivot row's nonzeros.  ``greedy_basis``
+keeps its chosen rows fully reduced as well and reduces each candidate
+in one combination with the rows whose leads it meets.  Reduced rows
+are sparse (qap(5) frame: 66 nonzeros on average, at most 151, of 625
+columns; qap(6) 83 (235) of 1,296; phi(6) 48 (110) of 225; entries of
+at most 4 bits).  Fractions appear only when a result is read back.
 
 Hull frames follow the same rule.  ``AffineHullFrame`` stores its
 origin, its pivot columns and the inverse of its basis there, once, as
@@ -85,12 +86,17 @@ def _combine(v: dict[int, int], row: dict[int, int], c: int) -> dict[int, int]:
     pv, f = row[c] // g, v[c] // g
     if pv != 1:
         v = {k: x * pv for k, x in v.items()}
+    return _primitive(_subtract(v, row, f))
+
+
+def _subtract(v: dict[int, int], row: dict[int, int], f: int) -> dict[int, int]:
+    """v - f * row in place, on row's nonzero columns only; cancelled entries are deleted."""
     for k, y in row.items():
         if x := v.get(k, 0) - f * y:
             v[k] = x
         else:
             del v[k]
-    return _primitive(v)
+    return v
 
 
 def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[int]:
@@ -119,14 +125,6 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[int]:
         if len(pivots) == len(rows):
             break
     return pivots
-
-
-def _reduce(v: dict[int, int], rows: Sequence[dict[int, int]], pivots: Sequence[int]) -> dict[int, int]:
-    """Primitive integer v reduced against echelon rows: zero at every pivot; v may be changed in place."""
-    for row, c in zip(rows, pivots):
-        if c in v:
-            v = _combine(v, row, c)
-    return v
 
 
 def nullspace(m: Sequence[Sequence]) -> list[Vector]:
@@ -169,20 +167,37 @@ def affine_dependencies(points: Sequence[Sequence]) -> list[tuple[int, ...]]:
 def greedy_basis(vectors: Iterable[Sequence]) -> tuple[list[int], list[int]]:
     """(chosen, leads): the indices, in order, of the vectors independent of all earlier ones.
 
-    Each vector is reduced against the echelon rows of those chosen
-    before it; leads[i] is the first nonzero column of the reduced form
-    of vectors[chosen[i]], so the leads are distinct.
+    leads[i] is the first nonzero column of vectors[chosen[i]] reduced to
+    zero at every earlier lead; that form is unique up to scale, so the
+    leads are distinct.  The chosen rows are kept fully reduced, each zero
+    at every other row's lead: a new row's lead is removed from every
+    earlier row.  Subtracting one row then leaves a candidate v unchanged
+    at the other leads, so v is reduced in one integer combination,
+    L*v - sum(L*v[c]/row_c[c] * row_c) over the leads c in its support
+    with L the lcm of row_c[c]/gcd(row_c[c], v[c]), and one gcd at the
+    end.  Most candidates of a hull frame are dependent (513 of qap(6)'s
+    719 differences), so their reduction is the cost; against echelon
+    rows v would be rescaled and renormalised once per row met.
     """
-    echelon: list[dict[int, int]] = []
+    rows: dict[int, dict[int, int]] = {}  # lead -> fully reduced row, in the order chosen
     chosen: list[int] = []
-    leads: list[int] = []
     for i, v in enumerate(vectors):
-        v = _reduce(_int_row(v), echelon, leads)
+        v = _int_row(v)
+        if hits := [c for c in v if c in rows]:
+            scale = math.lcm(*(rows[c][c] // math.gcd(rows[c][c], v[c]) for c in hits))
+            if scale != 1:
+                v = {k: x * scale for k, x in v.items()}
+            for c in hits:
+                _subtract(v, rows[c], v[c] // rows[c][c])
+            v = _primitive(v)
         if v:
-            echelon.append(v)
+            lead = min(v)
+            for c, row in rows.items():
+                if lead in row:
+                    rows[c] = _combine(row, v, lead)
+            rows[lead] = v
             chosen.append(i)
-            leads.append(min(v))
-    return chosen, leads
+    return chosen, list(rows)
 
 
 @dataclass(frozen=True)

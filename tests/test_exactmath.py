@@ -244,23 +244,33 @@ def test_frame_matches_fraction_reference_random(pts):
 
 
 @st.composite
-def sparse_matrices(draw):
-    """Wide, mostly-zero integer rows, some of them sums of earlier rows so that dependencies and cancellation occur."""
-    ncols = draw(st.integers(1, 40))
+def sparse_or_dense_matrices(draw):
+    """Integer rows, some of them sums of earlier rows so that dependencies and cancellation occur.
+
+    Sparse: wide, mostly-zero rows with entries in -2..2.  Dense: at most
+    12 columns with entries in -4..4 and sums with factors up to 3, so
+    that leads are not units and a candidate must be scaled before it is
+    reduced.
+    """
+    dense = draw(st.booleans())
+    ncols = draw(st.integers(1, 12 if dense else 40))
+    factors = st.sampled_from([-3, -2, -1, 1, 2, 3]) if dense else st.integers(-2, 2)
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         if rows and draw(st.booleans()):
-            picks = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(-2, 2)), min_size=1, max_size=3))
+            picks = draw(st.lists(st.tuples(st.sampled_from(rows), factors), min_size=1, max_size=3))
             rows.append([sum(k * row[j] for row, k in picks) for j in range(ncols)])
+        elif dense:
+            rows.append(draw(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)))
         else:
             cells = draw(st.dictionaries(st.integers(0, ncols - 1), st.integers(-2, 2), max_size=5))
             rows.append([cells.get(j, 0) for j in range(ncols)])
     return rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(sparse_matrices())
-def test_greedy_basis_matches_fraction_reference_on_sparse_rows(m):
+@settings(max_examples=400, deadline=None)
+@given(sparse_or_dense_matrices())
+def test_greedy_basis_matches_fraction_reference_on_sparse_and_dense_rows(m):
     assert greedy_basis(m) == reference_greedy_basis(m)
 
 
