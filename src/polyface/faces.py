@@ -110,7 +110,8 @@ over the frame's denominator (``AffineHullFrame.weighted_columns``),
 built the first time the row is asked for, so the orbit LP computes
 none; the lift to ambient coordinates runs on integers
 (``AffineHullFrame.ambient_functional``); ``verify_face_certificate``
-scales the certificate once and sums integers per vertex.  Fractions
+scales the certificate once and adds each nonzero integer entry into
+the vertices with a one there (``VertexSet.incidence``).  Fractions
 are built only for the LP rows (same rational values, so every LP and
 its duals are unchanged), for the certificates handed out, and in the
 non-face witness check.
@@ -270,34 +271,32 @@ def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCert
     """Substitution check of the supporting-hyperplane invariants.
 
     (normal, offset, epsilon) are scaled once to integers over their
-    common denominator, so each vertex costs one integer sum over its
-    one-positions.  A normal lifted from the hull frame has at most
-    frame-dimension nonzero entries, so the lcm and the rescale run only
-    over the entries with a nonzero numerator.  Every entry's numerator
-    is read, so one that is not an int or a Fraction (None, "", a float)
-    fails the check, as does a subset ``_split`` refuses.
+    common denominator.  Each entry with a nonzero numerator is then
+    added into every vertex with a one at its offset
+    (``VertexSet.incidence``), so the cost follows the normal's support,
+    at most frame-dimension entries for a normal lifted from the hull
+    frame; a vertex the support misses has value 0 and is checked like
+    the rest.  Every entry's numerator is read, so one that is not an
+    int or a Fraction (None, "", a float) fails the check, as does a
+    subset ``_split`` refuses.
     """
     try:
         idx, others = _split(vs, subset)
-        dim = vs.scheme.ambient_dim
-        if len(cert.normal) != dim:
+        if len(cert.normal) != vs.scheme.ambient_dim:
             return False
-        # One integer copy of the normal and no other temporary of its size:
-        # more short-lived copies per check measurably raised a scan's peak RSS.
         support = [(o, x) for o, x in enumerate(cert.normal) if x.numerator]
         den = reduce(math.lcm, (x.denominator for _, x in support), cert.offset.denominator)
         den = math.lcm(den, cert.epsilon.denominator)
-        normal = [0] * dim
-        for o, x in support:
-            normal[o] = x.numerator * (den // x.denominator)
         offset, eps = (x.numerator * (den // x.denominator) for x in (cert.offset, cert.epsilon))
         if eps <= 0:
             return False
-        low = offset - eps
-        value = normal.__getitem__
-        return all(sum(map(value, vs.vertices[s])) == offset for s in idx) and all(
-            sum(map(value, vs.vertices[t])) <= low for t in others
-        )
+        values = [0] * len(vs)
+        for o, x in support:
+            weight = x.numerator * (den // x.denominator)
+            for t in vs.incidence[o]:
+                values[t] += weight
+        value = values.__getitem__
+        return all(value(s) == offset for s in idx) and max(map(value, others)) <= offset - eps
     except (ValueError, TypeError, IndexError, AttributeError):
         return False
 
@@ -740,7 +739,7 @@ def compose_with_face(
     certificate is verified by substitution against every vertex.
     """
     a_f, b_f = face.certificate.normal, face.certificate.offset
-    upper = sum(x for x in inner_cert.normal if x > 0)  # max of inner normal on 0/1 points
+    upper = sum(x for x in inner_cert.normal if x.numerator > 0)  # max of inner normal on 0/1 points
     lam = upper - inner_cert.offset + inner_cert.epsilon
     if lam < 0:
         lam = Q(0)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from math import comb, factorial
 from typing import Sequence
@@ -122,6 +123,15 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """For each ambient offset, the indices of the vertices with a one there."""
+        columns: list[list[int]] = [[] for _ in range(self.scheme.ambient_dim)]
+        for t, v in enumerate(self.vertices):
+            for off in v:
+                columns[off].append(t)
+        return tuple(map(tuple, columns))
 
     def dense(self, idx: int) -> tuple[int, ...]:
         out = [0] * self.scheme.ambient_dim

@@ -78,7 +78,9 @@ class Report:
 
 
 def _one_positions(vec):
-    return tuple(i for i, x in enumerate(vec) if x != 0)
+    """The one-positions of a 0/1 vector, or None if an entry is neither 0 nor 1."""
+    ones = tuple(i for i, x in enumerate(vec) if x)
+    return ones if all(vec[i] == 1 for i in ones) else None
 
 
 def _round_trip(res: FaceIsoResult, targets: VertexSet) -> tuple[bool, bool]:
@@ -100,13 +102,8 @@ def scenario_prop1(n: int) -> list[Step]:
     pmap = prop1_projection(n)
     qs, ps = qap_vertices(n), phi_vertices(n)
     label_to_phi = {lab: i for i, lab in enumerate(ps.labels)}
-    pointwise = True
-    for idx in range(len(qs)):
-        image = _one_positions(pmap.apply_vertex(qs.vertices[idx]))
-        want = ps.vertices[label_to_phi[qs.labels[idx]]]
-        if image != want:
-            pointwise = False
-            break
+    images = [_one_positions(pmap.apply_vertex(v)) for v in qs.vertices]
+    pointwise = all(image == ps.vertices[label_to_phi[lab]] for image, lab in zip(images, qs.labels))
     steps.append(
         Step(
             "label-respecting projection",
@@ -115,7 +112,7 @@ def scenario_prop1(n: int) -> list[Step]:
             {"vertices": len(qs)},
         )
     )
-    image_set = {_one_positions(pmap.apply_vertex(v)) for v in qs.vertices}
+    image_set = set(images)
     surjective = image_set == set(ps.vertices) and len(image_set) == len(qs)
     steps.append(
         Step(

@@ -248,17 +248,36 @@ def _reference_verify_face_certificate(vs, subset, cert):
         return False
 
 
-_CERT_BASES = (phi_vertices(3), bqp_vertices(3), qap_vertices(3))
+_CERT_BASES = (phi_vertices(3), bqp_vertices(3), qap_vertices(3), phi_vertices(4), bqp_vertices(4))
 _small_rationals = st.fractions(-3, 3, max_denominator=4)
 
 
+def _sparse_certificate_case(draw, vs):
+    """A normal with 1 to 3 nonzero entries.  The offset is a touched vertex's
+    value, the subset the vertices at that value, and epsilon the gap to the
+    other touched vertices, so the vertices the support misses, of value 0,
+    decide the verdict: a check must read them too."""
+    offs = draw(st.lists(st.integers(0, vs.scheme.ambient_dim - 1), min_size=1, max_size=3, unique=True))
+    normal = [Q(0)] * vs.scheme.ambient_dim
+    for o in offs:
+        normal[o] = draw(_small_rationals.filter(bool))
+    values = [sum((normal[o] for o in v), Q(0)) for v in vs.vertices]
+    touched = [t for t, v in enumerate(vs.vertices) if not set(v).isdisjoint(offs)]
+    offset = values[draw(st.sampled_from(touched))] if touched else Q(0)
+    subset = tuple(t for t, x in enumerate(values) if x == offset)[: len(vs) - 1]
+    eps = offset - max((values[t] for t in touched if t not in subset), default=offset - 1)
+    return vs, subset, FaceCertificate(tuple(normal), offset, eps), None
+
+
 @st.composite
-def _certificate_case(draw):
-    """A vertex set, a subset, and a random, LP-issued or tampered face certificate."""
+def _certificate_case(draw, kinds=("random", "sparse", "issued", "offset", "epsilon", "normal")):
+    """A vertex set, a subset, and a random, sparse, LP-issued or tampered face certificate."""
     vs = draw(st.sampled_from(_CERT_BASES))
     dim = vs.scheme.ambient_dim
     subset = tuple(sorted(draw(st.sets(st.integers(0, len(vs) - 1), min_size=1, max_size=len(vs) - 1))))
-    kind = draw(st.sampled_from(("random", "issued", "offset", "epsilon", "normal")))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sparse":
+        return _sparse_certificate_case(draw, vs)
     cert = is_face(vs, subset) if kind != "random" else None
     if not isinstance(cert, FaceCertificate):
         normal = tuple(draw(st.lists(_small_rationals, min_size=dim, max_size=dim)))
@@ -275,14 +294,25 @@ def _certificate_case(draw):
     return vs, subset, cert, kind == "issued"
 
 
-@settings(max_examples=60, deadline=None)
-@given(_certificate_case())
-def test_verify_face_certificate_matches_fraction_reference_random(case):
+def _matches_fraction_reference(case):
     vs, subset, cert, issued = case
     verdict = verify_face_certificate(vs, subset, cert)
     assert verdict == _reference_verify_face_certificate(vs, subset, cert)
     if issued:
         assert verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certificate_case())
+def test_verify_face_certificate_matches_fraction_reference_random(case):
+    _matches_fraction_reference(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_certificate_case(kinds=("sparse",)))
+def test_verify_face_certificate_reads_the_vertices_off_the_support(case):
+    """Sparse normals only, where the vertices the support misses decide the verdict."""
+    _matches_fraction_reference(case)
 
 
 def _at_first_zero(normal, value):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from polyface import faces
-from polyface.scenarios import run_scenario
+from polyface import faces, scenarios
+from polyface.maps import prop1_projection
+from polyface.scenarios import run_scenario, scenario_prop1
 
 
 @pytest.mark.parametrize(
@@ -23,3 +26,17 @@ def test_scenario_solves_each_support_lp_once(name, param, lps, monkeypatch):
     monkeypatch.setattr(faces, "lp_solve", counting_lp_solve)
     assert run_scenario(name, param).passed
     assert len(calls) == lps
+
+
+def test_prop1_rejects_an_image_that_is_not_0_1(monkeypatch):
+    """With the projection's first entry doubled, the images of the vertices through
+    that column hold a 2 where the edge matrix holds a 1, so neither step passes."""
+    pmap = prop1_projection(4)
+    (r, j, x), *rest = pmap.entries
+    doubled = replace(pmap, entries=((r, j, 2 * x), *rest))
+    monkeypatch.setattr(scenarios, "prop1_projection", lambda n: doubled)
+    steps = {step.name: step.passed for step in scenario_prop1(4)}
+    assert steps == {
+        "label-respecting projection": False,
+        "surjectivity onto the edge-permutation vertices": False,
+    }
