@@ -11,15 +11,20 @@ Method: all LPs are solved in exact arithmetic over the affine-hull
 frame of the vertex set (ambient dimensions up to several hundred drop
 to the hull dimension).  The support-LP maximizes the gap eps subject
 to a . v = b on S, a . v <= b - eps off S, with the L1 normalization
-sum |a_i| <= 1 and the cap eps <= 1; it is solved once, with every row
-present (rows: S, the norm row, then every other vertex in index
-order).  A zero optimum is read as a non-face witness from the same
-LP's optimal duals: with the gap at zero the norm-row multiplier
-vanishes, the multipliers of the off-S rows sum to T >= 1 (the eps
-column) and those of the S rows to -T (the b columns), and the frame
-rows combine to zero, so alpha = -y_S / T and mu = y_rest / T is a
-common point of aff(S) and conv(rest).  An independent formulation,
-the witness-LP, is kept as a test oracle.
+sum |a_i| <= 1 and the cap eps <= 1; it is solved once, with all its
+rows present.  Where no orbit LP runs (below), ``is_face`` first finds
+S's coordinate face F (coordinate fixings, below); F = S needs no LP.
+Otherwise the rows are S, the norm row, then F's other vertices in
+index order: conv(F) is a face, so S is a face exactly when it is one
+of conv(F).  When F is not every vertex, a gap inside F is lifted by
+adding a multiple of F's fixing functional (``_lifted``, shared with
+``compose_with_face``).  A zero optimum is read as a non-face witness
+from the same LP's optimal duals: with the gap at zero the norm-row
+multiplier vanishes, the multipliers of the off-S rows sum to T >= 1
+(the eps column) and those of the S rows to -T (the b columns), and the
+frame rows combine to zero, so alpha = -y_S / T and mu = y_rest / T,
+zero off F, is a common point of aff(S) and conv(rest).  An independent
+formulation, the witness-LP, is kept as a test oracle.
 
 The orbit LP.  When the vertex set holds all n! vertices of qap(n) or
 phi(n) with n >= 5, ``is_face`` first finds the stabiliser H of S in
@@ -45,7 +50,7 @@ row's multiplier is spread evenly over the orbit's members, y_t = y_O /
 |O|: the resulting combination of frame points is H-fixed and every
 invariant functional vanishes on it, so it is zero, and the spread
 duals give the witness as above, verified by substitution.  When H is
-trivial the frame LP is solved as it is.
+trivial S is decided inside F as above.
 Why this rule, measured on a 2-core VM: on the 24 phi(5) triples of
 the benchmark the orbit LP took 467 pivots and 0.30 s against 3,202
 pivots and 1.34 s for the frame LP, and on the 36 fix-first
@@ -79,12 +84,14 @@ bitmask of its one-positions (``FaceContext.masks``).  With I the AND
 and U the OR of the representative's masks, fixing every coordinate on
 which S agrees cuts out the face F = {v : I <= v <= U}.  When F holds
 only S, the fixing functional certifies S with gap 1 and no LP is
-solved (``_fixings``, ``_fixing_certificate``): on a vertex set whose
-vertices all have w ones (qap, phi) it is 1 on U plus 1 on I, with
-offset w + |I|; otherwise +1 on I and -1 off U, with offset |I|.  It is
-verified by substitution like every certificate.  A representative
-whose F is larger goes to ``is_face`` unchanged, so a non-face witness
-always comes from the support LP.
+solved (``_coordinate_face``, ``_fixing_certificate``): on a vertex set
+whose vertices all have w ones (qap, phi) it is 1 on U plus 1 on I,
+with offset w + |I|; otherwise +1 on I and -1 off U, with offset |I|
+(``_fixing_form``).  It is verified by substitution like every
+certificate.  The scan tests F = S before it calls ``is_face``, which
+tries the orbit LP first; ``is_face`` decides a larger F by the frame
+LP over F's rows (Method), so a non-face witness comes from a support
+LP's duals.
 
 The symmetry is checked once per vertex set, and the searches read the
 outcome from ``FaceContext.symmetry``: for qap and phi the permutation
@@ -109,9 +116,11 @@ A frame-LP row reads its vertex's frame coordinates as one integer row
 over the frame's denominator (``AffineHullFrame.weighted_columns``),
 built the first time the row is asked for, so the orbit LP computes
 none; the lift to ambient coordinates runs on integers
-(``AffineHullFrame.ambient_functional``); ``verify_face_certificate``
-scales the certificate once and adds each nonzero integer entry into
-the vertices with a one there (``VertexSet.incidence``).  Fractions
+(``AffineHullFrame.ambient_functional``), and so does the lift off a
+coordinate face, over one denominator (``_lifted``);
+``verify_face_certificate`` scales the certificate once and adds each
+nonzero integer entry into the vertices with a one there
+(``VertexSet.incidence``).  Fractions
 are built only for the LP rows (same rational values, so every LP and
 its duals are unchanged), for the certificates handed out, and in the
 non-face witness check.
@@ -124,9 +133,9 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, combinations, permutations
-from operator import getitem, itemgetter, or_
+from operator import and_, getitem, itemgetter, or_
 from typing import Sequence
 
 from .exactmath import AffineHullFrame, affine_hull_frame, greedy_basis
@@ -581,7 +590,7 @@ def _support_lp_optimum(width: int, rows: list[Constraint]):
 
 
 def _frame_lp(ctx: FaceContext, subset, others):
-    """The support-LP over the frame: rows for the subset, the norm, then every other vertex.
+    """The support-LP over the frame: rows for the subset, the norm, then each vertex of others in order.
 
     Returns (epsilon, (normal, offset), None) at a positive gap, with the
     hyperplane lifted to ambient coordinates, and (0, None, (y_subset,
@@ -660,11 +669,25 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
 
     FaceCertificate when S is the vertex set of a face, NonFaceWitness
     otherwise.  A ctx built for another vertex set raises ValueError.
+    Without a stabiliser S is decided inside its coordinate face.
     """
     idx, others = _split(vs, subset)
     ctx = _context(vs, ctx)
     moves = _stabiliser_moves(ctx, idx)
-    eps, hyperplane, weights = _orbit_lp(ctx, idx, others, moves) if moves else _frame_lp(ctx, idx, others)
+    if moves:
+        eps, hyperplane, weights = _orbit_lp(ctx, idx, others, moves)
+    else:
+        inter, union, face = _coordinate_face(ctx, idx)
+        if len(face) == len(idx):
+            return _fixing_certificate(vs, idx, inter, union, ctx.weight)
+        members = set(idx)
+        rest = [t for t in face if t not in members]
+        eps, hyperplane, weights = _frame_lp(ctx, idx, rest)
+        if eps == 0:  # mu is 0 off F
+            y_rest = dict(zip(rest, weights[1]))
+            weights = weights[0], [y_rest.get(t, 0) for t in others]
+        elif len(face) < len(vs):
+            hyperplane = _lifted(*hyperplane, eps, inter, union, ctx.weight)
     if eps > 0:
         a, b = hyperplane
         cert = FaceCertificate(normal=a, offset=b, epsilon=eps)
@@ -717,8 +740,7 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
             raise ValueError(f"value must be 0 or 1, got {val}")
     masks = _masks(vs)
     reports = [EquationReport(off, val, any(m >> off & 1 == val for m in masks)) for off, val in eqs]
-    inter = reduce(or_, (1 << off for off, val in eqs if val == 1), 0)
-    union = ((1 << dim) - 1) & ~reduce(or_, (1 << off for off, val in eqs if val == 0), 0)
+    inter, union = _equation_masks(dim, eqs)
     subset = [t for t, m in enumerate(masks) if m & inter == inter and m | union == union]
     cert = _fixing_certificate(vs, subset, inter, union, None) if 0 < len(subset) < len(vs) else None
     return FaceByEquations(tuple(subset), tuple(reports), cert)
@@ -733,18 +755,13 @@ def compose_with_face(
     indexes face.subset, and inner_cert certifies it against the other
     vertices of the face.  If T is a face of the face F then T is a face
     of the whole polytope; the supporting functional is the inner one
-    plus a large multiple of face.certificate, the coordinate-fixing
-    functional ``face_by_equations`` built and verified, which is tight
-    on F and falls by at least 1 on every vertex outside it.  The lifted
+    plus a large multiple of face.certificate (``_lifted``), the integer
+    coordinate-fixing functional ``face_by_equations`` built and verified,
+    tight on F and at least 1 lower on every vertex outside it.  The lifted
     certificate is verified by substitution against every vertex.
     """
-    a_f, b_f = face.certificate.normal, face.certificate.offset
-    upper = sum(x for x in inner_cert.normal if x.numerator > 0)  # max of inner normal on 0/1 points
-    lam = upper - inner_cert.offset + inner_cert.epsilon
-    if lam < 0:
-        lam = Q(0)
-    a = tuple(x + lam * y if y else x for x, y in zip(inner_cert.normal, a_f))
-    b = inner_cert.offset + lam * b_f
+    inter, union = _equation_masks(vs.scheme.ambient_dim, [(e.coordinate, e.value) for e in face.equations])
+    a, b = _lifted(inner_cert.normal, inner_cert.offset, inner_cert.epsilon, inter, union, None)
     cert = FaceCertificate(normal=a, offset=b, epsilon=inner_cert.epsilon)
     global_subset = [face.subset[i] for i in inner_subset]
     if not verify_face_certificate(vs, global_subset, cert):
@@ -882,39 +899,54 @@ class _Orbits:
                 self.reps.append((i, subset, size))
 
 
-def _fixings(ctx: FaceContext, subset) -> tuple[int, int] | None:
-    """(I, U), the AND and the OR of the subset's vertex masks, when the coordinate face {v : I <= v <= U}
-    holds only the subset; None as soon as it holds one vertex more."""
-    masks = ctx.masks
-    inter = union = masks[subset[0]]
-    for s in subset[1:]:
-        inter &= masks[s]
-        union |= masks[s]
-    spare = len(subset)  # the face holds the subset itself
-    for v in masks:
-        if v & inter == inter and v | union == union:
-            spare -= 1
-            if spare < 0:
-                return None
-    return inter, union
+def _coordinate_face(ctx: FaceContext, subset) -> tuple[int, int, list[int]]:
+    """(I, U, F): the AND and the OR of the subset's vertex masks, and the vertices of the coordinate face
+    {v : I <= v <= U} in index order, the subset among them."""
+    masks = [ctx.masks[s] for s in subset]
+    inter, union = reduce(and_, masks), reduce(or_, masks)
+    return inter, union, [t for t, v in enumerate(ctx.masks) if v & inter == inter and v | union == union]
 
 
-_ZERO, _ONE, _TWO, _MINUS_ONE = Q(0), Q(1), Q(2), Q(-1)
+def _fixing_form(inter: int, union: int, weight: int | None) -> tuple[int, int, int, int]:
+    """(on I, on U less I, off U, offset): the fixing functional of the face {v : I <= v <= U}, tight on it and
+    at least 1 lower on every other vertex.  With every vertex of weight w it is 1 on U plus 1 on I, offset
+    w + |I|; with weight None +1 on I and -1 off U, offset |I|."""
+    if weight is None:
+        return 1, 0, -1, inter.bit_count()
+    return 2, 1, 0, weight + inter.bit_count()
+
+
+def _lifted(normal, offset, eps, inter: int, union: int, weight: int | None) -> tuple[tuple, Fraction]:
+    """(normal, offset) of a hyperplane with gap eps on the face {v : I <= v <= U}, plus lam times its fixing
+    functional (``_fixing_form``): lam = upper - offset + eps (at least 0), upper the normal's largest value on
+    a 0/1 point (the sum of its positive entries), keeps the gap on every vertex.  In integers over one
+    denominator, on the normal's support and U only; one Fraction per distinct entry of the result."""
+    support = [(o, x) for o, x in enumerate(normal) if x]
+    den = reduce(math.lcm, (x.denominator for _, x in support), math.lcm(offset.denominator, eps.denominator))
+    nums = {o: x.numerator * (den // x.denominator) for o, x in support}
+    b = offset.numerator * (den // offset.denominator)
+    lam = max(0, sum(x for x in nums.values() if x > 0) - b + eps.numerator * (den // eps.denominator))
+    on_i, on_u, off_u, f_offset = _fixing_form(inter, union, weight)
+    on = {o: on_i if inter >> o & 1 else on_u for o, bit in enumerate(reversed(bin(union))) if bit == "1"}
+    entry = cache(lambda v: Q(v, den))
+    out = [entry(lam * off_u)] * len(normal)
+    for o in on.keys() | nums.keys():
+        out[o] = entry(nums.get(o, 0) + lam * on.get(o, off_u))
+    return tuple(out), Q(b + lam * f_offset, den)
+
+
+def _equation_masks(dim: int, equations) -> tuple[int, int]:
+    """(I, U) of coordinate fixings (offset, value): the value-1 offsets, and every offset but the value-0 ones."""
+    inter = reduce(or_, (1 << off for off, val in equations if val == 1), 0)
+    return inter, ((1 << dim) - 1) & ~reduce(or_, (1 << off for off, val in equations if val == 0), 0)
 
 
 def _fixing_certificate(vs: VertexSet, subset, inter: int, union: int, weight: int | None) -> FaceCertificate:
-    """The coordinate-fixing functional of ``_fixings``, as a face certificate with gap 1, verified by substitution.
-
-    With every vertex of weight w it is 1 on U plus 1 on I, with offset
-    w + |I|: a vertex outside U or missing a coordinate of I loses at
-    least 1.  With weight None it is +1 on I and -1 off U, with offset |I|.
-    """
-    if weight is None:
-        on_i, on_u, off_u, offset = _ONE, _ZERO, _MINUS_ONE, inter.bit_count()
-    else:
-        on_i, on_u, off_u, offset = _TWO, _ONE, _ZERO, weight + inter.bit_count()
+    """The fixing functional (``_fixing_form``) of a coordinate face that holds only the subset, as a face
+    certificate with gap 1, verified by substitution."""
+    on_i, on_u, off_u, offset = map(Q, _fixing_form(inter, union, weight))
     normal = (on_i if inter >> o & 1 else on_u if union >> o & 1 else off_u for o in range(vs.scheme.ambient_dim))
-    cert = FaceCertificate(tuple(normal), Q(offset), _ONE)
+    cert = FaceCertificate(tuple(normal), offset, Q(1))
     if not verify_face_certificate(vs, subset, cert):
         raise InternalInconsistencyError("coordinate-fixing certificate failed substitution")
     return cert
@@ -973,8 +1005,11 @@ def k_neighborly_scan(
     stopped = False
     for i, subset, size in reps:
         solved += 1
-        fixed = _fixings(ctx, subset)
-        cert = is_face(vs, subset, ctx) if fixed is None else _fixing_certificate(vs, subset, *fixed, ctx.weight)
+        inter, union, face = _coordinate_face(ctx, subset)
+        if len(face) == len(subset):  # ahead of is_face, which tries the orbit LP first
+            cert = _fixing_certificate(vs, subset, inter, union, ctx.weight)
+        else:
+            cert = is_face(vs, subset, ctx)
         if isinstance(cert, FaceCertificate):
             faces += size
         elif first_bad is None:

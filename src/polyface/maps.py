@@ -81,13 +81,14 @@ class AffineMap:
         return columns, [x.numerator * (den // x.denominator) for x in self.offset], den
 
     def _sum(self, terms) -> tuple:
-        """offset plus value times column, over the (column, value) pairs of terms."""
+        """offset plus value times column, over the (column, value) pairs of terms; with den 1 the entries are
+        left as computed (ints on integer values), which compare equal to the Fractions they stand for."""
         columns, offset, den = self._integer_columns
         out = list(offset)
         for j, x in terms:
             for r, c in columns[j]:
                 out[r] += c * x
-        return tuple(Q(x, den) for x in out)
+        return tuple(out) if den == 1 else tuple(Q(x, den) for x in out)
 
     def apply(self, point: Sequence) -> tuple:
         return self._sum((j, x) for j, x in enumerate(point) if x != 0)

@@ -454,7 +454,7 @@ def test_missing_file_is_error(capsys):
     assert code == 2
 
 
-CLI_OUTPUTS_DIGEST = "4b84109674294e89eb228379840f5b9308af4d7acbed8bf276d29f2de56d8539"
+CLI_OUTPUTS_DIGEST = "419adcfd4599e6b7e33829ab32531e922d07d45ba5f9f8f79079261742983eb0"
 
 
 def test_cli_outputs_are_pinned(tmp_path, capsys):

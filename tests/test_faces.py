@@ -352,7 +352,8 @@ def test_verify_face_certificate_rejects_non_rational_entries(tamper):
 
 @pytest.mark.parametrize("make", [phi_vertices, qap_vertices, bqp_vertices], ids=["phi4", "qap4", "bqp4"])
 def test_is_face_solves_one_lp_over_subset_norm_and_other_rows(make, monkeypatch):
-    """One support-LP per face test, rows in order: subset, norm, then every other vertex."""
+    """At most one support-LP per face test, rows in order: subset, norm, then the other
+    vertices of the subset's coordinate face; none when that face is the subset."""
     vs = make(4)
     ctx = FaceContext(vs)
     lps = []
@@ -368,10 +369,7 @@ def test_is_face_solves_one_lp_over_subset_norm_and_other_rows(make, monkeypatch
         subset = tuple(sorted(rng.sample(range(len(vs)), 3)))
         lps.clear()
         verdicts.add(type(is_face(vs, subset, ctx)))
-        others = [t for t in range(len(vs)) if t not in subset]
-        want = [ctx.member_row(s) for s in subset] + [ctx.norm_row] + [ctx.outside_row(t) for t in others]
-        assert len(lps) == 1
-        assert list(lps[0].constraints) == want
+        assert [list(lp.constraints) for lp in lps] == _face_lps(ctx, subset)
     assert FaceCertificate in verdicts
 
 
@@ -689,9 +687,25 @@ def _recording_lp_solve(monkeypatch):
     return lps
 
 
-def _frame_rows(ctx, subset):
-    others = [t for t in range(len(ctx.vs)) if t not in subset]
+def _frame_rows(ctx, subset, others=None):
+    if others is None:
+        others = [t for t in range(len(ctx.vs)) if t not in subset]
     return [ctx.member_row(s) for s in subset] + [ctx.norm_row] + [ctx.outside_row(t) for t in others]
+
+
+def _face_lps(ctx, subset):
+    """The rows of each LP is_face solves without a stabiliser: none when the subset's
+    coordinate face F is the subset, else one frame LP over the subset, the norm and
+    F's other vertices."""
+    _, _, face = _coordinate_face(ctx.vs, subset)
+    rest = [t for t in face if t not in subset]
+    return [_frame_rows(ctx, subset, rest)] if rest else []
+
+
+def _frame_lp_certificate(ctx, subset):
+    """The face certificate of the frame LP with a row for every vertex."""
+    eps, (normal, offset), _ = faces._frame_lp(ctx, subset, [t for t in range(len(ctx.vs)) if t not in subset])
+    return FaceCertificate(normal, offset, eps)
 
 
 def test_orbit_lp_matches_the_frame_lp_verdicts_on_phi5(phi5, monkeypatch):
@@ -727,22 +741,25 @@ def test_orbit_lp_matches_the_frame_lp_on_qap5_random(qap5, rest):
 
 @pytest.mark.parametrize("family, subset", list(FRAME_LP_CERTIFICATES), ids=lambda x: str(x))
 def test_trivial_stabiliser_solves_the_frame_lp(family, subset, phi5, qap5, monkeypatch):
-    """With the stabiliser search cut to the identity, is_face solves the frame
-    LP, row for row, and returns its certificate."""
+    """With the stabiliser search cut to the identity, is_face decides the subset
+    inside its coordinate face, row for row, and the frame LP over every row
+    returns its pinned certificate."""
     vs, ctx = phi5 if family == "phi" else qap5
     identity = tuple(range(5))
     monkeypatch.setattr(faces, "_stabiliser", lambda perms, subset: [(identity, identity, False)])
     lps = _recording_lp_solve(monkeypatch)
-    cert = is_face(vs, subset, ctx)
-    (lp,) = lps
-    assert list(lp.constraints) == _frame_rows(ctx, subset)
+    assert verify_face_certificate(vs, subset, is_face(vs, subset, ctx))
+    assert [list(lp.constraints) for lp in lps] == _face_lps(ctx, subset)
+    cert = _frame_lp_certificate(ctx, subset)
+    assert verify_face_certificate(vs, subset, cert)
     digest = hashlib.sha256(json.dumps(cert.to_json(subset)).encode()).hexdigest()
     assert digest == FRAME_LP_CERTIFICATES[family, subset]
 
 
 def test_vertex_sets_without_every_permutation_get_the_frame_lp(monkeypatch):
     """The orbit LP needs all n! vertices: phi(5) less a vertex and the standalone
-    face of corollary-3n-face solve the frame LP."""
+    face of corollary-3n-face solve the frame LP inside the subset's coordinate
+    face, here larger than the subset."""
     from polyface.maps import thm2_face_iso
 
     base = phi_vertices(5)
@@ -750,18 +767,20 @@ def test_vertex_sets_without_every_permutation_get_the_frame_lp(monkeypatch):
     phi6 = phi_vertices(6)
     for vs, subset in (
         (_reordered(base, range(119)), (0, 3, 4)),
-        (_reordered(phi6, face.subset), (0, 1, 2)),
+        (_reordered(phi6, face.subset), (0, 3, 5)),
     ):
         ctx = FaceContext(vs)
         lps = _recording_lp_solve(monkeypatch)
         assert _verifies(vs, subset, is_face(vs, subset, ctx))
         (lp,) = lps
-        assert list(lp.constraints) == _frame_rows(ctx, subset)
+        assert [list(lp.constraints)] == _face_lps(ctx, subset)
 
 
 def test_a_symmetry_that_fails_its_check_leaves_is_face_on_the_frame_lp(phi5, monkeypatch):
     """With a and b swapped in coordinate_map the table check refuses, and is_face
-    solves (0, 1, 20), whose stabiliser is not trivial, by the frame LP."""
+    decides (0, 1, 20), whose stabiliser is not trivial, inside its coordinate
+    face, which is the subset: no LP.  The frame LP over every row keeps its
+    pinned certificate."""
     vs, checked = phi5
     subset = (0, 1, 20)
     assert len(faces._stabiliser(checked.symmetry(), subset)) > 1  # read before the patch
@@ -769,9 +788,9 @@ def test_a_symmetry_that_fails_its_check_leaves_is_face_on_the_frame_lp(phi5, mo
     monkeypatch.setattr(faces, "coordinate_map", lambda scheme, a, b, transpose: right(scheme, b, a, transpose))
     ctx = FaceContext(vs)
     lps = _recording_lp_solve(monkeypatch)
-    cert = is_face(vs, subset, ctx)
-    (lp,) = lps
-    assert list(lp.constraints) == _frame_rows(ctx, subset)
+    assert verify_face_certificate(vs, subset, is_face(vs, subset, ctx))
+    assert lps == [] == _face_lps(ctx, subset)
+    cert = _frame_lp_certificate(ctx, subset)
     assert verify_face_certificate(vs, subset, cert)
     digest = hashlib.sha256(json.dumps(cert.to_json(subset)).encode()).hexdigest()
     assert digest == FRAME_LP_CERTIFICATES["phi", subset]
@@ -952,6 +971,51 @@ def _coordinate_face(vs, subset):
     return inter, union, [t for t, v in enumerate(vs.vertices) if inter <= set(v) <= union]
 
 
+_FACE_BASES = {  # phi(4) less its last vertex has no symmetry table
+    "phi4": phi_vertices(4), "qap4": qap_vertices(4), "bqp4": bqp_vertices(4),
+    "phi4-less-one": _reordered(phi_vertices(4), range(23)),
+}
+_FACE_CONTEXTS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FACE_BASES)), st.data())
+def test_is_face_inside_the_coordinate_face_agrees_with_the_frame_lp_over_every_row(name, data):
+    """is_face decides a subset inside its coordinate face F (fixings, or the frame LP
+    over F's rows and a lifted certificate) with the verdict of the frame LP over every
+    vertex; each result passes substitution, and a witness puts no weight off F."""
+    vs = _FACE_BASES[name]
+    ctx = _FACE_CONTEXTS.setdefault(name, FaceContext(vs))
+    size = data.draw(st.integers(1, 5))
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, len(vs) - 1), min_size=size, max_size=size))))
+    others = [t for t in range(len(vs)) if t not in subset]
+    eps, _, _ = faces._frame_lp(ctx, subset, others)
+    result = is_face(vs, subset, ctx)
+    assert isinstance(result, FaceCertificate) == (eps > 0)
+    assert _verifies(vs, subset, result)
+    if isinstance(result, NonFaceWitness):
+        _, _, face = _coordinate_face(vs, subset)
+        assert all(m == 0 for t, m in zip(others, result.mu) if t not in face)
+
+
+@pytest.mark.parametrize(
+    "make, subset, size", [(phi_vertices, (0, 3, 4), 6), (bqp_vertices, (0, 1, 6), 5)], ids=["phi4", "bqp4"]
+)
+def test_a_coordinate_face_missing_a_vertex_makes_is_face_raise(make, subset, size, monkeypatch):
+    """With any one vertex of F beyond the subset dropped, the LP never sees it, and the
+    certificate of the non-face (0, 3, 4) of phi(4), or of the face (0, 1, 6) of bqp(4),
+    fails substitution on it."""
+    vs = make(4)
+    ctx = FaceContext(vs)
+    inter, union, face = faces._coordinate_face(ctx, subset)
+    assert len(face) == size
+    for dropped in set(face) - set(subset):
+        less = [t for t in face if t != dropped]
+        monkeypatch.setattr(faces, "_coordinate_face", lambda ctx, s, less=less: (inter, union, less))
+        with pytest.raises(InternalInconsistencyError, match="failed substitution"):
+            is_face(vs, subset, ctx)
+
+
 _FIXING_BASES = {"qap3": qap_vertices(3), "phi4": phi_vertices(4), "bqp3": bqp_vertices(3)}
 _FIXING_CONTEXTS = {}
 
@@ -968,13 +1032,13 @@ def test_fixing_certificates_verify_and_need_every_coordinate(name, data):
     size = data.draw(st.integers(1, min(6, len(vs) - 1)))
     subset = tuple(sorted(data.draw(st.sets(st.integers(0, len(vs) - 1), min_size=size, max_size=size))))
     inter, union, face = _coordinate_face(vs, subset)
-    fixed = faces._fixings(ctx, subset)
-    assert (fixed is not None) == (face == list(subset))
-    if fixed is None:
+    fixed = faces._coordinate_face(ctx, subset)
+    assert fixed == (sum(1 << o for o in inter), sum(1 << o for o in union), face)
+    if face != list(subset):
         return
     assert isinstance(is_face(vs, subset, ctx), FaceCertificate)
     for weight in {ctx.weight, None}:  # the +-1 form holds on any 0/1 set: check it on qap and phi too
-        cert = faces._fixing_certificate(vs, subset, *fixed, weight)
+        cert = faces._fixing_certificate(vs, subset, *fixed[:2], weight)
         assert verify_face_certificate(vs, subset, cert)
         for o, x in enumerate(cert.normal):
             if x == 0:

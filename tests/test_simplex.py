@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lp_to_text, solve_linear_system, vec_dot
-from polyface import simplex
-from polyface.faces import FaceContext, is_face
+from polyface import faces, simplex
+from polyface.faces import FaceContext
 from polyface.families import generate
 from polyface.simplex import (
     LPResult,
@@ -310,6 +310,14 @@ TRACED_FACE_TESTS = (
 PIVOT_TRACE_DIGEST = "a89cf4c9d0d033a49aef06b823187c57f98a0f3778ac546e1ff9b638b4fcdae5"
 
 
+def frame_lp(ctx, subset):
+    """The support LP of a traced face test over the frame, with a row for every vertex.
+
+    is_face solves it only where the subset's coordinate face is the whole
+    vertex set, so the traces call it directly."""
+    return faces._frame_lp(ctx, subset, [t for t in range(len(ctx.vs)) if t not in subset])
+
+
 def test_pivot_trace_is_pinned(monkeypatch):
     """Every pivot and every LPResult field match a pinned digest.
 
@@ -352,7 +360,7 @@ def test_pivot_trace_is_pinned(monkeypatch):
         ctx = FaceContext(vs)
         for subset in subsets:
             log.append(subset)
-            is_face(vs, subset, ctx)
+            frame_lp(ctx, subset)
     digest = hashlib.sha256(repr(log).encode()).hexdigest()
     assert digest == PIVOT_TRACE_DIGEST
 
@@ -390,7 +398,7 @@ def test_support_lp_phase1_only_drives_artificials_out(monkeypatch):
         ctx = FaceContext(vs)
         for subset in subsets:
             del lps[:]
-            is_face(vs, subset, ctx)
+            frame_lp(ctx, subset)
             assert len(lps) == 1
             early = lps[0]["early"]
             assert len(early) <= len(subset), (family, subset, early)
@@ -449,7 +457,7 @@ def test_pivot_update_matches_the_dense_rule(monkeypatch):
         vs = generate(family, 4)
         ctx = FaceContext(vs)
         for subset in subsets:
-            is_face(vs, subset, ctx)
+            frame_lp(ctx, subset)
     assert counts["pivots"] > 1000 and counts["scaled"] > 100, counts
 
 
