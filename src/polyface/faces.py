@@ -27,85 +27,63 @@ zero off F, is a common point of aff(S) and conv(rest).  An independent
 formulation, the witness-LP, is kept as a test oracle.
 
 The orbit LP.  When the vertex set holds all n! vertices of qap(n) or
-phi(n) with n >= 5, ``is_face`` first finds the stabiliser H of S in
-S_n x S_n x C_2 (``_stabiliser``: for each a, transpose flag and image
-of the first member, b is forced, so 2 n! |S| candidates), and reads
-the vertex map of every move of H from the vertex set's checked table
-(``FaceContext.symmetry``), with its coordinate map.  If H is not
-trivial the LP is solved over the H-invariant functionals only (Boedi,
-Herr and Joswig, Math. Program. 137, 2013): averaging a supporting
-hyperplane of S over H gives an invariant one with the same gap, so
-the verdict is the same.  The lift of a frame functional is supported
-on the frame's pivot columns, and its average over H is constant on
-each coordinate orbit, so the invariant functionals are spanned by the
-indicators of the coordinate orbits that meet the pivot columns.  Each
-orbit, of coordinates or of vertices, is labelled by its least point,
-a point's least image over all of H.  An invariant functional takes
-one value on each vertex orbit, so the LP has one row per H-orbit of
-S and one per H-orbit of the other vertices, and one column per
-independent orbit indicator (``_orbit_lp``).  A face
-certificate is the functional constant c_j on the coordinates of orbit
-j, verified by substitution on every vertex.  At zero gap each orbit
-row's multiplier is spread evenly over the orbit's members, y_t = y_O /
-|O|: the resulting combination of frame points is H-fixed and every
-invariant functional vanishes on it, so it is zero, and the spread
-duals give the witness as above, verified by substitution.  When H is
-trivial S is decided inside F as above.
-Why this rule, measured on a 2-core VM: on the 24 phi(5) triples of
-the benchmark the orbit LP took 467 pivots and 0.30 s against 3,202
-pivots and 1.34 s for the frame LP, and on the 36 fix-first
-representatives of qap(5) triples 442 pivots and 0.43 s against 3,265
-and 1.14 s, every one of them faster, order-2 stabilisers included.  At
-n = 4 it does not pay: the 10 representatives of qap(4) triples took
-23 ms against 16 ms (phi(4): 16 ms either way).  A vertex set that
-lacks a vertex has no such symmetry to use.
+phi(n) with n >= 5 (at n = 4 the frame LP was as fast, README),
+``is_face`` first lists the stabiliser H of S in S_n x S_n x C_2 from
+centraliser cosets (``_stabiliser_moves``), with each move's vertex map
+from the checked table and its coordinate map.  If H is not trivial the
+LP is solved over the H-invariant functionals only (Boedi, Herr and
+Joswig, Math. Program. 137, 2013): averaging a supporting hyperplane of
+S over H keeps its gap.  The lift of a frame functional lives on the
+frame's pivot columns, so the invariant ones are spanned by the
+indicators of the coordinate orbits that meet those columns, and each
+takes one value on each vertex orbit: the LP has one row per H-orbit of
+vertices and one column per independent orbit indicator, each orbit
+labelled by its least point (``_orbit_lp``).  A face certificate is the
+functional constant c_j on the coordinates of orbit j.  At zero gap
+each orbit row's multiplier is spread evenly over its members, y_t =
+y_O / |O|; the frame points then combine to an H-fixed point on which
+every invariant functional vanishes, zero, and the spread duals give
+the witness as above.  Both are verified by substitution on every
+vertex.  When H is trivial, or the set lacks a vertex, S is decided
+inside F as above.
 
 Scans: ``k_neighborly_scan`` decides one representative per orbit of a
-checked symmetry (the action is stated once, in
-``families.coordinate_map``), the orbit's lex-min member.  With
-fix_first (qap and phi) it scans the subsets through vertex 0 under
-S_n x S_n x C_2.  On a full bqp(m) set without fix_first it scans every
-k-subset under the bit permutations S_m, the moves (a, a, False); any
-other scan makes every subset a representative.  A move (a, b,
-transpose), the one form a move takes, permutes the coordinates and
-maps the vertex set onto itself, so it maps faces to faces and
-non-faces to non-faces: the checked generators and the
-representative's certificate, verified by substitution, decide every
-member of its orbit, and only the orbit's size is kept.  The fix-first
-orbit search finds its moves as ``_stabiliser`` does: once one member's
-image is fixed, a fixes b (``_forced``); the bit orbits are walked from
-the representative by a transposition and an m-cycle.  The members
-seen are marked in one bytearray indexed by their lex position among
-the scanned subsets (``_lex_rank``).
+checked symmetry, the orbit's lex-min member, and keeps only the
+orbit's size.  With fix_first (qap and phi) it scans the subsets
+through vertex 0 under S_n x S_n x C_2; on a full bqp(m) set without
+fix_first, every k-subset under the bit permutations S_m, the moves
+(a, a, False); any other scan makes every subset a representative.  A
+move (a, b, transpose) permutes the coordinates as
+``families.coordinate_map`` states, the one statement of the action,
+and maps the vertex set onto itself, so the checked generators and the
+representative's verified certificate decide every member of its
+orbit.  The symmetry is checked once per vertex set, on generators of
+the group (``_checked_symmetry``, kept by ``FaceContext.symmetry``);
+the coordinate maps and the table's ``vertex_map`` are group actions,
+so they then agree on every move.
+
+No fix-first orbit is walked: its lex-min member is a canonical form
+(McKay, J. Algorithms 26, 1998).  A move that keeps vertex 0 in S
+conjugates one of its 2 k rebasings, S.s^-1 or {s.u^-1}, by some a, so
+the lex-min member is {0, x, ...} with x the least class minimum (least
+vertex of a cycle type) they meet, and only a in a coset of the
+centraliser C(x) reaches it (``_Symmetry.representatives``).  Class
+minima, conjugators onto them from cycle structure, and centralisers
+are built on first use (``classes``; Butler, LNCS 559, 1991).  The
+images equal to S count its stabiliser, so its orbit has 2 k n! /
+|Stab(S)| members (orbit-stabiliser), and ``_Orbits`` checks that the
+sizes sum to the scanned count.  The bit orbits of bqp, 2^m vertices,
+are walked from the representative by a transposition and an m-cycle,
+and marked seen in one bytearray indexed by lex rank (``_lex_rank``).
 
 Coordinate fixings come before any LP (Ziegler, "Lectures on
-0/1-polytopes", DMV Seminar 29, 2000).  Each vertex is one integer
-bitmask of its one-positions (``FaceContext.masks``).  With I the AND
-and U the OR of the representative's masks, fixing every coordinate on
+0/1-polytopes", DMV Seminar 29, 2000).  With I the AND and U the OR of
+S's vertex bitmasks (``FaceContext.masks``), fixing every coordinate on
 which S agrees cuts out the face F = {v : I <= v <= U}.  When F holds
-only S, the fixing functional certifies S with gap 1 and no LP is
-solved (``_coordinate_face``, ``_fixing_certificate``): on a vertex set
-whose vertices all have w ones (qap, phi) it is 1 on U plus 1 on I,
-with offset w + |I|; otherwise +1 on I and -1 off U, with offset |I|
-(``_fixing_form``).  It is verified by substitution like every
-certificate.  The scan tests F = S before it calls ``is_face``, which
-tries the orbit LP first; ``is_face`` decides a larger F by the frame
-LP over F's rows (Method), so a non-face witness comes from a support
-LP's duals.
-
-The symmetry is checked once per vertex set, and the searches read the
-outcome from ``FaceContext.symmetry``: for qap and phi the permutation
-behind each vertex, the vertex of each permutation, and products as
-``itemgetter`` calls; for bqp the bit vector behind each vertex.  Each
-table's ``vertex_map`` says where a move sends every vertex.  The check
-(``_checked_symmetry``) asks for all n! vertices of qap(n) or phi(n),
-or all 2^m of bqp(m), and for generators of the group (five for qap
-and phi, a transposition and an m-cycle of the bits for bqp) whose
-coordinate maps move the vertices as the table moves their
-permutations or bit vectors.  Both are group actions, so they then
-agree on every move, the stabiliser's moves and the orbit walks'
-included; every certificate handed out is verified by substitution.  A
-fix-first scan also needs vertex 0 to be the identity.
+only S, the fixing functional (``_fixing_form``) certifies S with gap 1
+and no LP is solved (``_coordinate_face``, ``_fixing_certificate``).
+The scan tests F = S before it calls ``is_face``, which tries the orbit
+LP first.
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -131,7 +109,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations, permutations
@@ -343,15 +321,11 @@ def _masks(vs: VertexSet) -> list[int]:
 class FaceContext:
     """Per-vertex-set precomputation shared across face tests.
 
-    Holds the affine-hull frame and the reusable frame-LP rows, each
-    built on first use: the frame by the first LP, so a scan whose
-    representatives are all certified by fixings builds none, and each
-    row from its vertex's frame coordinates.  masks[t] is vertex t's
-    one-positions as one integer bitmask (``_masks``), and weight their
-    common number of ones, or None when the vertices differ in it.  Once
-    first asked for, it also holds the outcome of the symmetry check
-    (``symmetry``): the checked table, or the reason the vertex set has
-    none.
+    The affine-hull frame (built by the first LP, so a scan certified by
+    fixings builds none) and each frame-LP row are built on first use.
+    masks[t] is vertex t's one-positions as one integer bitmask, and
+    weight their common number of ones (None when the vertices differ).
+    ``symmetry`` keeps the outcome of the symmetry check once asked.
     """
 
     def __init__(self, vs: VertexSet):
@@ -411,15 +385,30 @@ def _swap_and_cycle(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (1, 0, *range(2, n)), (*range(1, n), 0)
 
 
+def _cycles(p: tuple[int, ...]) -> list[list[int]]:
+    """p's cycles, each from its least point, shortest first: conjugates list theirs in the same lengths."""
+    seen, cycles = [False] * len(p), []
+    for i in range(len(p)):
+        if not seen[i]:
+            cycle, j = [i], p[i]
+            while j != i:
+                cycle.append(j)
+                seen[j], j = True, p[j]
+            cycles.append(cycle)
+    cycles.sort(key=len)
+    return cycles
+
+
 @dataclass(frozen=True)
 class _Symmetry:
     """The permutation behind each vertex of qap(n) or phi(n) and its products: itemgetter(*p)(x) is compose(x, p)
-    in one C call."""
+    in one C call.  Its conjugacy classes (``classes``) and their centralisers are built on first use."""
 
     perms: list[tuple[int, ...]]  # of each vertex, as the tuple of its 0-based images
     index: dict[tuple[int, ...], int]  # the vertex of each permutation
     get: list[itemgetter]  # itemgetter(*perms[t])
     undo: list[itemgetter]  # itemgetter(*inverse(perms[t]))
+    centralisers: dict = field(default_factory=dict, compare=False)  # class minimum -> its ``centraliser``
 
     def vertex_map(self, move) -> list[int]:
         """The vertex each vertex goes to under the move (a, b, transpose): p to b.p.a^-1, or b.p^-1.a^-1."""
@@ -429,29 +418,65 @@ class _Symmetry:
 
     fixed = 1  # every scanned subset holds vertex 0
 
-    def scanned(self, k: int):
-        """The subsets a fix-first scan walks, in lex order: the k-subsets through vertex 0, which must be the
-        identity."""
+    @cached_property
+    def classes(self) -> tuple[list[int], list[int]]:
+        """(least, conj): least[t] is the least vertex in t's conjugacy class (its cycle type), the class
+        minimum, and conj[t] the vertex of a g with g.p_t.g^-1 = p_least[t], which maps t's cycles onto the
+        minimum's."""
+        cycles = [_cycles(p) for p in self.perms]
+        first: dict[tuple[int, ...], int] = {}
+        least = [first.setdefault(tuple(map(len, c)), t) for t, c in enumerate(cycles)]
+        listing = [tuple(chain.from_iterable(c)) for c in cycles]  # j -> the j-th point listed
+        return least, [self.index[itemgetter(*inverse(flat))(listing[m])] for flat, m in zip(listing, least)]
+
+    def centraliser(self, m: int) -> list[tuple[tuple[int, ...], itemgetter]]:
+        """(c, itemgetter(*c^-1)) for every c with c.p_m.c^-1 = p_m, in vertex order, kept per class minimum m."""
+        if m not in self.centralisers:
+            p, get = self.perms[m], self.get[m]
+            self.centralisers[m] = [(c, undo) for c, undo in zip(self.perms, self.undo) if undo(get(c)) == p]
+        return self.centralisers[m]
+
+    def representatives(self, k: int, rank):
+        """(rank, S, orbit size) for each orbit's lex-min member S of the k-subsets through vertex 0, in lex order,
+        by canonical form (module docstring): S = {0, x, ...} is tried when x is a class minimum (vertex 0 at k = 1)
+        and no two members have a quotient in a class with a smaller minimum."""
         if self.perms[0] != tuple(range(len(self.perms[0]))):
             raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
-        return ((0,) + rest for rest in combinations(range(1, len(self.perms)), k - 1))
+        least, moves = self.classes[0], 2 * k * len(self.perms)
+        for head in [(0,)] if k == 1 else [(0, x) for x in sorted(set(least)) if x]:
+            later = [t for t in range(head[-1] + 1, len(self.perms)) if least[t] >= head[-1]]
+            for rest in combinations(later, k - len(head)):
+                if order := self._stabiliser_order(head, rest):
+                    yield rank(head + rest), head + rest, moves // order
 
-    def orbit(self, subset, rank, seen: bytearray):
-        """(member, move) for each scanned member of subset's orbit whose rank is not yet seen, now marked seen,
-        with a move from subset to it: the 2 k n! moves that send a member of subset to the identity, so that a
-        fixes b (``_forced``), reach every member of the orbit through vertex 0."""
-        perms, index = self.perms, self.index
-        members = [perms[s] for s in subset]
-        for transpose in (False, True):
-            for s in range(len(subset)):
-                q, steps = _forced(members, s, transpose)
-                forced_b, steps = itemgetter(*q), [itemgetter(*d) for d in steps]
-                for a, a_undo in zip(perms, self.undo):  # member u goes to a.d_u.a^-1
-                    image = tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))
-                    j = rank(image)
-                    if not seen[j]:
-                        seen[j] = 1
-                        yield image, (a, forced_b(a), transpose)
+    def _stabiliser_order(self, head, rest) -> int:
+        """|Stab(S)| for S = head + rest when S is its orbit's lex-min member, else 0: each rebasing T and u in T
+        of x's class (x = head[-1]) give the images c.g.T.g^-1.c^-1, g = conj[u], c in C(x), and S is lex-min when
+        none is lex-smaller; the images equal to S are its stabiliser."""
+        perms, index, get, undo = self.perms, self.index, self.get, self.undo
+        (least, conj), x, subset = self.classes, head[-1], head + rest
+        if any(least[index[undo[u](perms[s])]] < x for s, u in combinations(subset[1:], 2)):
+            return 0
+        cent, steps, rest = self.centraliser(x), [get[u] for u in rest], list(rest)
+        for c, c_undo in cent:  # S itself first, up to the first lex-smaller image
+            if sorted([index[c_undo(step(c))] for step in steps]) < rest:
+                return 0
+        order, target = 0, list(subset)
+        for rebased in chain(
+            [subset],
+            ([index[undo[s](perms[u])] for u in subset] for s in subset[1:]),
+            ([index[undo[u](perms[s])] for u in subset] for s in subset),
+        ):
+            for t in (t for t in rebased if least[t] == x):
+                g, g_undo, columns = perms[conj[t]], undo[conj[t]], []
+                for u in rebased:  # u's image under each c.g; vertex 0 and t go to 0 and x
+                    step = u and u != t and itemgetter(*g_undo(get[u](g)))
+                    columns.append([index[c_undo(step(c))] for c, c_undo in cent] if step else [least[u]] * len(cent))
+                images = list(map(sorted, zip(*columns)))
+                if min(images) < target:
+                    return 0
+                order += images.count(target)
+        return order
 
 
 @dataclass(frozen=True)
@@ -468,26 +493,22 @@ class _BitSymmetry:
 
     fixed = 0  # the bit permutations fix the zero vector, so no single vertex meets every orbit
 
-    def scanned(self, k: int):
-        """Every k-subset, in lex order."""
-        return combinations(range(len(self.bits)), k)
-
-    def orbit(self, subset, rank, seen: bytearray):
-        """(member, move) for each member of subset's orbit whose rank is not yet seen, now marked seen, with a
-        move from subset to it: the orbit is walked from subset by a transposition and an m-cycle, and each move
-        is the product of the steps that reached its member."""
-        m = len(self.bits[0])
-        steps = [(g, self.vertex_map((g, g, False))) for g in _swap_and_cycle(m)]
-        queue = [(subset, tuple(range(m)))]
-        for member, a in queue:
-            for g, vmap in steps:
-                image = tuple(sorted(vmap[t] for t in member))
-                j = rank(image)
-                if not seen[j]:
-                    seen[j] = 1
-                    b = compose(g, a)
-                    queue.append((image, b))
-                    yield image, (b, b, False)
+    def representatives(self, k: int, rank):
+        """(rank, S, orbit size) for each orbit's lex-min member S of every k-subset, in lex order, by walking each
+        orbit from S by a transposition and an m-cycle of the bits, marking its members seen in one bytearray
+        indexed by rank: at the 2^m vertices of bqp(m), m <= 5 in practice, the walk is cheap."""
+        steps = [self.vertex_map((g, g, False)) for g in _swap_and_cycle(len(self.bits[0]))]
+        seen = bytearray(math.comb(len(self.bits), k))
+        for i, subset in enumerate(combinations(range(len(self.bits)), k)):
+            if not seen[i]:
+                seen[i], orbit = 1, [subset]
+                for member in orbit:
+                    for vmap in steps:
+                        image = tuple(sorted(vmap[t] for t in member))
+                        if not seen[j := rank(image)]:
+                            seen[j] = 1
+                            orbit.append(image)
+                yield i, subset, len(orbit)
 
 
 def _permutation_table(vs: VertexSet) -> _Symmetry:
@@ -613,20 +634,14 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
     """The support-LP over the functionals invariant under a group H, given by every one of its moves.
 
     Same return as ``_frame_lp``.  moves holds the (vertex map,
-    coordinate map) of every move of H, not only of generators: a
-    point's least image over the whole group is the least point of its
-    orbit and labels the orbit (``_least_images``).  The invariant affine
-    functionals on the hull are spanned by the indicators of the
-    coordinate orbits of H that meet the frame's pivot columns (module
-    docstring).  Such a functional takes one value on each vertex orbit:
-    how many of the vertex's one-positions lie in the coordinate orbit,
-    here less the count of vertex 0, the frame's origin.  With one row
-    per vertex orbit (the subset's orbits, the norm row, then the other
-    orbits), the columns are the coordinate orbits whose count columns
-    are independent of the ones before them (``greedy_basis``), so a
-    column j holds the value c_j that the functional takes on each
-    coordinate of its orbit.  At zero gap each orbit row's multiplier is
-    spread evenly over the orbit's members.
+    coordinate map) of every move of H, so a point's least image labels
+    its orbit (``_least_images``).  An orbit indicator (module docstring)
+    takes on each vertex the count of its one-positions in the orbit,
+    here less vertex 0's, the frame's origin.  The LP has one row per
+    vertex orbit (the subset's, the norm row, then the others) and one
+    column c_j per coordinate orbit whose counts are independent of those
+    before it (``greedy_basis``).  At zero gap each orbit row's
+    multiplier is spread evenly over the orbit's members.
     """
     vs = ctx.vs
     vertex = _least_images([vmap for vmap, _ in moves])
@@ -797,33 +812,35 @@ class NeighborlinessReport:
         return data
 
 
-def _forced(members: list[tuple[int, ...]], s: int, transpose: bool):
-    """(q, steps): the moves (a, a.q, transpose) send members[s] to the identity, and member u to a.d_u.a^-1,
-    where steps lists d_u = q.p_u (q.p_u^-1 with transpose) for the other members in order."""
-    q = members[s] if transpose else inverse(members[s])
-    return q, [compose(q, inverse(p) if transpose else p) for u, p in enumerate(members) if u != s]
-
-
 def _stabiliser(table: _Symmetry, subset) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
     """Every move (a, b, transpose) of S_n x S_n x C_2 that maps the subset's permutations onto themselves.
 
-    table holds all n! permutations, one per vertex, and a move acts on
-    them as ``coordinate_map`` states.  For each a, transpose flag and
-    image p_t of the first member p_0, b is forced: p_t.a.p_0^-1, or
-    p_t.a.p_0.  Member p_s then goes to p_t.(a.d_s.a^-1) with
-    d_s = p_0^-1.p_s (p_0.p_s^-1 with transpose), so the move is kept
-    when every such conjugate lies in {p_t^-1.p_u}.
+    For each transpose flag and image p_t of the first member p_0, b is
+    forced (p_t.a.p_0^-1, or p_t.a.p_0), and member p_s goes to
+    p_t.(a.d_s.a^-1), d_s = p_0^-1.p_s (p_0.p_s^-1 with transpose), which
+    must lie in {p_t^-1.p_u}.  So a sends d_1 onto such an e of its class:
+    a is in conj[e]^-1.C(m).conj[d_1], m their class minimum, at most
+    2 k (k - 1) |C(m)| candidates (every a when k = 1).
     """
+    (least, conj), index = table.classes, table.index
     members = [table.perms[s] for s in subset]
     found = []
     for transpose in (False, True):
-        base, steps = _forced(members, 0, transpose)
-        steps = [itemgetter(*d) for d in steps]
-        targets = [(pt, {compose(inverse(pt), pu) for pu in members}) for pt in members]
-        for a, a_undo in zip(table.perms, table.undo):
-            conjugates = [a_undo(step(a)) for step in steps]  # a.d_s.a^-1
-            for pt, allowed in targets:
-                if all(c in allowed for c in conjugates):
+        base = members[0] if transpose else inverse(members[0])
+        steps = [compose(base, inverse(p) if transpose else p) for p in members[1:]]
+        getters = [itemgetter(*d) for d in steps]
+        d = index[steps[0]] if steps else 0
+        for pt in members:
+            allowed = {compose(inverse(pt), pu) for pu in members}
+            candidates = table.perms if not steps else [
+                tuple(map(g_inv.__getitem__, table.get[conj[d]](c)))  # g_e^-1.c.g_d
+                for e in map(index.get, allowed) if least[e] == least[d]
+                for g_inv in [inverse(table.perms[conj[e]])]
+                for c, _ in table.centraliser(least[d])
+            ]
+            for a in candidates:
+                a_undo = table.undo[index[a]]
+                if all(a_undo(step(a)) in allowed for step in getters[1:]):
                     found.append((a, compose(pt, compose(a, base)), transpose))
     return found
 
@@ -861,13 +878,8 @@ def _stabiliser_moves(ctx: FaceContext, subset) -> list[tuple[list[int], list[in
 
 def _lex_rank(size: int, k: int, fixed: int):
     """(count, rank): how many k-subsets of range(size) hold range(fixed), and rank(subset), the lex position of
-    such a sorted subset among them.
-
-    The combinatorial number system: with r = k - fixed free members and
-    c the j-th of them, C(size - 1 - c, r - j) subsets agree with this
-    one before j and have a larger member at j, so they come after it;
-    its rank is count - 1 less their sum over j.
-    """
+    such a sorted subset among them: count - 1 less, over its j-th free member c, the C(size - 1 - c, r - j)
+    subsets that agree with it before j and are larger at j (the combinatorial number system, r = k - fixed)."""
     r = k - fixed
     count = math.comb(size - fixed, r)
     rows = [[math.comb(size - 1 - c, r - j) for c in range(size)] for j in range(r)]
@@ -877,26 +889,19 @@ def _lex_rank(size: int, k: int, fixed: int):
 class _Orbits:
     """The orbits of the scanned k-subsets under the vertex set's checked symmetry (``FaceContext.symmetry``).
 
-    On qap(n) and phi(n) the scanned subsets are those through vertex 0
-    under S_n x S_n x C_2, on bqp(m) every k-subset under the bit
-    permutations S_m (``scanned``).  They are walked lazily in lex
-    order; the first one not yet seen is its orbit's lex-min member, its
-    representative, and the table's ``orbit`` marks the rest of its
-    orbit seen, in one bytearray indexed by ``rank``, the lex position
-    among the scanned subsets.  reps lists (position, representative,
-    orbit size) in lex order; count is the number of scanned subsets.
+    reps lists (position, representative, orbit size) in lex order, from
+    the table's ``representatives``, the position being the lex rank
+    among the count scanned subsets; InternalInconsistencyError unless
+    the sizes sum to count, which makes the orbits cover the scan once.
     """
 
     def __init__(self, ctx: FaceContext, k: int):
         self.table = ctx.symmetry()
         self.count, self.rank = _lex_rank(len(ctx.vs), k, self.table.fixed)
-        seen = bytearray(self.count)
-        self.reps: list[tuple[int, tuple[int, ...], int]] = []
-        for i, subset in enumerate(self.table.scanned(k)):
-            if not seen[i]:
-                seen[i] = 1
-                size = 1 + sum(1 for _ in self.table.orbit(subset, self.rank, seen))
-                self.reps.append((i, subset, size))
+        self.reps: list[tuple[int, tuple[int, ...], int]] = list(self.table.representatives(k, self.rank))
+        covered = sum(size for _, _, size in self.reps)
+        if covered != self.count:
+            raise InternalInconsistencyError(f"the orbits hold {covered} subsets, not the {self.count} scanned")
 
 
 def _coordinate_face(ctx: FaceContext, subset) -> tuple[int, int, list[int]]:
@@ -962,26 +967,20 @@ def k_neighborly_scan(
 ) -> NeighborlinessReport:
     """Certify every k-subset (or every one through vertex 0) as a face.
 
-    Subsets are scanned in lexicographic order.  With fix_first (qap and
-    phi only) the scanned subsets are those through vertex 0, and only
-    one representative is decided per orbit of ``_Orbits``: the orbit's
-    lex-min member, reached first in the scan.  A full bqp(m) set is
-    scanned the same way without fix_first, over all k-subsets and the
-    bit permutations.  A representative is certified by coordinate
-    fixings where they single it out, else by ``is_face``.  A move of the
-    checked symmetry maps it onto each other member of its orbit and its
-    verified certificate onto a certificate for that member, so the
-    orbit's size counts towards faces_certified when it is a face, and
+    Subsets are scanned in lexicographic order, one representative per
+    orbit of ``_Orbits`` (module docstring): with fix_first (qap and phi
+    only) the subsets through vertex 0, and on a full bqp(m) set without
+    it every k-subset.  A representative is certified by coordinate
+    fixings where they single it out, else by ``is_face``, and its
+    orbit's size counts towards faces_certified when it is a face, so
     every verdict and count is the one a subset-by-subset scan gives.
     The first non-face in lex order is the lex-min member of its orbit,
     so the scan stops at the same counterexample, with the witness
-    ``is_face`` returns for it, after the subsets before it, all faces.
-    The symmetry is checked on the vertex set first
-    (``FaceContext.symmetry``, and vertex 0 must be the identity); with
-    fix_first a vertex set it does not fit raises ValueError, and a bqp
-    set that fails it is scanned subset by subset.  In
-    symmetry_reduction, "LPs for N of the M orbits" counts the N
-    representatives decided, each by an LP or by fixings.
+    ``is_face`` returns for it.  With fix_first a vertex set the checked
+    symmetry does not fit raises ValueError; a bqp set that fails it is
+    scanned subset by subset.  In symmetry_reduction, "LPs for N of the M
+    orbits" counts the N representatives decided, each by an LP or by
+    fixings.
     """
     n = len(vs)
     if not 1 <= k < n:

@@ -471,7 +471,7 @@ SCENARIOS = {
     "lemma1": (scenario_lemma1, "n", 4, 5),
     "thm2": (scenario_thm2, "k", 2, 3),
     "phi-not-3-neighborly": (scenario_phi_not_3_neighborly, "n", 3, 6),
-    "qap-3-neighborly": (scenario_qap_3_neighborly, "n", 3, 5),
+    "qap-3-neighborly": (scenario_qap_3_neighborly, "n", 3, 6),
     "nonisomorphism": (scenario_nonisomorphism, "n", 3, 3),
     "corollary-3n-face": (scenario_corollary_3n_face, "k", 2, 3),
 }

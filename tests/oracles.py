@@ -6,21 +6,24 @@ exact solves, ranks and reduced row echelon forms by a plain Fraction
 Gauss-Jordan that shares no code with the library's integer kernel,
 the hull frame's basis and coordinates recomputed
 from their definition and their inverse, a plain-text LP dump, the
-witness-LP face oracle, and the orbit scan's certificates carried to
-every member of every orbit and verified by substitution.
+witness-LP face oracle, the orbit walk and the stabiliser search that
+the qap/phi symmetry used before canonical forms, and the orbit scan's
+certificates carried to every member of every orbit by the walk's moves
+and verified by substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Sequence
 
 from polyface import faces
 from polyface.exactmath import Vector
 from polyface.faces import FaceCertificate, NonFaceWitness, _split
-from polyface.families import VertexSet, coordinate_map
+from polyface.families import VertexSet, compose, coordinate_map, inverse
 from polyface.simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -208,12 +211,96 @@ def _carried(vs: VertexSet, subset, cert, move, image):
     return NonFaceWitness(tuple(weight[t] for t in members), tuple(weight[t] for t in others), tuple(moved))
 
 
+def _forced(members: list[tuple[int, ...]], s: int, transpose: bool):
+    """(q, steps): the moves (a, a.q, transpose) send members[s] to the identity, and member u to a.d_u.a^-1,
+    where steps lists d_u = q.p_u (q.p_u^-1 with transpose) for the other members in order."""
+    q = members[s] if transpose else inverse(members[s])
+    return q, [compose(q, inverse(p) if transpose else p) for u, p in enumerate(members) if u != s]
+
+
+def orbit_walk(table, subset, rank, seen: bytearray):
+    """(member, move) for each scanned member of subset's orbit whose rank is not yet seen, now marked seen.
+
+    On bqp the orbit is walked from subset by a transposition and an
+    m-cycle of the bits, and each move is the product of the steps that
+    reached its member.  On qap and phi it tries all 2 k n! moves that
+    send a member of subset to the identity, so that a fixes b
+    (``_forced``): they reach every member of the orbit through vertex 0.
+    """
+    if isinstance(table, faces._BitSymmetry):
+        m = len(table.bits[0])
+        steps = [(g, table.vertex_map((g, g, False))) for g in faces._swap_and_cycle(m)]
+        queue = [(subset, tuple(range(m)))]
+        for member, a in queue:
+            for g, vmap in steps:
+                image = tuple(sorted(vmap[t] for t in member))
+                j = rank(image)
+                if not seen[j]:
+                    seen[j] = 1
+                    b = compose(g, a)
+                    queue.append((image, b))
+                    yield image, (b, b, False)
+        return
+    perms, index = table.perms, table.index
+    members = [perms[s] for s in subset]
+    for transpose in (False, True):
+        for s in range(len(subset)):
+            q, steps = _forced(members, s, transpose)
+            forced_b, steps = itemgetter(*q), [itemgetter(*d) for d in steps]
+            for a, a_undo in zip(perms, table.undo):  # member u goes to a.d_u.a^-1
+                image = tuple(sorted([0] + [index[a_undo(step(a))] for step in steps]))
+                j = rank(image)
+                if not seen[j]:
+                    seen[j] = 1
+                    yield image, (a, forced_b(a), transpose)
+
+
+def scanned(table, k: int) -> list[tuple[int, ...]]:
+    """The subsets an orbit scan covers, in lex order: those through vertex 0 on qap and phi, all on bqp."""
+    head = tuple(range(table.fixed))
+    return [head + rest for rest in combinations(range(table.fixed, len(table.index)), k - table.fixed)]
+
+
+def walked_orbits(table, k: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(position, representative, size) of each orbit, found by walking: in lex order, the first scanned subset
+    not yet seen is its orbit's lex-min member, and ``orbit_walk`` marks the rest of its orbit seen."""
+    count, rank = faces._lex_rank(len(table.index), k, table.fixed)
+    seen = bytearray(count)
+    reps = []
+    for i, subset in enumerate(scanned(table, k)):
+        if not seen[i]:
+            seen[i] = 1
+            reps.append((i, subset, 1 + sum(1 for _ in orbit_walk(table, subset, rank, seen))))
+    return reps
+
+
+def stabiliser(table, subset) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+    """Every move (a, b, transpose) that maps the subset's permutations onto themselves, by trying every a.
+
+    For each a, transpose flag and image p_t of the first member, b is
+    forced (``_forced``), and the move is kept when every other member's
+    conjugate a.d_s.a^-1 lies in {p_t^-1.p_u}: 2 n! |S| candidates.
+    """
+    members = [table.perms[s] for s in subset]
+    found = []
+    for transpose in (False, True):
+        base, steps = _forced(members, 0, transpose)
+        steps = [itemgetter(*d) for d in steps]
+        targets = [(pt, {compose(inverse(pt), pu) for pu in members}) for pt in members]
+        for a, a_undo in zip(table.perms, table.undo):
+            conjugates = [a_undo(step(a)) for step in steps]  # a.d_s.a^-1
+            for pt, allowed in targets:
+                if all(c in allowed for c in conjugates):
+                    found.append((a, compose(pt, compose(a, base)), transpose))
+    return found
+
+
 def carried_orbit_scan(vs: VertexSet, k: int, ctx) -> list[tuple[tuple[int, ...], object]]:
     """(subset, certificate) for every subset the program's orbit scan covers, in lex order.
 
     The orbits are the program's (``faces._Orbits``): each representative
-    is decided by ``is_face``, its orbit is walked again by the table's
-    ``orbit``, and each member gets the representative's certificate
+    is decided by ``is_face``, its orbit is walked by ``orbit_walk``, and
+    each member gets the representative's certificate
     carried by the move the walk gives it (``_carried``), verified by
     substitution.  AssertionError when a carried certificate fails, when
     an orbit's walk disagrees with its recorded size, or when a scanned
@@ -226,13 +313,13 @@ def carried_orbit_scan(vs: VertexSet, k: int, ctx) -> list[tuple[tuple[int, ...]
         assert rep not in reached, f"representative {rep} was reached before"
         cert = reached[rep] = faces.is_face(vs, rep, ctx)
         seen[i] = 1
-        members = list(orbits.table.orbit(rep, orbits.rank, seen))
+        members = list(orbit_walk(orbits.table, rep, orbits.rank, seen))
         assert len(members) + 1 == size, f"the orbit of {rep} has {len(members) + 1} members, not {size}"
         verify = faces.verify_face_certificate if isinstance(cert, FaceCertificate) else faces.verify_nonface_witness
         for member, move in members:
             assert member not in reached, f"{member} was reached twice"
             carried = reached[member] = _carried(vs, rep, cert, move, member)
             assert verify(vs, member, carried), f"the certificate carried from {rep} to {member} failed substitution"
-    scanned = list(orbits.table.scanned(k))
-    assert len(scanned) == orbits.count and sorted(reached) == scanned, "the orbits do not cover the scan"
-    return [(s, reached[s]) for s in scanned]
+    covered = scanned(orbits.table, k)
+    assert len(covered) == orbits.count and sorted(reached) == covered, "the orbits do not cover the scan"
+    return [(s, reached[s]) for s in covered]

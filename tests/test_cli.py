@@ -392,10 +392,10 @@ def test_verify_guard(tmp_path, capsys):
     assert "guard" in err
 
 
-def test_verify_qap_3_neighborly_guard_stops_at_n6(capsys):
-    code, out, err = run(["verify", "qap-3-neighborly", "--n", "6"], capsys)
+def test_verify_qap_3_neighborly_guard_stops_at_n7(capsys):
+    code, out, err = run(["verify", "qap-3-neighborly", "--n", "7"], capsys)
     assert code == 2
-    assert "guard is n in [3, 5]" in err and out == ""
+    assert "guard is n in [3, 6]" in err and out == ""
 
 
 @pytest.mark.parametrize(

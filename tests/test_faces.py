@@ -503,17 +503,17 @@ def test_full_phi5_orbit_scan_carries_faces_and_non_faces(phi5):
     "make, n", [(qap_vertices, 4), (phi_vertices, 4), (phi_vertices, 5)], ids=["qap4", "phi4", "phi5"]
 )
 def test_each_link_move_maps_its_representative_onto_its_subset(make, n):
-    """Walked from its representative, each orbit yields its other members, all
-    after the representative in lex order and as many as the orbit's size, and
-    the move given with each member has a coordinate map that sends the
-    representative's vertices onto that member."""
+    """Walked from its representative by the oracle walk, each orbit yields its
+    other members, all after the representative in lex order and as many as the
+    orbit's size, and the move given with each member has a coordinate map that
+    sends the representative's vertices onto that member."""
     vs = make(n)
     orbits = faces._Orbits(FaceContext(vs), 3)
     index = {v: t for t, v in enumerate(vs.vertices)}
     seen = bytearray(orbits.count)
     for i, rep, size in orbits.reps:
         seen[i] = 1
-        members = list(orbits.table.orbit(rep, orbits.rank, seen))
+        members = list(oracles.orbit_walk(orbits.table, rep, orbits.rank, seen))
         assert len(members) + 1 == size
         for member, move in members:
             assert member > rep
@@ -521,6 +521,67 @@ def test_each_link_move_maps_its_representative_onto_its_subset(make, n):
             image = sorted(index[tuple(sorted(cmap[o] for o in vs.vertices[s]))] for s in rep)
             assert tuple(image) == member
     assert all(seen)
+
+
+def _identity_first(vs, order):
+    """vs reordered: its identity first, then the other vertices in the given order of their positions."""
+    ident = vs.labels.index("".join(str(i) for i in range(1, vs.scheme.n + 1)))
+    rest = [t for t in range(len(vs)) if t != ident]
+    return _reordered(vs, [ident] + [rest[i] for i in order])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([qap_vertices, phi_vertices]), st.integers(3, 5), st.data())
+def test_canonical_orbits_and_coset_stabilisers_match_the_oracles(make, n, data):
+    """On a vertex order that keeps the identity first, the orbits found by canonical
+    form have the representatives, positions and sizes of the oracle walk, at k = 1
+    to 3 (and 4 at n <= 4), and the stabiliser read from centraliser cosets is the
+    move multiset of the oracle's n! loop, on subsets that need not hold vertex 0."""
+    count = {3: 6, 4: 24, 5: 120}[n]
+    vs = _identity_first(make(n), data.draw(st.permutations(range(count - 1))))
+    ctx = FaceContext(vs)
+    table = ctx.symmetry()
+    for k in (1, 2, 3, 4) if n <= 4 else (1, 2, 3):
+        assert faces._Orbits(ctx, k).reps == oracles.walked_orbits(table, k)
+    for size in (1, 2, 3, data.draw(st.integers(4, 5))):
+        subset = tuple(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=size, max_size=size))))
+        assert sorted(faces._stabiliser(table, subset)) == sorted(oracles.stabiliser(table, subset))
+
+
+# sha256 of the JSON of the phi(6) triple orbits, (position, representative, size) in
+# lex order; the oracle walk (about 1.3 s) gives the same list
+PHI6_TRIPLE_ORBITS = "85da514133d04a9874b0f9f70f10eeff86cc979cfe5b695f6ee7482f4cd66ddf"
+
+
+def test_phi6_triple_orbits_are_pinned():
+    """The 164 orbits of the 258,121 phi(6) triples through vertex 0, from the
+    canonical form: the first is (0, 1, 2) with 180 members.  The pairs'
+    representatives are the class minima, and {0} is the only singleton."""
+    ctx = FaceContext(phi_vertices(6))
+    reps = faces._Orbits(ctx, 3).reps
+    assert (len(reps), sum(size for *_, size in reps), reps[0]) == (164, 258121, (0, (0, 1, 2), 180))
+    assert hashlib.sha256(json.dumps(reps).encode()).hexdigest() == PHI6_TRIPLE_ORBITS
+    minima = sorted(set(ctx.symmetry().classes[0]))[1:]  # one per cycle type but the identity's
+    assert [s for _, s, _ in faces._Orbits(ctx, 2).reps] == [(0, m) for m in minima] and len(minima) == 10
+    assert faces._Orbits(ctx, 1).reps == [(0, (0,), 1)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_orbits_that_do_not_cover_the_scan_are_an_error(k, monkeypatch):
+    """The orbit sizes must sum to the scanned count: with the last element of every
+    centraliser dropped, or one orbit size raised by 1, _Orbits raises."""
+    centraliser = faces._Symmetry.centraliser
+    with monkeypatch.context() as m:
+        m.setattr(faces._Symmetry, "centraliser", lambda table, x: centraliser(table, x)[:-1])
+        with pytest.raises(InternalInconsistencyError, match=f"not the {comb(23, k - 1)} scanned"):
+            faces._Orbits(FaceContext(qap_vertices(4)), k)
+    representatives = faces._Symmetry.representatives
+    monkeypatch.setattr(
+        faces._Symmetry, "representatives",
+        lambda *args: [(i, s, size + (i == 0)) for i, s, size in representatives(*args)],
+    )
+    with pytest.raises(InternalInconsistencyError, match="orbits hold"):
+        k_neighborly_scan(phi_vertices(4), k, fix_first=True)
 
 
 @pytest.mark.parametrize("make", [qap_vertices, phi_vertices], ids=["qap4", "phi4"])
@@ -818,8 +879,8 @@ QAP5_STABILISER_SUBSETS = ((0, 3, 4), (0, 33, 64))
     "case", PHI5_FACETEST_PAIRS + tuple(("qap", s) for s in QAP5_STABILISER_SUBSETS), ids=str
 )
 def test_picked_generators_generate_the_whole_stabiliser(case, phi5, qap5, monkeypatch):
-    """The moves _stabiliser_moves hands the orbit LP are the whole stabiliser
-    _stabiliser lists, one distinct vertex map each and closed under
+    """The moves _stabiliser_moves hands the orbit LP are as many as the oracle's
+    n! loop finds in the stabiliser, one distinct vertex map each and closed under
     composition, and the orbit LP labels every vertex and coordinate by the
     least point of its orbit under the group they generate."""
     if case[0] == "qap":
@@ -828,7 +889,7 @@ def test_picked_generators_generate_the_whole_stabiliser(case, phi5, qap5, monke
         (vs, ctx), subset = phi5, (0, *case)
     moves = faces._stabiliser_moves(ctx, subset)
     vmaps = {tuple(vmap) for vmap, _ in moves}
-    assert len(vmaps) == len(moves) == len(faces._stabiliser(ctx.symmetry(), subset))
+    assert len(vmaps) == len(moves) == len(oracles.stabiliser(ctx.symmetry(), subset))
     assert _closure(tuple(range(len(vs))), vmaps) == vmaps
     labels, least = [], faces._least_images
 
@@ -1096,7 +1157,7 @@ def test_a_wrong_bqp_coordinate_map_is_caught_and_nothing_is_carried(monkeypatch
     monkeypatch.setattr(
         faces, "coordinate_map", lambda scheme, a, b, transpose: right(scheme, inverse(a), inverse(b), transpose)
     )
-    monkeypatch.setattr(faces._BitSymmetry, "orbit", lambda *args: pytest.fail("an orbit was walked"))
+    monkeypatch.setattr(faces._BitSymmetry, "representatives", lambda *args: pytest.fail("an orbit was walked"))
     fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
     vs = bqp_vertices(3)
     ctx = FaceContext(vs)
