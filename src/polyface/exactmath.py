@@ -15,14 +15,17 @@ columns; qap(6) 83 (235) of 1,296; phi(6) 48 (110) of 225; entries of
 at most 4 bits).  Fractions appear only when a result is read back.
 
 Hull frames follow the same rule.  ``AffineHullFrame`` stores its
-origin, its pivot columns and the inverse of its basis there, once, as
-integer columns over one denominator L read straight from ``_invert``'s
-elimination rows; the basis itself is not kept.  ``weighted_columns``
+origin, its pivot columns and its basis at those columns (the square
+block, entries -1, 0 and 1 for a vertex set); the inverse of that block
+is computed on first use, as integer columns over one denominator L
+read straight from ``_invert``'s elimination rows, since the orbit LP
+of ``faces`` reads only the pivot columns.  ``weighted_columns``
 weights those columns by a point's deltas from the origin (its
 coordinates times L), and ``ambient_functional`` scales the frame
 functional once to integers and lifts it by integer dot products,
-building Fractions only for the functional it returns.  ``_over_lcm``
-writes a rational vector as integers over the lcm of its denominators;
+building Fractions only for the functional it returns and filling its
+other slots with the one shared ``ZERO``.  ``_over_lcm`` writes a
+rational vector as integers over the lcm of its denominators;
 ``simplex`` uses it too.
 
 The kernels other modules rely on:
@@ -45,9 +48,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Q = Fraction
+
+# The one zero that fills every zero slot of a vector this library and ``faces`` build for a certificate, so
+# a reader can skip those slots by identity (``is``) at C speed; a zero made anywhere else is still read.
+ZERO = Q(0)
 
 Vector = tuple  # tuple of Fraction|int
 
@@ -209,18 +217,32 @@ class AffineHullFrame:
     point with reduced coordinates c.  The origin keeps the input's
     number type (ints for every vertex set).  `pivot_cols` are ambient
     coordinate positions at which the basis matrix is invertible, one
-    per basis vector.  The inverse of that square submatrix is stored
-    once, as integer columns over one denominator: inverse_cols[j][i] /
+    per basis vector, and square[i] is the basis at pivot_cols[i].  The
+    inverse of that square submatrix is computed on first use and kept,
+    as integer columns over one denominator: inverse_cols[j][i] /
     inverse_den is its entry (i, j), and inverse_den is the lcm of the
-    entries' denominators.  Coordinates are the inverse columns weighted
-    by the point's deltas from the origin at pivot_cols, over
-    inverse_den.
+    entries' denominators (on a 2-core VM the qap(7) frame, dimension
+    457, took 2.7 s to build and its inverse 0.6 s more, which a reader
+    of pivot_cols alone never pays).  Coordinates are the
+    inverse columns weighted by the point's deltas from the origin at
+    pivot_cols, over inverse_den.
     """
 
     origin: Vector
     pivot_cols: tuple[int, ...]
-    inverse_cols: tuple[tuple[int, ...], ...]
-    inverse_den: int
+    square: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        return _invert(self.square)
+
+    @property
+    def inverse_cols(self) -> tuple[tuple[int, ...], ...]:
+        return self._inverse[0]
+
+    @property
+    def inverse_den(self) -> int:
+        return self._inverse[1]
 
     @property
     def dim(self) -> int:
@@ -249,13 +271,14 @@ class AffineHullFrame:
         Returns (a, b) with a . p - b == a_frame . c - b_frame for every
         p in the hull, where c are the reduced coordinates of p.  a_frame is scaled once to integers over
         its lcm denominator D, so each pivot entry of a is one integer dot
-        product with an inverse column, over D * inverse_den.
+        product with an inverse column, over D * inverse_den.  Every other
+        entry of a, and each pivot entry that comes out zero, is ``ZERO``.
         """
         if len(a_frame) != self.dim:
             raise ValueError(f"dimension mismatch: {len(a_frame)} vs {self.dim}")
         nums, d = _over_lcm(a_frame)
         scale = d * self.inverse_den
-        a = [Q(0)] * self.ambient_dim
+        a = [ZERO] * self.ambient_dim
         shift = 0  # a . origin, times scale
         for c, col in zip(self.pivot_cols, self.inverse_cols):
             t = sum(map(operator.mul, nums, col))
@@ -278,9 +301,8 @@ def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
     chosen, pivot_cols = greedy_basis(tuple(x - o for x, o in zip(p, origin, strict=True)) for p in points[1:])
     # the basis at the pivot columns, read from the chosen points; its inverse maps
     # pivot-coordinate deltas to basis coefficients: coords = inverse * (p - origin)[pivot_cols].
-    square = [[points[i + 1][c] - origin[c] for i in chosen] for c in pivot_cols]
-    cols, den = _invert(square)
-    return AffineHullFrame(origin=origin, pivot_cols=tuple(pivot_cols), inverse_cols=cols, inverse_den=den)
+    square = tuple(tuple(points[i + 1][c] - origin[c] for i in chosen) for c in pivot_cols)
+    return AffineHullFrame(origin=origin, pivot_cols=tuple(pivot_cols), square=square)
 
 
 def _invert(square: list[list]) -> tuple[tuple[tuple[int, ...], ...], int]:

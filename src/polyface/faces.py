@@ -89,18 +89,25 @@ Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
 of a face.
 
-Arithmetic: integers from the hull frame to the certificate check.
-A frame-LP row reads its vertex's frame coordinates as one integer row
-over the frame's denominator (``AffineHullFrame.weighted_columns``),
-built the first time the row is asked for, so the orbit LP computes
-none; the lift to ambient coordinates runs on integers
+Arithmetic: integers from the hull frame to the certificate check,
+and a certificate's cost follows its support.  A frame-LP row reads its
+vertex's frame coordinates as one integer row over the frame's
+denominator (``AffineHullFrame.weighted_columns``), built the first
+time the row is asked for, so the orbit LP computes none (nor the
+frame's inverse); the lift to ambient coordinates runs on integers
 (``AffineHullFrame.ambient_functional``), and so does the lift off a
-coordinate face, over one denominator (``_lifted``);
-``verify_face_certificate`` scales the certificate once and adds each
-nonzero integer entry into the vertices with a one there
-(``VertexSet.incidence``).  Fractions
-are built only for the LP rows (same rational values, so every LP and
-its duals are unchanged), for the certificates handed out, and in the
+coordinate face, over one denominator (``_lifted``).  Every zero slot
+of a normal the library builds holds the one ``exactmath.ZERO`` (the
+frame lift, ``_lifted``, ``_fixing_certificate``, the orbit LP and
+``_json_rational`` alike), so ``_not_zero`` finds the rest by identity
+at C speed.  The fixing functional and the lift are laid out class by
+class (``_by_class``): the largest of I, U less I and off U is filled
+in one step and the other two written at their set bits.
+``verify_face_certificate`` reads each entry that is not ``ZERO``,
+scales the certificate once and adds each nonzero integer entry into
+the vertices with a one there (``VertexSet.incidence``).  Fractions are
+built only for the LP rows (same rational values, so every LP and its
+duals are unchanged), for the certificates handed out, and in the
 non-face witness check.
 """
 
@@ -112,11 +119,11 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import chain, combinations, permutations
-from operator import and_, getitem, itemgetter, or_
+from itertools import chain, combinations, compress, permutations, repeat
+from operator import and_, getitem, is_not, itemgetter, or_
 from typing import Sequence
 
-from .exactmath import AffineHullFrame, affine_hull_frame, greedy_basis
+from .exactmath import ZERO, AffineHullFrame, affine_hull_frame, greedy_basis
 from .families import (
     MAX_DENSE_CELLS,
     VertexSet,
@@ -157,7 +164,7 @@ class FaceCertificate:
             "kind": "face",
             "subset": list(subset),
             "frame": "ambient",
-            "a": [q_str(x) for x in self.normal],
+            "a": ["0" if x is ZERO else q_str(x) for x in self.normal],
             "b": q_str(self.offset),
             "epsilon": q_str(self.epsilon),
         }
@@ -194,10 +201,12 @@ def _json_rational(x) -> Fraction:
     Fraction's other syntax are refused (its exponents: "1e100000000" would run for minutes)."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"a rational must be a string or an integer, not {type(x).__name__}")
+    if x in ("0", 0):  # most entries of a normal: no parse
+        return ZERO
     if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
         raise ValueError(f"unreadable rational {x[:20]!r}")
     try:
-        return Q(x)
+        return Q(x) or ZERO
     except ZeroDivisionError as exc:
         raise ValueError(f"unreadable value ({exc})") from None
 
@@ -239,41 +248,62 @@ def certificate_from_json(data: dict):
     return _json_tuple(data, "subset", _json_index), cert
 
 
-def _split(vs: VertexSet, subset) -> tuple[tuple[int, ...], list[int]]:
-    """(subset, the other vertex indices in order), after checking the subset."""
+def _checked_subset(vs: VertexSet, subset) -> tuple[int, ...]:
+    """The subset as a tuple; ValueError unless it is nonempty, without repeats, in range and not every vertex."""
     idx = tuple(subset)
-    sset = set(idx)
     if len(idx) == 0:
         raise ValueError("subset is empty")
-    if len(sset) != len(idx):
+    if len(set(idx)) != len(idx):
         raise ValueError("subset has repeated indices")
     if any(not 0 <= i < len(vs) for i in idx):
         raise ValueError("subset index out of range")
     if len(idx) == len(vs):
         raise ValueError("subset equals the whole vertex set")
+    return idx
+
+
+def _split(vs: VertexSet, subset) -> tuple[tuple[int, ...], list[int]]:
+    """(subset, the other vertex indices in order), after ``_checked_subset``."""
+    idx = _checked_subset(vs, subset)
+    sset = set(idx)
     return idx, [t for t in range(len(vs)) if t not in sset]
+
+
+def _not_zero(v: Sequence) -> list[int]:
+    """The positions of v whose entry is not the shared ``ZERO`` object, found at C speed."""
+    return list(compress(range(len(v)), map(is_not, v, repeat(ZERO))))
+
+
+_RATIONAL_TYPES = frozenset((int, Fraction))  # bool is a subclass of int, not int
 
 
 def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCertificate) -> bool:
     """Substitution check of the supporting-hyperplane invariants.
 
-    (normal, offset, epsilon) are scaled once to integers over their
-    common denominator.  Each entry with a nonzero numerator is then
-    added into every vertex with a one at its offset
-    (``VertexSet.incidence``), so the cost follows the normal's support,
-    at most frame-dimension entries for a normal lifted from the hull
-    frame; a vertex the support misses has value 0 and is checked like
-    the rest.  Every entry's numerator is read, so one that is not an
-    int or a Fraction (None, "", a float) fails the check, as does a
-    subset ``_split`` refuses.
+    The slots of the normal that hold the shared ``ZERO`` are skipped by
+    identity at C speed; every other entry, the offset and epsilon must
+    be an int or a Fraction (None, "", a float or a boolean fails the
+    check, as does a subset ``_checked_subset`` refuses), and each such
+    entry is read, a zero made elsewhere included.  (normal, offset, epsilon) are scaled once to integers over
+    their common denominator, and each nonzero entry is added into every
+    vertex with a one at its offset (``VertexSet.incidence``), so the
+    cost follows the normal's support and the vertices it touches; a
+    vertex the support misses has value 0.  Once the subset's values
+    equal the offset they are set to offset - epsilon, and one C-level
+    max over all values is the gap test; no list of the other vertices
+    is built.
     """
     try:
-        idx, others = _split(vs, subset)
-        if len(cert.normal) != vs.scheme.ambient_dim:
+        idx = _checked_subset(vs, subset)
+        normal = cert.normal
+        if len(normal) != vs.scheme.ambient_dim:
             return False
-        support = [(o, x) for o, x in enumerate(cert.normal) if x.numerator]
-        den = reduce(math.lcm, (x.denominator for _, x in support), cert.offset.denominator)
-        den = math.lcm(den, cert.epsilon.denominator)
+        picked = _not_zero(normal)
+        entries = list(map(normal.__getitem__, picked))
+        if not {type(cert.offset), type(cert.epsilon), *map(type, entries)} <= _RATIONAL_TYPES:
+            return False
+        support = [(o, x) for o, x in zip(picked, entries) if x]
+        den = math.lcm(cert.offset.denominator, cert.epsilon.denominator, *(x.denominator for _, x in support))
         offset, eps = (x.numerator * (den // x.denominator) for x in (cert.offset, cert.epsilon))
         if eps <= 0:
             return False
@@ -282,8 +312,12 @@ def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCert
             weight = x.numerator * (den // x.denominator)
             for t in vs.incidence[o]:
                 values[t] += weight
-        value = values.__getitem__
-        return all(value(s) == offset for s in idx) and max(map(value, others)) <= offset - eps
+        low = offset - eps
+        for s in idx:
+            if values[s] != offset:
+                return False
+            values[s] = low
+        return max(values) <= low
     except (ValueError, TypeError, IndexError, AttributeError):
         return False
 
@@ -669,9 +703,9 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
     rows.insert(ns, _norm_row(len(chosen)))
     eps, c, b, dual = _support_lp_optimum(len(chosen), rows)
     if eps > 0:
-        value = {candidates[i]: x for i, x in zip(chosen, c)}
+        value = {candidates[i]: x for i, x in zip(chosen, c) if x}
         offset = b + sum(x * origin[i] for i, x in zip(chosen, c))
-        return eps, (tuple(value.get(label, Q(0)) for label in coord), offset), None
+        return eps, (tuple(map(value.get, coord, repeat(ZERO))), offset), None
     y = [Q(0)] * len(vs)
     for orbit, weight in zip(orbits, dual[:ns] + dual[ns + 1 :]):
         for t in orbit:
@@ -921,23 +955,49 @@ def _fixing_form(inter: int, union: int, weight: int | None) -> tuple[int, int, 
     return 2, 1, 0, weight + inter.bit_count()
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of mask's set bits, one C-level str.find per bit of its binary text."""
+    text = bin(mask)
+    top, out = len(text) - 1, []
+    i = text.find("1")
+    while i >= 0:
+        out.append(top - i)
+        i = text.find("1", i + 1)
+    return out
+
+
+def _by_class(dim: int, inter: int, union: int, values) -> list:
+    """dim entries: values[0] on I, values[1] on U less I, values[2] off U.  The largest of the three classes is
+    filled in one C-level step, the other two written at their set bits (``_bits``)."""
+    classes = (inter, union & ~inter, ((1 << dim) - 1) & ~union)
+    sizes = [c.bit_count() for c in classes]
+    fill = sizes.index(max(sizes))
+    out = [values[fill]] * dim
+    for j, c in enumerate(classes):
+        if j != fill:
+            for o in _bits(c):
+                out[o] = values[j]
+    return out
+
+
 def _lifted(normal, offset, eps, inter: int, union: int, weight: int | None) -> tuple[tuple, Fraction]:
     """(normal, offset) of a hyperplane with gap eps on the face {v : I <= v <= U}, plus lam times its fixing
     functional (``_fixing_form``): lam = upper - offset + eps (at least 0), upper the normal's largest value on
     a 0/1 point (the sum of its positive entries), keeps the gap on every vertex.  In integers over one
-    denominator, on the normal's support and U only; one Fraction per distinct entry of the result."""
-    support = [(o, x) for o, x in enumerate(normal) if x]
-    den = reduce(math.lcm, (x.denominator for _, x in support), math.lcm(offset.denominator, eps.denominator))
-    nums = {o: x.numerator * (den // x.denominator) for o, x in support}
+    denominator: the normal's slots that hold ``ZERO`` are skipped at C speed (``_not_zero``), the result is
+    laid out class by class (``_by_class``), and only the normal's support is then written one by one; one
+    Fraction per distinct entry of the result, ``ZERO`` for a zero."""
+    support = [(o, x) for o in _not_zero(normal) if (x := normal[o])]
+    den = math.lcm(offset.denominator, eps.denominator, *(x.denominator for _, x in support))
     b = offset.numerator * (den // offset.denominator)
-    lam = max(0, sum(x for x in nums.values() if x > 0) - b + eps.numerator * (den // eps.denominator))
-    on_i, on_u, off_u, f_offset = _fixing_form(inter, union, weight)
-    on = {o: on_i if inter >> o & 1 else on_u for o, bit in enumerate(reversed(bin(union))) if bit == "1"}
-    entry = cache(lambda v: Q(v, den))
-    out = [entry(lam * off_u)] * len(normal)
-    for o in on.keys() | nums.keys():
-        out[o] = entry(nums.get(o, 0) + lam * on.get(o, off_u))
-    return tuple(out), Q(b + lam * f_offset, den)
+    nums = [(o, x.numerator * (den // x.denominator)) for o, x in support]
+    lam = max(0, sum(x for _, x in nums if x > 0) - b + eps.numerator * (den // eps.denominator))
+    form = _fixing_form(inter, union, weight)
+    entry = cache(lambda v: Q(v, den) or ZERO)
+    out = _by_class(len(normal), inter, union, [entry(lam * f) for f in form[:3]])
+    for o, x in nums:
+        out[o] = entry(x + lam * form[0 if inter >> o & 1 else 1 if union >> o & 1 else 2])
+    return tuple(out), Q(b + lam * form[3], den)
 
 
 def _equation_masks(dim: int, equations) -> tuple[int, int]:
@@ -948,10 +1008,10 @@ def _equation_masks(dim: int, equations) -> tuple[int, int]:
 
 def _fixing_certificate(vs: VertexSet, subset, inter: int, union: int, weight: int | None) -> FaceCertificate:
     """The fixing functional (``_fixing_form``) of a coordinate face that holds only the subset, as a face
-    certificate with gap 1, verified by substitution."""
-    on_i, on_u, off_u, offset = map(Q, _fixing_form(inter, union, weight))
-    normal = (on_i if inter >> o & 1 else on_u if union >> o & 1 else off_u for o in range(vs.scheme.ambient_dim))
-    cert = FaceCertificate(tuple(normal), offset, Q(1))
+    certificate with gap 1, verified by substitution; laid out class by class (``_by_class``), ``ZERO`` for 0."""
+    on_i, on_u, off_u, offset = _fixing_form(inter, union, weight)
+    values = [Q(x) or ZERO for x in (on_i, on_u, off_u)]
+    cert = FaceCertificate(tuple(_by_class(vs.scheme.ambient_dim, inter, union, values)), Q(offset), Q(1))
     if not verify_face_certificate(vs, subset, cert):
         raise InternalInconsistencyError("coordinate-fixing certificate failed substitution")
     return cert

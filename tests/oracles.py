@@ -7,15 +7,18 @@ Gauss-Jordan that shares no code with the library's integer kernel,
 the hull frame's basis and coordinates recomputed
 from their definition and their inverse, a plain-text LP dump, the
 witness-LP face oracle, the orbit walk and the stabiliser search that
-the qap/phi symmetry used before canonical forms, and the orbit scan's
+the qap/phi symmetry used before canonical forms, the orbit scan's
 certificates carried to every member of every orbit by the walk's moves
-and verified by substitution.
+and verified by substitution, and the coordinate-by-coordinate fixing
+functional and lift that the library lays out class by class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import chain, combinations
 from operator import itemgetter
 from typing import Sequence
@@ -323,3 +326,25 @@ def carried_orbit_scan(vs: VertexSet, k: int, ctx) -> list[tuple[tuple[int, ...]
     covered = scanned(orbits.table, k)
     assert len(covered) == orbits.count and sorted(reached) == covered, "the orbits do not cover the scan"
     return [(s, reached[s]) for s in covered]
+
+
+def dense_fixing_normal(dim: int, inter: int, union: int, weight: int | None) -> tuple[tuple, Fraction]:
+    """(normal, offset) of ``faces._fixing_form``'s functional, one coordinate after another over range(dim)."""
+    on_i, on_u, off_u, offset = map(Q, faces._fixing_form(inter, union, weight))
+    return tuple(on_i if inter >> o & 1 else on_u if union >> o & 1 else off_u for o in range(dim)), offset
+
+
+def dense_lifted(normal, offset, eps, inter: int, union: int, weight: int | None) -> tuple[tuple, Fraction]:
+    """``faces._lifted`` read off every coordinate: the normal's support by enumerate and U by the text of bin."""
+    support = [(o, x) for o, x in enumerate(normal) if x]
+    den = reduce(math.lcm, (x.denominator for _, x in support), math.lcm(offset.denominator, eps.denominator))
+    nums = {o: x.numerator * (den // x.denominator) for o, x in support}
+    b = offset.numerator * (den // offset.denominator)
+    lam = max(0, sum(x for x in nums.values() if x > 0) - b + eps.numerator * (den // eps.denominator))
+    on_i, on_u, off_u, f_offset = faces._fixing_form(inter, union, weight)
+    on = {o: on_i if inter >> o & 1 else on_u for o, bit in enumerate(reversed(bin(union))) if bit == "1"}
+    entry = cache(lambda v: Q(v, den))
+    out = [entry(lam * off_u)] * len(normal)
+    for o in on.keys() | nums.keys():
+        out[o] = entry(nums.get(o, 0) + lam * on.get(o, off_u))
+    return tuple(out), Q(b + lam * f_offset, den)

@@ -2,8 +2,10 @@ import hashlib
 import json
 import random
 from fractions import Fraction as Q
+from functools import cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import witness_oracle_is_face
 from polyface import faces
+from polyface.exactmath import ZERO
 from polyface.faces import (
     FaceCertificate,
     FaceContext,
@@ -348,6 +351,93 @@ def test_verify_face_certificate_rejects_non_rational_entries(tamper):
     cert = is_face(vs, (0, 1, 2))
     assert verify_face_certificate(vs, (0, 1, 2), cert)
     assert verify_face_certificate(vs, (0, 1, 2), tamper(cert)) is False
+
+
+@settings(max_examples=80, deadline=None)
+@given(_certificate_case(), st.data())
+def test_the_shared_zero_never_decides_a_verdict(case, data):
+    """The check skips the slots that hold the shared ZERO by identity.  A zero made
+    elsewhere (a fresh Fraction(0) or an int 0) in every zero slot keeps the verdict,
+    and None, "", 0.0 or True in any one zero slot fails the check.  Issued
+    certificates hold ZERO in every zero slot."""
+    vs, subset, cert, issued = case
+    verdict = verify_face_certificate(vs, subset, cert)
+    if issued:
+        assert all(x is ZERO for x in cert.normal if x == 0)
+    for zero in (Q, int):
+        normal = tuple(zero(0) if x == 0 else x for x in cert.normal)
+        assert verify_face_certificate(vs, subset, FaceCertificate(normal, cert.offset, cert.epsilon)) == verdict
+    zeros = [o for o, x in enumerate(cert.normal) if x == 0]
+    if zeros:
+        o = data.draw(st.sampled_from(zeros))
+        for bad in (None, "", 0.0, True):
+            normal = cert.normal[:o] + (bad,) + cert.normal[o + 1 :]
+            assert verify_face_certificate(vs, subset, FaceCertificate(normal, cert.offset, cert.epsilon)) is False
+
+
+@cache
+def _lift_bases() -> dict:
+    """name -> (vertex set, the (I, U) of its equations or None).  "phi6-face" is corollary-3n-face's
+    pair-fixing face of phi(6) as a vertex set of its own, with the masks of its equations, under which
+    compose_with_face lifts: all of value 1, so U is every coordinate."""
+    phi6, equations = phi_vertices(6), _thm2_equations(3)
+    dim = phi6.scheme.ambient_dim
+    inter, union = sum(1 << o for o, _ in equations), (1 << dim) - 1
+    face = [t for t, m in enumerate(faces._masks(phi6)) if m & inter == inter]
+    standalone = VertexSet(phi6.scheme, tuple(phi6.labels[t] for t in face), tuple(phi6.vertices[t] for t in face))
+    bases = {"phi4": phi_vertices(4), "qap4": qap_vertices(4), "bqp4": bqp_vertices(4)}
+    return {name: (vs, None) for name, vs in bases.items()} | {"phi6-face": (standalone, (inter, union))}
+
+
+@st.composite
+def _fixing_masks(draw):
+    """(vertex set, I, U, weight): I and U the AND and OR of one to three vertices (one gives I = U), U widened
+    to every coordinate or to every coordinate but a few off the OR, or the equation masks of the phi(6)
+    standalone face; weight None or the vertices' common weight, the two forms of ``_fixing_form``."""
+    vs, equations = _lift_bases()[draw(st.sampled_from(["bqp4", "phi4", "phi6-face", "qap4"]))]
+    dim, masks = vs.scheme.ambient_dim, faces._masks(vs)
+    subset = draw(st.lists(st.integers(0, len(vs) - 1), min_size=1, max_size=3, unique=True))
+    inter = reduce(and_, (masks[s] for s in subset))
+    union = reduce(or_, (masks[s] for s in subset))
+    full = (1 << dim) - 1
+    widen = draw(st.sampled_from(["none", "every coordinate", "all but a few"] + ["equations"] * bool(equations)))
+    if widen == "every coordinate":
+        union = full
+    elif widen == "all but a few":
+        outside = [o for o in range(dim) if not union >> o & 1]
+        few = draw(st.lists(st.sampled_from(outside), max_size=4)) if outside else []
+        union = full & ~sum(1 << o for o in few)
+    elif widen == "equations":
+        inter, union = equations
+    weight = draw(st.sampled_from([None, len(vs.vertices[0])]))
+    return vs, inter, union, weight
+
+
+def _shares_zero(normal):
+    return all(type(x) is Q for x in normal) and all(x is ZERO for x in normal if x == 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fixing_masks(), st.data())
+def test_lift_and_fixing_equal_the_dense_reference(case, data):
+    """_lifted and _fixing_certificate, laid out class by class, equal the coordinate-by-coordinate
+    reference (oracles) as tuples of Fractions, ZERO in every zero slot; _fixing_certificate on the
+    coordinate face of (I, U) whenever that face is neither empty nor every vertex."""
+    vs, inter, union, weight = case
+    dim = vs.scheme.ambient_dim
+    support = data.draw(st.lists(st.integers(0, dim - 1), max_size=6, unique=True))
+    normal = [ZERO] * dim
+    for o in support:
+        normal[o] = data.draw(_small_rationals.filter(bool))
+    offset, eps = data.draw(_small_rationals), data.draw(_small_rationals.filter(lambda x: x > 0))
+    lifted = faces._lifted(tuple(normal), offset, eps, inter, union, weight)
+    assert lifted == oracles.dense_lifted(tuple(normal), offset, eps, inter, union, weight)
+    assert _shares_zero(lifted[0])
+    face = [t for t, m in enumerate(faces._masks(vs)) if m & inter == inter and m | union == union]
+    if 0 < len(face) < len(vs) and (weight is None or all(len(v) == weight for v in vs.vertices)):
+        cert = faces._fixing_certificate(vs, face, inter, union, weight)
+        assert (cert.normal, cert.offset, cert.epsilon) == (*oracles.dense_fixing_normal(dim, inter, union, weight), 1)
+        assert _shares_zero(cert.normal)
 
 
 @pytest.mark.parametrize("make", [phi_vertices, qap_vertices, bqp_vertices], ids=["phi4", "qap4", "bqp4"])
