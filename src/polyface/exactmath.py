@@ -14,13 +14,18 @@ are sparse (qap(5) frame: 66 nonzeros on average, at most 151, of 625
 columns; qap(6) 83 (235) of 1,296; phi(6) 48 (110) of 225; entries of
 at most 4 bits).  Fractions appear only when a result is read back.
 
-Hull frames follow the same rule.  ``AffineHullFrame`` stores its
+Hull frames follow the same rule.  ``affine_hull_frame`` takes each
+point as its nonzero entries by column, the kernel's own row form (a
+0/1 vertex is ``dict.fromkeys(its one-positions, 1)``), and builds each
+delta from the origin on the union of the two supports, straight into
+the loop that ``greedy_basis`` runs on its converted rows; no point but
+the origin is ever written out densely.  ``AffineHullFrame`` stores its
 origin, its pivot columns and its basis at those columns (the square
 block, entries -1, 0 and 1 for a vertex set); the inverse of that block
 is computed on first use, as integer columns over one denominator L
 read straight from ``_invert``'s elimination rows, since the orbit LP
 of ``faces`` reads only the pivot columns.  ``weighted_columns``
-weights those columns by a point's deltas from the origin (its
+weights those columns by a point's deltas from the origin at them (its
 coordinates times L), and ``ambient_functional`` scales the frame
 functional once to integers and lifts it by integer dot products,
 building Fractions only for the functional it returns and filling its
@@ -35,11 +40,12 @@ The kernels other modules rely on:
   list (coefficients summing to zero with vanishing weighted sum), as
   int tuples.
 * ``greedy_basis`` -- the vectors of a list that are independent of the
-  ones before them; the hull frame picks its directions with it, and
-  ``faces`` its invariant functionals.
+  ones before them; ``faces`` picks its invariant functionals with it,
+  and the hull frame its directions with the same loop.
 * ``affine_hull_frame`` -- exact reduced coordinates on the affine hull
-  of a point set, used to shrink LP dimensions before face tests; the
-  origin keeps the input's number type (ints for vertex sets).
+  of a point set given by nonzero entries, used to shrink LP dimensions
+  before face tests; the origin holds the first point's values and int
+  zeros (ints alone for vertex sets).
 """
 
 from __future__ import annotations
@@ -76,13 +82,21 @@ def _over_lcm(v: Sequence) -> tuple[list[int], int]:
 
 
 def _int_row(v: Sequence) -> dict[int, int]:
-    """Primitive integer row proportional to the rational vector v: its nonzero entries by column.
+    """Primitive integer row proportional to the rational vector v: its nonzero entries by column."""
+    return _integral({c: x for c, x in enumerate(v) if x})
 
-    ints and Fractions are read as they are; only other entries go
-    through Fraction.
+
+def _integral(row: dict) -> dict[int, int]:
+    """Primitive integer row proportional to the rational row {column: nonzero value}.
+
+    A row of ints is only divided by its gcd; otherwise ints and
+    Fractions are read as they are, other entries go through Fraction,
+    and the row is scaled by the lcm of its denominators first.
     """
-    row = {c: x if isinstance(x, (int, Q)) else Q(x) for c, x in enumerate(v) if x}
-    return _primitive(dict(zip(row, _over_lcm(row.values())[0])))
+    if not {int}.issuperset(map(type, row.values())):
+        row = {c: x if isinstance(x, (int, Q)) else Q(x) for c, x in row.items()}
+        row = dict(zip(row, _over_lcm(row.values())[0]))
+    return _primitive(row)
 
 
 def _combine(v: dict[int, int], row: dict[int, int], c: int) -> dict[int, int]:
@@ -187,10 +201,17 @@ def greedy_basis(vectors: Iterable[Sequence]) -> tuple[list[int], list[int]]:
     719 differences), so their reduction is the cost; against echelon
     rows v would be rescaled and renormalised once per row met.
     """
+    return _greedy_rows(map(_int_row, vectors))
+
+
+def _greedy_rows(vectors: Iterable[dict[int, int]]) -> tuple[list[int], list[int]]:
+    """``greedy_basis`` of primitive integer rows, the loop that it and ``affine_hull_frame`` share.
+
+    Each row is taken over and may be changed in place.
+    """
     rows: dict[int, dict[int, int]] = {}  # lead -> fully reduced row, in the order chosen
     chosen: list[int] = []
     for i, v in enumerate(vectors):
-        v = _int_row(v)
         if hits := [c for c in v if c in rows]:
             scale = math.lcm(*(rows[c][c] // math.gcd(rows[c][c], v[c]) for c in hits))
             if scale != 1:
@@ -214,16 +235,17 @@ class AffineHullFrame:
 
     The basis is the differences from the origin of the points
     ``affine_hull_frame`` chose; origin + sum(c_i * basis_i) is the hull
-    point with reduced coordinates c.  The origin keeps the input's
-    number type (ints for every vertex set).  `pivot_cols` are ambient
+    point with reduced coordinates c.  The origin is the one dense
+    vector of a frame: the first point's values, int 0 elsewhere (ints
+    alone for every vertex set).  `pivot_cols` are ambient
     coordinate positions at which the basis matrix is invertible, one
     per basis vector, and square[i] is the basis at pivot_cols[i].  The
     inverse of that square submatrix is computed on first use and kept,
     as integer columns over one denominator: inverse_cols[j][i] /
     inverse_den is its entry (i, j), and inverse_den is the lcm of the
     entries' denominators (on a 2-core VM the qap(7) frame, dimension
-    457, took 2.7 s to build and its inverse 0.6 s more, which a reader
-    of pivot_cols alone never pays).  Coordinates are the
+    457, took about 2.4 s to build and its inverse 0.8 s more, which a
+    reader of pivot_cols alone never pays).  Coordinates are the
     inverse columns weighted by the point's deltas from the origin at
     pivot_cols, over inverse_den.
     """
@@ -252,15 +274,15 @@ class AffineHullFrame:
     def ambient_dim(self) -> int:
         return len(self.origin)
 
-    def weighted_columns(self, point: Sequence) -> list:
-        """Reduced coordinates of a hull point, times inverse_den (exact for any rational point).
+    def weighted_columns(self, deltas: Sequence) -> list:
+        """Reduced coordinates of a hull point, times inverse_den, from its deltas from the origin at pivot_cols.
 
-        Integer rows for integer points over an integer origin; the point
-        is not checked to lie in the hull.
+        deltas[i] is point[pivot_cols[i]] - origin[pivot_cols[i]]; the
+        result is exact for any rational point, and integer for integer
+        deltas.  The point is not checked to lie in the hull.
         """
         acc = [0] * self.dim
-        for col, c in zip(self.inverse_cols, self.pivot_cols):
-            d = point[c] - self.origin[c]
+        for col, d in zip(self.inverse_cols, deltas):
             if d:
                 acc = [a + d * x for a, x in zip(acc, col)]
         return acc
@@ -288,21 +310,30 @@ class AffineHullFrame:
         return tuple(a), Q(b_frame) + Q(shift, scale)
 
 
-def affine_hull_frame(points: Sequence[Sequence]) -> AffineHullFrame:
-    """Build an AffineHullFrame from a nonempty point list.
+def affine_hull_frame(points: Sequence[dict], dim: int) -> AffineHullFrame:
+    """Build an AffineHullFrame from a nonempty list of points in dimension dim.
 
-    Basis directions are chosen greedily in input order (first point is
-    the origin), so the frame is deterministic.
+    Each point is given by its nonzero entries, {column: value} with
+    every column in range(dim), the kernel's own row form; a 0/1 vertex
+    is ``dict.fromkeys(its one-positions, 1)``.  The first point is the
+    origin, the one point written out densely.  Each other point's delta
+    from it is built on the union of the two supports and reduced by the
+    loop of ``greedy_basis``, so basis directions are chosen greedily in
+    input order and the frame is deterministic.  Points are read by
+    index, one at a time, so a lazy sequence of them is never held whole.
     """
     if not points:
         raise ValueError("need at least one point")
-    origin = tuple(points[0])
-    # directions one at a time: a list of all of them would double the memory of a large vertex set
-    chosen, pivot_cols = greedy_basis(tuple(x - o for x, o in zip(p, origin, strict=True)) for p in points[1:])
+    first = points[0]
+    origin = [0] * dim
+    for c, x in first.items():
+        origin[c] = x
+    chosen, pivot_cols = _greedy_rows(_integral(_subtract(dict(points[i]), first, 1)) for i in range(1, len(points)))
     # the basis at the pivot columns, read from the chosen points; its inverse maps
     # pivot-coordinate deltas to basis coefficients: coords = inverse * (p - origin)[pivot_cols].
-    square = tuple(tuple(points[i + 1][c] - origin[c] for i in chosen) for c in pivot_cols)
-    return AffineHullFrame(origin=origin, pivot_cols=tuple(pivot_cols), square=square)
+    basis = [points[i + 1] for i in chosen]
+    square = tuple(tuple(p.get(c, 0) - origin[c] for p in basis) for c in pivot_cols)
+    return AffineHullFrame(origin=tuple(origin), pivot_cols=tuple(pivot_cols), square=square)
 
 
 def _invert(square: list[list]) -> tuple[tuple[tuple[int, ...], ...], int]:

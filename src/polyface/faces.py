@@ -82,6 +82,8 @@ S's vertex bitmasks (``FaceContext.masks``), fixing every coordinate on
 which S agrees cuts out the face F = {v : I <= v <= U}.  When F holds
 only S, the fixing functional (``_fixing_form``) certifies S with gap 1
 and no LP is solved (``_coordinate_face``, ``_fixing_certificate``).
+F is listed from the shortest incidence list among I's coordinates
+(``VertexSet.incidence``), from every mask only when I is empty.
 The scan tests F = S before it calls ``is_face``, which tries the orbit
 LP first.
 
@@ -90,9 +92,11 @@ support-LP still has optimum zero exactly when S is not the vertex set
 of a face.
 
 Arithmetic: integers from the hull frame to the certificate check,
-and a certificate's cost follows its support.  A frame-LP row reads its
+and a certificate's cost follows its support.  The frame is built from
+the vertices' one-positions, none densified.  A frame-LP row reads its
 vertex's frame coordinates as one integer row over the frame's
-denominator (``AffineHullFrame.weighted_columns``), built the first
+denominator (``AffineHullFrame.weighted_columns``, from the vertex's
+mask bits at the pivot columns), built the first
 time the row is asked for, so the orbit LP computes none (nor the
 frame's inverse); the lift to ambient coordinates runs on integers
 (``AffineHullFrame.ambient_functional``), and so does the lift off a
@@ -352,6 +356,20 @@ def _masks(vs: VertexSet) -> list[int]:
     return [sum(1 << o for o in v) for v in vs.vertices]
 
 
+class _OnePositions(Sequence):
+    """Vertex t as ``dict.fromkeys(its one-positions, 1)``, built when asked, so that ``affine_hull_frame``
+    holds one vertex's mapping at a time: a list of qap(7)'s 5,040 would take 11 MB."""
+
+    def __init__(self, vertices: tuple[tuple[int, ...], ...]):
+        self.vertices = vertices
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __getitem__(self, t: int) -> dict[int, int]:
+        return dict.fromkeys(self.vertices[t], 1)
+
+
 class FaceContext:
     """Per-vertex-set precomputation shared across face tests.
 
@@ -359,7 +377,11 @@ class FaceContext:
     fixings builds none) and each frame-LP row are built on first use.
     masks[t] is vertex t's one-positions as one integer bitmask, and
     weight their common number of ones (None when the vertices differ).
-    ``symmetry`` keeps the outcome of the symmetry check once asked.
+    No vertex is densified: the frame is built from the one-positions,
+    handed over one vertex at a time (``_OnePositions``), and a row reads
+    its vertex's deltas at the pivot columns from its mask.  A set above
+    ``MAX_DENSE_CELLS`` is still refused, though nothing here densifies
+    it.  ``symmetry`` keeps the outcome of the symmetry check once asked.
     """
 
     def __init__(self, vs: VertexSet):
@@ -378,7 +400,7 @@ class FaceContext:
 
     @cached_property
     def frame(self) -> AffineHullFrame:
-        return affine_hull_frame(self.vs.dense_all())
+        return affine_hull_frame(_OnePositions(self.vs.vertices), self.vs.scheme.ambient_dim)
 
     @cached_property
     def norm_row(self) -> Constraint:
@@ -394,8 +416,9 @@ class FaceContext:
         """a . w_t - b (+ eps off the subset) <= 0 or = 0, w_t vertex t's frame coordinates; built once per (t, rel)."""
         row = self._rows.get((t, rel))
         if row is None:
-            den = self.frame.inverse_den
-            w = tuple(Q(x, den) for x in self.frame.weighted_columns(self.vs.dense(t)))
+            frame, mask = self.frame, self.masks[t]
+            deltas = [(mask >> c & 1) - frame.origin[c] for c in frame.pivot_cols]
+            w = tuple(Q(x, frame.inverse_den) for x in frame.weighted_columns(deltas))
             row = self._rows[t, rel] = _lp_row(w, rel)
         return row
 
@@ -940,10 +963,16 @@ class _Orbits:
 
 def _coordinate_face(ctx: FaceContext, subset) -> tuple[int, int, list[int]]:
     """(I, U, F): the AND and the OR of the subset's vertex masks, and the vertices of the coordinate face
-    {v : I <= v <= U} in index order, the subset among them."""
-    masks = [ctx.masks[s] for s in subset]
-    inter, union = reduce(and_, masks), reduce(or_, masks)
-    return inter, union, [t for t, v in enumerate(ctx.masks) if v & inter == inter and v | union == union]
+    {v : I <= v <= U} in index order, the subset among them.  Every vertex of F has a one at each coordinate
+    of I, so when I is not 0 only the shortest of their incidence lists (``VertexSet.incidence``, in index
+    order) is walked; otherwise every mask is."""
+    masks = ctx.masks
+    picked = [masks[s] for s in subset]
+    inter, union = reduce(and_, picked), reduce(or_, picked)
+    if not inter:
+        return inter, union, [t for t, v in enumerate(masks) if v | union == union]
+    pool = min(map(ctx.vs.incidence.__getitem__, _bits(inter)), key=len)
+    return inter, union, [t for t in pool if (v := masks[t]) & inter == inter and v | union == union]
 
 
 def _fixing_form(inter: int, union: int, weight: int | None) -> tuple[int, int, int, int]:

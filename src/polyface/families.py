@@ -115,8 +115,9 @@ class VertexSet:
             raise ValueError("labels and vertices must have equal length")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertices must be pairwise distinct")
+        dim = self.scheme.ambient_dim
         for v in self.vertices:
-            if any(not 0 <= off < self.scheme.ambient_dim for off in v):
+            if v and not 0 <= min(v) <= max(v) < dim:
                 raise ValueError("one-position offset out of range")
             if list(v) != sorted(set(v)):
                 raise ValueError("one-positions must be sorted and distinct")
@@ -312,7 +313,8 @@ GENERATE_GUARDS = {"bqp": 16, "qap": 7, "phi": 7}
 
 # Dense cells (vertices x ambient dimension) of the largest vertex set the
 # guards admit: bqp(16), 65,536 vertices x 256 coordinates.  Densifying
-# costs one list cell per dense cell, so ``FaceContext`` refuses a larger set.
+# costs one list cell per dense cell; ``FaceContext`` refuses a larger set,
+# though its hull frame is built from one-positions and densifies none.
 MAX_DENSE_CELLS = max(
     (2 ** n if family == "bqp" else factorial(n)) * scheme_for(family, n).ambient_dim
     for family, n in GENERATE_GUARDS.items()

@@ -10,7 +10,9 @@ witness-LP face oracle, the orbit walk and the stabiliser search that
 the qap/phi symmetry used before canonical forms, the orbit scan's
 certificates carried to every member of every orbit by the walk's moves
 and verified by substitution, and the coordinate-by-coordinate fixing
-functional and lift that the library lays out class by class.
+functional and lift that the library lays out class by class, the
+vertex checks offset by offset, and the coordinate face by a walk over
+every vertex.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, combinations
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 from typing import Sequence
 
 from polyface import faces
@@ -150,6 +152,39 @@ def reconstruct(origin: Sequence, basis: Sequence[Vector], coords: Sequence) -> 
             if d != 0:
                 out[i] += c * d
     return tuple(out)
+
+
+def reference_greedy_basis(vectors):
+    """(chosen, leads) of the greedy Fraction echelon: each vector reduced against the ones chosen before it.
+
+    Rows are dense Fraction lists; a subtraction walks the chosen row's
+    nonzero positions only, which changes no value.
+    """
+    reduced, chosen, leads = [], [], []
+    for i, v in enumerate(vectors):
+        r = [Q(x) for x in v]
+        for (row, nonzero), c in zip(reduced, leads):
+            if r[c] != 0:
+                f = r[c] / row[c]
+                for j in nonzero:
+                    r[j] -= f * row[j]
+        nonzero = [j for j, x in enumerate(r) if x != 0]
+        if nonzero:
+            reduced.append((r, nonzero))
+            chosen.append(i)
+            leads.append(nonzero[0])
+    return chosen, leads
+
+
+def reference_frame(points):
+    """(basis, pivot_cols, inverse) of the greedy Fraction echelon of dense points, the inverse as Fraction rows."""
+    diffs = [tuple(Q(x) - Q(o) for x, o in zip(p, points[0])) for p in points[1:]]
+    chosen, pivots = reference_greedy_basis(diffs)
+    basis = [diffs[i] for i in chosen]
+    m = len(basis)
+    aug = [[b[c] for b in basis] + [int(i == j) for j in range(m)] for i, c in enumerate(pivots)]
+    inv = tuple(tuple(row[m:]) for row in row_reduce(aug)[0])
+    return tuple(basis), tuple(pivots), inv
 
 
 def lp_to_text(lp: LinearProgram) -> str:
@@ -348,3 +383,23 @@ def dense_lifted(normal, offset, eps, inter: int, union: int, weight: int | None
     for o in on.keys() | nums.keys():
         out[o] = entry(nums.get(o, 0) + lam * on.get(o, off_u))
     return tuple(out), Q(b + lam * f_offset, den)
+
+
+def checked_vertices(labels, vertices, ambient_dim: int) -> None:
+    """``VertexSet.__post_init__``'s checks in their order, each offset's range tested one by one."""
+    if len(labels) != len(vertices):
+        raise ValueError("labels and vertices must have equal length")
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("vertices must be pairwise distinct")
+    for v in vertices:
+        if any(not 0 <= off < ambient_dim for off in v):
+            raise ValueError("one-position offset out of range")
+        if list(v) != sorted(set(v)):
+            raise ValueError("one-positions must be sorted and distinct")
+
+
+def walked_coordinate_face(ctx, subset) -> tuple[int, int, list[int]]:
+    """``faces._coordinate_face`` by a walk over every vertex mask."""
+    masks = [ctx.masks[s] for s in subset]
+    inter, union = reduce(and_, masks), reduce(or_, masks)
+    return inter, union, [t for t, v in enumerate(ctx.masks) if v & inter == inter and v | union == union]

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coords_of, hull_basis, matrix_rank, reconstruct, row_reduce, solve_linear_system, vec_dot
+from oracles import (
+    coords_of,
+    hull_basis,
+    matrix_rank,
+    reconstruct,
+    reference_frame,
+    reference_greedy_basis,
+    row_reduce,
+    solve_linear_system,
+    vec_dot,
+)
 from polyface.exactmath import _eliminate, _int_row, affine_dependencies, affine_hull_frame, greedy_basis, nullspace
 from polyface.families import bqp_vertices, phi_vertices, qap_vertices
 
@@ -53,32 +63,9 @@ def kernel_rref(rows):
     return [[Q(row.get(j, 0), den) for j in range(len(rows[0]))] for row, den in zip(ints, dens)], pivots
 
 
-def reference_greedy_basis(vectors):
-    """(chosen, leads) of the greedy Fraction echelon: each vector reduced against the ones chosen before it."""
-    reduced, chosen, leads = [], [], []
-    for i, v in enumerate(vectors):
-        r = [Q(x) for x in v]
-        for row, c in zip(reduced, leads):
-            if r[c] != 0:
-                f = r[c] / row[c]
-                r = [x - f * y if y else x for x, y in zip(r, row)]
-        lead = next((j for j, x in enumerate(r) if x != 0), None)
-        if lead is not None:
-            reduced.append(r)
-            chosen.append(i)
-            leads.append(lead)
-    return chosen, leads
-
-
-def reference_frame(points):
-    """(basis, pivot_cols, inverse) of the greedy Fraction echelon, the inverse as Fraction rows."""
-    diffs = [tuple(Q(x) - Q(o) for x, o in zip(p, points[0])) for p in points[1:]]
-    chosen, pivots = reference_greedy_basis(diffs)
-    basis = [diffs[i] for i in chosen]
-    m = len(basis)
-    aug = [[b[c] for b in basis] + [int(i == j) for j in range(m)] for i, c in enumerate(pivots)]
-    inv = tuple(tuple(row[m:]) for row in row_reduce(aug)[0])
-    return tuple(basis), tuple(pivots), inv
+def frame_of(points):
+    """affine_hull_frame of dense points, each passed as its nonzero entries by column."""
+    return affine_hull_frame([{c: x for c, x in enumerate(p) if x} for p in points], len(points[0]))
 
 
 def fraction_inverse(frame):
@@ -88,7 +75,8 @@ def fraction_inverse(frame):
 
 def fraction_coords(frame, points):
     """The frame's coordinates of each point as Fractions, read from weighted_columns."""
-    return [tuple(Q(a, frame.inverse_den) for a in frame.weighted_columns(p)) for p in points]
+    deltas = [[p[c] - frame.origin[c] for c in frame.pivot_cols] for p in points]
+    return [tuple(Q(a, frame.inverse_den) for a in frame.weighted_columns(d)) for d in deltas]
 
 
 def test_solve_scalar_division():
@@ -177,19 +165,19 @@ def test_dependency_count_vs_hull_dimension():
     for vs in (phi_vertices(3), bqp_vertices(2), qap_vertices(3)):
         pts = vs.dense_all()
         deps = affine_dependencies(pts)
-        frame = affine_hull_frame(pts)
+        frame = frame_of(pts)
         assert len(pts) - 1 - len(deps) == frame.dim
 
 
 def test_frame_single_point():
-    frame = affine_hull_frame([(1, 2, 3)])
+    frame = frame_of([(1, 2, 3)])
     assert frame.dim == 0
     assert fraction_coords(frame, [(1, 2, 3)]) == coords_of([(1, 2, 3)], [(1, 2, 3)]) == [()]
 
 
 def test_frame_phi3_dim_4_and_bqp2_dim_3():
-    assert affine_hull_frame(phi_vertices(3).dense_all()).dim == 4
-    assert affine_hull_frame(bqp_vertices(2).dense_all()).dim == 3
+    assert frame_of(phi_vertices(3).dense_all()).dim == 4
+    assert frame_of(bqp_vertices(2).dense_all()).dim == 3
 
 
 @pytest.mark.parametrize(
@@ -209,7 +197,7 @@ def test_frame_phi3_dim_4_and_bqp2_dim_3():
 )
 def test_frame_round_trip(make):
     pts = make().dense_all()
-    frame = affine_hull_frame(pts)
+    frame = frame_of(pts)
     coords = coords_of(pts, pts)
     basis = hull_basis(pts)
     for p, c in zip(pts, coords):
@@ -224,7 +212,7 @@ def test_frame_round_trip(make):
 )
 def test_frame_matches_fraction_reference(make):
     pts = make().dense_all()
-    frame = affine_hull_frame(pts)
+    frame = frame_of(pts)
     assert (hull_basis(pts), frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
 
 
@@ -238,7 +226,7 @@ small_point_sets = st.integers(1, 5).flatmap(
 @settings(max_examples=40, deadline=None)
 @given(small_point_sets)
 def test_frame_matches_fraction_reference_random(pts):
-    frame = affine_hull_frame(pts)
+    frame = frame_of(pts)
     assert (hull_basis(pts), frame.pivot_cols, fraction_inverse(frame)) == reference_frame(pts)
     assert fraction_coords(frame, pts) == coords_of(pts, pts)
 
@@ -297,7 +285,7 @@ def test_frame_rejects_point_off_hull():
 def test_ambient_functional_agrees_on_hull():
     vs = phi_vertices(3)
     pts = vs.dense_all()
-    frame = affine_hull_frame(pts)
+    frame = frame_of(pts)
     a_frame = tuple(Q(i + 1, 3) for i in range(frame.dim))
     b_frame = Q(5, 7)
     a, b = frame.ambient_functional(a_frame, b_frame)
@@ -318,7 +306,7 @@ def reference_ambient_functional(frame, a_frame, b_frame):
 def test_ambient_functional_matches_fraction_reference_random(pts, data):
     if data.draw(st.booleans()):  # a frame with a fractional origin
         pts = [[Q(x, 2) for x in p] for p in pts]
-    frame = affine_hull_frame(pts)
+    frame = frame_of(pts)
     rationals = st.fractions(-5, 5, max_denominator=7)
     a_frame = tuple(data.draw(st.lists(rationals, min_size=frame.dim, max_size=frame.dim)))
     b_frame = data.draw(rationals)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as Q
 from functools import cache, reduce
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, lcm
 from operator import and_, or_
 
 import pytest
@@ -118,6 +118,46 @@ def test_frame_lp_rows_hold_each_vertexs_frame_coordinates(vs):
     for t, coords in enumerate(oracles.coords_of(dense, dense)):
         assert ctx.member_row(t) == faces._lp_row(coords, "=")
         assert ctx.outside_row(t) == faces._lp_row(coords, "<=")
+
+
+def _frame_fields(frame):
+    return frame.origin, frame.pivot_cols, frame.square, frame.inverse_cols, frame.inverse_den
+
+
+def _dense_reference_fields(vs):
+    """The frame fields of the Fraction reference (oracles.reference_frame) on the densified vertices."""
+    points = vs.dense_all()
+    basis, pivots, inverse_rows = oracles.reference_frame(points)
+    den = lcm(*(x.denominator for row in inverse_rows for x in row))
+    square = tuple(tuple(b[c] for b in basis) for c in pivots)
+    return points[0], pivots, square, tuple(tuple(x * den for x in col) for col in zip(*inverse_rows)), den
+
+
+_FRAME_BASES = {
+    **{f"bqp{m}": lambda m=m: bqp_vertices(m) for m in range(2, 6)},
+    **{f"qap{n}": lambda n=n: qap_vertices(n) for n in range(3, 6)},
+    **{f"phi{n}": lambda n=n: phi_vertices(n) for n in range(3, 7)},
+    "phi6-face": lambda: _lift_bases()["phi6-face"][0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_BASES))
+def test_frame_from_one_positions_equals_the_dense_reference(name):
+    """FaceContext.frame, built from each vertex's one-positions, equals the Fraction echelon of the
+    densified vertices on every field, its inverse included."""
+    vs = _FRAME_BASES[name]()
+    assert _frame_fields(FaceContext(vs).frame) == _dense_reference_fields(vs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["bqp4", "phi4", "qap4"]), st.data())
+def test_frame_of_vertex_subsets_in_any_order_equals_the_dense_reference(name, data):
+    """The same on a vertex set of some vertices of bqp(4), phi(4) or qap(4) in a drawn order, one vertex
+    (a frame of dimension 0) included."""
+    vs = _FRAME_BASES[name]()
+    picked = data.draw(st.lists(st.integers(0, len(vs) - 1), min_size=1, max_size=len(vs), unique=True))
+    sub = VertexSet(vs.scheme, tuple(vs.labels[t] for t in picked), tuple(vs.vertices[t] for t in picked))
+    assert _frame_fields(FaceContext(sub).frame) == _dense_reference_fields(sub)
 
 
 def test_nonface_witness_comes_from_the_support_lp_alone(monkeypatch):
@@ -405,7 +445,7 @@ def _fixing_masks(draw):
         union = full
     elif widen == "all but a few":
         outside = [o for o in range(dim) if not union >> o & 1]
-        few = draw(st.lists(st.sampled_from(outside), max_size=4)) if outside else []
+        few = draw(st.lists(st.sampled_from(outside), max_size=4, unique=True)) if outside else []
         union = full & ~sum(1 << o for o in few)
     elif widen == "equations":
         inter, union = equations
@@ -1047,7 +1087,7 @@ def test_qap4_fix_first_scan_solves_no_lp(monkeypatch):
 def test_qap_fix_first_scan_builds_no_hull_frame(n, monkeypatch):
     """Fixings certify every representative of a fix-first qap(4) or qap(5) triple
     scan, so the hull frame, built by the first LP, is never built."""
-    monkeypatch.setattr(faces, "affine_hull_frame", lambda points: pytest.fail("a hull frame was built"))
+    monkeypatch.setattr(faces, "affine_hull_frame", lambda points, dim: pytest.fail("a hull frame was built"))
     vs = qap_vertices(n)
     rep = k_neighborly_scan(vs, 3, fix_first=True)
     assert rep.is_k_neighborly and rep.total_subsets == rep.faces_certified == comb(len(vs) - 1, 2)
@@ -1120,6 +1160,22 @@ def _coordinate_face(vs, subset):
     inter = set.intersection(*(set(vs.vertices[s]) for s in subset))
     union = set.union(*(set(vs.vertices[s]) for s in subset))
     return inter, union, [t for t, v in enumerate(vs.vertices) if inter <= set(v) <= union]
+
+
+@cache
+def _walk_contexts() -> dict:
+    bases = {"phi4": phi_vertices(4), "qap4": qap_vertices(4), "bqp4": bqp_vertices(4), "phi5": phi_vertices(5)}
+    return {name: FaceContext(vs) for name, vs in bases.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["phi4", "qap4", "bqp4", "phi5"]), st.data())
+def test_coordinate_face_equals_the_walk_over_every_mask(name, data):
+    """_coordinate_face, which walks the shortest incidence list of I's coordinates when I is not 0, lists
+    the same (I, U, F) as the walk over every vertex mask; subsets of one vertex (I = U) to eight."""
+    ctx = _walk_contexts()[name]
+    subset = data.draw(st.lists(st.integers(0, len(ctx.vs) - 1), min_size=1, max_size=8, unique=True))
+    assert faces._coordinate_face(ctx, subset) == oracles.walked_coordinate_face(ctx, subset)
 
 
 _FACE_BASES = {  # phi(4) less its last vertex has no symmetry table

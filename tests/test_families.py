@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polyface.families import (
+    IndexScheme,
     VertexSet,
     bqp_scheme,
     bqp_vertices,
@@ -309,3 +311,56 @@ def test_generate_dispatch():
     assert len(generate("qap", 2)) == 2
     with pytest.raises(ValueError):
         generate("tsp", 4)
+
+
+_FAULTS = ("negative", "equal to the dimension", "unsorted", "duplicated", "empty")
+
+
+@st.composite
+def _malformed_vertex_lists(draw):
+    """(labels, vertices, dimension): up to five vertices, each sorted one-positions in range(dimension) with
+    none to three faults applied (a negative offset, an offset equal to the dimension, two neighbours
+    swapped, an offset repeated, the vertex emptied), sometimes a repeated vertex or one label short."""
+    dim = draw(st.integers(1, 9))
+    vertices = []
+    for _ in range(draw(st.integers(1, 5))):
+        v = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
+        for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=3)):
+            at = draw(st.integers(0, len(v)))
+            if fault == "negative":
+                v.insert(at, draw(st.integers(-3, -1)))
+            elif fault == "equal to the dimension":
+                v.insert(at, dim)
+            elif fault == "unsorted" and len(v) >= 2:
+                at = min(at, len(v) - 2)
+                v[at], v[at + 1] = v[at + 1], v[at]
+            elif fault == "duplicated" and v:
+                at = min(at, len(v) - 1)
+                v.insert(at, v[at])
+            elif fault == "empty":
+                v = []
+        vertices.append(tuple(v))
+    if draw(st.booleans()):
+        vertices.append(draw(st.sampled_from(vertices)))
+    labels = tuple(map(str, range(len(vertices) - draw(st.sampled_from([0, 0, 0, 1])))))
+    return labels, tuple(vertices), dim
+
+
+def _message(make):
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_malformed_vertex_lists())
+def test_vertex_checks_raise_as_the_offset_by_offset_loop(case):
+    """VertexSet's range check by min and max raises what the loop over every offset (oracles) raised, in
+    the same order of checks, or nothing where it raised nothing."""
+    labels, vertices, dim = case
+    scheme = IndexScheme("bqp", 3, dim)
+    assert _message(lambda: VertexSet(scheme, labels, vertices)) == _message(
+        lambda: oracles.checked_vertices(labels, vertices, dim)
+    )
