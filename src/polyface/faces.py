@@ -51,16 +51,20 @@ Scans: ``k_neighborly_scan`` decides one representative per orbit of a
 checked symmetry, the orbit's lex-min member, and keeps only the
 orbit's size.  With fix_first (qap and phi) it scans the subsets
 through vertex 0 under S_n x S_n x C_2; on a full bqp(m) set without
-fix_first, every k-subset under the bit permutations S_m, the moves
-(a, a, False); any other scan makes every subset a representative.  A
-move (a, b, transpose) permutes the coordinates as
-``families.coordinate_map`` states, the one statement of the action,
-and maps the vertex set onto itself, so the checked generators and the
-representative's verified certificate decide every member of its
-orbit.  The symmetry is checked once per vertex set, on generators of
-the group (``_checked_symmetry``, kept by ``FaceContext.symmetry``);
-the coordinate maps and the table's ``vertex_map`` are group actions,
-so they then agree on every move.
+fix_first, every k-subset under Z_2^m semidirect S_m, of order 2^m m!:
+the bit permutations, the moves (a, a, False), and the switchings u to
+u xor e_j (De Simone, Discrete Math. 79, 1990); any other scan makes
+every subset a representative.  A move (a, b, transpose) permutes the
+coordinates as ``families.coordinate_map`` states, the one statement of
+the action, and the switching of bit 0 is the affine map that
+``families.bqp_switching`` states.  Each maps the vertex set onto
+itself, so it maps faces onto faces, and the checked generators and the
+representative's verified certificate decide every member of its orbit.
+The symmetry is checked once per vertex set, on generators of the
+group (``_checked_symmetry``, kept by ``FaceContext.symmetry``): each
+generator's map is applied to every vertex and must give the vertex the
+table names.  The maps of the points and the table's maps are group
+actions, so they then agree on every move.
 
 No fix-first orbit is walked: its lex-min member is a canonical form
 (McKay, J. Algorithms 26, 1998).  A move that keeps vertex 0 in S
@@ -72,8 +76,9 @@ minima, conjugators onto them from cycle structure, and centralisers
 are built on first use (``classes``; Butler, LNCS 559, 1991).  The
 images equal to S count its stabiliser, so its orbit has 2 k n! /
 |Stab(S)| members (orbit-stabiliser), and ``_Orbits`` checks that the
-sizes sum to the scanned count.  The bit orbits of bqp, 2^m vertices,
-are walked from the representative by a transposition and an m-cycle,
+sizes sum to the scanned count.  The orbits of bqp, 2^m vertices, are
+walked from the representative by a transposition and an m-cycle of the
+bits and the switching of bit 0, which generate Z_2^m semidirect S_m,
 and marked seen in one bytearray indexed by lex rank (``_lex_rank``).
 
 Coordinate fixings come before any LP (Ziegler, "Lectures on
@@ -122,7 +127,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import chain, combinations, compress, permutations, repeat
 from operator import and_, getitem, is_not, itemgetter, or_
 from typing import Sequence
@@ -131,6 +136,7 @@ from .exactmath import ZERO, AffineHullFrame, affine_hull_frame, greedy_basis
 from .families import (
     MAX_DENSE_CELLS,
     VertexSet,
+    bqp_switching,
     bqp_vertex_offsets,
     compose,
     coordinate_map,
@@ -548,20 +554,26 @@ class _BitSymmetry:
         get = itemgetter(*inverse(move[0]))
         return [self.index[get(u)] for u in self.bits]
 
-    fixed = 0  # the bit permutations fix the zero vector, so no single vertex meets every orbit
+    def switch_map(self) -> list[int]:
+        """The vertex each vertex goes to under the switching of bit 0: u to u xor e_0."""
+        return [self.index[(1 - u[0], *u[1:])] for u in self.bits]
+
+    fixed = 0  # every k-subset is scanned
 
     def representatives(self, k: int, rank):
         """(rank, S, orbit size) for each orbit's lex-min member S of every k-subset, in lex order, by walking each
-        orbit from S by a transposition and an m-cycle of the bits, marking its members seen in one bytearray
-        indexed by rank: at the 2^m vertices of bqp(m), m <= 5 in practice, the walk is cheap."""
-        steps = [self.vertex_map((g, g, False)) for g in _swap_and_cycle(len(self.bits[0]))]
+        orbit from S by a transposition and an m-cycle of the bits and the switching of bit 0, marking its members
+        seen in one bytearray indexed by rank: at the 2^m vertices of bqp(m), m <= 6 in practice, the walk is
+        cheap."""
+        maps = [self.vertex_map((g, g, False)) for g in _swap_and_cycle(len(self.bits[0]))] + [self.switch_map()]
+        steps = [vmap.__getitem__ for vmap in maps]
         seen = bytearray(math.comb(len(self.bits), k))
         for i, subset in enumerate(combinations(range(len(self.bits)), k)):
             if not seen[i]:
                 seen[i], orbit = 1, [subset]
                 for member in orbit:
-                    for vmap in steps:
-                        image = tuple(sorted(vmap[t] for t in member))
+                    for step in steps:
+                        image = tuple(sorted(map(step, member)))
                         if not seen[j := rank(image)]:
                             seen[j] = 1
                             orbit.append(image)
@@ -601,11 +613,31 @@ def _bit_table(vs: VertexSet) -> _BitSymmetry:
     return _BitSymmetry(bits, {u: t for t, u in enumerate(bits)})  # 2^m distinct squares: all of them
 
 
+def _permuted(cmap: list[int], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-positions of the 0/1 point v after the coordinate map cmap."""
+    return tuple(sorted(cmap[o] for o in v))
+
+
+def _switched(rows: dict, v: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The one-positions of the image of the 0/1 point v under the affine map rows, in the form of
+    ``families.bqp_switching`` (the coordinates in rows change, every other one is kept), or None when the
+    image is not a 0/1 point."""
+    ones, image = set(v), [o for o in v if o not in rows]
+    for o, (c, terms) in rows.items():
+        x = c + sum(coef for source, coef in terms if source in ones)
+        if x == 1:
+            image.append(o)
+        elif x:
+            return None
+    return tuple(sorted(image))
+
+
 def _checked_symmetry(vs: VertexSet) -> _Symmetry | _BitSymmetry:
     """The table of vs; ValueError unless it holds every vertex of its family and order (``_permutation_table``,
-    ``_bit_table``) and the coordinate maps of generators of the group move them as the table's
-    ``vertex_map`` says: a transposition and an n-cycle on either side and inversion for qap and phi, a
-    transposition and an m-cycle of the bits for bqp."""
+    ``_bit_table``) and generators of the group move them as the table says: the coordinate maps of a
+    transposition and an n-cycle on either side and inversion for qap and phi, as ``vertex_map`` says; for
+    bqp those of a transposition and an m-cycle of the bits, and the affine switching of bit 0
+    (``families.bqp_switching``) applied to each vertex's 0/1 point, as ``switch_map`` says."""
     scheme = vs.scheme
     ident, (swap, cycle) = tuple(range(scheme.n)), _swap_and_cycle(scheme.n)
     if scheme.family == "bqp":
@@ -615,10 +647,11 @@ def _checked_symmetry(vs: VertexSet) -> _Symmetry | _BitSymmetry:
         table, refused, what = _permutation_table(vs), "fix-first reduction refused", "permutations"
         moves = [(g, ident, False) for g in (swap, cycle)] + [(ident, g, False) for g in (swap, cycle)]
         moves.append((ident, ident, True))
-    for move in moves:
-        cmap = coordinate_map(scheme, *move)
-        images = (vs.vertices[u] for u in table.vertex_map(move))
-        if any(tuple(sorted(cmap[o] for o in v)) != w for v, w in zip(vs.vertices, images)):
+    maps = [(partial(_permuted, coordinate_map(scheme, *move)), table.vertex_map(move)) for move in moves]
+    if scheme.family == "bqp":
+        maps.append((partial(_switched, bqp_switching(scheme.n)), table.switch_map()))
+    for image, vmap in maps:
+        if any(image(v) != vs.vertices[w] for v, w in zip(vs.vertices, vmap)):
             raise ValueError(f"{refused}: a move maps the vertices unlike their {what}")
     return table
 
@@ -1110,7 +1143,7 @@ def k_neighborly_scan(
     else:
         m = vs.scheme.n
         if vs.scheme.family == "bqp":
-            group, scanned = f"S_{m} (bit permutations)", f"{k}-subsets"
+            group, scanned = f"Z_2^{m} semidirect S_{m} (switchings and bit permutations)", f"{k}-subsets"
         else:
             group = f"S_{m} x S_{m} x C_2 (left and right multiplication, inversion)"
             scanned = f"{k}-subsets through vertex 0"

@@ -21,7 +21,8 @@ Conventions (the single source of truth for index translation):
 
 The same layout gives ``qap_vertex``, ``phi_vertex`` and ``coordinate_map``,
 the action of S_n x S_n x C_2 that the fix-first scan and the orbit LP
-in ``faces`` use; on bqp the same cell map, with b = a, permutes the bits.
+in ``faces`` use; on bqp the same cell map, with b = a, permutes the bits,
+and ``bqp_switching`` flips the first one.
 
 Vertices are stored sparsely as sorted tuples of one-positions and
 densified on demand (a qap(5) vertex has 25 ones out of 625 entries).
@@ -255,6 +256,8 @@ def coordinate_map(scheme: IndexScheme, a: tuple[int, ...], b: tuple[int, ...], 
     edge and b the image edge, and transpose swaps the two.  In bqp the
     cell map is the coordinate map, and the moves (a, a, False) are the
     bit permutations: u (x) u goes to u' (x) u' with u'(a(i)) = u(i).
+    With the switching (``bqp_switching``), an affine map and not a
+    coordinate permutation, they generate bqp's group Z_2^m semidirect S_m.
     """
     n = scheme.n
     if scheme.family in ("qap", "bqp"):
@@ -268,6 +271,24 @@ def coordinate_map(scheme: IndexScheme, a: tuple[int, ...], b: tuple[int, ...], 
     if transpose:
         return [rows[o % size] * size + cols[o // size] for o in range(size * size)]
     return [rows[o // size] * size + cols[o % size] for o in range(size * size)]
+
+
+def bqp_switching(m: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+    """The switching of the first bit of bqp(m), u to u xor e_1, as an affine map of the ambient coordinates
+    (De Simone, Discrete Math. 79, 1990; Padberg, Math. Program. 45, 1989).
+
+    Each coordinate that changes maps to (c, ((source, coefficient), ...)),
+    its image being c plus the coefficients times the sources; every
+    other coordinate is unchanged.  From u'_i u'_j: x_11 goes to 1 - x_11,
+    and x_i1 to x_ii - x_i1 and x_1i to x_ii - x_1i for i != 1, so u (x) u
+    goes to u' (x) u'.  The map is an involution.
+    """
+    enc = bqp_scheme(m).encode
+    rows = {enc(1, 1): (1, ((enc(1, 1), -1),))}
+    for i in range(2, m + 1):
+        for cell in (enc(i, 1), enc(1, i)):
+            rows[cell] = (0, ((enc(i, i), 1), (cell, -1)))
+    return rows
 
 
 # Display order for the six K_3 edge matrices: identity, the two

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, product
 from operator import and_, itemgetter, or_
 from typing import Sequence
 
@@ -228,25 +228,71 @@ def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int]) -> bool:
     return res.status == "infeasible"
 
 
-def _carried(vs: VertexSet, subset, cert, move, image):
-    """cert for subset, moved by the move (a, b, transpose) to a certificate for image.
+def switching(m: int, j: int) -> tuple[list[dict[int, int]], list[int]]:
+    """The switching u -> u xor e_j of bqp(m) as x -> L x + c on the flat offsets i m + l, from u'_i u'_l: x_jj goes
+    to 1 - x_jj, x_ij to x_ii - x_ij and x_ji to x_ii - x_ji for i != j, and every other x is kept.
 
-    A face certificate's normal, or a witness's point, is permuted by the
-    move's coordinate map; a witness's weights follow their vertices,
-    each sent where the coordinate map sends its one-positions.
+    (rows, c): rows[o] maps each source offset to its coefficient in row
+    o of L.  The map is an involution.
     """
+    rows, c = [{o: 1} for o in range(m * m)], [0] * (m * m)
+    jj = j * m + j
+    rows[jj], c[jj] = {jj: -1}, 1
+    for i in set(range(m)) - {j}:
+        for o in (i * m + j, j * m + i):
+            rows[o] = {i * m + i: 1, o: -1}
+    return rows, c
+
+
+def _affine_image(rows, c, x) -> list:
+    """L x + c, for (rows, c) as ``switching`` gives them."""
+    return [z + sum(coef * x[s] for s, coef in row.items()) for row, z in zip(rows, c)]
+
+
+def _carried(vs: VertexSet, subset, cert, move, image):
+    """cert for subset, moved by the move to a certificate for image.
+
+    A qap or phi move (a, b, transpose), and the bit permutation of a bqp
+    move (a, flips), permute the coordinates by ``coordinate_map``; a bqp
+    move first switches each bit j with flips[j] set (``switching``), an
+    involution x -> L x + c that sends a face certificate's (a, b) to
+    (L^T a, b - a . c).  A witness's point goes where the maps send it, and
+    its weights follow their vertices, each sent where the maps send its
+    0/1 point.
+    """
+    switches = []
+    if vs.scheme.family == "bqp":
+        a, flips = move
+        switches, move = [switching(vs.scheme.n, j) for j, f in enumerate(flips) if f], (a, a, False)
     cmap = coordinate_map(vs.scheme, *move)
-    moved = [None] * vs.scheme.ambient_dim
-    for o, x in zip(cmap, cert.normal if isinstance(cert, FaceCertificate) else cert.point):
-        moved[o] = x
+
+    def permuted(x):
+        out = [None] * vs.scheme.ambient_dim
+        for o, y in zip(cmap, x):
+            out[o] = y
+        return out
+
+    def point(x):
+        for rows, c in switches:
+            x = _affine_image(rows, c, x)
+        return permuted(x)
+
     if isinstance(cert, FaceCertificate):
-        return FaceCertificate(tuple(moved), cert.offset, cert.epsilon)
-    index = {v: t for t, v in enumerate(vs.vertices)}
+        normal, offset = list(cert.normal), cert.offset
+        for rows, c in switches:
+            offset -= vec_dot(normal, c)
+            carried = [0] * len(normal)
+            for row, y in zip(rows, normal):
+                for s, coef in row.items():
+                    carried[s] += coef * y
+            normal = carried
+        return FaceCertificate(tuple(permuted(normal)), offset, cert.epsilon)
+    index = {vs.dense(t): t for t in range(len(vs))}
     weight = [None] * len(vs)
     for t, x in zip(chain(*_split(vs, subset)), chain(cert.alpha, cert.mu)):
-        weight[index[tuple(sorted(cmap[o] for o in vs.vertices[t]))]] = x
+        weight[index[tuple(point(vs.dense(t)))]] = x
     members, others = _split(vs, image)
-    return NonFaceWitness(tuple(weight[t] for t in members), tuple(weight[t] for t in others), tuple(moved))
+    return NonFaceWitness(tuple(weight[t] for t in members), tuple(weight[t] for t in others), tuple(point(cert.point)))
 
 
 def _forced(members: list[tuple[int, ...]], s: int, transpose: bool):
@@ -260,24 +306,30 @@ def orbit_walk(table, subset, rank, seen: bytearray):
     """(member, move) for each scanned member of subset's orbit whose rank is not yet seen, now marked seen.
 
     On bqp the orbit is walked from subset by a transposition and an
-    m-cycle of the bits, and each move is the product of the steps that
-    reached its member.  On qap and phi it tries all 2 k n! moves that
-    send a member of subset to the identity, so that a fixes b
-    (``_forced``): they reach every member of the orbit through vertex 0.
+    m-cycle of the bits and the switching of bit 0, and each move is the
+    product of the steps that reached its member, as (a, flips): u goes to
+    u' with u'(a(i)) = u(i) xor flips[i].  On qap and phi it tries all
+    2 k n! moves that send a member of subset to the identity, so that a
+    fixes b (``_forced``): they reach every member of the orbit through
+    vertex 0.
     """
     if isinstance(table, faces._BitSymmetry):
         m = len(table.bits[0])
-        steps = [(g, table.vertex_map((g, g, False))) for g in faces._swap_and_cycle(m)]
-        queue = [(subset, tuple(range(m)))]
-        for member, a in queue:
+        steps = [(g, table.vertex_map((g, g, False))) for g in faces._swap_and_cycle(m)] + [(None, table.switch_map())]
+        queue = [(subset, (tuple(range(m)), (0,) * m))]
+        for member, (a, flips) in queue:
             for g, vmap in steps:
                 image = tuple(sorted(vmap[t] for t in member))
                 j = rank(image)
                 if not seen[j]:
                     seen[j] = 1
-                    b = compose(g, a)
-                    queue.append((image, b))
-                    yield image, (b, b, False)
+                    if g is None:  # flip bit 0 after a: flip bit i before it, a(i) = 0
+                        i = a.index(0)
+                        move = a, flips[:i] + (1 - flips[i],) + flips[i + 1 :]
+                    else:
+                        move = compose(g, a), flips
+                    queue.append((image, move))
+                    yield image, move
         return
     perms, index = table.perms, table.index
     members = [perms[s] for s in subset]
@@ -309,6 +361,42 @@ def walked_orbits(table, k: int) -> list[tuple[int, tuple[int, ...], int]]:
         if not seen[i]:
             seen[i] = 1
             reps.append((i, subset, 1 + sum(1 for _ in orbit_walk(table, subset, rank, seen))))
+    return reps
+
+
+def bqp_group_maps(vs: VertexSet) -> list[list[int]]:
+    """The vertex map of each of the 2^m m! moves (a, flips) of bqp(m), u to u' with u'(a(i)) = u(i) xor flips[i],
+    from the affine formulas applied to the 0/1 points: the switchings of ``switching`` (which commute), then
+    x'_{a(i) a(l)} = x_il.  KeyError when an image is not a vertex."""
+    m = vs.scheme.n
+    index = {vs.dense(t): t for t in range(len(vs))}
+    flipped = []  # the vertex map of each flips, as the switchings of its bits
+    for flips in product((0, 1), repeat=m):
+        points = [vs.dense(t) for t in range(len(vs))]
+        for j in (j for j, f in enumerate(flips) if f):
+            points = [_affine_image(*switching(m, j), x) for x in points]
+        flipped.append([index[tuple(x)] for x in points])
+    permuted = []
+    for a in permutations(range(m)):
+        images = []
+        for t in range(len(vs)):
+            x, y = vs.dense(t), [None] * (m * m)
+            for i, l in product(range(m), repeat=2):
+                y[a[i] * m + a[l]] = x[i * m + l]
+            images.append(index[tuple(y)])
+        permuted.append(images)
+    return [[perm[t] for t in switch] for switch in flipped for perm in permuted]
+
+
+def group_orbits(maps: list[list[int]], k: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(position, representative, size) of each orbit of the k-subsets of range(len(maps[0])) under the vertex maps
+    of a whole group, in lex order: each orbit is the set of images of its first subset under every map."""
+    reps, seen = [], set()
+    for i, subset in enumerate(combinations(range(len(maps[0])), k)):
+        if subset not in seen:
+            orbit = {tuple(sorted(vmap[t] for t in subset)) for vmap in maps}
+            seen |= orbit
+            reps.append((i, subset, len(orbit)))
     return reps
 
 

@@ -325,8 +325,9 @@ def test_neighborly_exit_codes(tmp_path, capsys):
 def test_neighborly_warns_of_a_long_scan(tmp_path, capsys, monkeypatch, family, n, size):
     """Over 100 vertices without --fix-first the warning names the scan that runs.
 
-    bqp splits its subsets into bit-permutation orbits, phi scans them
-    one by one; both certify every 3-subset.  The scan is stubbed out."""
+    bqp splits its subsets into orbits of its switchings and bit
+    permutations, phi scans them one by one; both certify every 3-subset.
+    The scan is stubbed out."""
     vpath = tmp_path / f"{family}{n}.json"
     generate(family, n).save(str(vpath))
     stub = NeighborlinessReport(3, 0, 0, None, None, "stub", False)
@@ -454,7 +455,7 @@ def test_missing_file_is_error(capsys):
     assert code == 2
 
 
-CLI_OUTPUTS_DIGEST = "419adcfd4599e6b7e33829ab32531e922d07d45ba5f9f8f79079261742983eb0"
+CLI_OUTPUTS_DIGEST = "f3898e846ed835de195015b551b1689496951989a0a6c22482a7d592a0445e63"
 
 
 def test_cli_outputs_are_pinned(tmp_path, capsys):

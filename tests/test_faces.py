@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as Q
 from functools import cache, reduce
 from itertools import combinations, permutations, product
-from math import comb, lcm
+from math import comb, factorial, lcm
 from operator import and_, or_
 
 import pytest
@@ -31,6 +31,7 @@ from polyface.faces import (
 from polyface.families import (
     VertexSet,
     bqp_scheme,
+    bqp_switching,
     bqp_vertices,
     coordinate_map,
     inverse,
@@ -567,7 +568,7 @@ def test_scan_fix_first_counts_and_guards():
     [
         (qap_vertices, 3, 3, 2), (phi_vertices, 3, 3, 2), (phi_vertices, 4, 2, 4),
         (qap_vertices, 4, 3, 10), (phi_vertices, 4, 3, 10), (qap_vertices, 3, 1, 1),
-        (bqp_vertices, 3, 3, 16), (bqp_vertices, 4, 2, 17), (bqp_vertices, 4, 3, 52),
+        (bqp_vertices, 3, 3, 3), (bqp_vertices, 4, 2, 4), (bqp_vertices, 4, 3, 6),
     ],
     ids=[
         "qap3-triples", "phi3-triples", "phi4-pairs", "qap4-triples", "phi4-triples", "qap3-singletons",
@@ -1064,7 +1065,7 @@ def test_a_context_built_for_another_vertex_set_is_refused():
     assert is_face(copy, (0, 3, 4), FaceContext(vs)) == is_face(vs, (0, 3, 4))
 
 
-# --- scans: coordinate fixings, then the bit-permutation orbits of bqp --------
+# --- scans: coordinate fixings, then the switching and bit-permutation orbits of bqp
 
 
 def _counting(monkeypatch, name):
@@ -1147,7 +1148,7 @@ def test_bqp4_fixing_certificates_take_the_plus_minus_one_form(monkeypatch):
     monkeypatch.setattr(faces, "_fixing_certificate", lambda *args: certs.append(args) or fixing(*args))
     solved = _counting(monkeypatch, "is_face")
     rep = k_neighborly_scan(ctx.vs, 3, ctx=ctx)
-    assert (rep.total_subsets, rep.faces_certified, len(certs), len(solved)) == (560, 560, 3, 49)
+    assert (rep.total_subsets, rep.faces_certified, len(certs), len(solved)) == (560, 560, 1, 5)
     for _, subset, inter, union, _ in certs:
         cert = fixing(ctx.vs, subset, inter, union, None)
         want = [1 if inter >> o & 1 else 0 if union >> o & 1 else -1 for o in range(16)]
@@ -1263,7 +1264,9 @@ def test_bqp_orbit_scan_finds_the_non_faces_a_subset_by_subset_scan_finds(monkey
     vs = bqp_vertices(3)
     ctx = FaceContext(vs)
     rep = k_neighborly_scan(vs, 4, ctx=ctx)
-    assert rep.symmetry_reduction.startswith("S_3 (bit permutations): LPs for 20 of the 20 orbits of 4-subsets")
+    assert rep.symmetry_reduction.startswith(
+        "Z_2^3 semidirect S_3 (switchings and bit permutations): LPs for 6 of the 6 orbits of 4-subsets"
+    )
     direct = {s: is_face(vs, s, ctx) for s in combinations(range(8), 4)}
     nonfaces = [s for s, cert in direct.items() if isinstance(cert, NonFaceWitness)]
     assert (rep.total_subsets, rep.faces_certified) == (70, 70 - len(nonfaces)) and nonfaces
@@ -1282,7 +1285,7 @@ def test_bqp_orbit_scan_with_the_bits_shuffled_gives_the_same_counts():
     assert order[0] == 0 and order != list(range(16))
     rep = k_neighborly_scan(_reordered(base, order), 3)
     assert (rep.total_subsets, rep.faces_certified) == (560, 560)
-    assert "LPs for 52 of the 52 orbits of 3-subsets" in rep.symmetry_reduction
+    assert "LPs for 6 of the 6 orbits of 3-subsets" in rep.symmetry_reduction
 
 
 def test_bqp_set_without_a_vertex_is_scanned_subset_by_subset():
@@ -1312,6 +1315,49 @@ def test_a_wrong_bqp_coordinate_map_is_caught_and_nothing_is_carried(monkeypatch
     assert sorted(fixed + solved) == list(combinations(range(8), 3))
     with pytest.raises(ValueError, match="unlike their bit vectors"):
         ctx.symmetry()
+
+
+def _switching_without_the_diagonal(m):
+    """The switching with the x_ii term of each x_ii - x_i1 dropped: x_i1 goes to -x_i1."""
+    rows = bqp_switching(m)
+    return {o: (c, tuple((s, x) for s, x in terms if s == o)) for o, (c, terms) in rows.items()}
+
+
+def _switching_of_bit_1(m):
+    """The switching of bit 1, the switching of bit 0 with bits 0 and 1 swapped in every offset."""
+    swap = coordinate_map(bqp_scheme(m), (1, 0, *range(2, m)), (1, 0, *range(2, m)), False)
+    return {swap[o]: (c, tuple((swap[s], x) for s, x in terms)) for o, (c, terms) in bqp_switching(m).items()}
+
+
+@pytest.mark.parametrize("wrong", [_switching_without_the_diagonal, _switching_of_bit_1], ids=["no-diagonal", "bit-1"])
+def test_a_wrong_bqp_switching_is_caught_and_nothing_is_carried(wrong, monkeypatch):
+    """With the switching's affine map wrong, it maps some vertex elsewhere than
+    switching bit 0 of its bit vector does: the scan walks no orbit and decides every subset."""
+    monkeypatch.setattr(faces, "bqp_switching", wrong)
+    monkeypatch.setattr(faces._BitSymmetry, "representatives", lambda *args: pytest.fail("an orbit was walked"))
+    fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
+    vs = bqp_vertices(3)
+    ctx = FaceContext(vs)
+    rep = k_neighborly_scan(vs, 3, ctx=ctx)
+    assert (rep.total_subsets, rep.faces_certified, rep.symmetry_reduction) == (56, 56, "none (exhaustive scan)")
+    assert sorted(fixed + solved) == list(combinations(range(8), 3))
+    with pytest.raises(ValueError, match="unlike their bit vectors"):
+        ctx.symmetry()
+
+
+@pytest.mark.parametrize(
+    "m, k, count", [(3, 3, 3), (3, 4, 6), (4, 2, 4), (4, 3, 6), (5, 3, 10)],
+    ids=["bqp3-triples", "bqp3-quadruples", "bqp4-pairs", "bqp4-triples", "bqp5-triples"],
+)
+def test_bqp_orbits_are_those_of_every_switching_and_bit_permutation(m, k, count):
+    """The walked bqp orbits have the representatives, positions and sizes of the orbits
+    under all 2^m m! vertex maps, each built by applying the affine formulas of the
+    switchings and the bit permutation to every vertex's 0/1 point."""
+    vs = bqp_vertices(m)
+    maps = oracles.bqp_group_maps(vs)
+    assert len(maps) == len({tuple(vmap) for vmap in maps}) == 2**m * factorial(m)
+    reps = faces._Orbits(FaceContext(vs), k).reps
+    assert reps == oracles.group_orbits(maps, k) and len(reps) == count
 
 
 def test_bqp_fix_first_is_still_refused():
