@@ -66,20 +66,26 @@ generator's map is applied to every vertex and must give the vertex the
 table names.  The maps of the points and the table's maps are group
 actions, so they then agree on every move.
 
-No fix-first orbit is walked: its lex-min member is a canonical form
-(McKay, J. Algorithms 26, 1998).  A move that keeps vertex 0 in S
-conjugates one of its 2 k rebasings, S.s^-1 or {s.u^-1}, by some a, so
-the lex-min member is {0, x, ...} with x the least class minimum (least
-vertex of a cycle type) they meet, and only a in a coset of the
-centraliser C(x) reaches it (``_Symmetry.representatives``).  Class
-minima, conjugators onto them from cycle structure, and centralisers
-are built on first use (``classes``; Butler, LNCS 559, 1991).  The
-images equal to S count its stabiliser, so its orbit has 2 k n! /
-|Stab(S)| members (orbit-stabiliser), and ``_Orbits`` checks that the
-sizes sum to the scanned count.  The orbits of bqp, 2^m vertices, are
-walked from the representative by a transposition and an m-cycle of the
-bits and the switching of bit 0, which generate Z_2^m semidirect S_m,
-and marked seen in one bytearray indexed by lex rank (``_lex_rank``).
+No orbit is walked: its lex-min member is a canonical form (McKay, J.
+Algorithms 26, 1998).  A move that keeps vertex 0 in S conjugates one
+of its 2 k rebasings, S.s^-1 or {s.u^-1}, by some a, so the lex-min
+member is {0, x, ...} with x the least class minimum (least vertex of a
+cycle type) they meet, and only a in a coset of the centraliser C(x)
+reaches it (``_CanonicalForm.representatives``).  Class minima,
+conjugators onto them from cycle structure, and centralisers are built
+on first use (``classes``; Butler, LNCS 559, 1991).  The images equal
+to S count its stabiliser, so its orbit has 2 k n! / |Stab(S)| members
+(orbit-stabiliser), and ``_Orbits`` checks that the sizes sum to the
+scanned count.  On bqp the switchings make the group transitive on the
+2^m vertices, so every orbit's lex-min member holds vertex 0 as well.
+With r[t] the bits of vertex t xor those of vertex 0, a move that sends
+s in S to vertex 0 translates S by r[s] and then permutes the bits: the
+k translations are the rebasings, the classes are the weights of r, a
+conjugator sends the set bits of r[t] onto those of its class
+minimum's, and C(x) is S_w x S_(m-w) on the set and clear bits of r[x]
+(``_BitSymmetry``), so an orbit has 2^m m! / |Stab(S)| members, checked
+by the same sum.  Each translation and bit permutation is a product of
+the checked generators, as each move of qap and phi is.
 
 Coordinate fixings come before any LP (Ziegler, "Lectures on
 0/1-polytopes", DMV Seminar 29, 2000).  With I the AND and U the OR of
@@ -128,7 +134,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
-from itertools import chain, combinations, compress, permutations, repeat
+from itertools import chain, combinations, compress, permutations, product, repeat
 from operator import and_, getitem, is_not, itemgetter, or_
 from typing import Sequence
 
@@ -462,8 +468,25 @@ def _cycles(p: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
+class _CanonicalForm:
+    """The canonical-form search of ``_Symmetry`` and ``_BitSymmetry`` (module docstring): a table supplies its
+    ``classes`` (least[t], the class minimum of vertex t, and a conjugator onto it), ``moves`` and
+    ``_stabiliser_order``."""
+
+    def representatives(self, k: int, rank):
+        """(rank, S, orbit size) for each orbit's lex-min member S of the scanned k-subsets, in lex order: S = {0, x,
+        ...} is tried when x is a class minimum (vertex 0 at k = 1) and every member's class minimum is at least x,
+        and kept when ``_stabiliser_order`` finds no lex-smaller image; its orbit has moves / |Stab(S)| members."""
+        least, moves = self.classes[0], self.moves(k)
+        for head in [(0,)] if k == 1 else [(0, x) for x in sorted(set(least)) if x]:
+            later = [t for t in range(head[-1] + 1, len(least)) if least[t] >= head[-1]]
+            for rest in combinations(later, k - len(head)):
+                if order := self._stabiliser_order(head, rest):
+                    yield rank(head + rest), head + rest, moves // order
+
+
 @dataclass(frozen=True)
-class _Symmetry:
+class _Symmetry(_CanonicalForm):
     """The permutation behind each vertex of qap(n) or phi(n) and its products: itemgetter(*p)(x) is compose(x, p)
     in one C call.  Its conjugacy classes (``classes``) and their centralisers are built on first use."""
 
@@ -499,18 +522,15 @@ class _Symmetry:
             self.centralisers[m] = [(c, undo) for c, undo in zip(self.perms, self.undo) if undo(get(c)) == p]
         return self.centralisers[m]
 
+    def moves(self, k: int) -> int:
+        """2 k n!: a move keeps vertex 0 in S when it sends one of S's k members to the identity, either side."""
+        return 2 * k * len(self.perms)
+
     def representatives(self, k: int, rank):
-        """(rank, S, orbit size) for each orbit's lex-min member S of the k-subsets through vertex 0, in lex order,
-        by canonical form (module docstring): S = {0, x, ...} is tried when x is a class minimum (vertex 0 at k = 1)
-        and no two members have a quotient in a class with a smaller minimum."""
+        """As ``_CanonicalForm.representatives``, over the k-subsets through vertex 0, which must be the identity."""
         if self.perms[0] != tuple(range(len(self.perms[0]))):
             raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
-        least, moves = self.classes[0], 2 * k * len(self.perms)
-        for head in [(0,)] if k == 1 else [(0, x) for x in sorted(set(least)) if x]:
-            later = [t for t in range(head[-1] + 1, len(self.perms)) if least[t] >= head[-1]]
-            for rest in combinations(later, k - len(head)):
-                if order := self._stabiliser_order(head, rest):
-                    yield rank(head + rest), head + rest, moves // order
+        return super().representatives(k, rank)
 
     def _stabiliser_order(self, head, rest) -> int:
         """|Stab(S)| for S = head + rest when S is its orbit's lex-min member, else 0: each rebasing T and u in T
@@ -542,12 +562,31 @@ class _Symmetry:
         return order
 
 
+def _moved(p: tuple[int, ...], z: int) -> int:
+    """z with each set bit i moved to bit p[i]."""
+    return sum(1 << p[i] for i in _bits(z))
+
+
+def _ones_first(z: int, m: int) -> list[int]:
+    """The bit positions 0 to m - 1, those set in z first, each part in increasing order."""
+    return sorted(range(m), key=lambda i: not z >> i & 1)
+
+
 @dataclass(frozen=True)
-class _BitSymmetry:
-    """The bit vector u behind each vertex u (x) u of bqp(m), as a tuple of 0/1 entries, and the vertex of each."""
+class _BitSymmetry(_CanonicalForm):
+    """The bit vector u behind each vertex u (x) u of bqp(m), as a tuple of 0/1 entries, and the vertex of each.
+
+    For the canonical form (module docstring) vertex t is read as r[t], its
+    bits xor vertex 0's (``offsets``): the switchings translate r and the
+    bit permutations permute its bits.  The classes, the centraliser of
+    each class minimum and each value's images under it (``_column``) are
+    built on first use.
+    """
 
     bits: list[tuple[int, ...]]
     index: dict[tuple[int, ...], int]
+    centralisers: dict = field(default_factory=dict, compare=False)  # class minimum -> its ``centraliser``
+    columns: dict = field(default_factory=dict, compare=False)  # (class minimum, r value) -> its ``_column``
 
     def vertex_map(self, move) -> list[int]:
         """The vertex each vertex goes to under the bit permutation (a, a, False): u to u' with u'(a(i)) = u(i)."""
@@ -560,24 +599,77 @@ class _BitSymmetry:
 
     fixed = 0  # every k-subset is scanned
 
-    def representatives(self, k: int, rank):
-        """(rank, S, orbit size) for each orbit's lex-min member S of every k-subset, in lex order, by walking each
-        orbit from S by a transposition and an m-cycle of the bits and the switching of bit 0, marking its members
-        seen in one bytearray indexed by rank: at the 2^m vertices of bqp(m), m <= 6 in practice, the walk is
-        cheap."""
-        maps = [self.vertex_map((g, g, False)) for g in _swap_and_cycle(len(self.bits[0]))] + [self.switch_map()]
-        steps = [vmap.__getitem__ for vmap in maps]
-        seen = bytearray(math.comb(len(self.bits), k))
-        for i, subset in enumerate(combinations(range(len(self.bits)), k)):
-            if not seen[i]:
-                seen[i], orbit = 1, [subset]
-                for member in orbit:
-                    for step in steps:
-                        image = tuple(sorted(map(step, member)))
-                        if not seen[j := rank(image)]:
-                            seen[j] = 1
-                            orbit.append(image)
-                yield i, subset, len(orbit)
+    @cached_property
+    def offsets(self) -> tuple[list[int], list[int]]:
+        """(r, at): r[t] is vertex t's bit vector xor vertex 0's, as an int with entry i at bit i, and at[r[t]] = t."""
+        base = self.bits[0]
+        r = [sum((b ^ c) << i for i, (b, c) in enumerate(zip(u, base))) for u in self.bits]
+        return r, sorted(range(len(r)), key=r.__getitem__)
+
+    @cached_property
+    def classes(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """(least, conj): least[t] is the least vertex whose r has the weight of r[t], the class minimum, and conj[t]
+        the bit permutation, as the tuple of each bit's image, that sends the set bits of r[t] in order onto those
+        of r[least[t]], and its clear bits likewise."""
+        r, m = self.offsets[0], len(self.bits[0])
+        first: dict[int, int] = {}
+        least = [first.setdefault(z.bit_count(), t) for t, z in enumerate(r)]
+        return least, [compose(_ones_first(r[x], m), inverse(_ones_first(z, m))) for z, x in zip(r, least)]
+
+    def centraliser(self, x: int) -> list[tuple[int, ...]]:
+        """Every bit permutation that fixes r[x], S_w x S_(m-w) on its w set bits and its clear bits, as the tuple of
+        each bit's image, built from those bits and kept per class minimum x."""
+        if x not in self.centralisers:
+            z, m = self.offsets[0][x], len(self.bits[0])
+            bits, w = _ones_first(z, m), z.bit_count()
+            undo = inverse(bits)
+            self.centralisers[x] = [
+                compose(a + b, undo) for a, b in product(permutations(bits[:w]), permutations(bits[w:]))
+            ]
+        return self.centralisers[x]
+
+    def moves(self, k: int) -> int:
+        """2^m m!, the order of Z_2^m semidirect S_m."""
+        return len(self.bits) * math.factorial(len(self.bits[0]))
+
+    def _stabiliser_order(self, head, rest) -> int:
+        """|Stab(S)| for S = head + rest when S is its orbit's lex-min member, else 0, as for ``_Symmetry``: the
+        rebasings T are S translated by r[s], s in S (S itself first), and each t in T of x's class gives the images
+        c.g(T), g = conj[t], c in C(x).  Every image holds vertex 0 and x, and its other members lie in classes with
+        minima above x (those of the pairs' xors), so only they are compared, read from their ``_column``s."""
+        (least, conj), (r, at), x = self.classes, self.offsets, head[-1]
+        subset = head + rest
+        if any(least[at[r[s] ^ r[u]]] < x for s, u in combinations(subset[1:], 2)):
+            return 0
+        order, target = 0, list(rest)
+        for rebased in ([at[r[u] ^ r[s]] for u in subset] for s in subset):
+            for t in (t for t in rebased if least[t] == x):
+                columns = [self._column(x, _moved(conj[t], r[u])) for u in rebased if u and u != t]
+                if not columns:  # k <= 2: every image is S
+                    order += len(self.centraliser(x))
+                    continue
+                if min(map(min, columns)) < rest[0]:  # an image starts below S's third member
+                    return 0
+                images = list(map(sorted, zip(*columns)))
+                if min(images) < target:
+                    return 0
+                order += images.count(target)
+        return order
+
+    def _column(self, x: int, z: int) -> tuple[int, ...]:
+        """The vertex at c(z) for each c in C(x), in order, for z not 0: from the columns of z's lowest set bit and of
+        the rest of z, kept per (x, z)."""
+        column = self.columns.get((x, z))
+        if column is None:
+            r, at = self.offsets
+            low = z & -z
+            if z == low:
+                column = tuple(at[1 << c[low.bit_length() - 1]] for c in self.centraliser(x))
+            else:
+                parts = (map(r.__getitem__, self._column(x, y)) for y in (low, z ^ low))
+                column = tuple(map(at.__getitem__, map(or_, *parts)))
+            self.columns[x, z] = column
+        return column
 
 
 def _permutation_table(vs: VertexSet) -> _Symmetry:

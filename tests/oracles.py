@@ -7,7 +7,7 @@ Gauss-Jordan that shares no code with the library's integer kernel,
 the hull frame's basis and coordinates recomputed
 from their definition and their inverse, a plain-text LP dump, the
 witness-LP face oracle, the orbit walk and the stabiliser search that
-the qap/phi symmetry used before canonical forms, the orbit scan's
+the qap/phi and bqp symmetries used before canonical forms, the orbit scan's
 certificates carried to every member of every orbit by the walk's moves
 and verified by substitution, and the coordinate-by-coordinate fixing
 functional and lift that the library lays out class by class, the

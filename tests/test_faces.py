@@ -1301,12 +1301,12 @@ def test_bqp_set_without_a_vertex_is_scanned_subset_by_subset():
 
 def test_a_wrong_bqp_coordinate_map_is_caught_and_nothing_is_carried(monkeypatch):
     """With each bit permutation replaced by its inverse, the m-cycle moves the
-    vertices unlike their bit vectors: the scan walks no orbit and decides every subset."""
+    vertices unlike their bit vectors: no orbit was enumerated, and the scan decides every subset."""
     right = faces.coordinate_map
     monkeypatch.setattr(
         faces, "coordinate_map", lambda scheme, a, b, transpose: right(scheme, inverse(a), inverse(b), transpose)
     )
-    monkeypatch.setattr(faces._BitSymmetry, "representatives", lambda *args: pytest.fail("an orbit was walked"))
+    monkeypatch.setattr(faces._BitSymmetry, "representatives", lambda *args: pytest.fail("an orbit was enumerated"))
     fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
     vs = bqp_vertices(3)
     ctx = FaceContext(vs)
@@ -1332,9 +1332,9 @@ def _switching_of_bit_1(m):
 @pytest.mark.parametrize("wrong", [_switching_without_the_diagonal, _switching_of_bit_1], ids=["no-diagonal", "bit-1"])
 def test_a_wrong_bqp_switching_is_caught_and_nothing_is_carried(wrong, monkeypatch):
     """With the switching's affine map wrong, it maps some vertex elsewhere than
-    switching bit 0 of its bit vector does: the scan walks no orbit and decides every subset."""
+    switching bit 0 of its bit vector does: no orbit was enumerated, and the scan decides every subset."""
     monkeypatch.setattr(faces, "bqp_switching", wrong)
-    monkeypatch.setattr(faces._BitSymmetry, "representatives", lambda *args: pytest.fail("an orbit was walked"))
+    monkeypatch.setattr(faces._BitSymmetry, "representatives", lambda *args: pytest.fail("an orbit was enumerated"))
     fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
     vs = bqp_vertices(3)
     ctx = FaceContext(vs)
@@ -1350,14 +1350,54 @@ def test_a_wrong_bqp_switching_is_caught_and_nothing_is_carried(wrong, monkeypat
     ids=["bqp3-triples", "bqp3-quadruples", "bqp4-pairs", "bqp4-triples", "bqp5-triples"],
 )
 def test_bqp_orbits_are_those_of_every_switching_and_bit_permutation(m, k, count):
-    """The walked bqp orbits have the representatives, positions and sizes of the orbits
-    under all 2^m m! vertex maps, each built by applying the affine formulas of the
-    switchings and the bit permutation to every vertex's 0/1 point."""
+    """The bqp orbits found by canonical form have the representatives, positions and
+    sizes of the orbits under all 2^m m! vertex maps, each built by applying the affine
+    formulas of the switchings and the bit permutation to every vertex's 0/1 point."""
     vs = bqp_vertices(m)
     maps = oracles.bqp_group_maps(vs)
     assert len(maps) == len({tuple(vmap) for vmap in maps}) == 2**m * factorial(m)
     reps = faces._Orbits(FaceContext(vs), k).reps
     assert reps == oracles.group_orbits(maps, k) and len(reps) == count
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_bqp_orbits_on_a_drawn_vertex_order_are_those_of_the_group(data):
+    """On bqp(2..5) with its vertices in a drawn order, vertex 0 not always the zero
+    vector, the orbits found by canonical form are those of every switching and bit
+    permutation at each k from 1 to 4 (to 3 on bqp(5)), each the images of its first
+    k-subset under all 2^m m! vertex maps of the group."""
+    m = data.draw(st.sampled_from([2, 3, 4, 5]))
+    k = data.draw(st.integers(1, 3 if m == 5 else min(4, 2**m - 1)))
+    vs = _reordered(bqp_vertices(m), data.draw(st.permutations(range(2**m))))
+    assert faces._Orbits(FaceContext(vs), k).reps == oracles.group_orbits(oracles.bqp_group_maps(vs), k)
+
+
+def test_bqp6_triple_orbits_are_those_of_the_walk():
+    """The 16 orbits of the 41,664 bqp(6) triples by canonical form are those the
+    oracle walk finds, with the same positions and sizes."""
+    ctx = FaceContext(bqp_vertices(6))
+    reps = faces._Orbits(ctx, 3).reps
+    assert (len(reps), sum(size for *_, size in reps)) == (16, 41664)
+    assert reps == oracles.walked_orbits(ctx.symmetry(), 3)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bqp_orbits_that_do_not_cover_the_scan_are_an_error(k, monkeypatch):
+    """The bqp orbit sizes must sum to the scanned count: with the last element of every
+    centraliser dropped, or one orbit size raised by 1, _Orbits raises."""
+    centraliser = faces._BitSymmetry.centraliser
+    with monkeypatch.context() as m:
+        m.setattr(faces._BitSymmetry, "centraliser", lambda table, x: centraliser(table, x)[:-1])
+        with pytest.raises(InternalInconsistencyError, match=f"not the {comb(16, k)} scanned"):
+            faces._Orbits(FaceContext(bqp_vertices(4)), k)
+    representatives = faces._BitSymmetry.representatives
+    monkeypatch.setattr(
+        faces._BitSymmetry, "representatives",
+        lambda *args: [(i, s, size + (i == 0)) for i, s, size in representatives(*args)],
+    )
+    with pytest.raises(InternalInconsistencyError, match="orbits hold"):
+        k_neighborly_scan(bqp_vertices(4), k)
 
 
 def test_bqp_fix_first_is_still_refused():
