@@ -17,6 +17,7 @@ import sys
 
 from .faces import (
     FaceCertificate,
+    FaceContext,
     InternalInconsistencyError,
     certificate_from_json,
     is_face,
@@ -71,15 +72,30 @@ def cmd_face(args) -> int:
     return 1
 
 
+def _scans_orbits(ctx: FaceContext) -> bool:
+    """Whether a scan without --fix-first splits the subsets into orbits: only on a bqp set that passes the
+    symmetry check, whose outcome the context keeps for the scan."""
+    if ctx.vs.scheme.family != "bqp":
+        return False
+    try:
+        ctx.symmetry()
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_neighborly(args) -> int:
     vs = VertexSet.load(args.vertices)
-    if len(vs) > 100 and args.k >= 3 and not args.fix_first and not args.stop_at_first:
+    ctx = FaceContext(vs)
+    long_scan = len(vs) > 100 and args.k >= 3 and not args.stop_at_first
+    if long_scan and not args.fix_first and not _scans_orbits(ctx):
         _warn(f"a scan of every {args.k}-subset of {len(vs)} vertices is long-running")
     report = k_neighborly_scan(
         vs,
         args.k,
         fix_first=args.fix_first,
         stop_at_first=args.stop_at_first,
+        ctx=ctx,
     )
     if report.counterexample_subset is None:
         print(

@@ -24,7 +24,8 @@ origin, its pivot columns and its basis at those columns (the square
 block, entries -1, 0 and 1 for a vertex set); the inverse of that block
 is computed on first use, as integer columns over one denominator L
 read straight from ``_invert``'s elimination rows, since the orbit LP
-of ``faces`` reads only the pivot columns.  ``weighted_columns``
+of ``faces`` reads only the pivot columns of the frame of its orbit
+points.  ``weighted_columns``
 weights those columns by a point's deltas from the origin at them (its
 coordinates times L), and ``ambient_functional`` scales the frame
 functional once to integers and lifts it by integer dot products,
@@ -40,8 +41,10 @@ The kernels other modules rely on:
   list (coefficients summing to zero with vanishing weighted sum), as
   int tuples.
 * ``greedy_basis`` -- the vectors of a list that are independent of the
-  ones before them; ``faces`` picks its invariant functionals with it,
-  and the hull frame its directions with the same loop.
+  ones before them; the hull frame picks its directions with the same
+  loop, so a frame's pivot columns are the lex-first independent columns
+  of its points' differences, whatever the order of the points, and
+  ``faces`` reads its orbit LP's invariant functionals off them.
 * ``affine_hull_frame`` -- exact reduced coordinates on the affine hull
   of a point set given by nonzero entries, used to shrink LP dimensions
   before face tests; the origin holds the first point's values and int

@@ -33,12 +33,14 @@ centraliser cosets (``_stabiliser_moves``), with each move's vertex map
 from the checked table and its coordinate map.  If H is not trivial the
 LP is solved over the H-invariant functionals only (Boedi, Herr and
 Joswig, Math. Program. 137, 2013): averaging a supporting hyperplane of
-S over H keeps its gap.  The lift of a frame functional lives on the
-frame's pivot columns, so the invariant ones are spanned by the
-indicators of the coordinate orbits that meet those columns, and each
-takes one value on each vertex orbit: the LP has one row per H-orbit of
-vertices and one column per independent orbit indicator, each orbit
-labelled by its least point (``_orbit_lp``).  A face certificate is the
+S over H keeps its gap.  The invariant functionals are spanned by the
+indicators of the coordinate orbits, each labelled by its least point,
+and each takes one value on each vertex orbit: the count of a vertex's
+one-positions in the coordinate orbit.  So each vertex orbit is one
+point of those counts, and the LP has one row per H-orbit of vertices
+and one column per pivot column of the hull frame of those points, the
+lex-first orbit indicators whose counts are independent (``_orbit_lp``);
+no frame of the whole vertex set is built.  A face certificate is the
 functional constant c_j on the coordinates of orbit j.  At zero gap
 each orbit row's multiplier is spread evenly over its members, y_t =
 y_O / |O|; the frame points then combine to an H-fixed point on which
@@ -107,9 +109,10 @@ and a certificate's cost follows its support.  The frame is built from
 the vertices' one-positions, none densified.  A frame-LP row reads its
 vertex's frame coordinates as one integer row over the frame's
 denominator (``AffineHullFrame.weighted_columns``, from the vertex's
-mask bits at the pivot columns), built the first
-time the row is asked for, so the orbit LP computes none (nor the
-frame's inverse); the lift to ambient coordinates runs on integers
+mask bits at the pivot columns), built the first time the row is asked
+for; the orbit LP computes none, and of its own frame it reads only the
+pivot columns, so it builds no inverse.  The lift to ambient
+coordinates runs on integers
 (``AffineHullFrame.ambient_functional``), and so does the lift off a
 coordinate face, over one denominator (``_lifted``).  Every zero slot
 of a normal the library builds holds the one ``exactmath.ZERO`` (the
@@ -130,6 +133,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,7 +142,7 @@ from itertools import chain, combinations, compress, permutations, product, repe
 from operator import and_, getitem, is_not, itemgetter, or_
 from typing import Sequence
 
-from .exactmath import ZERO, AffineHullFrame, affine_hull_frame, greedy_basis
+from .exactmath import ZERO, AffineHullFrame, affine_hull_frame
 from .families import (
     MAX_DENSE_CELLS,
     VertexSet,
@@ -385,8 +389,9 @@ class _OnePositions(Sequence):
 class FaceContext:
     """Per-vertex-set precomputation shared across face tests.
 
-    The affine-hull frame (built by the first LP, so a scan certified by
-    fixings builds none) and each frame-LP row are built on first use.
+    The affine-hull frame (built by the first frame LP, so a scan certified
+    by fixings and orbit LPs builds none) and each frame-LP row are built
+    on first use.
     masks[t] is vertex t's one-positions as one integer bitmask, and
     weight their common number of ones (None when the vertices differ).
     No vertex is densified: the frame is built from the one-positions,
@@ -818,12 +823,14 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
     Same return as ``_frame_lp``.  moves holds the (vertex map,
     coordinate map) of every move of H, so a point's least image labels
     its orbit (``_least_images``).  An orbit indicator (module docstring)
-    takes on each vertex the count of its one-positions in the orbit,
-    here less vertex 0's, the frame's origin.  The LP has one row per
-    vertex orbit (the subset's, the norm row, then the others) and one
-    column c_j per coordinate orbit whose counts are independent of those
-    before it (``greedy_basis``).  At zero gap each orbit row's
-    multiplier is spread evenly over the orbit's members.
+    takes on each vertex the count of its one-positions in the orbit, so
+    each vertex orbit is one point {label: count}, and the columns c_j
+    are the pivot columns of those points' hull frame, vertex 0's point
+    first: the lex-first labels whose counts are independent.  A row
+    holds its orbit's counts at them less vertex 0's.  The LP has one row
+    per vertex orbit (the subset's, the norm row, then the others).  At
+    zero gap each orbit row's multiplier is spread evenly over the
+    orbit's members.
     """
     vs = ctx.vs
     vertex = _least_images([vmap for vmap, _ in moves])
@@ -833,26 +840,21 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
         groups.setdefault(vertex[t], []).append(t)
     orbits = list(groups.values())
     ns = len({vertex[s] for s in subset})
-    candidates = sorted({coord[c] for c in ctx.frame.pivot_cols})
-    position = {label: i for i, label in enumerate(candidates)}
-
-    def counts(t):
-        z = [0] * len(candidates)
-        for o in vs.vertices[t]:
-            i = position.get(coord[o])
-            if i is not None:
-                z[i] += 1
-        return z
-
-    origin = counts(0)
-    table = [[x - y for x, y in zip(counts(orbit[0]), origin)] for orbit in orbits]
-    chosen, _ = greedy_basis([row[i] for row in table] for i in range(len(candidates)))
-    rows = [_lp_row(tuple(row[i] for i in chosen), "<=" if k >= ns else "=") for k, row in enumerate(table)]
-    rows.insert(ns, _norm_row(len(chosen)))
-    eps, c, b, dual = _support_lp_optimum(len(chosen), rows)
+    points = [Counter(map(coord.__getitem__, vs.vertices[orbit[0]])) for orbit in orbits]
+    origin = Counter(map(coord.__getitem__, vs.vertices[0]))
+    # the pivot columns do not depend on the points' order; the later orbits first took a fifth fewer row
+    # operations on the phi(5) and qap(5) triples
+    labels = sorted(affine_hull_frame([origin, *reversed(points)], vs.scheme.ambient_dim).pivot_cols)
+    base = [origin.get(j, 0) for j in labels]
+    rows = [
+        _lp_row(tuple(p.get(j, 0) - y for j, y in zip(labels, base)), "<=" if k >= ns else "=")
+        for k, p in enumerate(points)
+    ]
+    rows.insert(ns, _norm_row(len(labels)))
+    eps, c, b, dual = _support_lp_optimum(len(labels), rows)
     if eps > 0:
-        value = {candidates[i]: x for i, x in zip(chosen, c) if x}
-        offset = b + sum(x * origin[i] for i, x in zip(chosen, c))
+        value = {j: x for j, x in zip(labels, c) if x}
+        offset = b + sum(x * y for x, y in zip(c, base))
         return eps, (tuple(map(value.get, coord, repeat(ZERO))), offset), None
     y = [Q(0)] * len(vs)
     for orbit, weight in zip(orbits, dual[:ns] + dual[ns + 1 :]):

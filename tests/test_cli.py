@@ -321,20 +321,24 @@ def test_neighborly_exit_codes(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("family, n, size", [("bqp", 7, 128), ("phi", 5, 120)])
+@pytest.mark.parametrize("family, n, size", [("bqp", 7, 128), ("bqp", 7, 127), ("phi", 5, 120)])
 def test_neighborly_warns_of_a_long_scan(tmp_path, capsys, monkeypatch, family, n, size):
-    """Over 100 vertices without --fix-first the warning names the scan that runs.
+    """Over 100 vertices without --fix-first the CLI warns when the scan decides its subsets one by one.
 
-    bqp splits its subsets into orbits of its switchings and bit
-    permutations, phi scans them one by one; both certify every 3-subset.
-    The scan is stubbed out."""
+    phi is scanned subset by subset, and so is bqp(7) less its last
+    vertex, which fails the symmetry check.  The full bqp(7) file is split
+    into the 23 orbits of its switchings and bit permutations, so it gets
+    no warning.  The scan is stubbed out."""
+    vs = generate(family, n)
+    vs = VertexSet(vs.scheme, vs.labels[:size], vs.vertices[:size])
     vpath = tmp_path / f"{family}{n}.json"
-    generate(family, n).save(str(vpath))
+    vs.save(str(vpath))
     stub = NeighborlinessReport(3, 0, 0, None, None, "stub", False)
     monkeypatch.setattr(cli, "k_neighborly_scan", lambda vs, k, **options: stub)
     code, _, err = run(["neighborly", "--vertices", str(vpath), "--k", "3"], capsys)
     assert code == 0
-    assert err == f"warning: a scan of every 3-subset of {size} vertices is long-running\n"
+    warning = f"warning: a scan of every 3-subset of {size} vertices is long-running\n"
+    assert err == ("" if (family, size) == ("bqp", 128) else warning)
 
 
 @pytest.mark.parametrize(

@@ -232,6 +232,37 @@ def test_frame_matches_fraction_reference_random(pts):
 
 
 @st.composite
+def thin_point_sets(draw):
+    """Integer points, some of them steps from an earlier point along the difference of two others, so that
+    their hull is often thinner than the space and its pivot columns are not just the first ones."""
+    dim = draw(st.integers(1, 8))
+    points = [draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))]
+    for _ in range(draw(st.integers(0, 8))):
+        if len(points) > 2 and draw(st.booleans()):
+            a, b, c = draw(st.lists(st.sampled_from(points), min_size=3, max_size=3))
+            f = draw(st.sampled_from([-2, -1, 1, 2]))
+            points.append([x + f * (y - z) for x, y, z in zip(a, b, c)])
+        else:
+            points.append(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(thin_point_sets(), st.data())
+def test_frame_pivots_are_the_lex_first_independent_columns_in_any_point_order(points, data):
+    """A frame's pivot set is the set of lex-first independent columns of the points' differences, whichever
+    point comes first: the orbit LP of ``faces`` reads its columns off it."""
+    columns = list(zip(*([x - o for x, o in zip(p, points[0])] for p in points[1:])))
+    expected = reference_greedy_basis(columns)[0]
+
+    def pivots(pts):
+        return sorted(affine_hull_frame([{c: x for c, x in enumerate(p) if x} for p in pts], len(pts[0])).pivot_cols)
+
+    assert pivots(points) == expected
+    assert pivots(data.draw(st.permutations(points))) == expected
+
+
+@st.composite
 def sparse_or_dense_matrices(draw):
     """Integer rows, some of them sums of earlier rows so that dependencies and cancellation occur.
 

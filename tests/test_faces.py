@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import witness_oracle_is_face
 from polyface import faces
-from polyface.exactmath import ZERO
+from polyface.exactmath import ZERO, greedy_basis
 from polyface.faces import (
     FaceCertificate,
     FaceContext,
@@ -929,6 +929,73 @@ def test_orbit_lp_matches_the_frame_lp_on_qap5_random(qap5, rest):
         m.setattr(faces, "_stabiliser_moves", lambda ctx, subset: [])
         frame = is_face(vs, subset, ctx)
     assert type(result) is type(frame) is FaceCertificate  # qap(5) is 3-neighborly
+
+
+# qap(5) triples (0, i, j), drawn once with random.Random(1705) from all pairs; every one has a stabiliser
+# that is not trivial, so each goes through the orbit LP
+QAP5_ORBIT_LP_PAIRS = (
+    (1, 20), (4, 75), (6, 56), (6, 93), (7, 86), (7, 106), (9, 13), (10, 56), (10, 77), (14, 48),
+    (19, 87), (26, 53), (26, 74), (28, 62), (34, 116), (35, 63), (39, 71), (42, 90), (45, 59), (46, 108),
+    (47, 82), (48, 97), (49, 85), (49, 100), (49, 102), (49, 105), (51, 54), (55, 76), (66, 115), (67, 77),
+    (74, 106), (76, 87), (76, 100), (84, 113), (85, 93), (87, 115), (92, 94), (99, 111), (103, 115), (104, 107),
+)
+# sha256 of the JSON list of the orbit LP's results on the phi(5) design triples and on the qap(5) triples above,
+# as the orbit LP gave them when it took its columns from the frame of the whole vertex set
+ORBIT_LP_RESULTS = {
+    "phi": "f8fb2543b0a9d1cc8d7c7417dbd9018de070f15d295500558ce3ac7ca57df27b",
+    "qap": "58984236704bb109c4d69e484ac695479c00d11872aa23d1360f1a7f23cb6a9b",
+}
+
+
+def _columns_from_the_global_frame(ctx, subset):
+    """The orbit LP's columns as they were picked from the frame of the whole vertex set: greedy, in label
+    order, over the coordinate orbits that meet that frame's pivot columns, each column an orbit indicator's
+    counts on every vertex orbit less vertex 0's."""
+    vs, moves = ctx.vs, faces._stabiliser_moves(ctx, subset)
+    vertex = faces._least_images([vmap for vmap, _ in moves])
+    coord = faces._least_images([cmap for _, cmap in moves])
+    reps = {vertex[t]: t for t in range(len(vs))}.values()
+    candidates = sorted({coord[c] for c in ctx.frame.pivot_cols})
+
+    def counts(t):
+        labels = [coord[o] for o in vs.vertices[t]]
+        return [labels.count(j) for j in candidates]
+
+    origin = counts(0)
+    table = [[x - y for x, y in zip(counts(t), origin)] for t in reps]
+    chosen, _ = greedy_basis([row[i] for row in table] for i in range(len(candidates)))
+    return [candidates[i] for i in chosen]
+
+
+def test_orbit_lp_builds_no_global_frame_and_keeps_its_columns(monkeypatch):
+    """The orbit LP takes its columns from the hull frame of its own orbit points, and builds no frame of the
+    whole vertex set: neither its face tests nor the phi(5) fix-first scan leave one on the context.  Its
+    columns are the ones picked from the whole set's frame, so its LPs and results are unchanged."""
+    frames, real = [], faces.affine_hull_frame
+
+    def recording(points, dim):
+        frames.append(real(points, dim))
+        return frames[-1]
+
+    for vs, pairs in ((phi_vertices(5), PHI5_FACETEST_PAIRS), (qap_vertices(5), QAP5_ORBIT_LP_PAIRS)):
+        ctx, subsets, columns, results = FaceContext(vs), [(0, i, j) for i, j in pairs], [], []
+        with monkeypatch.context() as m:
+            m.setattr(faces, "affine_hull_frame", recording)
+            for subset in subsets:
+                frames.clear()
+                result = is_face(vs, subset, ctx)
+                assert _verifies(vs, subset, result)
+                (frame,) = frames
+                columns.append(sorted(frame.pivot_cols))
+                results.append(result.to_json(subset))
+        assert "frame" not in vars(ctx)
+        digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+        assert digest == ORBIT_LP_RESULTS[vs.scheme.family]
+        assert columns == [_columns_from_the_global_frame(ctx, subset) for subset in subsets]
+    vs = phi_vertices(5)
+    ctx = FaceContext(vs)
+    assert k_neighborly_scan(vs, 3, fix_first=True, ctx=ctx).faces_certified == 7011
+    assert "frame" not in vars(ctx)
 
 
 @pytest.mark.parametrize("family, subset", list(FRAME_LP_CERTIFICATES), ids=lambda x: str(x))
