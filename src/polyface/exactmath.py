@@ -78,8 +78,10 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def _over_lcm(v: Sequence) -> tuple[list[int], int]:
     """(nums, den) with v == nums / den and den the lcm of v's denominators.
 
-    v holds ints or Fractions; nothing else has the two attributes read.
+    v holds ints or Fractions; an all-int v, told by one C-level type check, is (list(v), 1).
     """
+    if {int}.issuperset(map(type, v)):
+        return list(v), 1
     den = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v], den
 

@@ -10,21 +10,22 @@ before it is handed out.
 Method: all LPs are solved in exact arithmetic over the affine-hull
 frame of the vertex set (ambient dimensions up to several hundred drop
 to the hull dimension).  The support-LP maximizes the gap eps subject
-to a . v = b on S, a . v <= b - eps off S, with the L1 normalization
-sum |a_i| <= 1 and the cap eps <= 1; it is solved once, with all its
-rows present.  Where no orbit LP runs (below), ``is_face`` first finds
-S's coordinate face F (coordinate fixings, below); F = S needs no LP.
-Otherwise the rows are S, the norm row, then F's other vertices in
-index order: conv(F) is a face, so S is a face exactly when it is one
-of conv(F).  When F is not every vertex, a gap inside F is lifted by
-adding a multiple of F's fixing functional (``_lifted``, shared with
-``compose_with_face``).  A zero optimum is read as a non-face witness
-from the same LP's optimal duals: with the gap at zero the norm-row
-multiplier vanishes, the multipliers of the off-S rows sum to T >= 1
-(the eps column) and those of the S rows to -T (the b columns), and the
-frame rows combine to zero, so alpha = -y_S / T and mu = y_rest / T,
-zero off F, is a common point of aff(S) and conv(rest).  An independent
-formulation, the witness-LP, is kept as a test oracle.
+to a . v = b on S, a . v <= b - eps off S and the cap eps <= 1; it is
+solved once, with all its rows present.  The cap alone bounds it, and
+a point with eps > 0 divided by eps has eps = 1, so the optimum is 1
+on a face and 0 on a non-face.  Where no orbit LP runs (below),
+``is_face`` first finds S's coordinate face F (coordinate fixings,
+below); F = S needs no LP.  Otherwise the rows are S, then F's other
+vertices in index order: conv(F) is a face, so S is a face exactly
+when it is one of conv(F).  When F is not every vertex, a gap inside F
+is lifted by adding a multiple of F's fixing functional (``_lifted``,
+shared with ``compose_with_face``).  A zero optimum is read as a
+non-face witness from the same LP's optimal duals: the multipliers of
+the off-S rows sum to T >= 1 (the eps column) and those of the S rows
+to -T (the b columns), and the frame rows combine to zero, so alpha =
+-y_S / T and mu = y_rest / T, zero off F, is a common point of aff(S)
+and conv(rest).  An independent formulation, the witness-LP, is kept
+as a test oracle.
 
 The orbit LP.  When the vertex set holds all n! vertices of qap(n) or
 phi(n) with n >= 5 (at n = 4 the frame LP was as fast, README),
@@ -124,8 +125,8 @@ in one step and the other two written at their set bits.
 ``verify_face_certificate`` reads each entry that is not ``ZERO``,
 scales the certificate once and adds each nonzero integer entry into
 the vertices with a one there (``VertexSet.incidence``).  Fractions are
-built only for the LP rows (same rational values, so every LP and its
-duals are unchanged), for the certificates handed out, and in the
+built only for the frame-LP rows (an orbit-LP row is all ints, so the
+simplex takes it as it is), for the certificates handed out, and in the
 non-face witness check.
 """
 
@@ -418,10 +419,6 @@ class FaceContext:
     @cached_property
     def frame(self) -> AffineHullFrame:
         return affine_hull_frame(_OnePositions(self.vs.vertices), self.vs.scheme.ambient_dim)
-
-    @cached_property
-    def norm_row(self) -> Constraint:
-        return _norm_row(self.frame.dim)
 
     def outside_row(self, t: int) -> Constraint:
         return self._frame_row(t, "<=")
@@ -767,23 +764,18 @@ def _context(vs: VertexSet, ctx: FaceContext | None) -> FaceContext:
 
 
 def _lp_row(w: tuple, rel: str) -> Constraint:
-    """a . w - b (+ eps off the subset) <= 0 or = 0 over the support-LP variables a+ | a- | b+ | b- | eps."""
-    eps = Q(1) if rel == "<=" else Q(0)
-    return Constraint(w + tuple(-x for x in w) + (Q(-1), Q(1), eps), rel, Q(0))
-
-
-def _norm_row(width: int) -> Constraint:
-    """sum |a_i| <= 1, as the sum of a+ and a-."""
-    return Constraint((Q(1),) * (2 * width) + (Q(0), Q(0), Q(0)), "<=", Q(1))
+    """a . w - b (+ eps off the subset) <= 0 or = 0 over a+ | a- | b+ | b- | eps; its b and eps cells are ints."""
+    return Constraint(w + tuple(-x for x in w) + (-1, 1, 1 if rel == "<=" else 0), rel, Q(0))
 
 
 def _support_lp_optimum(width: int, rows: list[Constraint]):
     """Exact optimum of a support-LP over width functional coordinates, solved once with all its rows.
 
-    Returns (epsilon, a, b, dual), where dual holds the constraint
-    multipliers in row order.  (A first round over the subset and norm
-    rows alone, as row generation would solve, always ends at a = b = 0,
-    eps = 1 and leaves every other row violated, so it is not solved.)
+    Returns (epsilon, a, b, dual), epsilon 0 or 1 (module docstring; any
+    other optimum raises) and dual the constraint multipliers in row order.
+    (A first round over the subset rows alone, as row generation would
+    solve, always ends at a = b = 0, eps = 1 and leaves every other row
+    violated, so it is not solved.)
     """
     nv = 2 * width + 3
     lp = LinearProgram(
@@ -792,24 +784,26 @@ def _support_lp_optimum(width: int, rows: list[Constraint]):
     res = lp_solve(lp)
     if res.status != "optimal":
         raise InternalInconsistencyError(f"support-LP returned {res.status}")
+    if res.objective_value not in (0, 1):
+        raise InternalInconsistencyError(f"support-LP optimum {res.objective_value} is neither 0 nor 1")
     x = res.primal
     a = tuple(p - q if q else p for p, q in zip(x, x[width : 2 * width]))
     return res.objective_value, a, x[2 * width] - x[2 * width + 1], res.dual
 
 
 def _frame_lp(ctx: FaceContext, subset, others):
-    """The support-LP over the frame: rows for the subset, the norm, then each vertex of others in order.
+    """The support-LP over the frame: rows for the subset, then each vertex of others in order.
 
     Returns (epsilon, (normal, offset), None) at a positive gap, with the
     hyperplane lifted to ambient coordinates, and (0, None, (y_subset,
     y_others)) at zero gap, the multipliers of the subset's and the other
     vertices' rows.
     """
-    rows = [ctx.member_row(s) for s in subset] + [ctx.norm_row] + [ctx.outside_row(t) for t in others]
+    rows = [ctx.member_row(s) for s in subset] + [ctx.outside_row(t) for t in others]
     eps, a_frame, b_frame, dual = _support_lp_optimum(ctx.frame.dim, rows)
     if eps > 0:
         return eps, ctx.frame.ambient_functional(a_frame, b_frame), None
-    return eps, None, (dual[: len(subset)], dual[len(subset) + 1 :])
+    return eps, None, (dual[: len(subset)], dual[len(subset) :])
 
 
 def _least_images(maps: list[list[int]]) -> list[int]:
@@ -828,7 +822,7 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
     are the pivot columns of those points' hull frame, vertex 0's point
     first: the lex-first labels whose counts are independent.  A row
     holds its orbit's counts at them less vertex 0's.  The LP has one row
-    per vertex orbit (the subset's, the norm row, then the others).  At
+    per vertex orbit (the subset's, then the others).  At
     zero gap each orbit row's multiplier is spread evenly over the
     orbit's members.
     """
@@ -850,14 +844,13 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
         _lp_row(tuple(p.get(j, 0) - y for j, y in zip(labels, base)), "<=" if k >= ns else "=")
         for k, p in enumerate(points)
     ]
-    rows.insert(ns, _norm_row(len(labels)))
     eps, c, b, dual = _support_lp_optimum(len(labels), rows)
     if eps > 0:
         value = {j: x for j, x in zip(labels, c) if x}
         offset = b + sum(x * y for x, y in zip(c, base))
         return eps, (tuple(map(value.get, coord, repeat(ZERO))), offset), None
     y = [Q(0)] * len(vs)
-    for orbit, weight in zip(orbits, dual[:ns] + dual[ns + 1 :]):
+    for orbit, weight in zip(orbits, dual):
         for t in orbit:
             y[t] = weight / len(orbit)
     return eps, None, ([y[s] for s in subset], [y[t] for t in others])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import witness_oracle_is_face
-from polyface import faces
+from polyface import faces, simplex
 from polyface.exactmath import ZERO, greedy_basis
 from polyface.faces import (
     FaceCertificate,
@@ -197,6 +198,64 @@ def test_is_face_matches_witness_oracle_random(case):
     result = is_face(vs, subset, ctx)
     assert isinstance(result, FaceCertificate) == witness_oracle_is_face(vs, subset)
     assert _verifies(vs, subset, result)
+
+
+_ORACLE_BASES = {"phi4": phi_vertices(4), "qap4": qap_vertices(4), "bqp4": bqp_vertices(4), "bqp3": bqp_vertices(3)}
+
+
+@st.composite
+def _oracle_case(draw):
+    """2 to 4 vertices of phi(4), qap(4) or bqp(4); or a drawn sub-vertex-set of bqp(3) or bqp(4), standalone, and a
+    proper subset of it."""
+    if draw(st.booleans()):
+        vs = _ORACLE_BASES[draw(st.sampled_from(["phi4", "qap4", "bqp4"]))]
+        return vs, tuple(draw(st.lists(st.integers(0, len(vs) - 1), min_size=2, max_size=4, unique=True)))
+    base = _ORACLE_BASES[draw(st.sampled_from(["bqp3", "bqp4"]))]
+    chosen = sorted(draw(st.sets(st.integers(0, len(base) - 1), min_size=2)))
+    vs = VertexSet(base.scheme, tuple(base.labels[i] for i in chosen), tuple(base.vertices[i] for i in chosen))
+    return vs, tuple(draw(st.lists(st.integers(0, len(vs) - 1), min_size=1, max_size=len(vs) - 1, unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_case())
+def test_support_lp_verdicts_match_the_witness_oracle(case):
+    """is_face agrees with the witness formulation, every result verifies, and a face
+    certificate that comes from a support LP has gap 1: without a norm row the cap
+    eps <= 1 is the only bound on the gap."""
+    vs, subset = case
+    optima = []
+
+    def recording(lp):
+        res = lp_solve(lp)
+        optima.append(res.objective_value)
+        return res
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(faces, "lp_solve", recording)
+        result = is_face(vs, subset)
+    assert isinstance(result, FaceCertificate) == witness_oracle_is_face(vs, subset)
+    assert _verifies(vs, subset, result)
+    assert set(optima) <= {0, 1}
+    if optima and isinstance(result, FaceCertificate):
+        assert result.epsilon == 1
+
+
+def test_support_lp_optimum_refuses_a_gap_other_than_0_or_1(monkeypatch):
+    """A positive optimum of the support LP is exactly 1 (a feasible point divided by its
+    eps is feasible at eps = 1), so an LP result with eps 1/2 is refused."""
+    vs = phi_vertices(4)
+    ctx = FaceContext(vs)
+    subset = (0, 1, 2)
+    rows = [ctx.member_row(s) for s in subset] + [ctx.outside_row(t) for t in range(3, len(vs))]
+    assert faces._support_lp_optimum(ctx.frame.dim, rows)[0] == 1
+
+    def halved(lp):
+        res = lp_solve(lp)
+        return dataclasses.replace(res, primal=res.primal[:-1] + (Q(1, 2),), objective_value=Q(1, 2))
+
+    monkeypatch.setattr(faces, "lp_solve", halved)
+    with pytest.raises(InternalInconsistencyError, match="neither 0 nor 1"):
+        faces._support_lp_optimum(ctx.frame.dim, rows)
 
 
 def test_dependent_subsets_answered_correctly():
@@ -483,7 +542,7 @@ def test_lift_and_fixing_equal_the_dense_reference(case, data):
 
 @pytest.mark.parametrize("make", [phi_vertices, qap_vertices, bqp_vertices], ids=["phi4", "qap4", "bqp4"])
 def test_is_face_solves_one_lp_over_subset_norm_and_other_rows(make, monkeypatch):
-    """At most one support-LP per face test, rows in order: subset, norm, then the other
+    """At most one support-LP per face test, rows in order: subset, then the other
     vertices of the subset's coordinate face; none when that face is the subset."""
     vs = make(4)
     ctx = FaceContext(vs)
@@ -850,9 +909,9 @@ PHI5_FACETEST_PAIRS = (
 PHI5_FRAME_LP_NONFACES = {(0, 3, 4)}
 # sha256 of the JSON of the frame LP's certificates for these subsets
 FRAME_LP_CERTIFICATES = {
-    ("phi", (0, 1, 20)): "fadb42e497f05dafa756fc7d58cf5e86845a0b36f4ebaf52fca6228e6503fee8",
-    ("phi", (0, 4, 75)): "8fd807a0cd9d1ca220967b2b1d02a757a7f7b47a9caaa285d37fe8e829caea26",
-    ("qap", (0, 1, 2)): "50cd740f07614eb6b670d7f79323183e828f23fecf89a15898f0e99f471708b4",
+    ("phi", (0, 1, 20)): "106650a0bb57d07fb6c8857b0f74dc6c1d9e6a7dfdcaed263e4ddfc6c165f81d",
+    ("phi", (0, 4, 75)): "3de0710ec17153522a6d9bd84da5717dea023484a689070a355e0a82b0f436a0",
+    ("qap", (0, 1, 2)): "c689f8838a63a68b7d9811c0a3b32b7c46304a30bf733bab8f9dbf0a5f80b8b9",
 }
 
 
@@ -882,13 +941,13 @@ def _recording_lp_solve(monkeypatch):
 def _frame_rows(ctx, subset, others=None):
     if others is None:
         others = [t for t in range(len(ctx.vs)) if t not in subset]
-    return [ctx.member_row(s) for s in subset] + [ctx.norm_row] + [ctx.outside_row(t) for t in others]
+    return [ctx.member_row(s) for s in subset] + [ctx.outside_row(t) for t in others]
 
 
 def _face_lps(ctx, subset):
     """The rows of each LP is_face solves without a stabiliser: none when the subset's
-    coordinate face F is the subset, else one frame LP over the subset, the norm and
-    F's other vertices."""
+    coordinate face F is the subset, else one frame LP over the subset and F's other
+    vertices."""
     _, _, face = _coordinate_face(ctx.vs, subset)
     rest = [t for t in face if t not in subset]
     return [_frame_rows(ctx, subset, rest)] if rest else []
@@ -940,10 +999,10 @@ QAP5_ORBIT_LP_PAIRS = (
     (74, 106), (76, 87), (76, 100), (84, 113), (85, 93), (87, 115), (92, 94), (99, 111), (103, 115), (104, 107),
 )
 # sha256 of the JSON list of the orbit LP's results on the phi(5) design triples and on the qap(5) triples above,
-# as the orbit LP gave them when it took its columns from the frame of the whole vertex set
+# as the orbit LP gives them without a norm row (every face at gap 1)
 ORBIT_LP_RESULTS = {
-    "phi": "f8fb2543b0a9d1cc8d7c7417dbd9018de070f15d295500558ce3ac7ca57df27b",
-    "qap": "58984236704bb109c4d69e484ac695479c00d11872aa23d1360f1a7f23cb6a9b",
+    "phi": "1c7cef484e102171a7a863bbe866ae532d8d541530894ab8d7bcdd8defd2a3fa",
+    "qap": "97370a7050eb54705807c93a11f69f15ade07699a0f8ef54060716bf86ecbb96",
 }
 
 
@@ -996,6 +1055,32 @@ def test_orbit_lp_builds_no_global_frame_and_keeps_its_columns(monkeypatch):
     ctx = FaceContext(vs)
     assert k_neighborly_scan(vs, 3, fix_first=True, ctx=ctx).faces_certified == 7011
     assert "frame" not in vars(ctx)
+
+
+# pivots of the orbit LPs of the phi(5) design triples and of the qap(5) triples above, in the fixtures' vertex
+# order; with the norm row they took 467 and 1,047
+ORBIT_LP_PIVOTS = {"phi": 314, "qap": 621}
+
+
+@pytest.mark.parametrize("family", ["phi", "qap"])
+def test_orbit_lp_pivot_counts_are_pinned(family, phi5, qap5, monkeypatch):
+    """Each triple takes one orbit LP, and the pivots they take in all, which no machine
+    changes, match the pinned totals."""
+    vs, ctx = phi5 if family == "phi" else qap5
+    pairs = PHI5_FACETEST_PAIRS if family == "phi" else QAP5_ORBIT_LP_PAIRS
+    pivots, pivot = [], simplex._Solver._pivot
+
+    def counted(self, p, c):
+        pivots.append((p, c))
+        pivot(self, p, c)
+
+    monkeypatch.setattr(simplex._Solver, "_pivot", counted)
+    lps = _recording_lp_solve(monkeypatch)
+    for i, j in pairs:
+        assert _verifies(vs, (0, i, j), is_face(vs, (0, i, j), ctx))
+    assert len(lps) == len(pairs)
+    assert all(len(lp.constraints) < len(vs) for lp in lps)  # orbit rows, not a row per vertex
+    assert len(pivots) == ORBIT_LP_PIVOTS[family]
 
 
 @pytest.mark.parametrize("family, subset", list(FRAME_LP_CERTIFICATES), ids=lambda x: str(x))

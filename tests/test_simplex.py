@@ -307,7 +307,7 @@ TRACED_FACE_TESTS = (
     ("phi", [(0, 1, 2), (0, 3, 4), (0, 8, 12), (0, 5, 10)]),
     ("qap", [(0, 1, 2), (0, 7, 13), (3, 11, 20)]),
 )
-PIVOT_TRACE_DIGEST = "a89cf4c9d0d033a49aef06b823187c57f98a0f3778ac546e1ff9b638b4fcdae5"
+PIVOT_TRACE_DIGEST = "9955d13a9e0a68a03c6e109d26638c480949b3aa2d52465de5feb29b16bbb069"
 
 
 def frame_lp(ctx, subset):
@@ -330,7 +330,10 @@ def test_pivot_trace_is_pinned(monkeypatch):
     1 had not been at 0 with pivots left kept its pivots and its result.
     It was re-pinned once more when the Bland-only rule was removed: the
     log dropped each random LP's rule label and its Bland-only solve,
-    and nothing else."""
+    and nothing else.  It was re-pinned again when the support LP lost
+    its norm row: the random-LP and Beale part of the log is unchanged,
+    and each traced face LP kept its status and verdict, a zero optimum
+    staying 0 and a positive one becoming 1."""
     log = []
     pivot, solve = simplex._Solver._pivot, simplex._Solver.solve
 
