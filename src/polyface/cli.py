@@ -25,7 +25,7 @@ from .faces import (
     verify_face_certificate,
     verify_nonface_witness,
 )
-from .families import GENERATE_GUARDS, VertexSet, generate, load_json
+from .families import GENERATE_GUARDS, VertexSet, generate, load_json, vertex_count
 from .scenarios import SCENARIOS, run_scenario
 
 def _warn(msg: str) -> None:
@@ -44,15 +44,15 @@ def _write_json(data: dict, path: str | None) -> None:
 def cmd_generate(args) -> int:
     family, n = args.family, args.n
     guard = GENERATE_GUARDS[family]
-    if n > guard and not args.force:
-        name = "m" if family == "bqp" else "n"
-        print(
-            f"error: {family} guard is {name} <= {guard} (got {n}); use --force to override",
-            file=sys.stderr,
-        )
-        return 2
-    if family != "bqp" and n > 5:
-        _warn(f"{family}({n}) has {n}! = large vertex count; generation may be slow")
+    if n > guard:
+        if not args.force:
+            name = "m" if family == "bqp" else "n"
+            print(
+                f"error: {family} guard is {name} <= {guard} (got {n}); use --force to override",
+                file=sys.stderr,
+            )
+            return 2
+        _warn(f"{family}({n}) has {vertex_count(family, n):,} vertices; generation may be slow")
     vs = generate(family, n)
     vs.save(args.out)
     print(f"wrote {len(vs)} vertices of {family}({n}) (ambient dim {vs.scheme.ambient_dim}) to {args.out}")

@@ -709,7 +709,7 @@ def _bit_table(vs: VertexSet) -> _BitSymmetry:
 
 def _permuted(cmap: list[int], v: tuple[int, ...]) -> tuple[int, ...]:
     """The one-positions of the 0/1 point v after the coordinate map cmap."""
-    return tuple(sorted(cmap[o] for o in v))
+    return tuple(sorted(map(cmap.__getitem__, v)))
 
 
 def _switched(rows: dict, v: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -26,15 +26,19 @@ and ``bqp_switching`` flips the first one.
 
 Vertices are stored sparsely as sorted tuples of one-positions and
 densified on demand (a qap(5) vertex has 25 ones out of 625 entries).
+The generators emit them sorted by construction.  The generators,
+``coordinate_map`` and ``label`` read per-order tables of O(n^2) entries,
+built once per n: the n x n edge ranks and the labels "1".."n".
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations, product
+from functools import cache, cached_property
+from itertools import chain, permutations, product
 from math import comb, factorial
+from operator import add, lt
 from typing import Sequence
 
 
@@ -52,7 +56,7 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def label(p: tuple[int, ...]) -> str:
     """p in 1-based one-line notation: (1, 2, 0) -> "231"."""
-    return "".join(str(x + 1) for x in p)
+    return "".join(map(_point_labels(len(p)).__getitem__, p))
 
 
 def edge_index(i: int, j: int, n: int) -> int:
@@ -65,6 +69,18 @@ def edge_index(i: int, j: int, n: int) -> int:
 
 def edge_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+@cache
+def _edge_ranks(n: int) -> tuple[tuple[int, ...], ...]:
+    """rank[x][y] is the ``edge_index`` of the edge {x, y} of 0-based points; -1 where x = y."""
+    return tuple(tuple(-1 if x == y else edge_index(min(x, y) + 1, max(x, y) + 1, n) for y in range(n)) for x in range(n))
+
+
+@cache
+def _point_labels(n: int) -> tuple[str, ...]:
+    """The 1-based labels "1".."n" of the 0-based points 0..n-1."""
+    return tuple(str(x + 1) for x in range(n))
 
 
 @dataclass(frozen=True)
@@ -120,7 +136,7 @@ class VertexSet:
         for v in self.vertices:
             if v and not 0 <= min(v) <= max(v) < dim:
                 raise ValueError("one-position offset out of range")
-            if list(v) != sorted(set(v)):
+            if not all(map(lt, v, v[1:])):
                 raise ValueError("one-positions must be sorted and distinct")
 
     def __len__(self) -> int:
@@ -168,7 +184,8 @@ class VertexSet:
             isinstance(labels, list)
             and all(isinstance(label, str) for label in labels)
             and isinstance(vertices, list)
-            and all(isinstance(v, list) and all(type(x) is int for x in v) for v in vertices)
+            and set(map(type, vertices)) <= {list}
+            and set(map(type, chain.from_iterable(vertices))) <= {int}
         ):
             raise ValueError("vertex file needs string labels and integer one-position lists")
         scheme = scheme_for(family, n)
@@ -177,7 +194,7 @@ class VertexSet:
                 f"ambient_dim {data['ambient_dim']} does not match "
                 f"{family}({n}) = {scheme.ambient_dim}"
             )
-        return VertexSet(scheme=scheme, labels=tuple(labels), vertices=tuple(tuple(v) for v in vertices))
+        return VertexSet(scheme=scheme, labels=tuple(labels), vertices=tuple(map(tuple, vertices)))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -199,8 +216,9 @@ def load_json(path, what: str):
 
 
 def bqp_vertex_offsets(bits: Sequence[int], m: int) -> tuple[int, ...]:
+    """One-positions of u (x) u, sorted by construction: (i-1)m + (j-1) with j <= m increases along the loop."""
     ones = [i for i, b in enumerate(bits, start=1) if b]
-    return tuple((i - 1) * m + (j - 1) for i in ones for j in ones)
+    return tuple([(i - 1) * m + (j - 1) for i in ones for j in ones])
 
 
 def bqp_vertices(m: int) -> VertexSet:
@@ -210,16 +228,18 @@ def bqp_vertices(m: int) -> VertexSet:
     scheme = bqp_scheme(m)
     labels, verts = [], []
     for bits in product((0, 1), repeat=m):
-        labels.append("".join(str(b) for b in bits))
-        verts.append(tuple(sorted(bqp_vertex_offsets(bits, m))))
+        labels.append("".join(map(str, bits)))
+        verts.append(bqp_vertex_offsets(bits, m))
     return VertexSet(scheme, tuple(labels), tuple(verts))
 
 
 def qap_vertex(p: tuple[int, ...]) -> tuple[int, ...]:
-    """One-positions of the tensor square of p's permutation matrix."""
+    """One-positions of the tensor square of p's permutation matrix.
+    Sorted by construction: the cells c = i*n + p(i) increase, and c*n^2 + d with d < n^2 increases along the loop."""
     n = len(p)
-    cells = [i * n + x for i, x in enumerate(p)]
-    return tuple(sorted(c * n * n + d for c in cells for d in cells))
+    size = n * n
+    cells = list(map(add, range(0, size, n), p))
+    return tuple([base + d for base in [c * size for c in cells] for d in cells])
 
 
 def qap_vertices(n: int) -> VertexSet:
@@ -230,20 +250,18 @@ def qap_vertices(n: int) -> VertexSet:
 
 
 def _edge_images(p: tuple[int, ...]) -> list[int]:
-    """Rank of the image under p of each edge of K_n, in edge-list order.
-
-    The 0-based edge {x, y} with x < y has rank start[x] + y, its ``edge_index``."""
-    n = len(p)
-    start = [x * n - x * (x + 3) // 2 - 1 for x in range(n)]
-    return [start[x] + y if x < y else start[y] + x for i, x in enumerate(p) for y in p[i + 1 :]]
+    """Rank of the image under p of each edge of K_n, in edge-list order."""
+    rank = _edge_ranks(len(p))
+    return [rank[x][y] for i, x in enumerate(p) for y in p[i + 1 :]]
 
 
 def phi_vertex(p: tuple[int, ...]) -> tuple[int, ...]:
-    """One-positions of the edge-permutation matrix of p on K_n."""
+    """One-positions of the edge-permutation matrix of p on K_n.
+    Sorted by construction: e * C(n,2) + f with f < C(n,2) increases with the source edge e."""
     if len(p) < 3:
         raise ValueError("phi needs n >= 3")
     ne = comb(len(p), 2)
-    return tuple(sorted(e * ne + f for e, f in enumerate(_edge_images(p))))
+    return tuple(map(add, range(0, ne * ne, ne), _edge_images(p)))
 
 
 def coordinate_map(scheme: IndexScheme, a: tuple[int, ...], b: tuple[int, ...], transpose: bool) -> list[int]:
@@ -265,12 +283,12 @@ def coordinate_map(scheme: IndexScheme, a: tuple[int, ...], b: tuple[int, ...], 
         if scheme.family == "bqp":
             return cells
         size = n * n
-        return [cells[o // size] * size + cells[o % size] for o in range(size * size)]
-    rows, cols = _edge_images(a), _edge_images(b)
-    size = len(rows)
+        return [base + d for base in [c * size for c in cells] for d in cells]
+    ne = comb(n, 2)
+    rows, cols = [r * ne for r in _edge_images(a)], _edge_images(b)
     if transpose:
-        return [rows[o % size] * size + cols[o // size] for o in range(size * size)]
-    return [rows[o // size] * size + cols[o % size] for o in range(size * size)]
+        return [row + col for col in cols for row in rows]
+    return [row + col for row in rows for col in cols]
 
 
 def bqp_switching(m: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
@@ -328,6 +346,11 @@ def generate(family: str, n: int) -> VertexSet:
     return _family(family)[1](n)
 
 
+def vertex_count(family: str, n: int) -> int:
+    """The number of vertices ``generate(family, n)`` returns: 2^n for bqp, n! for qap and phi."""
+    return 2 ** n if family == "bqp" else factorial(n)
+
+
 # The desk-scale guards of ``polyface generate``: the largest order of each
 # family it writes without --force.
 GENERATE_GUARDS = {"bqp": 16, "qap": 7, "phi": 7}
@@ -337,6 +360,6 @@ GENERATE_GUARDS = {"bqp": 16, "qap": 7, "phi": 7}
 # costs one list cell per dense cell; ``FaceContext`` refuses a larger set,
 # though its hull frame is built from one-positions and densifies none.
 MAX_DENSE_CELLS = max(
-    (2 ** n if family == "bqp" else factorial(n)) * scheme_for(family, n).ambient_dim
+    vertex_count(family, n) * scheme_for(family, n).ambient_dim
     for family, n in GENERATE_GUARDS.items()
 )

@@ -11,8 +11,9 @@ the qap/phi and bqp symmetries used before canonical forms, the orbit scan's
 certificates carried to every member of every orbit by the walk's moves
 and verified by substitution, and the coordinate-by-coordinate fixing
 functional and lift that the library lays out class by class, the
-vertex checks offset by offset, and the coordinate face by a walk over
-every vertex.
+vertex checks offset by offset, the coordinate face by a walk over
+every vertex, and the three families' vertex sets read off their dense
+definitions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 from polyface import faces
 from polyface.exactmath import Vector
 from polyface.faces import FaceCertificate, NonFaceWitness, _split
-from polyface.families import VertexSet, compose, coordinate_map, inverse
+from polyface.families import VertexSet, compose, coordinate_map, edge_list, inverse
 from polyface.simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
@@ -491,3 +492,43 @@ def walked_coordinate_face(ctx, subset) -> tuple[int, int, list[int]]:
     masks = [ctx.masks[s] for s in subset]
     inter, union = reduce(and_, masks), reduce(or_, masks)
     return inter, union, [t for t, v in enumerate(ctx.masks) if v & inter == inter and v | union == union]
+
+
+def _ones(dense) -> tuple[int, ...]:
+    return tuple(o for o, x in enumerate(dense) if x)
+
+
+def dense_qap_vertex(p) -> tuple[int, ...]:
+    """The one-positions of P (x) P, P the permutation matrix of p with entry (i, j) = 1 iff p(i) = j, both
+    flattened row by row."""
+    n = len(p)
+    flat = [int(p[i] == j) for i in range(n) for j in range(n)]
+    return _ones([x * y for x in flat for y in flat])
+
+
+def dense_phi_vertex(p) -> tuple[int, ...]:
+    """The one-positions of the edge matrix of p, flattened row by row: z[e, f] = 1 iff p maps the edge e of
+    K_n onto the edge f elementwise."""
+    edges = edge_list(len(p))
+    return _ones([{p[i - 1] + 1, p[j - 1] + 1} == {k, l} for i, j in edges for k, l in edges])
+
+
+def dense_bqp_vertex(u) -> tuple[int, ...]:
+    """The one-positions of u (x) u, flattened row by row."""
+    return _ones([x * y for x in u for y in u])
+
+
+# The display order of phi(3): identity, the two 3-cycles, then the transpositions (13), (12), (23).
+_PHI3_DISPLAY = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (1, 0, 2), (0, 2, 1))
+
+
+def dense_family(family: str, n: int) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """(labels, vertices) of ``families.generate(family, n)`` from the dense definitions: the permutations in
+    lex order with their 1-based one-line labels (phi(3) in its display order), the 0/1 vectors u in lex
+    order labelled by their bits."""
+    if family == "bqp":
+        cube = list(product((0, 1), repeat=n))
+        return tuple("".join(map(str, u)) for u in cube), tuple(map(dense_bqp_vertex, cube))
+    perms = _PHI3_DISPLAY if (family, n) == ("phi", 3) else list(permutations(range(n)))
+    make = dense_qap_vertex if family == "qap" else dense_phi_vertex
+    return tuple("".join(str(x + 1) for x in p) for p in perms), tuple(map(make, perms))

@@ -60,6 +60,15 @@ def test_generate_guard_and_force(tmp_path, capsys):
     assert code == 0
 
 
+def test_generate_warns_only_past_the_guard(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "qap.json"
+    code, _, err = run(["generate", "--family", "qap", "--n", "6", "--out", str(path)], capsys)
+    assert (code, err) == (0, "")
+    monkeypatch.setitem(cli.GENERATE_GUARDS, "qap", 6)  # the warning without generating qap(8)
+    code, _, err = run(["generate", "--family", "qap", "--n", "7", "--force", "--out", str(path)], capsys)
+    assert (code, err) == (0, "warning: qap(7) has 5,040 vertices; generation may be slow\n")
+
+
 def test_generate_below_the_family_minimum_is_an_error(tmp_path, capsys):
     path = tmp_path / "phi2.json"
     code, out, err = run(["generate", "--family", "phi", "--n", "2", "--out", str(path)], capsys)
@@ -266,8 +275,15 @@ def test_neighborly_survives_any_k(phi3_file, k):
         lambda d: {**d, "vertices": [[float(x) for x in d["vertices"][0]]] + d["vertices"][1:]},
         lambda d: {**d, "n": str(d["n"])},
         lambda d: [d],
+        lambda d: {**d, "vertices": [[0, True]] + d["vertices"][1:]},
+        lambda d: {**d, "vertices": [[0, [1]]] + d["vertices"][1:]},
+        lambda d: {**d, "vertices": [[0, "1"]] + d["vertices"][1:]},
+        lambda d: {**d, "vertices": [3] + d["vertices"][1:]},
     ],
-    ids=["no-labels", "float-offsets", "string-n", "top-level-list"],
+    ids=[
+        "no-labels", "float-offsets", "string-n", "top-level-list",
+        "bool-offsets", "nested-list", "string-offset", "scalar-vertex",
+    ],
 )
 def test_face_malformed_vertex_file_is_an_error(tmp_path, capsys, spoil):
     vpath = tmp_path / "phi3.json"

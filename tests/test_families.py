@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import tracemalloc
 from itertools import permutations, product
@@ -304,6 +305,40 @@ def test_vertex_file_header_with_a_large_n_is_refused_without_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "family, n", [("qap", n) for n in range(2, 7)] + [("phi", n) for n in range(3, 7)] + [("bqp", m) for m in range(2, 10)]
+)
+def test_generate_matches_the_dense_definitions(family, n):
+    """Labels, vertices and their order as read off P (x) P, the edge matrix and u (x) u (oracles)."""
+    vs = generate(family, n)
+    assert (vs.labels, vs.vertices) == oracles.dense_family(family, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(n))))
+def test_vertices_at_n_7_and_8_match_the_dense_definitions(p):
+    p = tuple(p)
+    assert qap_vertex(p) == oracles.dense_qap_vertex(p)
+    assert phi_vertex(p) == oracles.dense_phi_vertex(p)
+
+
+# sha256 of the files VertexSet.save writes for these sets; the CLI outputs digest pins only orders 3 and 4.
+GENERATED_FILE_DIGESTS = {
+    ("qap", 5): "c54d44e321a1993a7723d0a7a4c099380c167d5d05adf9630f8faddab13f0901",
+    ("qap", 6): "2211a39ded18ac8eda57ead3790ec0b48741bcb5835c22d47b1cf4f2f70fdf42",
+    ("phi", 5): "a35bfedcc885cb21669ee626543055d8ffa8716988e36033f7ef734db4aa797d",
+    ("phi", 6): "2eb0707f01c065d0fe6d86ca4ee6bd0a4095dd4297e2a9fbc8769e795dfaab20",
+    ("bqp", 9): "3ff11ed963a4a1c6e4dd1bec6f12eead59f17182c0e4ee14b4b2145aad170430",
+}
+
+
+@pytest.mark.parametrize("family, n", list(GENERATED_FILE_DIGESTS))
+def test_generated_files_are_pinned(tmp_path, family, n):
+    path = tmp_path / f"{family}{n}.json"
+    generate(family, n).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATED_FILE_DIGESTS[family, n]
 
 
 def test_generate_dispatch():
