@@ -31,8 +31,7 @@ coordinates times L), and ``ambient_functional`` scales the frame
 functional once to integers and lifts it by integer dot products,
 building Fractions only for the functional it returns and filling its
 other slots with the one shared ``ZERO``.  ``_over_lcm`` writes a
-rational vector as integers over the lcm of its denominators;
-``simplex`` uses it too.
+rational vector as integers over the lcm of its denominators.
 
 The kernels other modules rely on:
 
@@ -292,19 +291,19 @@ class AffineHullFrame:
                 acc = [a + d * x for a, x in zip(acc, col)]
         return acc
 
-    def ambient_functional(self, a_frame: Sequence, b_frame) -> tuple[Vector, Fraction]:
-        """Lift a functional on frame coordinates to ambient coordinates.
+    def ambient_functional(self, a_frame: Sequence, b_frame, den: int = 1) -> tuple[Vector, Fraction]:
+        """Lift a functional on frame coordinates, a_frame / den and b_frame / den, to ambient coordinates.
 
-        Returns (a, b) with a . p - b == a_frame . c - b_frame for every
-        p in the hull, where c are the reduced coordinates of p.  a_frame is scaled once to integers over
-        its lcm denominator D, so each pivot entry of a is one integer dot
-        product with an inverse column, over D * inverse_den.  Every other
+        Returns (a, b) with a . p - b == (a_frame . c - b_frame) / den for
+        every p in the hull, where c are the reduced coordinates of p.  a_frame is scaled once to integers over
+        its lcm denominator D (1 for ints), so each pivot entry of a is one integer dot
+        product with an inverse column, over D * den * inverse_den.  Every other
         entry of a, and each pivot entry that comes out zero, is ``ZERO``.
         """
         if len(a_frame) != self.dim:
             raise ValueError(f"dimension mismatch: {len(a_frame)} vs {self.dim}")
         nums, d = _over_lcm(a_frame)
-        scale = d * self.inverse_den
+        scale = d * den * self.inverse_den
         a = [ZERO] * self.ambient_dim
         shift = 0  # a . origin, times scale
         for c, col in zip(self.pivot_cols, self.inverse_cols):
@@ -312,7 +311,7 @@ class AffineHullFrame:
             if t:
                 a[c] = Q(t, scale)
                 shift += t * self.origin[c]
-        return tuple(a), Q(b_frame) + Q(shift, scale)
+        return tuple(a), Q(b_frame, den) + Q(shift, scale)
 
 
 def affine_hull_frame(points: Sequence[dict], dim: int) -> AffineHullFrame:

@@ -107,13 +107,16 @@ of a face.
 
 Arithmetic: integers from the hull frame to the certificate check,
 and a certificate's cost follows its support.  The frame is built from
-the vertices' one-positions, none densified.  A frame-LP row reads its
-vertex's frame coordinates as one integer row over the frame's
-denominator (``AffineHullFrame.weighted_columns``, from the vertex's
-mask bits at the pivot columns), built the first time the row is asked
-for; the orbit LP computes none, and of its own frame it reads only the
-pivot columns, so it builds no inverse.  The lift to ambient
-coordinates runs on integers
+the vertices' one-positions, none densified.  A frame-LP row is its
+vertex's frame coordinates as integer cells over the frame's
+denominator (``AffineHullFrame.weighted_columns`` over ``inverse_den``,
+from the vertex's mask bits at the pivot columns), built the first time
+the row is asked for; an orbit-LP row is its int counts over 1, and of
+its own frame the orbit LP reads only the pivot columns, so it builds
+no inverse.  ``simplex.lp_solve`` takes those rows as they are and
+returns the optimum in integers: eps, a and b over one denominator,
+the duals over another, which the witness cancels.  The lift to
+ambient coordinates runs on integers
 (``AffineHullFrame.ambient_functional``), and so does the lift off a
 coordinate face, over one denominator (``_lifted``).  Every zero slot
 of a normal the library builds holds the one ``exactmath.ZERO`` (the
@@ -125,9 +128,8 @@ in one step and the other two written at their set bits.
 ``verify_face_certificate`` reads each entry that is not ``ZERO``,
 scales the certificate once and adds each nonzero integer entry into
 the vertices with a one there (``VertexSet.incidence``).  Fractions are
-built only for the frame-LP rows (an orbit-LP row is all ints, so the
-simplex takes it as it is), for the certificates handed out, and in the
-non-face witness check.
+built only for the certificates and witnesses handed out, in the lift
+and in the non-face witness check.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ from .families import (
     phi_vertex,
     qap_vertex,
 )
-from .simplex import Constraint, LinearProgram, lp_solve
+from .simplex import SupportLP, SupportRow, lp_solve
 
 Q = Fraction
 
@@ -354,14 +356,19 @@ def _combination(vs: VertexSet, coefs, indices) -> tuple:
 
 
 def verify_nonface_witness(vs: VertexSet, subset: Sequence[int], wit: NonFaceWitness) -> bool:
-    """Substitution check: alpha-combination of S = mu-combination of the rest = point."""
+    """Substitution check: alpha-combination of S = mu-combination of the rest = point.
+
+    Every entry of alpha, mu and point must be an int or a Fraction, as
+    in ``verify_face_certificate``: a float or a boolean fails the check
+    (three floats 1/3 sum to 1.0, though not exactly to 1).
+    """
     try:
         idx, others = _split(vs, subset)
-        if len(wit.alpha) != len(idx) or len(wit.mu) != len(others):
+        if len(wit.alpha) != len(idx) or len(wit.mu) != len(others) or len(wit.point) != vs.scheme.ambient_dim:
+            return False
+        if not set(map(type, chain(wit.alpha, wit.mu, wit.point))) <= _RATIONAL_TYPES:
             return False
         if sum(wit.alpha) != 1 or sum(wit.mu) != 1 or any(m < 0 for m in wit.mu):
-            return False
-        if len(wit.point) != vs.scheme.ambient_dim:
             return False
         return _combination(vs, wit.alpha, idx) == tuple(wit.point) == _combination(vs, wit.mu, others)
     except (ValueError, TypeError, IndexError):
@@ -413,27 +420,27 @@ class FaceContext:
         self.masks = _masks(vs)
         weights = {len(v) for v in vs.vertices}
         self.weight = weights.pop() if len(weights) == 1 else None
-        self._rows: dict[tuple[int, str], Constraint] = {}
+        self._rows: dict[tuple[int, str], SupportRow] = {}
         self._symmetry: _Symmetry | _BitSymmetry | str | None = None
 
     @cached_property
     def frame(self) -> AffineHullFrame:
         return affine_hull_frame(_OnePositions(self.vs.vertices), self.vs.scheme.ambient_dim)
 
-    def outside_row(self, t: int) -> Constraint:
+    def outside_row(self, t: int) -> SupportRow:
         return self._frame_row(t, "<=")
 
-    def member_row(self, s: int) -> Constraint:
+    def member_row(self, s: int) -> SupportRow:
         return self._frame_row(s, "=")
 
-    def _frame_row(self, t: int, rel: str) -> Constraint:
-        """a . w_t - b (+ eps off the subset) <= 0 or = 0, w_t vertex t's frame coordinates; built once per (t, rel)."""
+    def _frame_row(self, t: int, rel: str) -> SupportRow:
+        """The support-LP row of vertex t's frame coordinates, ``weighted_columns`` over ``inverse_den``; built once
+        per (t, rel)."""
         row = self._rows.get((t, rel))
         if row is None:
             frame, mask = self.frame, self.masks[t]
             deltas = [(mask >> c & 1) - frame.origin[c] for c in frame.pivot_cols]
-            w = tuple(Q(x, frame.inverse_den) for x in frame.weighted_columns(deltas))
-            row = self._rows[t, rel] = _lp_row(w, rel)
+            row = self._rows[t, rel] = SupportRow(tuple(frame.weighted_columns(deltas)), frame.inverse_den, rel)
         return row
 
     def symmetry(self) -> _Symmetry | _BitSymmetry:
@@ -763,46 +770,39 @@ def _context(vs: VertexSet, ctx: FaceContext | None) -> FaceContext:
     return ctx
 
 
-def _lp_row(w: tuple, rel: str) -> Constraint:
-    """a . w - b (+ eps off the subset) <= 0 or = 0 over a+ | a- | b+ | b- | eps; its b and eps cells are ints."""
-    return Constraint(w + tuple(-x for x in w) + (-1, 1, 1 if rel == "<=" else 0), rel, Q(0))
-
-
-def _support_lp_optimum(width: int, rows: list[Constraint]):
+def _support_lp_optimum(width: int, rows: list[SupportRow]):
     """Exact optimum of a support-LP over width functional coordinates, solved once with all its rows.
 
-    Returns (epsilon, a, b, dual), epsilon 0 or 1 (module docstring; any
-    other optimum raises) and dual the constraint multipliers in row order.
-    (A first round over the subset rows alone, as row generation would
-    solve, always ends at a = b = 0, eps = 1 and leaves every other row
+    Returns (epsilon, a, b, den, dual) in integers: epsilon 0 or 1
+    (module docstring; any other optimum raises), the functional a and
+    offset b over den, and dual the constraint multipliers in row order
+    over one positive denominator, which a witness cancels.  (A first
+    round over the subset rows alone, as row generation would solve,
+    always ends at a = b = 0, eps = 1 and leaves every other row
     violated, so it is not solved.)
     """
-    nv = 2 * width + 3
-    lp = LinearProgram(
-        nv, (Q(0),) * (nv - 1) + (Q(1),), tuple(rows), (Q(0),) * nv, (None,) * (nv - 1) + (Q(1),)
-    )
-    res = lp_solve(lp)
+    res = lp_solve(SupportLP(width, tuple(rows)))
     if res.status != "optimal":
         raise InternalInconsistencyError(f"support-LP returned {res.status}")
-    if res.objective_value not in (0, 1):
-        raise InternalInconsistencyError(f"support-LP optimum {res.objective_value} is neither 0 nor 1")
-    x = res.primal
-    a = tuple(p - q if q else p for p, q in zip(x, x[width : 2 * width]))
-    return res.objective_value, a, x[2 * width] - x[2 * width + 1], res.dual
+    x, den = res.primal, res.den
+    if x[-1] not in (0, den):
+        raise InternalInconsistencyError(f"support-LP optimum {Q(x[-1], den)} is neither 0 nor 1")
+    a = [p - q for p, q in zip(x, x[width : 2 * width])]
+    return x[-1] // den, a, x[2 * width] - x[2 * width + 1], den, res.dual
 
 
 def _frame_lp(ctx: FaceContext, subset, others):
     """The support-LP over the frame: rows for the subset, then each vertex of others in order.
 
-    Returns (epsilon, (normal, offset), None) at a positive gap, with the
+    Returns (1, (normal, offset), None) at a positive gap, with the
     hyperplane lifted to ambient coordinates, and (0, None, (y_subset,
     y_others)) at zero gap, the multipliers of the subset's and the other
-    vertices' rows.
+    vertices' rows as integers over one denominator.
     """
     rows = [ctx.member_row(s) for s in subset] + [ctx.outside_row(t) for t in others]
-    eps, a_frame, b_frame, dual = _support_lp_optimum(ctx.frame.dim, rows)
+    eps, a_frame, b_frame, den, dual = _support_lp_optimum(ctx.frame.dim, rows)
     if eps > 0:
-        return eps, ctx.frame.ambient_functional(a_frame, b_frame), None
+        return eps, ctx.frame.ambient_functional(a_frame, b_frame, den), None
     return eps, None, (dual[: len(subset)], dual[len(subset) :])
 
 
@@ -822,9 +822,9 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
     are the pivot columns of those points' hull frame, vertex 0's point
     first: the lex-first labels whose counts are independent.  A row
     holds its orbit's counts at them less vertex 0's.  The LP has one row
-    per vertex orbit (the subset's, then the others).  At
-    zero gap each orbit row's multiplier is spread evenly over the
-    orbit's members.
+    per vertex orbit (the subset's, then the others), its int counts over
+    1.  At zero gap each orbit row's multiplier is spread evenly over the
+    orbit's members, in integers times the lcm of the orbit sizes.
     """
     vs = ctx.vs
     vertex = _least_images([vmap for vmap, _ in moves])
@@ -841,18 +841,18 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
     labels = sorted(affine_hull_frame([origin, *reversed(points)], vs.scheme.ambient_dim).pivot_cols)
     base = [origin.get(j, 0) for j in labels]
     rows = [
-        _lp_row(tuple(p.get(j, 0) - y for j, y in zip(labels, base)), "<=" if k >= ns else "=")
+        SupportRow(tuple(p.get(j, 0) - y for j, y in zip(labels, base)), 1, "<=" if k >= ns else "=")
         for k, p in enumerate(points)
     ]
-    eps, c, b, dual = _support_lp_optimum(len(labels), rows)
+    eps, c, b, den, dual = _support_lp_optimum(len(labels), rows)
     if eps > 0:
-        value = {j: x for j, x in zip(labels, c) if x}
-        offset = b + sum(x * y for x, y in zip(c, base))
+        value = {j: Q(x, den) for j, x in zip(labels, c) if x}
+        offset = Q(b + sum(x * y for x, y in zip(c, base)), den)
         return eps, (tuple(map(value.get, coord, repeat(ZERO))), offset), None
-    y = [Q(0)] * len(vs)
+    y, scale = [0] * len(vs), math.lcm(*map(len, orbits))
     for orbit, weight in zip(orbits, dual):
         for t in orbit:
-            y[t] = weight / len(orbit)
+            y[t] = weight * (scale // len(orbit))
     return eps, None, ([y[s] for s in subset], [y[t] for t in others])
 
 
@@ -882,17 +882,17 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
             hyperplane = _lifted(*hyperplane, eps, inter, union, ctx.weight)
     if eps > 0:
         a, b = hyperplane
-        cert = FaceCertificate(normal=a, offset=b, epsilon=eps)
+        cert = FaceCertificate(normal=a, offset=b, epsilon=Q(eps))
         if not verify_face_certificate(vs, idx, cert):
             raise InternalInconsistencyError("support-LP certificate failed substitution")
         return cert
-    # Zero gap: the duals combine the rows of S and of the rest (module docstring).
+    # Zero gap: the duals, integers over one denominator, combine the rows of S and of the rest (module docstring).
     y_subset, y_others = weights
     total = sum(y_others)
     if total <= 0:
         raise InternalInconsistencyError("support-LP duals put no weight on the off-subset rows")
-    alpha = tuple(-y / total for y in y_subset)
-    mu = tuple(y / total for y in y_others)
+    alpha = tuple(Q(-y, total) for y in y_subset)
+    mu = tuple(Q(y, total) if y else ZERO for y in y_others)
     wit = NonFaceWitness(alpha=alpha, mu=mu, point=_combination(vs, alpha, idx))
     if not verify_nonface_witness(vs, idx, wit):
         raise InternalInconsistencyError("support-LP dual witness failed substitution")

@@ -1,10 +1,20 @@
-"""Exact rational linear programming with self-verifying certificates.
+"""Exact rational simplex for the support LP of a face test.
+
+The support LP of a subset S over the width coordinates of a functional
+a (``SupportLP``) is
+
+    max eps  subject to  a . w - b        = 0  on each row w of S,
+                         a . w - b + eps <= 0  on each other row w,
+                         eps <= 1,
+
+with a = a+ - a-, b = b+ - b- and a+, a-, b+, b-, eps >= 0.  Each row w
+comes as integer cells over one positive denominator (``SupportRow``),
+so no Fraction is built between the rows and the optimum.
 
 Two-phase simplex on a compact (dictionary) slack-form tableau.  All
 arithmetic is exact: tableau rows are integer vectors with a per-row
 positive denominator, kept primitive (gcd(den, *row) == 1) after every
-pivot, so no entry is ever rounded.  The public API speaks
-`fractions.Fraction`.
+pivot, so no entry is ever rounded.
 
 Basic columns are implicit: a basic column is zero outside its own row,
 so each row stores only the nonbasic columns plus its entry in its own
@@ -22,21 +32,21 @@ tests of the benchmark the pivot row is 22% nonzero and 82% of the row
 updates need no rescaling, so a pivot writes less than half the cells
 the dense update did.
 
-Every result carries a certificate checkable by plain substitution,
-independent of the pivoting code:
-
-* ``optimal`` -- primal solution plus dual multipliers satisfying the
-  complementary-slackness conditions;
-* ``infeasible`` -- multipliers for constraints and variable bounds
-  that combine to the contradiction 0 < 0;
-* ``unbounded`` -- a feasible point and an improving recession ray.
+``lp_solve`` reads the optimum as integers (``SupportOptimum``): the
+primal over the lcm of its basic rows' entries and the row multipliers
+over the phase-2 row's denominator.  It hands out no certificate of its
+own: ``faces`` builds the face certificate or the non-face witness from
+them and verifies it by substitution.  The general LP (free, shifted
+and upper-bounded variables, any relation and rhs) and its optimal,
+infeasible and unbounded certificates are a subclass of ``_Solver`` in
+the tests' oracles, so the pivot code is written once.
 
 Phase 1 ends as soon as its value reaches 0, not when its row prices
 out: every artificial is then at 0, so the basis is feasible, and the
 remaining basic artificials are driven out before phase 2 (Chvatal
-1983, ch. 8).  The face-test support LP starts phase 1 at 0 (its
-artificials sit on the subset rows, whose rhs is 0), so its phase 1
-makes only the drive-out pivots, at most one per subset row.
+1983, ch. 8).  The support LP starts phase 1 at 0 (its artificials sit
+on the subset rows, whose rhs is 0), so its phase 1 makes only the
+drive-out pivots, at most one per subset row.
 
 Pivoting uses the largest-reduced-cost rule, switches to least-index
 (Bland) selection after a long streak of degenerate pivots, and returns
@@ -50,106 +60,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
-from .exactmath import _over_lcm
-
-Q = Fraction
-
-LE, EQ, GE = "<=", "=", ">="
-_RELS = (LE, EQ, GE)
+LE, EQ = "<=", "="
 
 
 @dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple
-    rel: str
-    rhs: Fraction
+class SupportRow:
+    """The row a . w - b (+ eps when rel is "<=") rel 0 of a support LP, w = cells / den, den > 0."""
 
-    def __post_init__(self):
-        if self.rel not in _RELS:
-            raise ValueError(f"bad relation {self.rel!r}")
-
-    @cached_property
-    def _int_coeffs(self) -> tuple[list[int], int]:
-        """(nums, den) with coeffs == nums / den; computed once, shared by every LP using the row."""
-        return _over_lcm(self.coeffs)
+    cells: tuple[int, ...]
+    den: int
+    rel: str  # "=" on the subset, "<=" off it
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """Maximize objective . x subject to constraints and variable bounds.
+class SupportLP:
+    """The support LP over width functional coordinates (module docstring), one constraint per row.
 
-    Bounds are per-variable (lower, upper); None means unbounded on that
-    side.  Variables are free by default.  Coefficients, right-hand
-    sides and the objective are int or Fraction (make_lp converts).
+    Its variables are a+ | a- | b+ | b- | eps, all >= 0, and its
+    objective is eps.
     """
 
-    num_vars: int
-    objective: tuple
-    constraints: tuple[Constraint, ...]
-    lower: tuple = None  # type: ignore[assignment]
-    upper: tuple = None  # type: ignore[assignment]
+    width: int
+    constraints: tuple[SupportRow, ...]
 
-    def __post_init__(self):
-        if self.num_vars <= 0:
-            raise ValueError("need at least one variable")
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length != num_vars")
-        for c in self.constraints:
-            if len(c.coeffs) != self.num_vars:
-                raise ValueError("constraint coefficient length != num_vars")
-        if self.lower is None:
-            object.__setattr__(self, "lower", (None,) * self.num_vars)
-        if self.upper is None:
-            object.__setattr__(self, "upper", (None,) * self.num_vars)
-        if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
-            raise ValueError("bounds length != num_vars")
-        for lo, hi in zip(self.lower, self.upper):
-            if lo is not None and hi is not None and Q(lo) > Q(hi):
-                raise ValueError(f"empty bound interval [{lo}, {hi}]")
+    @property
+    def num_vars(self) -> int:
+        return 2 * self.width + 3
 
-
-def make_lp(objective, constraints, lower=None, upper=None) -> LinearProgram:
-    """Convenience builder: constraints as (coeffs, rel, rhs) triples."""
-    cons = tuple(Constraint(tuple(Q(x) for x in co), rel, Q(rhs)) for co, rel, rhs in constraints)
-    n = len(objective)
-    low = tuple(None if lo is None else Q(lo) for lo in (lower or (None,) * n))
-    up = tuple(None if hi is None else Q(hi) for hi in (upper or (None,) * n))
-    return LinearProgram(n, tuple(Q(x) for x in objective), cons, low, up)
+    @property
+    def objective(self) -> tuple[int, ...]:
+        return (0,) * (2 * self.width + 2) + (1,)
 
 
 @dataclass(frozen=True)
-class InfeasibilityCertificate:
-    """Multipliers combining the system into the contradiction 0 < 0.
+class SupportOptimum:
+    """``lp_solve``'s result.
 
-    constraint multipliers apply to rows oriented as <= (a >= row is
-    negated first); they must be nonnegative except on equality rows.
-    The bound multipliers are nonnegative and only touch finite bounds.
+    status is "optimal", the only one a support LP reaches (a = b = eps
+    = 0 is feasible and eps <= 1 bounds it), or "infeasible" or
+    "unbounded", which a broken tableau would give.  At the optimum,
+    primal holds a+ | a- | b+ | b- | eps as integers over den, and dual
+    the multipliers of the constraints, in order, as integers over
+    dual_den.
     """
 
-    constraints: tuple
-    lower: tuple
-    upper: tuple
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    primal: tuple | None = None
-    objective_value: Fraction | None = None
-    dual: tuple | None = None
-    infeasibility: InfeasibilityCertificate | None = None
-    ray_point: tuple | None = None
-    ray_direction: tuple | None = None
-
-
-def _oriented(con: Constraint):
-    """Constraint as (coeffs, rhs) of an <=-or-= row."""
-    if con.rel == GE:
-        return tuple(-Q(x) for x in con.coeffs), -Q(con.rhs)
-    return tuple(Q(x) for x in con.coeffs), Q(con.rhs)
+    status: str
+    primal: tuple[int, ...] | None = None
+    den: int = 1
+    dual: tuple[int, ...] | None = None
+    dual_den: int = 1
 
 
 def _normalized(row, den):
@@ -173,123 +133,74 @@ class _Solver:
     cell).  Every selection rule speaks original column indices.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp):
         self.lp = lp
         self._build()
 
     # --- standard form construction -------------------------------------
 
     def _build(self):
+        """The tableau of a ``SupportLP``.
+
+        Columns: the structural a+ | a- | b+ | b- | eps, then a slack for
+        each "<=" row and for the eps <= 1 row, in row order, then an
+        artificial for each "=" row.  Every rhs is 0 but the cap's, so no
+        row is negated, and each row starts basic in its slack or its
+        artificial.  A row is [w, -w, -1, 1, 1 or 0] times den over den,
+        divided by gcd(den, *cells) to its one primitive form.
+        """
         lp = self.lp
-        n = lp.num_vars
-        # Column plan: each original variable becomes one or two nonnegative
-        # columns; cols[k] = (var, sign); shifts[i] is the affine offset so
-        # that x_i = shifts[i] + sum(sign * column value).
-        self.cols: list[tuple[int, int]] = []
-        self.shifts = [Q(0)] * n
-        bound_rows = []  # (column, ub_value, var)
-        for i in range(n):
-            lo, hi = lp.lower[i], lp.upper[i]
-            if lo is not None:
-                self.shifts[i] = Q(lo)
-                self.cols.append((i, 1))
-                if hi is not None:
-                    bound_rows.append((len(self.cols) - 1, Q(hi) - Q(lo), i))
-            elif hi is not None:
-                self.shifts[i] = Q(hi)
-                self.cols.append((i, -1))
-            else:
-                self.cols.append((i, 1))
-                self.cols.append((i, -1))
-        nstruct = len(self.cols)
-
-        # Rows: oriented constraints first, then upper-bound rows, each as
-        # integer structural cells and rhs over one positive denominator,
-        # negated (flipped) where that makes the rhs nonnegative.
-        self.row_src: list[tuple[str, int]] = []  # ("con", idx) | ("ub", var)
-        self.row_rel: list[str] = []
-        self.flip: list[bool] = []
-        raw_rows = []  # (cells, rhs, den)
-        shifted = [i for i, sh in enumerate(self.shifts) if sh]
-        for idx, con in enumerate(lp.constraints):
-            nums, a_den = con._int_coeffs
-            b = con.rhs
-            for i in shifted:
-                if con.coeffs[i]:
-                    b -= con.coeffs[i] * self.shifts[i]
-            den = math.lcm(a_den, b.denominator)
-            o = -1 if con.rel == GE else 1
-            rhs = o * b.numerator * (den // b.denominator)
-            flip = rhs < 0
-            if flip:
-                o, rhs = -o, -rhs
-            f = o * (den // a_den)
-            raw_rows.append(([s * f * nums[v] for v, s in self.cols], rhs, den))
-            self.row_src.append(("con", idx))
-            self.row_rel.append(EQ if con.rel == EQ else LE)
-            self.flip.append(flip)
-        for col, ub, var in bound_rows:
-            cells = [0] * nstruct
-            cells[col] = ub.denominator
-            raw_rows.append((cells, ub.numerator, ub.denominator))
-            self.row_src.append(("ub", var))
-            self.row_rel.append(LE)
-            self.flip.append(False)
-
-        m = len(raw_rows)
-        # Artificials where the slack cannot serve as the initial basic column.
-        slack_of = [-1] * m
-        art_of = [-1] * m
-        col_cursor = nstruct
-        for r, rel in enumerate(self.row_rel):
-            if rel == LE:
-                slack_of[r] = col_cursor
-                col_cursor += 1
-        self.art_start = col_cursor
+        nv = lp.num_vars
+        eq = [row.rel == EQ for row in lp.constraints] + [False]  # the cap eps <= 1 comes last
+        m = len(eq)
+        self.slack_of, self.art_of = [-1] * m, [-1] * m
+        cursor = nv
         for r in range(m):
-            if self.flip[r] or self.row_rel[r] == EQ:
-                art_of[r] = col_cursor
-                col_cursor += 1
-        self.ncols = col_cursor
-        self.slack_of, self.art_of = slack_of, art_of
-        self.m = m
-        self.basis = [art_of[r] if art_of[r] >= 0 else slack_of[r] for r in range(m)]
-
-        # Nonbasic at the start: the structural columns and the slacks of
-        # rows whose artificial is basic.
-        self.col_at = list(range(nstruct)) + [
-            slack_of[r] for r in range(m) if art_of[r] >= 0 and slack_of[r] >= 0
-        ]
-        self.slot_of = [-1] * col_cursor
-        for k, col in enumerate(self.col_at):
-            self.slot_of[col] = k
-        width = self.basic_cell = len(self.col_at)  # then the rhs cell
-        pad = [0] * (width - nstruct)
+            if not eq[r]:
+                self.slack_of[r] = cursor
+                cursor += 1
+        self.art_start = cursor
+        for r in range(m):
+            if eq[r]:
+                self.art_of[r] = cursor
+                cursor += 1
+        self.ncols, self.m = cursor, m
+        self.basis = [self.art_of[r] if eq[r] else self.slack_of[r] for r in range(m)]
+        self.col_at = list(range(nv))
+        self.slot_of = list(range(nv)) + [-1] * (cursor - nv)
+        self.basic_cell = nv
         self.rows, self.dens = [], []
-        for r, (cells, rhs, den) in enumerate(raw_rows):
-            row = cells + pad + [den, rhs]
-            if art_of[r] >= 0 and slack_of[r] >= 0:
-                row[self.slot_of[slack_of[r]]] = -den if self.flip[r] else den
-            row, den = _normalized(row, den)
-            self.rows.append(row)
+        for row in lp.constraints:
+            cells, den = row.cells, row.den
+            g = math.gcd(den, *cells)
+            if g > 1:
+                cells, den = [x // g for x in cells], den // g
+            self.rows.append([*cells, *(-x for x in cells), -den, den, 0 if row.rel == EQ else den, den, 0])
             self.dens.append(den)
+        self.rows.append([0] * (nv - 1) + [1, 1, 1])
+        self.dens.append(1)
+        self._objective_rows(list(lp.objective), 1)
 
-        # Objective rows m (phase 1) and m + 1 (phase 2).  Phase 1 costs -1
-        # on each artificial; with those basic, its reduced costs are the
-        # sum of their rows, each scaled to a unit basic entry.
-        self.obj1, self.obj2 = m, m + 1
-        arts = [r for r in range(m) if art_of[r] >= 0]
-        den = math.lcm(*(self.rows[r][width] for r in arts))
+    def _objective_rows(self, cost, den):
+        """Append the objective rows m (phase 1) and m + 1 (phase 2), the latter cost / den on the structural columns.
+
+        Phase 1 costs -1 on each artificial; with those basic, its
+        reduced costs are the sum of their rows, each scaled to a unit
+        basic entry.
+        """
+        width = self.basic_cell
+        self.obj1, self.obj2 = self.m, self.m + 1
+        arts = [r for r in range(self.m) if self.art_of[r] >= 0]
+        lcm = math.lcm(*(self.rows[r][width] for r in arts))
         obj1 = [0] * (width + 2)
         for r in arts:
-            q = den // self.rows[r][width]
+            q = lcm // self.rows[r][width]
             obj1 = [x + q * y for x, y in zip(obj1, self.rows[r])]
         obj1[width] = 0
-        c, den2 = _over_lcm(lp.objective)
-        obj2 = [s * c[v] for v, s in self.cols] + pad + [0, 0]
-        for row, den in (_normalized(obj1, den), _normalized(obj2, den2)):
+        obj2 = cost + [0] * (width - len(cost)) + [0, 0]
+        for row, d in (_normalized(obj1, lcm), _normalized(obj2, den)):
             self.rows.append(row)
-            self.dens.append(den)
+            self.dens.append(d)
 
     # --- pivoting --------------------------------------------------------
 
@@ -392,53 +303,14 @@ class _Solver:
             streak = streak + 1 if self.rows[p][-1] == 0 else 0
             self._pivot(p, c)
 
-    # --- solution read-out ------------------------------------------------
+    # --- solve and read-out -----------------------------------------------
 
-    def _variables(self, base, vals) -> tuple:
-        """base plus the standard-form column values vals, read back onto the LP's variables."""
-        x = list(base)
-        for k, (v, s) in enumerate(self.cols):
-            if vals[k] != 0:
-                x[v] += s * vals[k]
-        return tuple(x)
-
-    def _primal(self):
-        vals = [Q(0)] * self.ncols
-        for r in range(self.m):
-            row = self.rows[r]
-            vals[self.basis[r]] = Q(row[-1], row[self.basic_cell])
-        return self._variables(self.shifts, vals)
-
-    def _duals(self, o):
-        """Row multipliers of the unflipped standard rows, from identity columns.
-
-        Every row keeps a column that started as +e_r in the tableau (its
-        artificial, or its slack when no artificial was added), so the
-        multiplier is cost - reduced cost there (0 while that column is
-        basic); a row that was negated to make its rhs nonnegative
-        carries the opposite multiplier.
-        """
-        obj, objden = self.rows[o], self.dens[o]
-        y = []
-        for r in range(self.m):
-            if self.art_of[r] >= 0:
-                col = self.art_of[r]
-                cinit = Q(-1) if o == self.obj1 else Q(0)
-            else:
-                col = self.slack_of[r]
-                cinit = Q(0)
-            k = self.slot_of[col]
-            yhat = cinit - Q(obj[k], objden) if k >= 0 else cinit
-            y.append(-yhat if self.flip[r] else yhat)
-        return y
-
-    def solve(self) -> LPResult:
-        lp = self.lp
+    def solve(self):
         self._run(self.obj1)
         # The objective rows carry the negated value in the rhs cell, so a
         # nonzero one here is a negative phase-1 optimum.
         if self.rows[self.obj1][-1] != 0:
-            return self._infeasible_result()
+            return self._result("infeasible")
         # Drive basic artificials (all at value 0 now) out of the basis.
         for r in range(self.m):
             if self.basis[r] >= self.art_start:
@@ -450,194 +322,36 @@ class _Solver:
                 if j >= 0:
                     self._pivot(r, j)
                 # else: redundant row; it is inert from here on.
-        status = self._run(self.obj2)
+        return self._result(self._run(self.obj2))
+
+    def _result(self, status) -> SupportOptimum:
+        """The optimum in integers, for status "optimal"; a bare "infeasible" or "unbounded" otherwise.
+
+        A basic structural column takes its row's rhs over its row's
+        basic entry, read over the lcm of those entries.  A row's
+        multiplier is minus the phase-2 reduced cost of the column that
+        started as +e_r (its artificial, or its slack when it has none),
+        0 while that column is basic, over the phase-2 row's denominator.
+        """
         if status != "optimal":
-            return self._unbounded_result(status)
-        primal = self._primal()
-        value = sum((c * v for c, v in zip(lp.objective, primal) if c), Q(0))
-        dual = self._duals(self.obj2)
-        lam = tuple(dual[r] for r in range(len(lp.constraints)))
-        return LPResult(status="optimal", primal=primal, objective_value=value, dual=lam)
-
-    def _infeasible_result(self) -> LPResult:
-        lp = self.lp
-        y = self._duals(self.obj1)
-        lam = [y[r] for r in range(len(lp.constraints))]
-        ub_mult = {}
-        for r in range(len(lp.constraints), self.m):
-            kind, var = self.row_src[r]
-            ub_mult[var] = ub_mult.get(var, Q(0)) + y[r]
-        # Residuals of the combined functional become bound multipliers.
-        d = [Q(0)] * lp.num_vars
-        for idx, con in enumerate(lp.constraints):
-            if lam[idx] == 0:
-                continue
-            a, _ = _oriented(con)
-            for i in range(lp.num_vars):
-                if a[i] != 0:
-                    d[i] += lam[idx] * a[i]
-        mu_lo = [Q(0)] * lp.num_vars
-        mu_hi = [Q(0)] * lp.num_vars
-        for i in range(lp.num_vars):
-            lo, hi = lp.lower[i], lp.upper[i]
-            ub = ub_mult.get(i, Q(0))
-            if lo is not None and hi is not None:
-                mu_hi[i] = ub
-                mu_lo[i] = d[i] + ub
-            elif lo is not None:
-                mu_lo[i] = d[i]
-            elif hi is not None:
-                mu_hi[i] = -d[i]
-        return LPResult(
-            status="infeasible",
-            infeasibility=InfeasibilityCertificate(
-                constraints=tuple(lam), lower=tuple(mu_lo), upper=tuple(mu_hi)
-            ),
-        )
-
-    def _unbounded_result(self, c) -> LPResult:
-        point = self._primal()
-        vals = [Q(0)] * self.ncols
-        vals[c] = Q(1)
-        s = self.slot_of[c]
-        for r in range(self.m):
-            row = self.rows[r]
-            if row[s] != 0:
-                vals[self.basis[r]] = Q(-row[s], row[self.basic_cell])
-        direction = self._variables([Q(0)] * self.lp.num_vars, vals)
-        return LPResult(status="unbounded", ray_point=point, ray_direction=direction)
+            return SupportOptimum("infeasible" if status == "infeasible" else "unbounded")
+        nv, d, rows = self.lp.num_vars, self.basic_cell, self.rows
+        basic = [(col, r) for r, col in enumerate(self.basis) if col < nv and rows[r][-1]]
+        den = math.lcm(*(rows[r][d] for _, r in basic))
+        primal = [0] * nv
+        for col, r in basic:
+            primal[col] = rows[r][-1] * (den // rows[r][d])
+        obj, dual = rows[self.obj2], []
+        for r in range(len(self.lp.constraints)):
+            k = self.slot_of[self.art_of[r] if self.art_of[r] >= 0 else self.slack_of[r]]
+            dual.append(-obj[k] if k >= 0 else 0)
+        return SupportOptimum("optimal", tuple(primal), den, tuple(dual), self.dens[self.obj2])
 
 
-def lp_solve(lp: LinearProgram) -> LPResult:
-    """Solve exactly; the result always passes verify_lp_certificate.
+def lp_solve(lp: SupportLP) -> SupportOptimum:
+    """Solve a support LP exactly; its optimum in integers (``SupportOptimum``).
 
     Terminates on every input: largest reduced cost, falling back to
     least-index selection after a degenerate streak.
     """
     return _Solver(lp).solve()
-
-
-# --- certificate verification (substitution only, no solver state) --------
-
-
-def _check_primal_feasible(lp: LinearProgram, x) -> bool:
-    if len(x) != lp.num_vars:
-        return False
-    for lo, hi, xi in zip(lp.lower, lp.upper, x):
-        if lo is not None and xi < lo:
-            return False
-        if hi is not None and xi > hi:
-            return False
-    for con in lp.constraints:
-        lhs = sum(a * xi for a, xi in zip(con.coeffs, x) if a != 0)
-        if con.rel == LE and not lhs <= con.rhs:
-            return False
-        if con.rel == GE and not lhs >= con.rhs:
-            return False
-        if con.rel == EQ and lhs != con.rhs:
-            return False
-    return True
-
-
-def verify_lp_certificate(lp: LinearProgram, result: LPResult) -> bool:
-    """Check a result by direct substitution into the LP data."""
-    try:
-        if result.status == "optimal":
-            return _verify_optimal(lp, result)
-        if result.status == "infeasible":
-            return _verify_infeasible(lp, result)
-        if result.status == "unbounded":
-            return _verify_unbounded(lp, result)
-    except (TypeError, ValueError, IndexError):
-        return False
-    return False
-
-
-def _verify_optimal(lp, result) -> bool:
-    x, y = result.primal, result.dual
-    if x is None or y is None or len(y) != len(lp.constraints):
-        return False
-    if not _check_primal_feasible(lp, x):
-        return False
-    if result.objective_value != sum(c * xi for c, xi in zip(lp.objective, x)):
-        return False
-    # Dual sign and complementary slackness on oriented rows.
-    for con, yr in zip(lp.constraints, y):
-        a, b = _oriented(con)
-        if con.rel != EQ and yr < 0:
-            return False
-        slack = b - sum(ai * xi for ai, xi in zip(a, x) if ai != 0)
-        if yr != 0 and slack != 0:
-            return False
-    # Reduced costs: improvement is blocked by a bound wherever nonzero.
-    for i in range(lp.num_vars):
-        r = Q(lp.objective[i])
-        for con, yr in zip(lp.constraints, y):
-            if yr != 0:
-                a, _ = _oriented(con)
-                r -= yr * a[i]
-        if r > 0 and (lp.upper[i] is None or x[i] != lp.upper[i]):
-            return False
-        if r < 0 and (lp.lower[i] is None or x[i] != lp.lower[i]):
-            return False
-    return True
-
-
-def _verify_infeasible(lp, result) -> bool:
-    cert = result.infeasibility
-    if cert is None or len(cert.constraints) != len(lp.constraints):
-        return False
-    if len(cert.lower) != lp.num_vars or len(cert.upper) != lp.num_vars:
-        return False
-    d = [Q(0)] * lp.num_vars
-    total = Q(0)
-    for con, lam in zip(lp.constraints, cert.constraints):
-        if con.rel != EQ and lam < 0:
-            return False
-        if lam == 0:
-            continue
-        a, b = _oriented(con)
-        for i, ai in enumerate(a):
-            if ai != 0:
-                d[i] += lam * ai
-        total += lam * b
-    for i in range(lp.num_vars):
-        ml, mh = cert.lower[i], cert.upper[i]
-        if ml < 0 or mh < 0:
-            return False
-        if ml > 0 and lp.lower[i] is None:
-            return False
-        if mh > 0 and lp.upper[i] is None:
-            return False
-        if d[i] - ml + mh != 0:
-            return False
-        if ml > 0:
-            total -= ml * lp.lower[i]
-        if mh > 0:
-            total += mh * lp.upper[i]
-    return total < 0
-
-
-def _verify_unbounded(lp, result) -> bool:
-    x, d = result.ray_point, result.ray_direction
-    if x is None or d is None:
-        return False
-    if not _check_primal_feasible(lp, x):
-        return False
-    if sum(c * di for c, di in zip(lp.objective, d)) <= 0:
-        return False
-    for i, di in enumerate(d):
-        if di > 0 and lp.upper[i] is not None:
-            return False
-        if di < 0 and lp.lower[i] is not None:
-            return False
-    for con in lp.constraints:
-        lhs = sum(a * di for a, di in zip(con.coeffs, d) if a != 0)
-        if con.rel == LE and lhs > 0:
-            return False
-        if con.rel == GE and lhs < 0:
-            return False
-        if con.rel == EQ and lhs != 0:
-            return False
-    return True
-

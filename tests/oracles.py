@@ -5,8 +5,12 @@ another way, or a debugging aid for the tests: a Fraction dot product,
 exact solves, ranks and reduced row echelon forms by a plain Fraction
 Gauss-Jordan that shares no code with the library's integer kernel,
 the hull frame's basis and coordinates recomputed
-from their definition and their inverse, a plain-text LP dump, the
-witness-LP face oracle, the orbit walk and the stabiliser search that
+from their definition and their inverse, the general LP (free, shifted
+and upper-bounded variables, any relation and rhs) solved by a subclass
+of the library's simplex that overrides only its tableau build and
+read-out, with optimal, infeasible and unbounded certificates and their
+substitution checks, the support LP restated as such an LP, a
+plain-text LP dump, the witness-LP face oracle, the orbit walk and the stabiliser search that
 the qap/phi and bqp symmetries used before canonical forms, the orbit scan's
 certificates carried to every member of every orbit by the walk's moves
 and verified by substitution, and the coordinate-by-coordinate fixing
@@ -26,11 +30,10 @@ from itertools import chain, combinations, permutations, product
 from operator import and_, itemgetter, or_
 from typing import Sequence
 
-from polyface import faces
+from polyface import faces, simplex
 from polyface.exactmath import Vector
 from polyface.faces import FaceCertificate, NonFaceWitness, _split
 from polyface.families import VertexSet, compose, coordinate_map, edge_list, inverse
-from polyface.simplex import Constraint, LinearProgram, lp_solve
 
 Q = Fraction
 
@@ -188,6 +191,449 @@ def reference_frame(points):
     return tuple(basis), tuple(pivots), inv
 
 
+# --- the general LP: a subclass of the library's simplex, its certificates and their substitution checks
+
+LE, EQ, GE = "<=", "=", ">="
+_RELS = (LE, EQ, GE)
+
+
+@dataclass(frozen=True)
+class Constraint:
+    coeffs: tuple
+    rel: str
+    rhs: Fraction
+
+    def __post_init__(self):
+        if self.rel not in _RELS:
+            raise ValueError(f"bad relation {self.rel!r}")
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """Maximize objective . x subject to constraints and variable bounds.
+
+    Bounds are per-variable (lower, upper); None means unbounded on that
+    side.  Variables are free by default.  Coefficients, right-hand
+    sides and the objective are int or Fraction (make_lp converts).
+    """
+
+    num_vars: int
+    objective: tuple
+    constraints: tuple[Constraint, ...]
+    lower: tuple = None  # type: ignore[assignment]
+    upper: tuple = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.num_vars <= 0:
+            raise ValueError("need at least one variable")
+        if len(self.objective) != self.num_vars:
+            raise ValueError("objective length != num_vars")
+        for c in self.constraints:
+            if len(c.coeffs) != self.num_vars:
+                raise ValueError("constraint coefficient length != num_vars")
+        if self.lower is None:
+            object.__setattr__(self, "lower", (None,) * self.num_vars)
+        if self.upper is None:
+            object.__setattr__(self, "upper", (None,) * self.num_vars)
+        if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
+            raise ValueError("bounds length != num_vars")
+        for lo, hi in zip(self.lower, self.upper):
+            if lo is not None and hi is not None and Q(lo) > Q(hi):
+                raise ValueError(f"empty bound interval [{lo}, {hi}]")
+
+
+def make_lp(objective, constraints, lower=None, upper=None) -> LinearProgram:
+    """Convenience builder: constraints as (coeffs, rel, rhs) triples."""
+    cons = tuple(Constraint(tuple(Q(x) for x in co), rel, Q(rhs)) for co, rel, rhs in constraints)
+    n = len(objective)
+    low = tuple(None if lo is None else Q(lo) for lo in (lower or (None,) * n))
+    up = tuple(None if hi is None else Q(hi) for hi in (upper or (None,) * n))
+    return LinearProgram(n, tuple(Q(x) for x in objective), cons, low, up)
+
+
+def general_support_lp(lp: simplex.SupportLP) -> LinearProgram:
+    """The support LP as a general LP, as the library built it before its own tableau: each row's coefficients
+    w + (-w) + (-1, 1, 1 or 0) as Fractions, rhs 0, every variable >= 0 and eps <= 1."""
+    nv = lp.num_vars
+    cons = []
+    for row in lp.constraints:
+        w = tuple(Q(x, row.den) for x in row.cells)
+        cons.append(Constraint(w + tuple(-x for x in w) + (-1, 1, 1 if row.rel == LE else 0), row.rel, Q(0)))
+    return LinearProgram(nv, (Q(0),) * (nv - 1) + (Q(1),), tuple(cons), (Q(0),) * nv, (None,) * (nv - 1) + (Q(1),))
+
+
+@dataclass(frozen=True)
+class InfeasibilityCertificate:
+    """Multipliers combining the system into the contradiction 0 < 0.
+
+    constraint multipliers apply to rows oriented as <= (a >= row is
+    negated first); they must be nonnegative except on equality rows.
+    The bound multipliers are nonnegative and only touch finite bounds.
+    """
+
+    constraints: tuple
+    lower: tuple
+    upper: tuple
+
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    primal: tuple | None = None
+    objective_value: Fraction | None = None
+    dual: tuple | None = None
+    infeasibility: InfeasibilityCertificate | None = None
+    ray_point: tuple | None = None
+    ray_direction: tuple | None = None
+
+
+def _oriented(con: Constraint):
+    """Constraint as (coeffs, rhs) of an <=-or-= row."""
+    if con.rel == GE:
+        return tuple(-Q(x) for x in con.coeffs), -Q(con.rhs)
+    return tuple(Q(x) for x in con.coeffs), Q(con.rhs)
+
+
+class GeneralSolver(simplex._Solver):
+    """``simplex._Solver`` on a general ``LinearProgram``: its own tableau build and read-out, the library's pivots.
+
+    Each variable becomes one or two nonnegative columns, shifted by a
+    finite bound; an upper bound on a variable with a lower one is a row,
+    and a row whose rhs is negative is negated and gets an artificial.
+    The read-out gives Fractions and a certificate for every status.
+    """
+
+    def _build(self):
+        lp = self.lp
+        n = lp.num_vars
+        # Column plan: each original variable becomes one or two nonnegative
+        # columns; cols[k] = (var, sign); shifts[i] is the affine offset so
+        # that x_i = shifts[i] + sum(sign * column value).
+        self.cols: list[tuple[int, int]] = []
+        self.shifts = [Q(0)] * n
+        bound_rows = []  # (column, ub_value, var)
+        for i in range(n):
+            lo, hi = lp.lower[i], lp.upper[i]
+            if lo is not None:
+                self.shifts[i] = Q(lo)
+                self.cols.append((i, 1))
+                if hi is not None:
+                    bound_rows.append((len(self.cols) - 1, Q(hi) - Q(lo), i))
+            elif hi is not None:
+                self.shifts[i] = Q(hi)
+                self.cols.append((i, -1))
+            else:
+                self.cols.append((i, 1))
+                self.cols.append((i, -1))
+        nstruct = len(self.cols)
+
+        # Rows: oriented constraints first, then upper-bound rows, each as
+        # integer structural cells and rhs over one positive denominator,
+        # negated (flipped) where that makes the rhs nonnegative.
+        self.row_src: list[tuple[str, int]] = []  # ("con", idx) | ("ub", var)
+        self.row_rel: list[str] = []
+        self.flip: list[bool] = []
+        raw_rows = []  # (cells, rhs, den)
+        shifted = [i for i, sh in enumerate(self.shifts) if sh]
+        for idx, con in enumerate(lp.constraints):
+            a_den = math.lcm(*(Q(x).denominator for x in con.coeffs))
+            nums = [Q(x).numerator * (a_den // Q(x).denominator) for x in con.coeffs]
+            b = con.rhs
+            for i in shifted:
+                if con.coeffs[i]:
+                    b -= con.coeffs[i] * self.shifts[i]
+            den = math.lcm(a_den, b.denominator)
+            o = -1 if con.rel == GE else 1
+            rhs = o * b.numerator * (den // b.denominator)
+            flip = rhs < 0
+            if flip:
+                o, rhs = -o, -rhs
+            f = o * (den // a_den)
+            raw_rows.append(([s * f * nums[v] for v, s in self.cols], rhs, den))
+            self.row_src.append(("con", idx))
+            self.row_rel.append(EQ if con.rel == EQ else LE)
+            self.flip.append(flip)
+        for col, ub, var in bound_rows:
+            cells = [0] * nstruct
+            cells[col] = ub.denominator
+            raw_rows.append((cells, ub.numerator, ub.denominator))
+            self.row_src.append(("ub", var))
+            self.row_rel.append(LE)
+            self.flip.append(False)
+
+        m = len(raw_rows)
+        # Artificials where the slack cannot serve as the initial basic column.
+        slack_of = [-1] * m
+        art_of = [-1] * m
+        col_cursor = nstruct
+        for r, rel in enumerate(self.row_rel):
+            if rel == LE:
+                slack_of[r] = col_cursor
+                col_cursor += 1
+        self.art_start = col_cursor
+        for r in range(m):
+            if self.flip[r] or self.row_rel[r] == EQ:
+                art_of[r] = col_cursor
+                col_cursor += 1
+        self.ncols = col_cursor
+        self.slack_of, self.art_of = slack_of, art_of
+        self.m = m
+        self.basis = [art_of[r] if art_of[r] >= 0 else slack_of[r] for r in range(m)]
+
+        # Nonbasic at the start: the structural columns and the slacks of
+        # rows whose artificial is basic.
+        self.col_at = list(range(nstruct)) + [
+            slack_of[r] for r in range(m) if art_of[r] >= 0 and slack_of[r] >= 0
+        ]
+        self.slot_of = [-1] * col_cursor
+        for k, col in enumerate(self.col_at):
+            self.slot_of[col] = k
+        width = self.basic_cell = len(self.col_at)  # then the rhs cell
+        pad = [0] * (width - nstruct)
+        self.rows, self.dens = [], []
+        for r, (cells, rhs, den) in enumerate(raw_rows):
+            row = cells + pad + [den, rhs]
+            if art_of[r] >= 0 and slack_of[r] >= 0:
+                row[self.slot_of[slack_of[r]]] = -den if self.flip[r] else den
+            row, den = simplex._normalized(row, den)
+            self.rows.append(row)
+            self.dens.append(den)
+        den = math.lcm(*(Q(x).denominator for x in lp.objective))
+        cost = [Q(x).numerator * (den // Q(x).denominator) for x in lp.objective]
+        self._objective_rows([s * cost[v] for v, s in self.cols], den)
+
+    # --- read-out -------------------------------------------------------
+
+    def _variables(self, base, vals) -> tuple:
+        """base plus the standard-form column values vals, read back onto the LP's variables."""
+        x = list(base)
+        for k, (v, s) in enumerate(self.cols):
+            if vals[k] != 0:
+                x[v] += s * vals[k]
+        return tuple(x)
+
+    def _primal(self):
+        vals = [Q(0)] * self.ncols
+        for r in range(self.m):
+            row = self.rows[r]
+            vals[self.basis[r]] = Q(row[-1], row[self.basic_cell])
+        return self._variables(self.shifts, vals)
+
+    def _duals(self, o):
+        """Row multipliers of the unflipped standard rows, from identity columns.
+
+        Every row keeps a column that started as +e_r in the tableau (its
+        artificial, or its slack when no artificial was added), so the
+        multiplier is cost - reduced cost there (0 while that column is
+        basic); a row that was negated to make its rhs nonnegative
+        carries the opposite multiplier.
+        """
+        obj, objden = self.rows[o], self.dens[o]
+        y = []
+        for r in range(self.m):
+            if self.art_of[r] >= 0:
+                col = self.art_of[r]
+                cinit = Q(-1) if o == self.obj1 else Q(0)
+            else:
+                col = self.slack_of[r]
+                cinit = Q(0)
+            k = self.slot_of[col]
+            yhat = cinit - Q(obj[k], objden) if k >= 0 else cinit
+            y.append(-yhat if self.flip[r] else yhat)
+        return y
+
+    def _result(self, status) -> LPResult:
+        if status == "infeasible":
+            return self._infeasible_result()
+        if status != "optimal":
+            return self._unbounded_result(status)
+        lp = self.lp
+        primal = self._primal()
+        value = sum((c * v for c, v in zip(lp.objective, primal) if c), Q(0))
+        dual = self._duals(self.obj2)
+        lam = tuple(dual[r] for r in range(len(lp.constraints)))
+        return LPResult(status="optimal", primal=primal, objective_value=value, dual=lam)
+
+    def _infeasible_result(self) -> LPResult:
+        lp = self.lp
+        y = self._duals(self.obj1)
+        lam = [y[r] for r in range(len(lp.constraints))]
+        ub_mult = {}
+        for r in range(len(lp.constraints), self.m):
+            kind, var = self.row_src[r]
+            ub_mult[var] = ub_mult.get(var, Q(0)) + y[r]
+        # Residuals of the combined functional become bound multipliers.
+        d = [Q(0)] * lp.num_vars
+        for idx, con in enumerate(lp.constraints):
+            if lam[idx] == 0:
+                continue
+            a, _ = _oriented(con)
+            for i in range(lp.num_vars):
+                if a[i] != 0:
+                    d[i] += lam[idx] * a[i]
+        mu_lo = [Q(0)] * lp.num_vars
+        mu_hi = [Q(0)] * lp.num_vars
+        for i in range(lp.num_vars):
+            lo, hi = lp.lower[i], lp.upper[i]
+            ub = ub_mult.get(i, Q(0))
+            if lo is not None and hi is not None:
+                mu_hi[i] = ub
+                mu_lo[i] = d[i] + ub
+            elif lo is not None:
+                mu_lo[i] = d[i]
+            elif hi is not None:
+                mu_hi[i] = -d[i]
+        return LPResult(
+            status="infeasible",
+            infeasibility=InfeasibilityCertificate(
+                constraints=tuple(lam), lower=tuple(mu_lo), upper=tuple(mu_hi)
+            ),
+        )
+
+    def _unbounded_result(self, c) -> LPResult:
+        point = self._primal()
+        vals = [Q(0)] * self.ncols
+        vals[c] = Q(1)
+        s = self.slot_of[c]
+        for r in range(self.m):
+            row = self.rows[r]
+            if row[s] != 0:
+                vals[self.basis[r]] = Q(-row[s], row[self.basic_cell])
+        direction = self._variables([Q(0)] * self.lp.num_vars, vals)
+        return LPResult(status="unbounded", ray_point=point, ray_direction=direction)
+
+
+def lp_solve(lp: LinearProgram) -> LPResult:
+    """Solve a general LP exactly (``GeneralSolver``); the result always passes verify_lp_certificate."""
+    return GeneralSolver(lp).solve()
+
+
+# --- certificate verification (substitution only, no solver state)
+
+
+def _check_primal_feasible(lp: LinearProgram, x) -> bool:
+    if len(x) != lp.num_vars:
+        return False
+    for lo, hi, xi in zip(lp.lower, lp.upper, x):
+        if lo is not None and xi < lo:
+            return False
+        if hi is not None and xi > hi:
+            return False
+    for con in lp.constraints:
+        lhs = sum(a * xi for a, xi in zip(con.coeffs, x) if a != 0)
+        if con.rel == LE and not lhs <= con.rhs:
+            return False
+        if con.rel == GE and not lhs >= con.rhs:
+            return False
+        if con.rel == EQ and lhs != con.rhs:
+            return False
+    return True
+
+
+def verify_lp_certificate(lp: LinearProgram, result: LPResult) -> bool:
+    """Check a result by direct substitution into the LP data."""
+    try:
+        if result.status == "optimal":
+            return _verify_optimal(lp, result)
+        if result.status == "infeasible":
+            return _verify_infeasible(lp, result)
+        if result.status == "unbounded":
+            return _verify_unbounded(lp, result)
+    except (TypeError, ValueError, IndexError):
+        return False
+    return False
+
+
+def _verify_optimal(lp, result) -> bool:
+    x, y = result.primal, result.dual
+    if x is None or y is None or len(y) != len(lp.constraints):
+        return False
+    if not _check_primal_feasible(lp, x):
+        return False
+    if result.objective_value != sum(c * xi for c, xi in zip(lp.objective, x)):
+        return False
+    # Dual sign and complementary slackness on oriented rows.
+    for con, yr in zip(lp.constraints, y):
+        a, b = _oriented(con)
+        if con.rel != EQ and yr < 0:
+            return False
+        slack = b - sum(ai * xi for ai, xi in zip(a, x) if ai != 0)
+        if yr != 0 and slack != 0:
+            return False
+    # Reduced costs: improvement is blocked by a bound wherever nonzero.
+    for i in range(lp.num_vars):
+        r = Q(lp.objective[i])
+        for con, yr in zip(lp.constraints, y):
+            if yr != 0:
+                a, _ = _oriented(con)
+                r -= yr * a[i]
+        if r > 0 and (lp.upper[i] is None or x[i] != lp.upper[i]):
+            return False
+        if r < 0 and (lp.lower[i] is None or x[i] != lp.lower[i]):
+            return False
+    return True
+
+
+def _verify_infeasible(lp, result) -> bool:
+    cert = result.infeasibility
+    if cert is None or len(cert.constraints) != len(lp.constraints):
+        return False
+    if len(cert.lower) != lp.num_vars or len(cert.upper) != lp.num_vars:
+        return False
+    d = [Q(0)] * lp.num_vars
+    total = Q(0)
+    for con, lam in zip(lp.constraints, cert.constraints):
+        if con.rel != EQ and lam < 0:
+            return False
+        if lam == 0:
+            continue
+        a, b = _oriented(con)
+        for i, ai in enumerate(a):
+            if ai != 0:
+                d[i] += lam * ai
+        total += lam * b
+    for i in range(lp.num_vars):
+        ml, mh = cert.lower[i], cert.upper[i]
+        if ml < 0 or mh < 0:
+            return False
+        if ml > 0 and lp.lower[i] is None:
+            return False
+        if mh > 0 and lp.upper[i] is None:
+            return False
+        if d[i] - ml + mh != 0:
+            return False
+        if ml > 0:
+            total -= ml * lp.lower[i]
+        if mh > 0:
+            total += mh * lp.upper[i]
+    return total < 0
+
+
+def _verify_unbounded(lp, result) -> bool:
+    x, d = result.ray_point, result.ray_direction
+    if x is None or d is None:
+        return False
+    if not _check_primal_feasible(lp, x):
+        return False
+    if sum(c * di for c, di in zip(lp.objective, d)) <= 0:
+        return False
+    for i, di in enumerate(d):
+        if di > 0 and lp.upper[i] is not None:
+            return False
+        if di < 0 and lp.lower[i] is not None:
+            return False
+    for con in lp.constraints:
+        lhs = sum(a * di for a, di in zip(con.coeffs, d) if a != 0)
+        if con.rel == LE and lhs > 0:
+            return False
+        if con.rel == GE and lhs < 0:
+            return False
+        if con.rel == EQ and lhs != 0:
+            return False
+    return True
+
+
+
 def lp_to_text(lp: LinearProgram) -> str:
     """Plain-text dump for debugging: one constraint per line, exact rationals."""
     lines = ["max " + " + ".join(f"{c}*x{i}" for i, c in enumerate(lp.objective) if c != 0)]
@@ -227,6 +673,8 @@ def witness_oracle_is_face(vs: VertexSet, subset: Sequence[int]) -> bool:
     idx, others = _split(vs, subset)
     res = _witness_lp(vs, idx, others)
     return res.status == "infeasible"
+
+
 
 
 def switching(m: int, j: int) -> tuple[list[dict[int, int]], list[int]]:

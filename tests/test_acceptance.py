@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from oracles import witness_oracle_is_face
+from oracles import lp_solve, make_lp, verify_lp_certificate, witness_oracle_is_face
 
 from polyface.cli import main as cli_main
 from polyface.exactmath import affine_dependencies, affine_hull_frame
@@ -27,7 +27,6 @@ from polyface.faces import (
 )
 from polyface.families import VertexSet, bqp_vertices, phi_vertices, qap_vertices
 from polyface.scenarios import run_scenario
-from polyface.simplex import lp_solve, make_lp, verify_lp_certificate
 
 PHI3_MATRICES = [
     ((1, 0, 0), (0, 1, 0), (0, 0, 1)),

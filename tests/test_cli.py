@@ -4,6 +4,7 @@ import json
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as Q
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from polyface import cli
 from polyface.cli import main
+from polyface.exactmath import affine_dependencies
 from polyface.faces import NeighborlinessReport
 from polyface.families import MAX_DENSE_CELLS, VertexSet, generate
 from polyface.scenarios import SCENARIOS
@@ -123,6 +125,51 @@ def test_check_rejects_tampered_epsilon(tmp_path, capsys):
     cpath.write_text(json.dumps(data))
     code, out, _ = run(["check", "--vertices", str(vpath), "--certificate", str(cpath)], capsys)
     assert code == 1
+
+
+def _negative_mu(wit, vs):
+    """mu plus a multiple of an affine dependency among the other vertices that takes one entry to -1: both sums
+    and the point are kept."""
+    others = [t for t in range(len(vs)) if t not in wit["subset"]]
+    dep = affine_dependencies([vs.dense(t) for t in others])[0]
+    mu = [Q(x) for x in wit["mu"]]
+    i = next(i for i, d in enumerate(dep) if d)
+    lam = -(mu[i] + 1) / dep[i]
+    wit["mu"] = [str(x + lam * d) for x, d in zip(mu, dep)]
+    assert min(map(Q, wit["mu"])) == -1 and sum(map(Q, wit["mu"])) == 1
+
+
+def _raised_alpha_at_the_zero_vertex(wit, vs):
+    """alpha raised by 1 at vertex 0 of bqp, the zero vector: the combination is kept, but alpha sums to 2."""
+    assert wit["subset"][0] == 0 and not vs.vertices[0]
+    wit["alpha"][0] = str(Q(wit["alpha"][0]) + 1)
+
+
+def _point_off_in_one_entry(wit, vs):
+    wit["point"][0] = str(Q(wit["point"][0]) + 1)
+
+
+@pytest.mark.parametrize(
+    "family, n, subset, tamper",
+    [
+        ("phi", 4, "0,3,4", _negative_mu),
+        ("bqp", 3, "0,1,2,3,4,5,6", _raised_alpha_at_the_zero_vertex),
+        ("phi", 4, "0,3,4", _point_off_in_one_entry),
+    ],
+    ids=["negative-mu", "alpha-sum", "point"],
+)
+def test_check_refuses_a_witness_that_breaks_one_condition(tmp_path, capsys, family, n, subset, tamper):
+    """A non-face witness that `face` writes passes `check`; with one condition broken and the others kept
+    (mu >= 0, sum alpha = 1, the stored point), check exits 1."""
+    vpath, wpath = tmp_path / "vertices.json", tmp_path / "wit.json"
+    run(["generate", "--family", family, "--n", str(n), "--out", str(vpath)], capsys)
+    assert run(["face", "--vertices", str(vpath), "--subset", subset, "--out", str(wpath)], capsys)[0] == 1
+    assert run(["check", "--vertices", str(vpath), "--certificate", str(wpath)], capsys)[0] == 0
+    wit = json.loads(wpath.read_text())
+    tamper(wit, generate(family, n))
+    wpath.write_text(json.dumps(wit))
+    code, out, _ = run(["check", "--vertices", str(vpath), "--certificate", str(wpath)], capsys)
+    assert code == 1, out
 
 
 def test_check_mismatched_ambient_dim_is_an_error(tmp_path, capsys):

@@ -115,11 +115,13 @@ def _verifies(vs, subset, result):
 
 @pytest.mark.parametrize("vs", [phi_vertices(4), bqp_vertices(3)], ids=["phi4", "bqp3"])
 def test_frame_lp_rows_hold_each_vertexs_frame_coordinates(vs):
+    """Each row holds its vertex's frame coordinates as integers over the frame's inverse_den."""
     ctx = FaceContext(vs)
     dense = vs.dense_all()
     for t, coords in enumerate(oracles.coords_of(dense, dense)):
-        assert ctx.member_row(t) == faces._lp_row(coords, "=")
-        assert ctx.outside_row(t) == faces._lp_row(coords, "<=")
+        for row, rel in ((ctx.member_row(t), "="), (ctx.outside_row(t), "<=")):
+            assert row.rel == rel and row.den == ctx.frame.inverse_den
+            assert tuple(Q(x, row.den) for x in row.cells) == coords
 
 
 def _frame_fields(frame):
@@ -227,7 +229,7 @@ def test_support_lp_verdicts_match_the_witness_oracle(case):
 
     def recording(lp):
         res = lp_solve(lp)
-        optima.append(res.objective_value)
+        optima.append(Q(res.primal[-1], res.den))
         return res
 
     with pytest.MonkeyPatch.context() as m:
@@ -242,7 +244,8 @@ def test_support_lp_verdicts_match_the_witness_oracle(case):
 
 def test_support_lp_optimum_refuses_a_gap_other_than_0_or_1(monkeypatch):
     """A positive optimum of the support LP is exactly 1 (a feasible point divided by its
-    eps is feasible at eps = 1), so an LP result with eps 1/2 is refused."""
+    eps is feasible at eps = 1), so an LP result with eps 1/2 (its primal over twice its
+    denominator) is refused."""
     vs = phi_vertices(4)
     ctx = FaceContext(vs)
     subset = (0, 1, 2)
@@ -251,7 +254,7 @@ def test_support_lp_optimum_refuses_a_gap_other_than_0_or_1(monkeypatch):
 
     def halved(lp):
         res = lp_solve(lp)
-        return dataclasses.replace(res, primal=res.primal[:-1] + (Q(1, 2),), objective_value=Q(1, 2))
+        return dataclasses.replace(res, primal=res.primal[:-1] + (res.den,), den=2 * res.den)
 
     monkeypatch.setattr(faces, "lp_solve", halved)
     with pytest.raises(InternalInconsistencyError, match="neither 0 nor 1"):
@@ -319,6 +322,21 @@ def test_verify_rejects_tampered_witness():
     assert not verify_nonface_witness(vs, (0, 1, 2), bad)
     bad2 = NonFaceWitness(alpha=(Q(1), Q(1), Q(-1)), mu=wit.mu, point=wit.point)
     assert not verify_nonface_witness(vs, (0, 1, 2), bad2)
+
+
+def test_verify_nonface_witness_refuses_floats_and_booleans():
+    """Witness entries must be ints or Fractions.  Written as floats, the phi(4) witness of (0, 3, 4) has
+    alpha summing to 1.0, though its exact sum is not 1; and True in mu equals 1 but is no rational."""
+    vs = phi_vertices(4)
+    wit = is_face(vs, (0, 3, 4))
+    assert verify_nonface_witness(vs, (0, 3, 4), wit)
+    floats = NonFaceWitness(*(tuple(map(float, x)) for x in (wit.alpha, wit.mu, wit.point)))
+    assert sum(floats.alpha) == 1 and sum(map(Q, floats.alpha)) != 1
+    assert not verify_nonface_witness(vs, (0, 3, 4), floats)
+    vs, subset = bqp_vertices(3), tuple(range(7))  # the eighth vertex lies in the affine hull of the others
+    wit = is_face(vs, subset)
+    assert wit.mu == (1,) and verify_nonface_witness(vs, subset, wit)
+    assert not verify_nonface_witness(vs, subset, dataclasses.replace(wit, mu=(True,)))
 
 
 def test_verify_rejects_tampered_certificate():
@@ -839,6 +857,33 @@ def test_symmetry_is_checked_once_per_context_and_a_refusal_is_kept(monkeypatch)
     second = faces._Orbits(ctx, 3)
     assert (len(checks), len(maps)) == (2, 5)
     assert second.reps == first.reps
+
+
+@pytest.mark.parametrize("make", [qap_vertices, phi_vertices], ids=["qap5", "phi5"])
+def test_symmetry_check_reads_every_vertex_of_each_generator(make, monkeypatch):
+    """With the inversion's vertex map sent wrong at vertex 101 alone, the check refuses the table: it compares
+    every vertex's image, not a prefix."""
+    vs, vertex_map = make(5), faces._Symmetry.vertex_map
+    faces._checked_symmetry(vs)
+
+    def wrong_at_101(table, move):
+        vmap = vertex_map(table, move)
+        if move[2]:
+            vmap[101] = vmap[102]
+        return vmap
+
+    monkeypatch.setattr(faces._Symmetry, "vertex_map", wrong_at_101)
+    with pytest.raises(ValueError, match="unlike their permutations"):
+        faces._checked_symmetry(vs)
+
+
+def test_orbits_missing_one_orbit_are_an_error(monkeypatch):
+    """With the last orbit dropped from representatives the sizes sum below the scanned count, and _Orbits
+    raises, as it does above it."""
+    representatives = faces._Symmetry.representatives
+    monkeypatch.setattr(faces._Symmetry, "representatives", lambda *args: list(representatives(*args))[:-1])
+    with pytest.raises(InternalInconsistencyError, match=f"not the {comb(23, 2)} scanned"):
+        faces._Orbits(FaceContext(phi_vertices(4)), 3)
 
 
 def _reordered(vs, order):

@@ -8,16 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lp_to_text, solve_linear_system, vec_dot
+import oracles
+from oracles import LPResult, lp_solve, lp_to_text, make_lp, solve_linear_system, vec_dot, verify_lp_certificate
 from polyface import faces, simplex
 from polyface.faces import FaceContext
-from polyface.families import generate
-from polyface.simplex import (
-    LPResult,
-    lp_solve,
-    make_lp,
-    verify_lp_certificate,
-)
+from polyface.families import VertexSet, bqp_scheme, generate
 
 
 def oriented_rows(lp):
@@ -307,7 +302,7 @@ TRACED_FACE_TESTS = (
     ("phi", [(0, 1, 2), (0, 3, 4), (0, 8, 12), (0, 5, 10)]),
     ("qap", [(0, 1, 2), (0, 7, 13), (3, 11, 20)]),
 )
-PIVOT_TRACE_DIGEST = "9955d13a9e0a68a03c6e109d26638c480949b3aa2d52465de5feb29b16bbb069"
+PIVOT_TRACE_DIGEST = "91cb9d993c3af7b47d14fa1404fa10ed96da26e808c436f6005521d5411377ec"
 
 
 def frame_lp(ctx, subset):
@@ -333,7 +328,12 @@ def test_pivot_trace_is_pinned(monkeypatch):
     and nothing else.  It was re-pinned again when the support LP lost
     its norm row: the random-LP and Beale part of the log is unchanged,
     and each traced face LP kept its status and verdict, a zero optimum
-    staying 0 and a positive one becoming 1."""
+    staying 0 and a positive one becoming 1.  It was re-pinned when the
+    support LP got its own tableau build and integer read-out, and
+    the general LPs moved to the oracles' subclass: the pivots, and every
+    random-LP and Beale entry, are unchanged (the log of its 702 pivots
+    alone has the same sha256, b933f87a...), and each face LP's result is
+    the same rationals, logged as integers over a denominator."""
     log = []
     pivot, solve = simplex._Solver._pivot, simplex._Solver.solve
 
@@ -495,3 +495,45 @@ def test_lp_solve_properties_random(lp):
     res = lp_solve(lp)
     assert verify_lp_certificate(lp, res)
     assert lp_solve(lp) == res
+
+
+@st.composite
+def point_sets_and_subsets(draw):
+    """3 to 10 distinct 0/1 points in dimension 4 or 9 (standalone, in bqp(2)'s or bqp(3)'s scheme) and a proper
+    subset of them."""
+    scheme = bqp_scheme(draw(st.sampled_from((2, 3))))
+    ones = st.frozensets(st.integers(0, scheme.ambient_dim - 1)).map(sorted).map(tuple)
+    vertices = draw(st.lists(ones, min_size=3, max_size=10, unique=True))
+    vs = VertexSet(scheme, tuple(map(str, range(len(vertices)))), tuple(vertices))
+    subset = draw(st.lists(st.integers(0, len(vs) - 1), min_size=1, max_size=len(vs) - 1, unique=True))
+    return vs, tuple(subset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets_and_subsets())
+def test_support_lp_matches_the_general_solver(case):
+    """The support LP over every frame row (the subset's, then the others) and the same LP stated as a general
+    LP (``oracles.general_support_lp``) make the same pivots, and the integer optimum is the general one's:
+    eps, a and b over one denominator, the duals over another."""
+    vs, subset = case
+    ctx = FaceContext(vs)
+    others = [t for t in range(len(vs)) if t not in subset]
+    rows = [ctx.member_row(s) for s in subset] + [ctx.outside_row(t) for t in others]
+    lp = simplex.SupportLP(ctx.frame.dim, tuple(rows))
+    logs, pivot = [], simplex._Solver._pivot
+
+    def traced(self, p, c):
+        logs[-1].append((p, c))
+        pivot(self, p, c)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simplex._Solver, "_pivot", traced)
+        logs.append([])
+        res = simplex.lp_solve(lp)
+        logs.append([])
+        general = oracles.lp_solve(oracles.general_support_lp(lp))
+    assert logs[0] == logs[1]
+    assert res.status == general.status == "optimal"
+    assert Q(res.primal[-1], res.den) == general.objective_value in (0, 1)
+    assert tuple(Q(x, res.den) for x in res.primal) == general.primal  # a+, a-, b+, b- and eps
+    assert tuple(Q(y, res.dual_den) for y in res.dual) == general.dual
