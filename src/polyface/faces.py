@@ -13,35 +13,37 @@ to the hull dimension).  The support-LP maximizes the gap eps subject
 to a . v = b on S, a . v <= b - eps off S and the cap eps <= 1; it is
 solved once, with all its rows present.  The cap alone bounds it, and
 a point with eps > 0 divided by eps has eps = 1, so the optimum is 1
-on a face and 0 on a non-face.  Where no orbit LP runs (below),
-``is_face`` first finds S's coordinate face F (coordinate fixings,
-below); F = S needs no LP.  Otherwise the rows are S, then F's other
-vertices in index order: conv(F) is a face, so S is a face exactly
-when it is one of conv(F).  When F is not every vertex, a gap inside F
-is lifted by adding a multiple of F's fixing functional (``_lifted``,
-shared with ``compose_with_face``).  A zero optimum is read as a
-non-face witness from the same LP's optimal duals: the multipliers of
-the off-S rows sum to T >= 1 (the eps column) and those of the S rows
-to -T (the b columns), and the frame rows combine to zero, so alpha =
--y_S / T and mu = y_rest / T, zero off F, is a common point of aff(S)
-and conv(rest).  An independent formulation, the witness-LP, is kept
-as a test oracle.
+on a face and 0 on a non-face.  ``is_face`` first finds S's coordinate
+face F (coordinate fixings, below); F = S needs no LP and no symmetry
+work.  Otherwise, where no orbit LP runs (below), the rows are S, then
+F's other vertices in index order: conv(F) is a face, so S is a face
+exactly when it is one of conv(F).  When F is not every vertex, a gap
+inside F is lifted by adding a multiple of F's fixing functional
+(``_lifted``, shared with ``compose_with_face``).  A zero optimum is
+read as a non-face witness from the same LP's optimal duals: the
+multipliers of the off-S rows sum to T >= 1 (the eps column) and those
+of the S rows to -T (the b columns), and the frame rows combine to
+zero, so alpha = -y_S / T and mu = y_rest / T, zero off F, is a common
+point of aff(S) and conv(rest).  An independent formulation, the
+witness-LP, is kept as a test oracle.
 
-The orbit LP.  When the vertex set holds all n! vertices of qap(n) or
-phi(n) with n >= 5 (at n = 4 the frame LP was as fast, README),
-``is_face`` first lists the stabiliser H of S in S_n x S_n x C_2 from
-centraliser cosets (``_stabiliser_moves``), with each move's vertex map
-from the checked table and its coordinate map.  If H is not trivial the
-LP is solved over the H-invariant functionals only (Boedi, Herr and
-Joswig, Math. Program. 137, 2013): averaging a supporting hyperplane of
-S over H keeps its gap.  The invariant functionals are spanned by the
-indicators of the coordinate orbits, each labelled by its least point,
-and each takes one value on each vertex orbit: the count of a vertex's
-one-positions in the coordinate orbit.  So each vertex orbit is one
-point of those counts, and the LP has one row per H-orbit of vertices
-and one column per pivot column of the hull frame of those points, the
-lex-first orbit indicators whose counts are independent (``_orbit_lp``);
-no frame of the whole vertex set is built.  A face certificate is the
+The orbit LP.  When F is larger than S and the vertex set holds all n!
+vertices of qap(n) or phi(n) with n >= 5 (at n = 4 the frame LP was as
+fast, README), ``is_face`` lists the stabiliser H of S in S_n x S_n x
+C_2 from centraliser cosets (``_stabiliser_moves``), with each move's
+vertex map from the checked table and its coordinate map; the table is
+checked on the first such subset of a context, and never when fixings
+decide every subset.  If H is not trivial the LP is solved over the
+H-invariant functionals only (Boedi, Herr and Joswig, Math. Program.
+137, 2013): averaging a supporting hyperplane of S over H keeps its
+gap.  The invariant functionals are spanned by the indicators of the
+coordinate orbits, each labelled by its least point, and each takes
+one value on each vertex orbit: the count of a vertex's one-positions
+in the coordinate orbit.  So each vertex orbit is one point of those
+counts, and the LP has one row per H-orbit of vertices and one column
+per pivot column of the hull frame of those points, the lex-first
+orbit indicators whose counts are independent (``_orbit_lp``); no
+frame of the whole vertex set is built.  A face certificate is the
 functional constant c_j on the coordinates of orbit j.  At zero gap
 each orbit row's multiplier is spread evenly over its members, y_t =
 y_O / |O|; the frame points then combine to an H-fixed point on which
@@ -97,9 +99,10 @@ which S agrees cuts out the face F = {v : I <= v <= U}.  When F holds
 only S, the fixing functional (``_fixing_form``) certifies S with gap 1
 and no LP is solved (``_coordinate_face``, ``_fixing_certificate``).
 F is listed from the shortest incidence list among I's coordinates
-(``VertexSet.incidence``), from every mask only when I is empty.
-The scan tests F = S before it calls ``is_face``, which tries the orbit
-LP first.
+(``VertexSet.incidence``), from every mask only when I is empty
+(``_listed_face``, which ``face_by_equations`` shares).  ``is_face``
+tests F = S before any other work.  The scan tests it too, and calls
+``is_face`` only for the representatives whose F is larger than S.
 
 Subsets whose points are affinely dependent need no special casing: the
 support-LP still has optimum zero exactly when S is not the vertex set
@@ -375,9 +378,27 @@ def verify_nonface_witness(vs: VertexSet, subset: Sequence[int], wit: NonFaceWit
         return False
 
 
+def _mask(v: tuple[int, ...]) -> int:
+    """The one-positions v as one integer bitmask."""
+    return sum(1 << o for o in v)
+
+
 def _masks(vs: VertexSet) -> list[int]:
     """Each vertex's one-positions as one integer bitmask."""
-    return [sum(1 << o for o in v) for v in vs.vertices]
+    return list(map(_mask, vs.vertices))
+
+
+class _Masks(Sequence):
+    """Vertex t's one-positions as one integer bitmask, built when asked: ``_listed_face`` reads only its pool's."""
+
+    def __init__(self, vertices: tuple[tuple[int, ...], ...]):
+        self.vertices = vertices
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __getitem__(self, t: int) -> int:
+        return _mask(self.vertices[t])
 
 
 class _OnePositions(Sequence):
@@ -861,25 +882,35 @@ def is_face(vs: VertexSet, subset: Sequence[int], ctx: FaceContext | None = None
 
     FaceCertificate when S is the vertex set of a face, NonFaceWitness
     otherwise.  A ctx built for another vertex set raises ValueError.
-    Without a stabiliser S is decided inside its coordinate face.
+    S's coordinate face F is listed first: when F = S its fixings certify
+    S and no LP is solved, nor any symmetry checked.  Otherwise the orbit
+    LP decides S when its stabiliser is not trivial, and the frame LP
+    inside F when it is (module docstring).
     """
-    idx, others = _split(vs, subset)
+    idx = _checked_subset(vs, subset)
     ctx = _context(vs, ctx)
+    inter, union, face = _coordinate_face(ctx, idx)
+    if len(face) == len(idx):
+        return _fixing_certificate(vs, idx, inter, union, ctx.weight)
+    members = set(idx)
+    others = [t for t in range(len(vs)) if t not in members]
     moves = _stabiliser_moves(ctx, idx)
     if moves:
-        eps, hyperplane, weights = _orbit_lp(ctx, idx, others, moves)
-    else:
-        inter, union, face = _coordinate_face(ctx, idx)
-        if len(face) == len(idx):
-            return _fixing_certificate(vs, idx, inter, union, ctx.weight)
-        members = set(idx)
-        rest = [t for t in face if t not in members]
-        eps, hyperplane, weights = _frame_lp(ctx, idx, rest)
-        if eps == 0:  # mu is 0 off F
-            y_rest = dict(zip(rest, weights[1]))
-            weights = weights[0], [y_rest.get(t, 0) for t in others]
-        elif len(face) < len(vs):
-            hyperplane = _lifted(*hyperplane, eps, inter, union, ctx.weight)
+        return _verified_result(vs, idx, *_orbit_lp(ctx, idx, others, moves))
+    rest = [t for t in face if t not in members]
+    eps, hyperplane, weights = _frame_lp(ctx, idx, rest)
+    if eps == 0:  # mu is 0 off F
+        y_rest = dict(zip(rest, weights[1]))
+        weights = weights[0], [y_rest.get(t, 0) for t in others]
+    elif len(face) < len(vs):
+        hyperplane = _lifted(*hyperplane, eps, inter, union, ctx.weight)
+    return _verified_result(vs, idx, eps, hyperplane, weights)
+
+
+def _verified_result(vs: VertexSet, idx: tuple[int, ...], eps: int, hyperplane, weights):
+    """The certificate of a support-LP result as ``_frame_lp`` returns it, over every vertex: the face
+    certificate (normal, offset) with gap eps, or at zero gap the witness read from the multipliers
+    (y_subset, y_others) of the subset and of every other vertex in order; verified by substitution."""
     if eps > 0:
         a, b = hyperplane
         cert = FaceCertificate(normal=a, offset=b, epsilon=Q(eps))
@@ -920,7 +951,10 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
     (offset, value) with value in {0, 1} is tight on a face, the equation
     set defines a face and the returned subset is exactly its vertex set:
     the vertices v with I <= v <= U, I the value-1 offsets and U every
-    offset but the value-0 ones, certified by ``_fixing_certificate``.
+    offset but the value-0 ones (``_listed_face``, which builds the masks
+    of its pool only), certified by ``_fixing_certificate``.  An equation
+    is attained when some vertex has a one at its offset (value 1) or
+    lacks one (value 0), read off the lengths of ``VertexSet.incidence``.
     An empty subset is reported, not raised.
     """
     dim = vs.scheme.ambient_dim
@@ -930,10 +964,13 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
             raise ValueError(f"coordinate {off} out of range")
         if val not in (0, 1):
             raise ValueError(f"value must be 0 or 1, got {val}")
-    masks = _masks(vs)
-    reports = [EquationReport(off, val, any(m >> off & 1 == val for m in masks)) for off, val in eqs]
+    incidence = vs.incidence  # built once per vertex set, and read by the certificate check too
+    reports = [
+        EquationReport(off, val, len(incidence[off]) < len(vs) if val == 0 else bool(incidence[off]))
+        for off, val in eqs
+    ]
     inter, union = _equation_masks(dim, eqs)
-    subset = [t for t, m in enumerate(masks) if m & inter == inter and m | union == union]
+    subset = _listed_face(vs, inter, union, _Masks(vs.vertices))
     cert = _fixing_certificate(vs, subset, inter, union, None) if 0 < len(subset) < len(vs) else None
     return FaceByEquations(tuple(subset), tuple(reports), cert)
 
@@ -1083,16 +1120,21 @@ class _Orbits:
 
 def _coordinate_face(ctx: FaceContext, subset) -> tuple[int, int, list[int]]:
     """(I, U, F): the AND and the OR of the subset's vertex masks, and the vertices of the coordinate face
-    {v : I <= v <= U} in index order, the subset among them.  Every vertex of F has a one at each coordinate
-    of I, so when I is not 0 only the shortest of their incidence lists (``VertexSet.incidence``, in index
-    order) is walked; otherwise every mask is."""
+    {v : I <= v <= U} in index order, the subset among them (``_listed_face``)."""
     masks = ctx.masks
     picked = [masks[s] for s in subset]
     inter, union = reduce(and_, picked), reduce(or_, picked)
+    return inter, union, _listed_face(ctx.vs, inter, union, masks)
+
+
+def _listed_face(vs: VertexSet, inter: int, union: int, masks: Sequence[int]) -> list[int]:
+    """The vertices of the coordinate face {v : I <= v <= U} in index order, masks[t] being vertex t's bitmask.
+    Every vertex of F has a one at each coordinate of I, so when I is not 0 only the shortest of their
+    incidence lists (``VertexSet.incidence``, in index order) is walked; otherwise every mask is."""
     if not inter:
-        return inter, union, [t for t, v in enumerate(masks) if v | union == union]
-    pool = min(map(ctx.vs.incidence.__getitem__, _bits(inter)), key=len)
-    return inter, union, [t for t in pool if (v := masks[t]) & inter == inter and v | union == union]
+        return [t for t, v in enumerate(masks) if v | union == union]
+    pool = min(map(vs.incidence.__getitem__, _bits(inter)), key=len)
+    return [t for t in pool if (v := masks[t]) & inter == inter and v | union == union]
 
 
 def _fixing_form(inter: int, union: int, weight: int | None) -> tuple[int, int, int, int]:
@@ -1214,7 +1256,7 @@ def k_neighborly_scan(
     for i, subset, size in reps:
         solved += 1
         inter, union, face = _coordinate_face(ctx, subset)
-        if len(face) == len(subset):  # ahead of is_face, which tries the orbit LP first
+        if len(face) == len(subset):  # is_face's first step, taken here; is_face lists F again for the others
             cert = _fixing_certificate(vs, subset, inter, union, ctx.weight)
         else:
             cert = is_face(vs, subset, ctx)

@@ -9,7 +9,7 @@ from math import comb, factorial, lcm
 from operator import and_, or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -998,6 +998,17 @@ def _face_lps(ctx, subset):
     return [_frame_rows(ctx, subset, rest)] if rest else []
 
 
+def _orbit_lp_result(ctx, subset):
+    """The orbit LP over the subset's stabiliser, which must not be trivial, and the certificate or witness
+    is_face builds and verifies from it (``faces._verified_result``).  is_face itself certifies by fixings
+    any subset its coordinate face singles out, so the orbit LP's tests call it here."""
+    subset = tuple(subset)
+    moves = faces._stabiliser_moves(ctx, subset)
+    assert moves
+    others = [t for t in range(len(ctx.vs)) if t not in subset]
+    return faces._verified_result(ctx.vs, subset, *faces._orbit_lp(ctx, subset, others, moves))
+
+
 def _frame_lp_certificate(ctx, subset):
     """The face certificate of the frame LP with a row for every vertex."""
     eps, (normal, offset), _ = faces._frame_lp(ctx, subset, [t for t in range(len(ctx.vs)) if t not in subset])
@@ -1005,18 +1016,20 @@ def _frame_lp_certificate(ctx, subset):
 
 
 def test_orbit_lp_matches_the_frame_lp_verdicts_on_phi5(phi5, monkeypatch):
-    """Every fix-first representative and every benchmark triple of phi(5) goes
-    through the orbit LP, one LP smaller than the frame LP, with the frame
-    LP's verdict and a certificate that passes substitution."""
+    """The orbit LP decides every fix-first representative and every benchmark
+    triple of phi(5) in one LP smaller than the frame LP, with the frame LP's
+    verdict, which is_face gives too, and a result that passes substitution."""
     vs, ctx = phi5
     orbits = faces._Orbits(ctx, 3)
     reps = [s for _, s, _ in orbits.reps]
     assert len(reps) == 36
-    lps = _recording_lp_solve(monkeypatch)
     for subset in sorted(set(reps) | {(0, i, j) for i, j in PHI5_FACETEST_PAIRS}):
-        lps.clear()
-        result = is_face(vs, subset, ctx)
-        assert isinstance(result, NonFaceWitness) == (subset in PHI5_FRAME_LP_NONFACES)
+        nonface = subset in PHI5_FRAME_LP_NONFACES
+        assert isinstance(is_face(vs, subset, ctx), NonFaceWitness) == nonface
+        with monkeypatch.context() as m:
+            lps = _recording_lp_solve(m)
+            result = _orbit_lp_result(ctx, subset)
+        assert isinstance(result, NonFaceWitness) == nonface
         assert _verifies(vs, subset, result)
         (lp,) = lps
         assert len(lp.constraints) < len(vs) + 1 and lp.num_vars < 2 * ctx.frame.dim + 3
@@ -1025,18 +1038,19 @@ def test_orbit_lp_matches_the_frame_lp_verdicts_on_phi5(phi5, monkeypatch):
 @settings(max_examples=8, deadline=None)
 @given(st.lists(st.integers(1, 119), min_size=2, max_size=2, unique=True))
 def test_orbit_lp_matches_the_frame_lp_on_qap5_random(qap5, rest):
+    """On a drawn triple through vertex 0 with a stabiliser that is not trivial, the orbit LP and the frame
+    LP over every row both certify a face (qap(5) is 3-neighborly), and so does is_face."""
     vs, ctx = qap5
     subset = (0, *sorted(rest))
-    result = is_face(vs, subset, ctx)
-    assert _verifies(vs, subset, result)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(faces, "_stabiliser_moves", lambda ctx, subset: [])
-        frame = is_face(vs, subset, ctx)
-    assert type(result) is type(frame) is FaceCertificate  # qap(5) is 3-neighborly
+    assume(faces._stabiliser_moves(ctx, subset))
+    result = _orbit_lp_result(ctx, subset)
+    others = [t for t in range(len(vs)) if t not in subset]
+    frame = faces._verified_result(vs, subset, *faces._frame_lp(ctx, subset, others))
+    assert type(result) is type(frame) is type(is_face(vs, subset, ctx)) is FaceCertificate
 
 
 # qap(5) triples (0, i, j), drawn once with random.Random(1705) from all pairs; every one has a stabiliser
-# that is not trivial, so each goes through the orbit LP
+# that is not trivial, so the orbit LP can decide each
 QAP5_ORBIT_LP_PAIRS = (
     (1, 20), (4, 75), (6, 56), (6, 93), (7, 86), (7, 106), (9, 13), (10, 56), (10, 77), (14, 48),
     (19, 87), (26, 53), (26, 74), (28, 62), (34, 116), (35, 63), (39, 71), (42, 90), (45, 59), (46, 108),
@@ -1073,8 +1087,8 @@ def _columns_from_the_global_frame(ctx, subset):
 
 def test_orbit_lp_builds_no_global_frame_and_keeps_its_columns(monkeypatch):
     """The orbit LP takes its columns from the hull frame of its own orbit points, and builds no frame of the
-    whole vertex set: neither its face tests nor the phi(5) fix-first scan leave one on the context.  Its
-    columns are the ones picked from the whole set's frame, so its LPs and results are unchanged."""
+    whole vertex set: neither its LPs on the triples nor the phi(5) fix-first scan leave one on the context.
+    Its columns are the ones picked from the whole set's frame, so its LPs and results are unchanged."""
     frames, real = [], faces.affine_hull_frame
 
     def recording(points, dim):
@@ -1087,7 +1101,7 @@ def test_orbit_lp_builds_no_global_frame_and_keeps_its_columns(monkeypatch):
             m.setattr(faces, "affine_hull_frame", recording)
             for subset in subsets:
                 frames.clear()
-                result = is_face(vs, subset, ctx)
+                result = _orbit_lp_result(ctx, subset)
                 assert _verifies(vs, subset, result)
                 (frame,) = frames
                 columns.append(sorted(frame.pivot_cols))
@@ -1109,8 +1123,8 @@ ORBIT_LP_PIVOTS = {"phi": 314, "qap": 621}
 
 @pytest.mark.parametrize("family", ["phi", "qap"])
 def test_orbit_lp_pivot_counts_are_pinned(family, phi5, qap5, monkeypatch):
-    """Each triple takes one orbit LP, and the pivots they take in all, which no machine
-    changes, match the pinned totals."""
+    """The orbit LP of each triple is one LP, and the pivots they take in all, which no
+    machine changes, match the pinned totals."""
     vs, ctx = phi5 if family == "phi" else qap5
     pairs = PHI5_FACETEST_PAIRS if family == "phi" else QAP5_ORBIT_LP_PAIRS
     pivots, pivot = [], simplex._Solver._pivot
@@ -1122,7 +1136,7 @@ def test_orbit_lp_pivot_counts_are_pinned(family, phi5, qap5, monkeypatch):
     monkeypatch.setattr(simplex._Solver, "_pivot", counted)
     lps = _recording_lp_solve(monkeypatch)
     for i, j in pairs:
-        assert _verifies(vs, (0, i, j), is_face(vs, (0, i, j), ctx))
+        assert _verifies(vs, (0, i, j), _orbit_lp_result(ctx, (0, i, j)))
     assert len(lps) == len(pairs)
     assert all(len(lp.constraints) < len(vs) for lp in lps)  # orbit rows, not a row per vertex
     assert len(pivots) == ORBIT_LP_PIVOTS[family]
@@ -1187,6 +1201,56 @@ def test_a_symmetry_that_fails_its_check_leaves_is_face_on_the_frame_lp(phi5, mo
         ctx.symmetry()
 
 
+def _transposition_triples(vs):
+    """cold-verify's face triples: vertex 0, the identity, and two of the vertices one transposition away."""
+    swaps = [t for t, label in enumerate(vs.labels) if sum(int(c) != k for k, c in enumerate(label, start=1)) == 2]
+    return [(0, i, j) for i, j in combinations(swaps, 2)]
+
+
+def test_fixings_decide_before_any_symmetry_work(phi5, monkeypatch):
+    """Where the coordinate face is the subset, is_face returns its fixing certificate, verified, without
+    checking the symmetry or listing a stabiliser: on the 23 phi(5) design triples other than (0, 3, 4),
+    on the 45 identity-and-two-transpositions triples of qap(5) and on (0, 5, 17) of qap(6).  Each context
+    is left without a symmetry table."""
+
+    def refuse(*args):
+        pytest.fail("symmetry work for a subset its fixings single out")
+
+    monkeypatch.setattr(faces, "_checked_symmetry", refuse)
+    monkeypatch.setattr(faces, "_stabiliser", refuse)
+    qap5, qap6 = qap_vertices(5), qap_vertices(6)
+    cases = [
+        (phi5[0], [(0, i, j) for i, j in PHI5_FACETEST_PAIRS if (0, i, j) not in PHI5_FRAME_LP_NONFACES]),
+        (qap5, _transposition_triples(qap5)),
+        (qap6, [(0, 5, 17)]),
+    ]
+    assert [len(subsets) for _, subsets in cases] == [23, 45, 1]
+    for vs, subsets in cases:
+        ctx = FaceContext(vs)
+        for subset in subsets:
+            inter, union, face = faces._coordinate_face(ctx, subset)
+            assert face == list(subset)
+            cert = is_face(vs, subset, ctx)
+            assert cert == faces._fixing_certificate(vs, subset, inter, union, ctx.weight)
+            assert verify_face_certificate(vs, subset, cert)
+        assert ctx._symmetry is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["phi", "qap"]), st.lists(st.integers(1, 119), min_size=2, max_size=2, unique=True))
+@example("phi", [3, 4])
+def test_is_face_agrees_with_the_frame_lp_over_every_row_on_n5_triples(phi5, qap5, family, rest):
+    """On a drawn triple (0, i, j) of phi(5) or qap(5), whichever route is_face takes, its verdict is that of
+    the frame LP over every vertex, and its result passes substitution.  Fixings decide all but 10 of the
+    7,021 such triples of phi(5), and all of qap(5); the orbit LP decides the non-face (0, 3, 4)."""
+    vs, ctx = phi5 if family == "phi" else qap5
+    subset = (0, *sorted(rest))
+    eps, _, _ = faces._frame_lp(ctx, subset, [t for t in range(len(vs)) if t not in subset])
+    result = is_face(vs, subset, ctx)
+    assert isinstance(result, FaceCertificate) == (eps > 0)
+    assert _verifies(vs, subset, result)
+
+
 def _closure(identity, maps):
     """Every product of the maps, each a tuple of images."""
     group, queue = {identity}, [identity]
@@ -1226,7 +1290,7 @@ def test_picked_generators_generate_the_whole_stabiliser(case, phi5, qap5, monke
         return labels[-1]
 
     monkeypatch.setattr(faces, "_least_images", recording)
-    assert _verifies(vs, subset, is_face(vs, subset, ctx))
+    assert _verifies(vs, subset, _orbit_lp_result(ctx, subset))
     expected = []
     for size, maps in ((len(vs), vmaps), (vs.scheme.ambient_dim, {tuple(cmap) for _, cmap in moves})):
         group = _closure(tuple(range(size)), maps)
