@@ -100,7 +100,8 @@ only S, the fixing functional (``_fixing_form``) certifies S with gap 1
 and no LP is solved (``_coordinate_face``, ``_fixing_certificate``).
 F is listed from the shortest incidence list among I's coordinates
 (``VertexSet.incidence``), from every mask only when I is empty
-(``_listed_face``, which ``face_by_equations`` shares).  ``is_face``
+(``_listed_face``, which ``face_by_equations`` shares; with I empty it
+skips the incidence lists of its value-0 coordinates).  ``is_face``
 tests F = S before any other work.  The scan tests it too, and calls
 ``is_face`` only for the representatives whose F is larger than S.
 
@@ -144,7 +145,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
-from itertools import chain, combinations, compress, permutations, product, repeat
+from itertools import chain, combinations, compress, filterfalse, permutations, product, repeat
 from operator import and_, getitem, is_not, itemgetter, or_
 from typing import Sequence
 
@@ -952,10 +953,11 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
     set defines a face and the returned subset is exactly its vertex set:
     the vertices v with I <= v <= U, I the value-1 offsets and U every
     offset but the value-0 ones (``_listed_face``, which builds the masks
-    of its pool only), certified by ``_fixing_certificate``.  An equation
-    is attained when some vertex has a one at its offset (value 1) or
-    lacks one (value 0), read off the lengths of ``VertexSet.incidence``.
-    An empty subset is reported, not raised.
+    of its pool only, and with no value-1 offset reads only the value-0
+    offsets' incidence lists), certified by ``_fixing_certificate``.  An
+    equation is attained when some vertex has a one at its offset (value
+    1) or lacks one (value 0), read off the lengths of
+    ``VertexSet.incidence``.  An empty subset is reported, not raised.
     """
     dim = vs.scheme.ambient_dim
     eqs = list(equations)
@@ -970,7 +972,7 @@ def face_by_equations(vs: VertexSet, equations: Sequence[tuple[int, int]]) -> Fa
         for off, val in eqs
     ]
     inter, union = _equation_masks(dim, eqs)
-    subset = _listed_face(vs, inter, union, _Masks(vs.vertices))
+    subset = _listed_face(vs, inter, union, _Masks(vs.vertices), [off for off, val in eqs if val == 0])
     cert = _fixing_certificate(vs, subset, inter, union, None) if 0 < len(subset) < len(vs) else None
     return FaceByEquations(tuple(subset), tuple(reports), cert)
 
@@ -1127,11 +1129,18 @@ def _coordinate_face(ctx: FaceContext, subset) -> tuple[int, int, list[int]]:
     return inter, union, _listed_face(ctx.vs, inter, union, masks)
 
 
-def _listed_face(vs: VertexSet, inter: int, union: int, masks: Sequence[int]) -> list[int]:
+def _listed_face(
+    vs: VertexSet, inter: int, union: int, masks: Sequence[int], zeros: Sequence[int] | None = None
+) -> list[int]:
     """The vertices of the coordinate face {v : I <= v <= U} in index order, masks[t] being vertex t's bitmask.
     Every vertex of F has a one at each coordinate of I, so when I is not 0 only the shortest of their
-    incidence lists (``VertexSet.incidence``, in index order) is walked; otherwise every mask is."""
+    incidence lists (``VertexSet.incidence``, in index order) is walked.  When I is 0, F is the vertices
+    outside the incidence lists of the coordinates off U: given as zeros (few, from coordinate fixings),
+    those lists are read; otherwise (a subset's U, which leaves most coordinates off) every mask is."""
     if not inter:
+        if zeros is not None:
+            excluded = set().union(*map(vs.incidence.__getitem__, zeros))
+            return list(filterfalse(excluded.__contains__, range(len(vs))))
         return [t for t, v in enumerate(masks) if v | union == union]
     pool = min(map(vs.incidence.__getitem__, _bits(inter)), key=len)
     return [t for t in pool if (v := masks[t]) & inter == inter and v | union == union]

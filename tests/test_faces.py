@@ -307,6 +307,46 @@ def test_face_by_equations_empty_face_is_reported():
     assert res.certificate is None
 
 
+_EQUATION_SETS = {"bqp4": bqp_vertices(4), "phi4": phi_vertices(4), "qap3": qap_vertices(3)}
+
+
+@st.composite
+def _equation_sets(draw):
+    """(vertex set, equations): up to 12 distinct value-0 coordinates of bqp(4), phi(4) or qap(3), and
+    sometimes one value-1 equation, so that I is empty in most draws."""
+    vs = draw(st.sampled_from(list(_EQUATION_SETS.values())))
+    coords = st.integers(0, vs.scheme.ambient_dim - 1)
+    eqs = [(off, 0) for off in draw(st.lists(coords, max_size=12, unique=True))]
+    if draw(st.integers(0, 3)) == 0:
+        eqs.append((draw(coords), 1))
+    return vs, eqs
+
+
+# qap(3) with the coordinates (1, j, 1, j) = P[1,j]^2 all 0: every permutation maps 1 somewhere, so the
+# face is empty; and P[1,1] P[1,2] = 1, an equation no vertex attains, with one zero
+@example((_EQUATION_SETS["qap3"], [(0, 0), (10, 0), (20, 0)]))
+@example((_EQUATION_SETS["qap3"], [(1, 1), (5, 0)]))
+@settings(max_examples=150, deadline=None)
+@given(_equation_sets())
+def test_face_by_equations_matches_the_mask_walk(case):
+    """face_by_equations lists the vertices {v : I <= v <= U} that a walk over every vertex's bitmask lists,
+    with the same attained flags (some vertex meets the equation) and the fixing certificate of that face."""
+    vs, eqs = case
+    inter = reduce(or_, (1 << off for off, val in eqs if val == 1), 0)
+    union = ((1 << vs.scheme.ambient_dim) - 1) & ~reduce(or_, (1 << off for off, val in eqs if val == 0), 0)
+    subset = [t for t, m in enumerate(faces._masks(vs)) if m & inter == inter and m | union == union]
+    res = face_by_equations(vs, eqs)
+    assert list(res.subset) == subset
+    assert [r.attained for r in res.equations] == [
+        any((off in v) == bool(val) for v in vs.vertices) for off, val in eqs
+    ]
+    if 0 < len(subset) < len(vs):
+        assert res.certificate == faces._fixing_certificate(vs, subset, inter, union, None)
+        assert verify_face_certificate(vs, subset, res.certificate)
+    else:
+        assert res.certificate is None
+
+
 def test_face_by_equations_rejects_bad_input():
     vs = phi_vertices(3)
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 import hashlib
+import json
 import pickle
+import tempfile
 import tracemalloc
 from itertools import permutations, product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +295,43 @@ def test_vertex_set_json_round_trip(tmp_path):
     # bit-exact: the file holds only integers and strings
     text = path.read_text()
     assert "." not in text.replace('".json"', "")
+
+
+@st.composite
+def _vertex_sets(draw):
+    """A vertex set of a real scheme whose offsets run to 4 digits (bqp(100), qap(10), phi(14)): up to six
+    vertices, the empty vertex among the draws, and labels of any text (non-ASCII, quotes, backslashes,
+    control characters)."""
+    family, n = draw(st.sampled_from([("bqp", 2), ("bqp", 100), ("qap", 3), ("qap", 10), ("phi", 14)]))
+    scheme = scheme_for(family, n)
+    offsets = st.frozensets(st.integers(0, scheme.ambient_dim - 1), max_size=5)
+    vertices = tuple(tuple(sorted(v)) for v in draw(st.lists(offsets, max_size=6, unique=True)))
+    labels = tuple(draw(st.lists(st.text(), min_size=len(vertices), max_size=len(vertices))))
+    return VertexSet(scheme, labels, vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vertex_sets())
+def test_save_writes_the_bytes_of_json_dumps(vs):
+    """save writes exactly json.dumps(to_json(), indent=1) and a newline, and load reads the set back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vs.json"
+        vs.save(path)
+        assert path.read_bytes() == (json.dumps(vs.to_json(), indent=1) + "\n").encode()
+        assert VertexSet.load(path) == vs
+
+
+def test_save_streams_the_rows(tmp_path):
+    """Saving qap(6) (225 KB) holds no copy of the file, nor a list per vertex, at any one time."""
+    vs = qap_vertices(6)
+    path = tmp_path / "qap6.json"
+    tracemalloc.start()
+    try:
+        vs.save(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 3
 
 
 def test_vertex_file_header_with_a_large_n_is_refused_without_building_it():
