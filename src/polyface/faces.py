@@ -158,8 +158,7 @@ from .families import (
     compose,
     coordinate_map,
     inverse,
-    phi_vertex,
-    qap_vertex,
+    lex_vertices,
 )
 from .simplex import SupportLP, SupportRow, lp_solve
 
@@ -709,8 +708,7 @@ def _permutation_table(vs: VertexSet) -> _Symmetry:
     scheme = vs.scheme
     if len(vs) != math.factorial(scheme.n):
         raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
-    make = qap_vertex if scheme.family == "qap" else phi_vertex
-    of = {make(p): p for p in permutations(range(scheme.n))}
+    of = dict(zip(lex_vertices(scheme.family, scheme.n), permutations(range(scheme.n))))
     perms = [of.get(v) for v in vs.vertices]
     if None in perms:
         where = f"vertex {perms.index(None)} is not in {scheme.family}({scheme.n})"

@@ -27,8 +27,16 @@ and ``bqp_switching`` flips the first one.
 Vertices are stored sparsely as sorted tuples of one-positions and
 densified on demand (a qap(5) vertex has 25 ones out of 625 entries).
 The generators emit them sorted by construction.  The generators,
-``coordinate_map`` and ``label`` read per-order tables of O(n^2) entries,
-built once per n: the n x n edge ranks and the labels "1".."n".
+``coordinate_map`` and ``label`` read per-order tables built once per n:
+the n x n edge ranks, the labels "1".."n", and the ambient offsets cut
+into rows, whose int objects every image and vertex of that order shares.
+
+qap(n) and phi(n) are generated in lex order from order n-1 tables
+(``lex_vertices``): the permutations with first image a are pi_a after
+(0, s + 1), s running over S_{n-1}, so each vertex is one C-level lookup
+of the vertex of (0, s + 1) in a's relabelling table.  Those n-1 ordered
+vertices are ``qap_vertex``'s, and phi(n-1)'s read through two fixed
+tables for phi(n): the edges at point 0 and the edges of K_{n-1}.
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, permutations, product, repeat
+from itertools import chain, permutations, product, repeat, starmap
 from math import comb, factorial
-from operator import add, lt
+from operator import add, itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 
@@ -81,6 +89,20 @@ def _edge_ranks(n: int) -> tuple[tuple[int, ...], ...]:
 def _point_labels(n: int) -> tuple[str, ...]:
     """The 1-based labels "1".."n" of the 0-based points 0..n-1."""
     return tuple(str(x + 1) for x in range(n))
+
+
+@cache
+def _offset_rows(width: int) -> tuple[tuple[int, ...], ...]:
+    """range(width * width) cut into rows of width: the one int object of each offset that the tables share."""
+    offsets = tuple(range(width * width))
+    return tuple(offsets[r : r + width] for r in range(0, width * width, width))
+
+
+def _squared(cells: Iterable[int], size: int) -> Iterator[int]:
+    """c * size + d for each c, then each d, in cells (at least two): a tensor square's one-positions, read off
+    ``_offset_rows(size)`` by one lookup per row."""
+    get = itemgetter(*cells)
+    return chain.from_iterable(map(get, get(_offset_rows(size))))
 
 
 @dataclass(frozen=True)
@@ -134,9 +156,11 @@ class VertexSet:
             raise ValueError("vertices must be pairwise distinct")
         dim = self.scheme.ambient_dim
         for v in self.vertices:
-            if v and not 0 <= min(v) <= max(v) < dim:
+            # a sorted vertex's range is its ends; an unsorted one is still refused as out of range first
+            ordered = all(map(lt, v, v[1:]))
+            if v and not (0 <= v[0] and v[-1] < dim if ordered else 0 <= min(v) <= max(v) < dim):
                 raise ValueError("one-position offset out of range")
-            if not all(map(lt, v, v[1:])):
+            if not ordered:
                 raise ValueError("one-positions must be sorted and distinct")
 
     def __len__(self) -> int:
@@ -253,28 +277,27 @@ def bqp_vertices(m: int) -> VertexSet:
     """All 2^m tensor squares u (x) u, u in {0,1}^m, in lexicographic u order."""
     if m < 2:
         raise ValueError("bqp needs m >= 2")
-    scheme = bqp_scheme(m)
-    labels, verts = [], []
-    for bits in product((0, 1), repeat=m):
-        labels.append("".join(map(str, bits)))
-        verts.append(bqp_vertex_offsets(bits, m))
-    return VertexSet(scheme, tuple(labels), tuple(verts))
+    labels = tuple(map("".join, product("01", repeat=m)))
+    vertices = tuple(bqp_vertex_offsets(bits, m) for bits in product((0, 1), repeat=m))
+    return VertexSet(bqp_scheme(m), labels, vertices)
 
 
 def qap_vertex(p: tuple[int, ...]) -> tuple[int, ...]:
-    """One-positions of the tensor square of p's permutation matrix.
-    Sorted by construction: the cells c = i*n + p(i) increase, and c*n^2 + d with d < n^2 increases along the loop."""
+    """One-positions of the tensor square of p's permutation matrix (n >= 2).
+    Sorted by construction: the cells c = i*n + p(i) increase, so c*n^2 + d increases read row by row."""
     n = len(p)
-    size = n * n
-    cells = list(map(add, range(0, size, n), p))
-    return tuple([base + d for base in [c * size for c in cells] for d in cells])
+    return tuple(_squared(map(add, range(0, n * n, n), p), n * n))
+
+
+def _lex_labels(n: int) -> tuple[str, ...]:
+    """The labels of ``permutations(range(n))``, in that order."""
+    return tuple(map("".join, permutations(_point_labels(n))))
 
 
 def qap_vertices(n: int) -> VertexSet:
     if n < 2:
         raise ValueError("qap needs n >= 2")
-    perms = list(permutations(range(n)))
-    return VertexSet(qap_scheme(n), tuple(map(label, perms)), tuple(map(qap_vertex, perms)))
+    return VertexSet(qap_scheme(n), _lex_labels(n), tuple(lex_vertices("qap", n)))
 
 
 def _edge_images(p: tuple[int, ...]) -> list[int]:
@@ -304,19 +327,17 @@ def coordinate_map(scheme: IndexScheme, a: tuple[int, ...], b: tuple[int, ...], 
     bit permutations: u (x) u goes to u' (x) u' with u'(a(i)) = u(i).
     With the switching (``bqp_switching``), an affine map and not a
     coordinate permutation, they generate bqp's group Z_2^m semidirect S_m.
+    The qap and phi images are read off one shared table of the offsets,
+    one lookup per row of the ambient grid.
     """
     n = scheme.n
     if scheme.family in ("qap", "bqp"):
         cells = [a[j] * n + b[i] if transpose else a[i] * n + b[j] for i in range(n) for j in range(n)]
-        if scheme.family == "bqp":
-            return cells
-        size = n * n
-        return [base + d for base in [c * size for c in cells] for d in cells]
+        return cells if scheme.family == "bqp" else list(_squared(cells, n * n))
     ne = comb(n, 2)
-    rows, cols = [r * ne for r in _edge_images(a)], _edge_images(b)
-    if transpose:
-        return [row + col for col in cols for row in rows]
-    return [row + col for row in rows for col in cols]
+    rows, cols = itemgetter(*_edge_images(a)), itemgetter(*_edge_images(b))
+    grid = map(cols, rows(_offset_rows(ne)))
+    return list(chain.from_iterable(zip(*grid) if transpose else grid))
 
 
 def bqp_switching(m: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
@@ -346,8 +367,48 @@ def phi_vertices(n: int) -> VertexSet:
     """All n! edge-permutation matrices of K_n: in the classical display order for n = 3, else in lex order."""
     if n < 3:
         raise ValueError("phi needs n >= 3")
-    perms = _PHI3_ORDER if n == 3 else list(permutations(range(n)))
-    return VertexSet(phi_scheme(n), tuple(map(label, perms)), tuple(map(phi_vertex, perms)))
+    if n == 3:
+        return VertexSet(phi_scheme(3), tuple(map(label, _PHI3_ORDER)), tuple(map(phi_vertex, _PHI3_ORDER)))
+    return VertexSet(phi_scheme(n), _lex_labels(n), tuple(lex_vertices("phi", n)))
+
+
+def lex_vertices(family: str, n: int) -> list[tuple[int, ...]]:
+    """The qap(n) (n >= 2) or phi(n) (n >= 3) vertex of each permutation of ``permutations(range(n))``, in that
+    (lex) order, read off order n-1 tables.
+
+    Lex order puts the permutations with first image a together, as
+    pi_a.(0, s + 1) for s in lex order over S_{n-1}, where
+    pi_a = (a, 0, .., a-1, a+1, .., n-1) relabels the images (Knuth, TAOCP
+    4A, 7.2.1.2).  Relabelling the images keeps each one-position in its
+    row, the cell row i in qap and the source edge in phi, so the vertex
+    of pi_a.p is the vertex of p read through the table
+    ``coordinate_map(scheme, id, pi_a, False)``, still sorted.  So the
+    vertex of each (0, s + 1) becomes one ``itemgetter``, and every vertex
+    is one C-level lookup of it in one of n tables whose ints are the
+    shared offsets of ``_offset_rows``.  The vertices of (0, s + 1) are
+    ``qap_vertex``'s, and in phi(n), n >= 4, phi(n-1)'s: the edge {0, j+1}
+    of rank j goes to {0, s(j) + 1} of rank s(j), and the other edges are
+    those of K_{n-1} on the points 1..n-1, after the n - 1 edges at 0 on
+    both sides.
+    """
+    scheme = scheme_for(family, n)
+    if family == "qap" or n == 3:
+        make = qap_vertex if family == "qap" else phi_vertex
+        first = (make((0, *s)) for s in permutations(range(1, n)))
+    else:
+        m, ne, sub = n - 1, comb(n, 2), comb(n - 1, 2)
+        shifted = [(m + e) * ne + m + f for e in range(sub) for f in range(sub)].__getitem__
+        heads = range(0, m * ne, ne)
+        first = (
+            (*map(add, heads, s), *map(shifted, w)) for s, w in zip(permutations(range(m)), lex_vertices("phi", m))
+        )
+    getters = list(starmap(itemgetter, first))
+    ident = tuple(range(n))
+    vertices = []
+    for a in range(n):
+        table = coordinate_map(scheme, ident, (a, *ident[:a], *ident[a + 1 :]), False)
+        vertices += [get(table) for get in getters]
+    return vertices
 
 
 # Each family's scheme constructor and vertex generator, the one family

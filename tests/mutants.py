@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 _WITNESS_CHECK = "tests/test_cli.py::test_check_refuses_a_witness_that_breaks_one_condition"
 _SUMS = "        if sum(wit.alpha) != 1 or sum(wit.mu) != 1 or any(m < 0 for m in wit.mu):\n"
 _WRITER = "tests/test_families.py::test_save_writes_the_bytes_of_json_dumps"
+_PRECEDENCE = "tests/test_families.py::test_vertex_checks_keep_their_precedence"
+_RANGE = "v[0] and v[-1] < dim if ordered else 0 <= min(v) <= max(v) < dim"
 
 MUTANTS = (
     Mutant(
@@ -109,6 +111,27 @@ MUTANTS = (
         '"\\n  ]" if v else "[]" for v in self.vertices',
         '"\\n  ]" if v else "[\\n  ]" for v in self.vertices',
         (_WRITER, "tests/test_families.py::test_generated_files_are_pinned"),
+    ),
+    Mutant(
+        "VertexSet admitting a sorted vertex that ends at the dimension",
+        "families.py",
+        _RANGE,
+        _RANGE.replace("v[-1] < dim", "v[-1] <= dim"),
+        (_PRECEDENCE,),
+    ),
+    Mutant(
+        "VertexSet without the lower end of a sorted vertex",
+        "families.py",
+        "0 <= " + _RANGE,
+        _RANGE.replace("v[0] and ", ""),
+        (_PRECEDENCE,),
+    ),
+    Mutant(
+        "VertexSet reading every vertex's range off its ends, sorted or not",
+        "families.py",
+        _RANGE,
+        "v[0] and v[-1] < dim",
+        (_PRECEDENCE,),
     ),
 )
 

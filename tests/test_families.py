@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from polyface.families import (
+    _PHI3_ORDER,
     IndexScheme,
     VertexSet,
     bqp_scheme,
@@ -24,6 +25,7 @@ from polyface.families import (
     generate,
     inverse,
     label,
+    lex_vertices,
     phi_scheme,
     phi_vertex,
     phi_vertices,
@@ -364,6 +366,29 @@ def test_vertices_at_n_7_and_8_match_the_dense_definitions(p):
     assert phi_vertex(p) == oracles.dense_phi_vertex(p)
 
 
+@pytest.mark.parametrize("family, n", [("qap", n) for n in range(3, 8)] + [("phi", n) for n in range(3, 8)])
+def test_table_built_vertex_sets_match_each_permutations_vertex(family, n):
+    """The vertices read off order n-1 tables, and the joined labels, are those of qap_vertex, phi_vertex and
+    label for each permutation in turn: lex order, or phi(3)'s display order; lex_vertices is lex order always."""
+    make = qap_vertex if family == "qap" else phi_vertex
+    perms = list(permutations(range(n)))
+    assert lex_vertices(family, n) == list(map(make, perms))
+    if (family, n) == ("phi", 3):
+        perms = _PHI3_ORDER
+    vs = generate(family, n)
+    assert vs.labels == tuple(map(label, perms))
+    assert vs.vertices == tuple(map(make, perms))
+
+
+@pytest.mark.parametrize("family, n", [("qap", 6), ("phi", 7)])
+def test_table_built_vertices_share_one_int_per_offset(family, n):
+    """Each offset value occurs as one int object across the whole vertex set (phi(7): offsets past the
+    small ints CPython caches)."""
+    vs = generate(family, n)
+    offsets = [o for v in vs.vertices for o in v]
+    assert len(set(map(id, offsets))) == len(set(offsets))
+
+
 # sha256 of the files VertexSet.save writes for these sets; the CLI outputs digest pins only orders 3 and 4.
 GENERATED_FILE_DIGESTS = {
     ("qap", 5): "c54d44e321a1993a7723d0a7a4c099380c167d5d05adf9630f8faddab13f0901",
@@ -371,6 +396,8 @@ GENERATED_FILE_DIGESTS = {
     ("phi", 5): "a35bfedcc885cb21669ee626543055d8ffa8716988e36033f7ef734db4aa797d",
     ("phi", 6): "2eb0707f01c065d0fe6d86ca4ee6bd0a4095dd4297e2a9fbc8769e795dfaab20",
     ("bqp", 9): "3ff11ed963a4a1c6e4dd1bec6f12eead59f17182c0e4ee14b4b2145aad170430",
+    ("qap", 7): "fcd76e7dbb30e352f0e11cbc163ae600fe36826c25d5571a86d636eee4eb5279",
+    ("phi", 7): "63aa295271c02d259c2af7327ffc9002c74c91fcb65ba66202f9e0af2c28ba3c",
 }
 
 
@@ -427,6 +454,42 @@ def _message(make):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+_OUT_OF_RANGE, _UNSORTED = "one-position offset out of range", "one-positions must be sorted and distinct"
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        (((0, 4),), _OUT_OF_RANGE),
+        (((-1, 2),), _OUT_OF_RANGE),
+        (((2, -1, 3),), _OUT_OF_RANGE),
+        (((1, 4, 2),), _OUT_OF_RANGE),
+        (((2, 1),), _UNSORTED),
+        (((1, 1),), _UNSORTED),
+        (((), (0, 3)), None),
+        (((2, 1), (0, 9)), _UNSORTED),
+        (((0, 9), (2, 1)), _OUT_OF_RANGE),
+    ],
+    ids=[
+        "last-at-dimension",
+        "first-negative",
+        "unsorted-negative-inside",
+        "unsorted-dimension-inside",
+        "unsorted",
+        "repeated",
+        "valid",
+        "unsorted-before-out-of-range",
+        "out-of-range-before-unsorted",
+    ],
+)
+def test_vertex_checks_keep_their_precedence(vertices, message):
+    """In dimension 4, each vertex is refused as out of range before as unsorted, sorted or not, and the
+    first refused vertex names the error; as the offset-by-offset loop (oracles) refuses it."""
+    labels, scheme = tuple(map(str, range(len(vertices)))), IndexScheme("bqp", 2, 4)
+    assert _message(lambda: VertexSet(scheme, labels, vertices)) == message
+    assert _message(lambda: oracles.checked_vertices(labels, vertices, 4)) == message
 
 
 @settings(max_examples=400, deadline=None)
