@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .faces import (
     FaceCertificate,
@@ -170,13 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", required=True, type=int)
     g.add_argument("--out", required=True)
     g.add_argument("--force", action="store_true", help="override the desk-scale guard")
-    g.set_defaults(func=cmd_generate)
 
     f = sub.add_parser("face", help="certify a vertex subset as face or non-face")
     f.add_argument("--vertices", required=True)
     f.add_argument("--subset", required=True, help="comma-separated vertex indices, e.g. 0,1,2")
     f.add_argument("--out", default=None, help="write the certificate JSON here")
-    f.set_defaults(func=cmd_face)
 
     n = sub.add_parser("neighborly", help="scan k-subsets for face status")
     n.add_argument("--vertices", required=True)
@@ -189,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     n.add_argument("--stop-at-first", action="store_true", help="stop at the first counterexample")
     n.add_argument("--out", default=None)
-    n.set_defaults(func=cmd_neighborly)
 
     v = sub.add_parser("verify", help="run a named verification scenario")
     v.add_argument("scenario", choices=sorted(SCENARIOS))
@@ -197,20 +195,25 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, default=None)
     v.add_argument("--out", default=None)
     v.add_argument("--force", action="store_true", help="override the scenario parameter guard")
-    v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("check", help="re-verify an emitted certificate by substitution")
     c.add_argument("--vertices", required=True)
     c.add_argument("--certificate", required=True)
-    c.set_defaults(func=cmd_check)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser``'s parser, built once per process: parsing leaves it as it was, so each call of main
+    parses as a fresh parser would."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, so a wrapped cmd_* is the one called
     try:
-        return args.func(args)
+        return command(args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2

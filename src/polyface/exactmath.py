@@ -29,9 +29,9 @@ points.  ``weighted_columns``
 weights those columns by a point's deltas from the origin at them (its
 coordinates times L), and ``ambient_functional`` scales the frame
 functional once to integers and lifts it by integer dot products,
-building Fractions only for the functional it returns and filling its
-other slots with the one shared ``ZERO``.  ``_over_lcm`` writes a
-rational vector as integers over the lcm of its denominators.
+handing out each entry it returns by ``_rational`` and filling its other
+slots with the one shared ``ZERO``.  ``_over_lcm`` writes a rational
+vector as integers over the lcm of its denominators.
 
 The kernels other modules rely on:
 
@@ -66,6 +66,17 @@ Q = Fraction
 ZERO = Q(0)
 
 Vector = tuple  # tuple of Fraction|int
+
+
+def _rational(num: int, den: int = 1) -> int | Fraction:
+    """num / den as a certificate holds it: ``ZERO`` when it is zero, an int when den divides num, and a
+    Fraction only otherwise, so that a reader of its ``numerator``, ``denominator`` and truth value stays in C."""
+    if not num:
+        return ZERO
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Q(num, den) if r else q
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -291,14 +302,14 @@ class AffineHullFrame:
                 acc = [a + d * x for a, x in zip(acc, col)]
         return acc
 
-    def ambient_functional(self, a_frame: Sequence, b_frame, den: int = 1) -> tuple[Vector, Fraction]:
+    def ambient_functional(self, a_frame: Sequence, b_frame, den: int = 1) -> tuple[Vector, int | Fraction]:
         """Lift a functional on frame coordinates, a_frame / den and b_frame / den, to ambient coordinates.
 
         Returns (a, b) with a . p - b == (a_frame . c - b_frame) / den for
         every p in the hull, where c are the reduced coordinates of p.  a_frame is scaled once to integers over
         its lcm denominator D (1 for ints), so each pivot entry of a is one integer dot
-        product with an inverse column, over D * den * inverse_den.  Every other
-        entry of a, and each pivot entry that comes out zero, is ``ZERO``.
+        product with an inverse column, over D * den * inverse_den, handed out by ``_rational``, as b is.  Every
+        other entry of a, and each pivot entry that comes out zero, is ``ZERO``.
         """
         if len(a_frame) != self.dim:
             raise ValueError(f"dimension mismatch: {len(a_frame)} vs {self.dim}")
@@ -309,9 +320,10 @@ class AffineHullFrame:
         for c, col in zip(self.pivot_cols, self.inverse_cols):
             t = sum(map(operator.mul, nums, col))
             if t:
-                a[c] = Q(t, scale)
+                a[c] = _rational(t, scale)
                 shift += t * self.origin[c]
-        return tuple(a), Q(b_frame, den) + Q(shift, scale)
+        b = Q(b_frame, den) + Q(shift, scale)
+        return tuple(a), _rational(b.numerator, b.denominator)
 
 
 def affine_hull_frame(points: Sequence[dict], dim: int) -> AffineHullFrame:

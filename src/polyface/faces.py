@@ -122,18 +122,21 @@ returns the optimum in integers: eps, a and b over one denominator,
 the duals over another, which the witness cancels.  The lift to
 ambient coordinates runs on integers
 (``AffineHullFrame.ambient_functional``), and so does the lift off a
-coordinate face, over one denominator (``_lifted``).  Every zero slot
-of a normal the library builds holds the one ``exactmath.ZERO`` (the
-frame lift, ``_lifted``, ``_fixing_certificate``, the orbit LP and
-``_json_rational`` alike), so ``_not_zero`` finds the rest by identity
-at C speed.  The fixing functional and the lift are laid out class by
-class (``_by_class``): the largest of I, U less I and off U is filled
-in one step and the other two written at their set bits.
+coordinate face, over one denominator (``_lifted``).  Every rational
+of a face certificate, handed out or read, is held by one rule
+(``exactmath._rational``): the one ``exactmath.ZERO`` when it is zero,
+an int when it is an integer, and a Fraction only otherwise (the frame
+lift, ``_lifted``, ``_fixing_certificate``, the orbit LP and
+``_json_rational`` alike).  So ``_not_zero`` finds the nonzero slots by
+identity at C speed, and an int's numerator, denominator and truth
+value are read in C: a fixing certificate holds no Fraction at all.
+The fixing functional and the lift are laid out class by class
+(``_by_class``): the largest of I, U less I and off U is filled in one
+step and the other two written at their set bits.
 ``verify_face_certificate`` reads each entry that is not ``ZERO``,
 scales the certificate once and adds each nonzero integer entry into
-the vertices with a one there (``VertexSet.incidence``).  Fractions are
-built only for the certificates and witnesses handed out, in the lift
-and in the non-face witness check.
+the vertices with a one there (``VertexSet.incidence``).  The non-face
+witness stays in Fractions, as its check does (``_combination``).
 """
 
 from __future__ import annotations
@@ -144,12 +147,12 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain, combinations, compress, filterfalse, permutations, product, repeat
 from operator import and_, getitem, is_not, itemgetter, or_
 from typing import Sequence
 
-from .exactmath import ZERO, AffineHullFrame, affine_hull_frame
+from .exactmath import ZERO, AffineHullFrame, _rational, affine_hull_frame
 from .families import (
     MAX_DENSE_CELLS,
     VertexSet,
@@ -178,12 +181,16 @@ class FaceCertificate:
     """Supporting hyperplane in ambient coordinates.
 
     a . v = b for every v in the subset, a . v <= b - epsilon for every
-    vertex outside it, epsilon > 0.
+    vertex outside it, epsilon > 0.  Each entry, offset and epsilon is
+    an int or a Fraction.  The certificates this module hands out and
+    reads from JSON hold each value by one rule (``exactmath._rational``):
+    ``ZERO`` when it is zero, an int when it is an integer, a Fraction
+    only otherwise.
     """
 
     normal: tuple
-    offset: Fraction
-    epsilon: Fraction
+    offset: int | Fraction
+    epsilon: int | Fraction
 
     def to_json(self, subset) -> dict:
         return {
@@ -222,19 +229,25 @@ class NonFaceWitness:
 _RATIONAL_TEXT = re.compile("-?[0-9]+(/[0-9]+)?")  # what q_str writes
 
 
-def _json_rational(x) -> Fraction:
-    """A rational as q_str writes it ("p", "p/q", "-p/q") or a JSON integer; floats, booleans and
-    Fraction's other syntax are refused (its exponents: "1e100000000" would run for minutes)."""
+def _json_rational(x) -> int | Fraction:
+    """A rational as q_str writes it ("p", "p/q", "-p/q") or a JSON integer, held as ``exactmath._rational``
+    holds it: integer text is read by int(), and only "p/q" by Fraction.  Floats, booleans and Fraction's other
+    syntax are refused (its exponents: "1e100000000" would run for minutes)."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"a rational must be a string or an integer, not {type(x).__name__}")
     if x in ("0", 0):  # most entries of a normal: no parse
         return ZERO
-    if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+    if isinstance(x, int):
+        return x
+    if not _RATIONAL_TEXT.fullmatch(x):
         raise ValueError(f"unreadable rational {x[:20]!r}")
+    if "/" not in x:
+        return int(x) or ZERO
     try:
-        return Q(x) or ZERO
+        q = Q(x)
     except ZeroDivisionError as exc:
         raise ValueError(f"unreadable value ({exc})") from None
+    return _rational(q.numerator, q.denominator)
 
 
 def _json_index(x) -> int:
@@ -310,7 +323,8 @@ def verify_face_certificate(vs: VertexSet, subset: Sequence[int], cert: FaceCert
     identity at C speed; every other entry, the offset and epsilon must
     be an int or a Fraction (None, "", a float or a boolean fails the
     check, as does a subset ``_checked_subset`` refuses), and each such
-    entry is read, a zero made elsewhere included.  (normal, offset, epsilon) are scaled once to integers over
+    entry is read, a zero made elsewhere included; an int's numerator and
+    denominator are read in C.  (normal, offset, epsilon) are scaled once to integers over
     their common denominator, and each nonzero entry is added into every
     vertex with a one at its offset (``VertexSet.incidence``), so the
     cost follows the normal's support and the vertices it touches; a
@@ -866,8 +880,8 @@ def _orbit_lp(ctx: FaceContext, subset, others, moves):
     ]
     eps, c, b, den, dual = _support_lp_optimum(len(labels), rows)
     if eps > 0:
-        value = {j: Q(x, den) for j, x in zip(labels, c) if x}
-        offset = Q(b + sum(x * y for x, y in zip(c, base)), den)
+        value = {j: _rational(x, den) for j, x in zip(labels, c) if x}
+        offset = _rational(b + sum(x * y for x, y in zip(c, base)), den)
         return eps, (tuple(map(value.get, coord, repeat(ZERO))), offset), None
     y, scale = [0] * len(vs), math.lcm(*map(len, orbits))
     for orbit, weight in zip(orbits, dual):
@@ -912,7 +926,7 @@ def _verified_result(vs: VertexSet, idx: tuple[int, ...], eps: int, hyperplane, 
     (y_subset, y_others) of the subset and of every other vertex in order; verified by substitution."""
     if eps > 0:
         a, b = hyperplane
-        cert = FaceCertificate(normal=a, offset=b, epsilon=Q(eps))
+        cert = FaceCertificate(normal=a, offset=b, epsilon=eps)
         if not verify_face_certificate(vs, idx, cert):
             raise InternalInconsistencyError("support-LP certificate failed substitution")
         return cert
@@ -1178,24 +1192,28 @@ def _by_class(dim: int, inter: int, union: int, values) -> list:
     return out
 
 
-def _lifted(normal, offset, eps, inter: int, union: int, weight: int | None) -> tuple[tuple, Fraction]:
+def _lifted(normal, offset, eps, inter: int, union: int, weight: int | None) -> tuple[tuple, int | Fraction]:
     """(normal, offset) of a hyperplane with gap eps on the face {v : I <= v <= U}, plus lam times its fixing
     functional (``_fixing_form``): lam = upper - offset + eps (at least 0), upper the normal's largest value on
     a 0/1 point (the sum of its positive entries), keeps the gap on every vertex.  In integers over one
     denominator: the normal's slots that hold ``ZERO`` are skipped at C speed (``_not_zero``), the result is
-    laid out class by class (``_by_class``), and only the normal's support is then written one by one; one
-    Fraction per distinct entry of the result, ``ZERO`` for a zero."""
+    laid out class by class (``_by_class``), and only the normal's support is then written one by one.  Each
+    distinct entry of the result is made once (``exactmath._rational``): ``ZERO``, an int, or a Fraction only
+    where it is not an integer."""
     support = [(o, x) for o in _not_zero(normal) if (x := normal[o])]
     den = math.lcm(offset.denominator, eps.denominator, *(x.denominator for _, x in support))
     b = offset.numerator * (den // offset.denominator)
     nums = [(o, x.numerator * (den // x.denominator)) for o, x in support]
     lam = max(0, sum(x for _, x in nums if x > 0) - b + eps.numerator * (den // eps.denominator))
     form = _fixing_form(inter, union, weight)
-    entry = cache(lambda v: Q(v, den) or ZERO)
-    out = _by_class(len(normal), inter, union, [entry(lam * f) for f in form[:3]])
+    out = _by_class(len(normal), inter, union, [_rational(lam * f, den) for f in form[:3]])
+    entries: dict[int, int | Fraction] = {}
     for o, x in nums:
-        out[o] = entry(x + lam * form[0 if inter >> o & 1 else 1 if union >> o & 1 else 2])
-    return tuple(out), Q(b + lam * form[3], den)
+        v = x + lam * form[0 if inter >> o & 1 else 1 if union >> o & 1 else 2]
+        if v not in entries:
+            entries[v] = _rational(v, den)
+        out[o] = entries[v]
+    return tuple(out), _rational(b + lam * form[3], den)
 
 
 def _equation_masks(dim: int, equations) -> tuple[int, int]:
@@ -1206,10 +1224,10 @@ def _equation_masks(dim: int, equations) -> tuple[int, int]:
 
 def _fixing_certificate(vs: VertexSet, subset, inter: int, union: int, weight: int | None) -> FaceCertificate:
     """The fixing functional (``_fixing_form``) of a coordinate face that holds only the subset, as a face
-    certificate with gap 1, verified by substitution; laid out class by class (``_by_class``), ``ZERO`` for 0."""
-    on_i, on_u, off_u, offset = _fixing_form(inter, union, weight)
-    values = [Q(x) or ZERO for x in (on_i, on_u, off_u)]
-    cert = FaceCertificate(tuple(_by_class(vs.scheme.ambient_dim, inter, union, values)), Q(offset), Q(1))
+    certificate with gap 1, verified by substitution; laid out class by class (``_by_class``) in ints,
+    ``ZERO`` for 0."""
+    *values, offset = map(_rational, _fixing_form(inter, union, weight))
+    cert = FaceCertificate(tuple(_by_class(vs.scheme.ambient_dim, inter, union, values)), offset, 1)
     if not verify_face_certificate(vs, subset, cert):
         raise InternalInconsistencyError("coordinate-fixing certificate failed substitution")
     return cert

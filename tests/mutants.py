@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 _WITNESS_CHECK = "tests/test_cli.py::test_check_refuses_a_witness_that_breaks_one_condition"
+_CERTIFICATE_CHECK = "tests/test_cli.py::test_check_refuses_a_certificate_that_breaks_one_condition"
 _SUMS = "        if sum(wit.alpha) != 1 or sum(wit.mu) != 1 or any(m < 0 for m in wit.mu):\n"
 _WRITER = "tests/test_families.py::test_save_writes_the_bytes_of_json_dumps"
 _PRECEDENCE = "tests/test_families.py::test_vertex_checks_keep_their_precedence"
@@ -76,6 +77,27 @@ MUTANTS = (
         "            return False\n",
         "",
         ("tests/test_faces.py::test_verify_nonface_witness_refuses_floats_and_booleans",),
+    ),
+    Mutant(
+        "verify_face_certificate without the gap test",
+        "faces.py",
+        "        return max(values) <= low\n",
+        "        return True\n",
+        (f"{_CERTIFICATE_CHECK}[gap]",),
+    ),
+    Mutant(
+        "verify_face_certificate without the offset test on the subset",
+        "faces.py",
+        "            if values[s] != offset:\n                return False\n",
+        "",
+        (f"{_CERTIFICATE_CHECK}[offset]",),
+    ),
+    Mutant(
+        "verify_face_certificate admitting epsilon 0",
+        "faces.py",
+        "        if eps <= 0:\n",
+        "        if eps < 0:\n",
+        (f"{_CERTIFICATE_CHECK}[eps-zero]",),
     ),
     Mutant(
         "_checked_symmetry over the first 100 vertices",

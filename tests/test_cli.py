@@ -172,6 +172,37 @@ def test_check_refuses_a_witness_that_breaks_one_condition(tmp_path, capsys, fam
     assert code == 1, out
 
 
+def _gap_too_wide(cert, vs):
+    """epsilon 1 above the gap to the nearest other vertex: the subset's values still equal b."""
+    values = [sum((Q(cert["a"][o]) for o in v), Q(0)) for v in vs.vertices]
+    nearest = max(x for t, x in enumerate(values) if t not in cert["subset"])
+    cert["epsilon"] = str(Q(cert["b"]) - nearest + 1)
+
+
+def _offset_raised(cert, vs):
+    """b raised by 1: every other vertex is then further below b - epsilon, but the subset is off b."""
+    cert["b"] = str(Q(cert["b"]) + 1)
+
+
+def _zero_epsilon(cert, vs):
+    cert["epsilon"] = "0"
+
+
+@pytest.mark.parametrize("tamper", [_gap_too_wide, _offset_raised, _zero_epsilon], ids=["gap", "offset", "eps-zero"])
+def test_check_refuses_a_certificate_that_breaks_one_condition(tmp_path, capsys, tamper):
+    """A face certificate that `face` writes passes `check`; with one condition broken and the others kept
+    (the gap to every other vertex, a . v = b on the subset, epsilon > 0), check exits 1."""
+    vpath, cpath = tmp_path / "vertices.json", tmp_path / "cert.json"
+    run(["generate", "--family", "qap", "--n", "3", "--out", str(vpath)], capsys)
+    assert run(["face", "--vertices", str(vpath), "--subset", "0,1,2", "--out", str(cpath)], capsys)[0] == 0
+    assert run(["check", "--vertices", str(vpath), "--certificate", str(cpath)], capsys)[0] == 0
+    cert = json.loads(cpath.read_text())
+    tamper(cert, generate("qap", 3))
+    cpath.write_text(json.dumps(cert))
+    code, out, _ = run(["check", "--vertices", str(vpath), "--certificate", str(cpath)], capsys)
+    assert code == 1, out
+
+
 def test_check_mismatched_ambient_dim_is_an_error(tmp_path, capsys):
     v3 = tmp_path / "phi3.json"
     v4 = tmp_path / "phi4.json"
@@ -520,6 +551,47 @@ def test_report_determinism_apart_from_duration(tmp_path, capsys):
 def test_missing_file_is_error(capsys):
     code, _, err = run(["face", "--vertices", "/nonexistent.json", "--subset", "0"], capsys)
     assert code == 2
+
+
+def test_main_parses_each_call_as_a_fresh_parser_would(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process.  Commands run through that one parser, with an argparse error
+    (exit 2) among them and options given to one call and left out of the next, give the exit codes, stdout,
+    stderr and files that a fresh parser for each call gives."""
+    vpath = tmp_path / "phi3.json"
+    run(["generate", "--family", "phi", "--n", "3", "--out", str(vpath)], capsys)
+    commands = [
+        ["face", "--vertices", "{v}", "--subset", "0,1", "--out", "{out}/face.json"],
+        ["face", "--vertices", "{v}", "--subset", "0,1,2"],
+        ["face", "--vertices", "{v}", "--subsets", "0,1"],
+        ["neighborly", "--vertices", "{v}", "--k", "3", "--stop-at-first", "--out", "{out}/n0.json"],
+        ["neighborly", "--vertices", "{v}", "--k", "3", "--out", "{out}/n1.json"],
+        ["verify", "lemma1", "--n", "4", "--out", "{out}/lemma1.json"],
+        ["verify", "lemma1"],
+        ["check", "--vertices", "{v}", "--certificate", "{out}/face.json"],
+    ]
+
+    def replay(out):
+        out.mkdir()
+        log = []
+        for argv in commands:
+            try:
+                code = main([a.format(v=vpath, out=out) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            stdout = re.sub(r" in \d+\.\d\ds$", "", captured.out, flags=re.M).replace(str(out), "<out>")
+            log.append((code, stdout, captured.err))
+        files = {p.name: re.sub(r'"duration_seconds": [^,\n]+', "", p.read_text()) for p in sorted(out.iterdir())}
+        return log, files
+
+    assert cli._parser() is cli._parser()
+    shared = replay(tmp_path / "shared")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = replay(tmp_path / "fresh")
+    assert shared == fresh
+    assert [code for code, _, _ in shared[0]] == [0, 1, 2, 1, 1, 0, 0, 0]
+    assert "polyface face: error:" in shared[0][2][2]
+    assert sorted(shared[1]) == ["face.json", "lemma1.json", "n0.json", "n1.json"]
 
 
 CLI_OUTPUTS_DIGEST = "f3898e846ed835de195015b551b1689496951989a0a6c22482a7d592a0445e63"

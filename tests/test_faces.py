@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import witness_oracle_is_face
 from polyface import faces, simplex
-from polyface.exactmath import ZERO, greedy_basis
+from polyface.exactmath import ZERO, _rational, greedy_basis
 from polyface.faces import (
     FaceCertificate,
     FaceContext,
@@ -533,6 +533,42 @@ def test_the_shared_zero_never_decides_a_verdict(case, data):
             assert verify_face_certificate(vs, subset, FaceCertificate(normal, cert.offset, cert.epsilon)) is False
 
 
+_large = st.integers(-(10**40), 10**40).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_certificate_case(), st.one_of(st.just(1), _large, st.builds(Q, _large, _large.map(abs))), st.data())
+def test_the_int_rule_changes_types_not_verdicts_or_json(case, scale, data):
+    """A certificate scaled by 1 or by a large, negative or fractional factor, held by the one rule (ZERO
+    for a zero, an int where integral, a Fraction otherwise) and as all Fractions, gets one verdict and writes
+    the same JSON bytes.  Read back from that JSON with every zero entry written "0/7", it is held by the rule
+    and gets the verdict again.  A float or a boolean in place of an entry, the offset or epsilon is refused."""
+    vs, subset, cert, _ = case
+    values = [x * scale for x in (*cert.normal, cert.offset, cert.epsilon)]
+    ruled = FaceCertificate(
+        tuple(_rational(x.numerator, x.denominator) for x in values[:-2]),
+        *(_rational(x.numerator, x.denominator) for x in values[-2:]),
+    )
+    fractions = FaceCertificate(tuple(map(Q, values[:-2])), Q(values[-2]), Q(values[-1]))
+    verdict = verify_face_certificate(vs, subset, fractions)
+    assert verify_face_certificate(vs, subset, ruled) == verdict
+    text = json.dumps(ruled.to_json(subset))
+    assert text == json.dumps(fractions.to_json(subset))
+    written = json.loads(text)
+    written["a"] = ["0/7" if x == "0" else x for x in written["a"]]
+    read_subset, read = certificate_from_json(written)
+    assert (read_subset, read) == (subset, ruled)
+    assert _held_by_the_rule((*read.normal, read.offset, read.epsilon))
+    assert verify_face_certificate(vs, subset, read) == verdict
+    slot = data.draw(st.sampled_from([*faces._not_zero(ruled.normal), "offset", "epsilon"]))
+    for bad in (float(values[{"offset": -2, "epsilon": -1}.get(slot, slot)]), True, False):
+        if slot in ("offset", "epsilon"):
+            tampered = dataclasses.replace(ruled, **{slot: bad})
+        else:
+            tampered = dataclasses.replace(ruled, normal=ruled.normal[:slot] + (bad,) + ruled.normal[slot + 1 :])
+        assert verify_face_certificate(vs, subset, tampered) is False
+
+
 @cache
 def _lift_bases() -> dict:
     """name -> (vertex set, the (I, U) of its equations or None).  "phi6-face" is corollary-3n-face's
@@ -571,16 +607,20 @@ def _fixing_masks(draw):
     return vs, inter, union, weight
 
 
-def _shares_zero(normal):
-    return all(type(x) is Q for x in normal) and all(x is ZERO for x in normal if x == 0)
+def _held_by_the_rule(values) -> bool:
+    """Each value is the shared ZERO when it is zero, an int when it is an integer, and a Fraction otherwise."""
+    return all(
+        x is ZERO if x == 0 else type(x) is int if Q(x).denominator == 1 else type(x) is Q for x in values
+    )
 
 
 @settings(max_examples=120, deadline=None)
 @given(_fixing_masks(), st.data())
 def test_lift_and_fixing_equal_the_dense_reference(case, data):
     """_lifted and _fixing_certificate, laid out class by class, equal the coordinate-by-coordinate
-    reference (oracles) as tuples of Fractions, ZERO in every zero slot; _fixing_certificate on the
-    coordinate face of (I, U) whenever that face is neither empty nor every vertex."""
+    reference (oracles) in value, each entry and the offset held by the one rule: ZERO in every zero slot,
+    an int where the value is an integer, a Fraction only otherwise; _fixing_certificate on the coordinate
+    face of (I, U) whenever that face is neither empty nor every vertex."""
     vs, inter, union, weight = case
     dim = vs.scheme.ambient_dim
     support = data.draw(st.lists(st.integers(0, dim - 1), max_size=6, unique=True))
@@ -590,12 +630,12 @@ def test_lift_and_fixing_equal_the_dense_reference(case, data):
     offset, eps = data.draw(_small_rationals), data.draw(_small_rationals.filter(lambda x: x > 0))
     lifted = faces._lifted(tuple(normal), offset, eps, inter, union, weight)
     assert lifted == oracles.dense_lifted(tuple(normal), offset, eps, inter, union, weight)
-    assert _shares_zero(lifted[0])
+    assert _held_by_the_rule((*lifted[0], lifted[1]))
     face = [t for t, m in enumerate(faces._masks(vs)) if m & inter == inter and m | union == union]
     if 0 < len(face) < len(vs) and (weight is None or all(len(v) == weight for v in vs.vertices)):
         cert = faces._fixing_certificate(vs, face, inter, union, weight)
         assert (cert.normal, cert.offset, cert.epsilon) == (*oracles.dense_fixing_normal(dim, inter, union, weight), 1)
-        assert _shares_zero(cert.normal)
+        assert _held_by_the_rule((*cert.normal, cert.offset, cert.epsilon))
 
 
 @pytest.mark.parametrize("make", [phi_vertices, qap_vertices, bqp_vertices], ids=["phi4", "qap4", "bqp4"])
