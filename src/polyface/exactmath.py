@@ -7,25 +7,25 @@ tuples; integers are accepted anywhere a rational is (they are exact).
 All elimination runs in one private fraction-free kernel over sparse
 primitive integer rows: a row is a dict from column to nonzero int,
 gcd-normalized after every combination.  ``_eliminate`` is Gauss-Jordan
-and ``_combine`` touches only the pivot row's nonzeros.  ``greedy_basis``
-keeps its chosen rows fully reduced as well and reduces each candidate
-in one combination with the rows whose leads it meets.  Reduced rows
-are sparse (qap(5) frame: 66 nonzeros on average, at most 151, of 625
-columns; qap(6) 83 (235) of 1,296; phi(6) 48 (110) of 225; entries of
-at most 4 bits).  Fractions appear only when a result is read back.
+and ``_combine`` touches only the pivot row's nonzeros.  The greedy
+loop of the hull frame (``_greedy_rows``) keeps its chosen rows fully
+reduced as well and reduces each candidate in one combination with the
+rows whose leads it meets.  Reduced rows are sparse (qap(5) frame: 66
+nonzeros on average, at most 151, of 625 columns; qap(6) 83 (235) of
+1,296; phi(6) 48 (110) of 225; entries of at most 4 bits).  Fractions
+appear only when a result is read back.
 
 Hull frames follow the same rule.  ``affine_hull_frame`` takes each
 point as its nonzero entries by column, the kernel's own row form (a
 0/1 vertex is ``dict.fromkeys(its one-positions, 1)``), and builds each
 delta from the origin on the union of the two supports, straight into
-the loop that ``greedy_basis`` runs on its converted rows; no point but
-the origin is ever written out densely.  ``AffineHullFrame`` stores its
-origin, its pivot columns and its basis at those columns (the square
-block, entries -1, 0 and 1 for a vertex set); the inverse of that block
-is computed on first use, as integer columns over one denominator L
-read straight from ``_invert``'s elimination rows, since the orbit LP
-of ``faces`` reads only the pivot columns of the frame of its orbit
-points.  ``weighted_columns``
+that greedy loop; no point but the origin is ever written out densely.
+``AffineHullFrame`` stores its origin, its pivot columns and its basis
+at those columns (the square block, entries -1, 0 and 1 for a vertex
+set); the inverse of that block is computed on first use, as integer
+columns over one denominator L read straight from ``_invert``'s
+elimination rows, since the orbit LP of ``faces`` reads only the pivot
+columns of the frame of its orbit points.  ``weighted_columns``
 weights those columns by a point's deltas from the origin at them (its
 coordinates times L), and ``ambient_functional`` scales the frame
 functional once to integers and lifts it by integer dot products,
@@ -39,15 +39,14 @@ The kernels other modules rely on:
 * ``affine_dependencies`` -- basis of the affine dependencies of a point
   list (coefficients summing to zero with vanishing weighted sum), as
   int tuples.
-* ``greedy_basis`` -- the vectors of a list that are independent of the
-  ones before them; the hull frame picks its directions with the same
-  loop, so a frame's pivot columns are the lex-first independent columns
-  of its points' differences, whatever the order of the points, and
-  ``faces`` reads its orbit LP's invariant functionals off them.
 * ``affine_hull_frame`` -- exact reduced coordinates on the affine hull
   of a point set given by nonzero entries, used to shrink LP dimensions
   before face tests; the origin holds the first point's values and int
-  zeros (ints alone for vertex sets).
+  zeros (ints alone for vertex sets).  Its directions are the point
+  differences independent of the ones before them, picked by the greedy
+  loop, so a frame's pivot columns are the lex-first independent columns
+  of its points' differences, whatever the order of the points, and
+  ``faces`` reads its orbit LP's invariant functionals off them.
 """
 
 from __future__ import annotations
@@ -201,8 +200,8 @@ def affine_dependencies(points: Sequence[Sequence]) -> list[tuple[int, ...]]:
     return [canonical_integer_vector(v) for v in nullspace([*zip(*points, strict=True), [1] * len(points)])]
 
 
-def greedy_basis(vectors: Iterable[Sequence]) -> tuple[list[int], list[int]]:
-    """(chosen, leads): the indices, in order, of the vectors independent of all earlier ones.
+def _greedy_rows(vectors: Iterable[dict[int, int]]) -> tuple[list[int], list[int]]:
+    """(chosen, leads): the indices, in order, of the primitive integer rows independent of all earlier ones.
 
     leads[i] is the first nonzero column of vectors[chosen[i]] reduced to
     zero at every earlier lead; that form is unique up to scale, so the
@@ -214,15 +213,9 @@ def greedy_basis(vectors: Iterable[Sequence]) -> tuple[list[int], list[int]]:
     with L the lcm of row_c[c]/gcd(row_c[c], v[c]), and one gcd at the
     end.  Most candidates of a hull frame are dependent (513 of qap(6)'s
     719 differences), so their reduction is the cost; against echelon
-    rows v would be rescaled and renormalised once per row met.
-    """
-    return _greedy_rows(map(_int_row, vectors))
-
-
-def _greedy_rows(vectors: Iterable[dict[int, int]]) -> tuple[list[int], list[int]]:
-    """``greedy_basis`` of primitive integer rows, the loop that it and ``affine_hull_frame`` share.
-
-    Each row is taken over and may be changed in place.
+    rows v would be rescaled and renormalised once per row met.  Each
+    row is taken over and may be changed in place; ``affine_hull_frame``
+    feeds it its deltas, and ``_int_row`` turns a dense vector into one.
     """
     rows: dict[int, dict[int, int]] = {}  # lead -> fully reduced row, in the order chosen
     chosen: list[int] = []
@@ -333,8 +326,8 @@ def affine_hull_frame(points: Sequence[dict], dim: int) -> AffineHullFrame:
     every column in range(dim), the kernel's own row form; a 0/1 vertex
     is ``dict.fromkeys(its one-positions, 1)``.  The first point is the
     origin, the one point written out densely.  Each other point's delta
-    from it is built on the union of the two supports and reduced by the
-    loop of ``greedy_basis``, so basis directions are chosen greedily in
+    from it is built on the union of the two supports and reduced by
+    ``_greedy_rows``, so basis directions are chosen greedily in
     input order and the frame is deterministic.  Points are read by
     index, one at a time, so a lazy sequence of them is never held whole.
     """

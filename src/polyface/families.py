@@ -201,9 +201,12 @@ class VertexSet:
         missing = [key for key in ("family", "n", "ambient_dim", "labels", "vertices") if key not in data]
         if missing:
             raise ValueError(f"vertex file lacks {', '.join(missing)}")
-        family, n, labels, vertices = data["family"], data["n"], data["labels"], data["vertices"]
+        family, n, dim = data["family"], data["n"], data["ambient_dim"]
+        labels, vertices = data["labels"], data["vertices"]
         if not isinstance(family, str) or type(n) is not int:
             raise ValueError("vertex file needs a family name and an integer n")
+        if type(dim) is not int:
+            raise ValueError(f"vertex file needs an integer ambient_dim, not {type(dim).__name__}")
         if not (
             isinstance(labels, list)
             and all(isinstance(label, str) for label in labels)
@@ -213,9 +216,9 @@ class VertexSet:
         ):
             raise ValueError("vertex file needs string labels and integer one-position lists")
         scheme = scheme_for(family, n)
-        if scheme.ambient_dim != data["ambient_dim"]:
+        if scheme.ambient_dim != dim:
             raise ValueError(
-                f"ambient_dim {data['ambient_dim']} does not match "
+                f"ambient_dim {dim} does not match "
                 f"{family}({n}) = {scheme.ambient_dim}"
             )
         return VertexSet(scheme=scheme, labels=tuple(labels), vertices=tuple(map(tuple, vertices)))
@@ -225,20 +228,22 @@ class VertexSet:
 
         The layout is written here, not by ``json.dump``: with an indent,
         CPython's ``json`` runs its pure-Python encoder and writes each
-        token with its own ``write``, 2.3 to 2.8 times as long on qap(5)
+        token with its own ``write``, 3.2 to 4.7 times as long on qap(5)
         to qap(8).  Strings still go through ``json.dumps``, so escaping
-        stays ``json``'s; each vertex is one C-level join of its offsets;
+        stays ``json``'s; each vertex is one C-level ``%`` format of its
+        offsets into the row layout of its length (``_row_format``);
         labels and rows are streamed with ``writelines``, so neither the
         23 MB qap(8) file nor ``to_json``'s lists are ever held whole.
         """
         scheme = self.scheme
-        rows = ("[\n   " + ",\n   ".join(map(str, v)) + "\n  ]" if v else "[]" for v in self.vertices)
+        vertices = self.vertices
+        rows = map(str.__mod__, map(_row_format, map(len, vertices)), vertices)
         with open(path, "w") as fh:
             fh.write(
                 f'{{\n "family": {json.dumps(scheme.family)},\n "n": {scheme.n},\n'
                 f' "ambient_dim": {scheme.ambient_dim},\n "labels": '
             )
-            if not self.vertices:  # then no labels either
+            if not vertices:  # then no labels either
                 fh.write('[],\n "vertices": []\n}\n')
                 return
             fh.write("[\n  ")
@@ -250,6 +255,13 @@ class VertexSet:
     @staticmethod
     def load(path) -> "VertexSet":
         return VertexSet.from_json(load_json(path, "vertex file"))
+
+
+@cache
+def _row_format(length: int) -> str:
+    """The layout ``json.dumps(..., indent=1)`` gives a vertex of length offsets in a vertex file, one ``%s``
+    per offset.  ``%s`` writes each offset as ``str`` does, whatever its type; ``"[]"`` when length is 0."""
+    return "[\n   " + ",\n   ".join(repeat("%s", length)) + "\n  ]" if length else "[]"
 
 
 def _json_items(items: Iterable[str]) -> Iterator[str]:

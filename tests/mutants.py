@@ -130,9 +130,16 @@ MUTANTS = (
     Mutant(
         "VertexSet.save writing an empty vertex as [\\n  ]",
         "families.py",
-        '"\\n  ]" if v else "[]" for v in self.vertices',
-        '"\\n  ]" if v else "[\\n  ]" for v in self.vertices',
+        '"\\n  ]" if length else "[]"',
+        '"\\n  ]" if length else "[\\n  ]"',
         (_WRITER, "tests/test_families.py::test_generated_files_are_pinned"),
+    ),
+    Mutant(
+        "VertexSet.save writing each offset with %d",
+        "families.py",
+        'repeat("%s", length)',
+        'repeat("%d", length)',
+        ("tests/test_families.py::test_save_writes_each_offset_as_str_does",),
     ),
     Mutant(
         "VertexSet admitting a sorted vertex that ends at the dimension",

@@ -357,10 +357,13 @@ def test_neighborly_survives_any_k(phi3_file, k):
         lambda d: {**d, "vertices": [[0, [1]]] + d["vertices"][1:]},
         lambda d: {**d, "vertices": [[0, "1"]] + d["vertices"][1:]},
         lambda d: {**d, "vertices": [3] + d["vertices"][1:]},
+        lambda d: {**generate("qap", 3).to_json(), "ambient_dim": 81.0},
+        lambda d: {"family": "bqp", "n": 1, "ambient_dim": True, "labels": ["0", "1"], "vertices": [[], [0]]},
     ],
     ids=[
         "no-labels", "float-offsets", "string-n", "top-level-list",
         "bool-offsets", "nested-list", "string-offset", "scalar-vertex",
+        "qap3-float-ambient-dim", "bqp1-true-ambient-dim",
     ],
 )
 def test_face_malformed_vertex_file_is_an_error(tmp_path, capsys, spoil):

@@ -17,7 +17,7 @@ from oracles import (
     solve_linear_system,
     vec_dot,
 )
-from polyface.exactmath import _eliminate, _int_row, affine_dependencies, affine_hull_frame, greedy_basis, nullspace
+from polyface.exactmath import _eliminate, _greedy_rows, _int_row, affine_dependencies, affine_hull_frame, nullspace
 from polyface.families import bqp_vertices, phi_vertices, qap_vertices
 
 
@@ -290,7 +290,7 @@ def sparse_or_dense_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(sparse_or_dense_matrices())
 def test_greedy_basis_matches_fraction_reference_on_sparse_and_dense_rows(m):
-    assert greedy_basis(m) == reference_greedy_basis(m)
+    assert _greedy_rows(map(_int_row, m)) == reference_greedy_basis(m)
 
 
 small_rational_matrices = st.integers(1, 5).flatmap(

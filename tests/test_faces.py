@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import witness_oracle_is_face
 from polyface import faces, simplex
-from polyface.exactmath import ZERO, _rational, greedy_basis
+from polyface.exactmath import ZERO, _greedy_rows, _int_row, _rational
 from polyface.faces import (
     FaceCertificate,
     FaceContext,
@@ -1161,7 +1161,7 @@ def _columns_from_the_global_frame(ctx, subset):
 
     origin = counts(0)
     table = [[x - y for x, y in zip(counts(t), origin)] for t in reps]
-    chosen, _ = greedy_basis([row[i] for row in table] for i in range(len(candidates)))
+    chosen, _ = _greedy_rows(_int_row([row[i] for row in table]) for i in range(len(candidates)))
     return [candidates[i] for i in chosen]
 
 

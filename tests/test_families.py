@@ -336,6 +336,30 @@ def test_save_streams_the_rows(tmp_path):
     assert peak < path.stat().st_size / 3
 
 
+def test_save_writes_each_offset_as_str_does(tmp_path):
+    """An offset the constructor admits but no generator makes, 1.5 in qap(2), is written as str writes it."""
+    vs = VertexSet(qap_scheme(2), ("x",), ((0, 1.5, 3),))
+    path = tmp_path / "vs.json"
+    vs.save(path)
+    assert path.read_text() == json.dumps(vs.to_json(), indent=1) + "\n"
+    assert json.loads(path.read_text())["vertices"] == [[0, 1.5, 3]]
+
+
+@pytest.mark.parametrize(
+    "data, kind",
+    [
+        ({**qap_vertices(3).to_json(), "ambient_dim": 81.0}, "float"),
+        ({"family": "bqp", "n": 1, "ambient_dim": True, "labels": ["0", "1"], "vertices": [[], [0]]}, "bool"),
+    ],
+    ids=["qap3-float", "bqp1-true"],
+)
+def test_vertex_file_with_an_ambient_dim_that_is_not_an_int_is_refused(data, kind):
+    """81.0 and true equal qap(3)'s and bqp(1)'s dimensions, but are not ints."""
+    assert data["ambient_dim"] == scheme_for(data["family"], data["n"]).ambient_dim
+    with pytest.raises(ValueError, match=f"integer ambient_dim, not {kind}$"):
+        VertexSet.from_json(data)
+
+
 def test_vertex_file_header_with_a_large_n_is_refused_without_building_it():
     # the header's ambient_dim is checked before anything of size C(n,2) exists
     data = {"family": "phi", "n": 1000, "ambient_dim": 9, "labels": [], "vertices": []}
