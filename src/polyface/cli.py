@@ -73,24 +73,14 @@ def cmd_face(args) -> int:
     return 1
 
 
-def _scans_orbits(ctx: FaceContext) -> bool:
-    """Whether a scan without --fix-first splits the subsets into orbits: only on a bqp set that passes the
-    symmetry check, whose outcome the context keeps for the scan."""
-    if ctx.vs.scheme.family != "bqp":
-        return False
-    try:
-        ctx.symmetry()
-    except ValueError:
-        return False
-    return True
-
-
 def cmd_neighborly(args) -> int:
     vs = VertexSet.load(args.vertices)
     ctx = FaceContext(vs)
-    long_scan = len(vs) > 100 and args.k >= 3 and not args.stop_at_first
-    if long_scan and not args.fix_first and not _scans_orbits(ctx):
-        _warn(f"a scan of every {args.k}-subset of {len(vs)} vertices is long-running")
+    if len(vs) > 100 and args.k >= 3 and not (args.stop_at_first or args.fix_first):
+        try:
+            ctx.symmetry()  # its outcome is kept for the scan
+        except ValueError:  # so the scan decides every subset
+            _warn(f"a scan of every {args.k}-subset of {len(vs)} vertices is long-running")
     report = k_neighborly_scan(
         vs,
         args.k,
@@ -183,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument(
         "--fix-first",
         action="store_true",
-        help="scan the subsets through vertex 0 (qap or phi), one LP per orbit representative "
-        "under left and right multiplication and inversion",
+        help="count only the subsets through vertex 0; a vertex file with its family's symmetry is scanned by "
+        "orbits either way, and one without it exits 2 with this flag",
     )
     n.add_argument("--stop-at-first", action="store_true", help="stop at the first counterexample")
     n.add_argument("--out", default=None)

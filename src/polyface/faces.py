@@ -49,22 +49,27 @@ each orbit row's multiplier is spread evenly over its members, y_t =
 y_O / |O|; the frame points then combine to an H-fixed point on which
 every invariant functional vanishes, zero, and the spread duals give
 the witness as above.  Both are verified by substitution on every
-vertex.  When H is trivial, or the set lacks a vertex, S is decided
-inside F as above.
+vertex.  When H is trivial, or the set fails the symmetry check (a
+vertex missing, or vertex 0 not the identity), S is decided inside F
+as above.
 
 Scans: ``k_neighborly_scan`` decides one representative per orbit of a
 checked symmetry, the orbit's lex-min member, and keeps only the
-orbit's size.  With fix_first (qap and phi) it scans the subsets
-through vertex 0 under S_n x S_n x C_2; on a full bqp(m) set without
-fix_first, every k-subset under Z_2^m semidirect S_m, of order 2^m m!:
-the bit permutations, the moves (a, a, False), and the switchings u to
-u xor e_j (De Simone, Discrete Math. 79, 1990); any other scan makes
-every subset a representative.  A move (a, b, transpose) permutes the
-coordinates as ``families.coordinate_map`` states, the one statement of
-the action, and the switching of bit 0 is the affine map that
-``families.bqp_switching`` states.  Each maps the vertex set onto
-itself, so it maps faces onto faces, and the checked generators and the
-representative's verified certificate decide every member of its orbit.
+orbit's size: S_n x S_n x C_2, of order 2 n!^2, on a full qap(n) or
+phi(n) set whose vertex 0 is the identity, and Z_2^m semidirect S_m, of
+order 2^m m!, on a full bqp(m) set: the bit permutations, the moves
+(a, a, False), and the switchings u to u xor e_j (De Simone, Discrete
+Math. 79, 1990).  Each is transitive on the N vertices, so an orbit O of
+k-subsets has its lex-min member and |O| k / N members through vertex 0
+(count the pairs (S, v), v in S).  fix_first picks which subsets are
+counted, not how they are scanned; a set that fails the check makes
+every subset a representative, and is refused with fix_first.  A move
+(a, b, transpose) permutes the coordinates as ``families.coordinate_map``
+states, the one statement of the action, and the switching of bit 0 is
+the affine map that ``families.bqp_switching`` states.  Each maps the
+vertex set onto itself, so it maps faces onto faces, and the checked
+generators and the representative's verified certificate decide every
+member of its orbit.
 The symmetry is checked once per vertex set, on generators of the
 group (``_checked_symmetry``, kept by ``FaceContext.symmetry``): each
 generator's map is applied to every vertex and must give the vertex the
@@ -72,25 +77,24 @@ table names.  The maps of the points and the table's maps are group
 actions, so they then agree on every move.
 
 No orbit is walked: its lex-min member is a canonical form (McKay, J.
-Algorithms 26, 1998).  A move that keeps vertex 0 in S conjugates one
-of its 2 k rebasings, S.s^-1 or {s.u^-1}, by some a, so the lex-min
-member is {0, x, ...} with x the least class minimum (least vertex of a
-cycle type) they meet, and only a in a coset of the centraliser C(x)
-reaches it (``_CanonicalForm.representatives``).  Class minima,
-conjugators onto them from cycle structure, and centralisers are built
-on first use (``classes``; Butler, LNCS 559, 1991).  The images equal
-to S count its stabiliser, so its orbit has 2 k n! / |Stab(S)| members
-(orbit-stabiliser), and ``_Orbits`` checks that the sizes sum to the
-scanned count.  On bqp the switchings make the group transitive on the
-2^m vertices, so every orbit's lex-min member holds vertex 0 as well.
-With r[t] the bits of vertex t xor those of vertex 0, a move that sends
-s in S to vertex 0 translates S by r[s] and then permutes the bits: the
-k translations are the rebasings, the classes are the weights of r, a
-conjugator sends the set bits of r[t] onto those of its class
-minimum's, and C(x) is S_w x S_(m-w) on the set and clear bits of r[x]
-(``_BitSymmetry``), so an orbit has 2^m m! / |Stab(S)| members, checked
-by the same sum.  Each translation and bit permutation is a product of
-the checked generators, as each move of qap and phi is.
+Algorithms 26, 1998).  A move that keeps vertex 0 (the identity) in S
+conjugates one of its 2 k rebasings, S.s^-1 or {s.u^-1}, by some a, so
+the lex-min member is {0, x, ...} with x the least class minimum (least
+vertex of a cycle type) they meet, and only a in a coset of the
+centraliser C(x) reaches it (``_CanonicalForm.representatives``).
+Class minima, conjugators onto them from cycle structure, and
+centralisers are built on first use (``classes``; Butler, LNCS 559,
+1991).  The images equal to S count its stabiliser, so its orbit has
+2 n!^2 / |Stab(S)| members (orbit-stabiliser), and ``_Orbits`` checks
+that the sizes sum to the counted subsets.  On bqp, with r[t] the bits
+of vertex t xor those of vertex 0, a move that sends s in S to vertex 0
+translates S by r[s] and then permutes the bits: the k translations are
+the rebasings, the classes are the weights of r, a conjugator sends the
+set bits of r[t] onto those of its class minimum's, and C(x) is
+S_w x S_(m-w) on the set and clear bits of r[x] (``_BitSymmetry``), so
+an orbit has 2^m m! / |Stab(S)| members, checked by the same sum.  Each
+translation and bit permutation is a product of the checked
+generators, as each move of qap and phi is.
 
 Coordinate fixings come before any LP (Ziegler, "Lectures on
 0/1-polytopes", DMV Seminar 29, 2000).  With I the AND and U the OR of
@@ -144,7 +148,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -514,19 +517,20 @@ def _cycles(p: tuple[int, ...]) -> list[list[int]]:
 
 class _CanonicalForm:
     """The canonical-form search of ``_Symmetry`` and ``_BitSymmetry`` (module docstring): a table supplies its
-    ``classes`` (least[t], the class minimum of vertex t, and a conjugator onto it), ``moves`` and
+    group's ``order``, its ``classes`` (least[t], the class minimum of vertex t, and a conjugator onto it) and
     ``_stabiliser_order``."""
 
-    def representatives(self, k: int, rank):
-        """(rank, S, orbit size) for each orbit's lex-min member S of the scanned k-subsets, in lex order: S = {0, x,
-        ...} is tried when x is a class minimum (vertex 0 at k = 1) and every member's class minimum is at least x,
-        and kept when ``_stabiliser_order`` finds no lex-smaller image; its orbit has moves / |Stab(S)| members."""
-        least, moves = self.classes[0], self.moves(k)
+    def representatives(self, k: int, rank, fix_first: bool):
+        """(rank, S, size) for each orbit's lex-min member S of the k-subsets, in lex order: S = {0, x, ...} is tried
+        when x is a class minimum (vertex 0 at k = 1) and every member's class minimum is at least x, and kept when
+        ``_stabiliser_order`` finds no lex-smaller image.  size is order / |Stab(S)|, times k/N with fix_first."""
+        least = self.classes[0]
         for head in [(0,)] if k == 1 else [(0, x) for x in sorted(set(least)) if x]:
             later = [t for t in range(head[-1] + 1, len(least)) if least[t] >= head[-1]]
             for rest in combinations(later, k - len(head)):
-                if order := self._stabiliser_order(head, rest):
-                    yield rank(head + rest), head + rest, moves // order
+                if stabiliser := self._stabiliser_order(head, rest):
+                    size = self.order // stabiliser
+                    yield rank(head + rest), head + rest, size * k // len(least) if fix_first else size
 
 
 @dataclass(frozen=True)
@@ -546,7 +550,10 @@ class _Symmetry(_CanonicalForm):
         a_undo = self.undo[self.index[a]]
         return [self.index[a_undo(get(b))] for get in (self.undo if transpose else self.get)]
 
-    fixed = 1  # every scanned subset holds vertex 0
+    @property
+    def order(self) -> int:
+        """2 n!^2, the order of S_n x S_n x C_2."""
+        return 2 * len(self.perms) ** 2
 
     @cached_property
     def classes(self) -> tuple[list[int], list[int]]:
@@ -565,16 +572,6 @@ class _Symmetry(_CanonicalForm):
             p, get = self.perms[m], self.get[m]
             self.centralisers[m] = [(c, undo) for c, undo in zip(self.perms, self.undo) if undo(get(c)) == p]
         return self.centralisers[m]
-
-    def moves(self, k: int) -> int:
-        """2 k n!: a move keeps vertex 0 in S when it sends one of S's k members to the identity, either side."""
-        return 2 * k * len(self.perms)
-
-    def representatives(self, k: int, rank):
-        """As ``_CanonicalForm.representatives``, over the k-subsets through vertex 0, which must be the identity."""
-        if self.perms[0] != tuple(range(len(self.perms[0]))):
-            raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
-        return super().representatives(k, rank)
 
     def _stabiliser_order(self, head, rest) -> int:
         """|Stab(S)| for S = head + rest when S is its orbit's lex-min member, else 0: each rebasing T and u in T
@@ -641,7 +638,10 @@ class _BitSymmetry(_CanonicalForm):
         """The vertex each vertex goes to under the switching of bit 0: u to u xor e_0."""
         return [self.index[(1 - u[0], *u[1:])] for u in self.bits]
 
-    fixed = 0  # every k-subset is scanned
+    @property
+    def order(self) -> int:
+        """2^m m!, the order of Z_2^m semidirect S_m."""
+        return len(self.bits) * math.factorial(len(self.bits[0]))
 
     @cached_property
     def offsets(self) -> tuple[list[int], list[int]]:
@@ -671,10 +671,6 @@ class _BitSymmetry(_CanonicalForm):
                 compose(a + b, undo) for a, b in product(permutations(bits[:w]), permutations(bits[w:]))
             ]
         return self.centralisers[x]
-
-    def moves(self, k: int) -> int:
-        """2^m m!, the order of Z_2^m semidirect S_m."""
-        return len(self.bits) * math.factorial(len(self.bits[0]))
 
     def _stabiliser_order(self, head, rest) -> int:
         """|Stab(S)| for S = head + rest when S is its orbit's lex-min member, else 0, as for ``_Symmetry``: the
@@ -717,8 +713,8 @@ class _BitSymmetry(_CanonicalForm):
 
 
 def _permutation_table(vs: VertexSet) -> _Symmetry:
-    """The table of a vertex set that holds all n! vertices of qap(n) or phi(n); ValueError, a fix-first scan's
-    refusal, otherwise."""
+    """The table of a vertex set that holds all n! vertices of qap(n) or phi(n), the identity first (the canonical
+    form rebases onto vertex 0); ValueError, a fix-first scan's refusal, otherwise."""
     scheme = vs.scheme
     if len(vs) != math.factorial(scheme.n):
         raise ValueError("fix-first reduction refused: a move does not map the vertex set onto itself")
@@ -727,6 +723,8 @@ def _permutation_table(vs: VertexSet) -> _Symmetry:
     if None in perms:
         where = f"vertex {perms.index(None)} is not in {scheme.family}({scheme.n})"
         raise ValueError(f"fix-first reduction refused: {where}")
+    if perms[0] != tuple(range(scheme.n)):
+        raise ValueError("fix-first reduction refused: vertex 0 is not the identity permutation")
     index = {p: t for t, p in enumerate(perms)}
     return _Symmetry(perms, index, [itemgetter(*p) for p in perms], [itemgetter(*inverse(p)) for p in perms])
 
@@ -1115,18 +1113,18 @@ def _lex_rank(size: int, k: int, fixed: int):
 
 
 class _Orbits:
-    """The orbits of the scanned k-subsets under the vertex set's checked symmetry (``FaceContext.symmetry``).
+    """The orbits of the k-subsets under the vertex set's checked symmetry (``FaceContext.symmetry``).
 
-    reps lists (position, representative, orbit size) in lex order, from
-    the table's ``representatives``, the position being the lex rank
-    among the count scanned subsets; InternalInconsistencyError unless
-    the sizes sum to count, which makes the orbits cover the scan once.
+    reps lists (position, representative, size) in lex order, from the
+    table's ``representatives``: position and size count the subsets
+    through vertex 0 with fix_first, else all; InternalInconsistencyError
+    unless the sizes sum to count, which makes the orbits cover the scan once.
     """
 
-    def __init__(self, ctx: FaceContext, k: int):
+    def __init__(self, ctx: FaceContext, k: int, fix_first: bool):
         self.table = ctx.symmetry()
-        self.count, self.rank = _lex_rank(len(ctx.vs), k, self.table.fixed)
-        self.reps: list[tuple[int, tuple[int, ...], int]] = list(self.table.representatives(k, self.rank))
+        self.count, self.rank = _lex_rank(len(ctx.vs), k, int(fix_first))
+        self.reps: list[tuple[int, tuple[int, ...], int]] = list(self.table.representatives(k, self.rank, fix_first))
         covered = sum(size for _, _, size in self.reps)
         if covered != self.count:
             raise InternalInconsistencyError(f"the orbits hold {covered} subsets, not the {self.count} scanned")
@@ -1241,37 +1239,32 @@ def k_neighborly_scan(
     stop_at_first: bool = False,
     ctx: FaceContext | None = None,
 ) -> NeighborlinessReport:
-    """Certify every k-subset (or every one through vertex 0) as a face.
+    """Certify every k-subset (with fix_first, every one through vertex 0) as a face.
 
     Subsets are scanned in lexicographic order, one representative per
-    orbit of ``_Orbits`` (module docstring): with fix_first (qap and phi
-    only) the subsets through vertex 0, and on a full bqp(m) set without
-    it every k-subset.  A representative is certified by coordinate
-    fixings where they single it out, else by ``is_face``, and its
-    orbit's size counts towards faces_certified when it is a face, so
-    every verdict and count is the one a subset-by-subset scan gives.
-    The first non-face in lex order is the lex-min member of its orbit,
-    so the scan stops at the same counterexample, with the witness
-    ``is_face`` returns for it.  With fix_first a vertex set the checked
-    symmetry does not fit raises ValueError; a bqp set that fails it is
-    scanned subset by subset.  In symmetry_reduction, "LPs for N of the M
-    orbits" counts the N representatives decided, each by an LP or by
-    fixings.
+    orbit of ``_Orbits`` (module docstring) on every vertex set that
+    passes the symmetry check; fix_first picks only which subsets are
+    counted.  A representative is certified by coordinate fixings where
+    they single it out, else by ``is_face``, and its orbit's size counts
+    towards faces_certified when it is a face, so every verdict and count
+    is the one a subset-by-subset scan gives.  The first non-face in lex
+    order is the lex-min member of its orbit, so the scan stops at the
+    same counterexample, with the witness ``is_face`` returns for it.  A
+    vertex set that fails the check is scanned subset by subset, and
+    raises ValueError with fix_first.  In symmetry_reduction, "LPs for N
+    of the M orbits" counts the N representatives decided, each by an LP
+    or by fixings.
     """
     n = len(vs)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got {k}")
     ctx = _context(vs, ctx)
-    orbits = None
-    if fix_first:
-        if vs.scheme.family == "bqp":
-            raise ValueError("fix-first reduction needs the S_n symmetry of qap or phi")
-        orbits = _Orbits(ctx, k)
-    elif vs.scheme.family == "bqp":
-        with suppress(ValueError):  # no checked bit symmetry: every subset is a representative
-            orbits = _Orbits(ctx, k)
-    if orbits is None:
-        total = math.comb(n, k)
+    try:
+        orbits = _Orbits(ctx, k, fix_first)
+    except ValueError:  # the checked symmetry does not fit: every subset is a representative
+        if fix_first:
+            raise
+        orbits, total = None, math.comb(n, k)
         reps = ((i, subset, 1) for i, subset in enumerate(combinations(range(n), k)))
     else:
         total, reps = orbits.count, orbits.reps
@@ -1297,12 +1290,12 @@ def k_neighborly_scan(
     else:
         m = vs.scheme.n
         if vs.scheme.family == "bqp":
-            group, scanned = f"Z_2^{m} semidirect S_{m} (switchings and bit permutations)", f"{k}-subsets"
+            group = f"Z_2^{m} semidirect S_{m} (switchings and bit permutations)"
         else:
             group = f"S_{m} x S_{m} x C_2 (left and right multiplication, inversion)"
-            scanned = f"{k}-subsets through vertex 0"
         symmetry = (
-            f"{group}: LPs for {solved} of the {len(orbits.reps)} orbits of {scanned}, "
+            f"{group}: LPs for {solved} of the {len(orbits.reps)} orbits of {k}-subsets"
+            f"{' through vertex 0' if fix_first else ''}, "
             "every other subset by a move of the checked symmetry"
         )
     return NeighborlinessReport(

@@ -20,7 +20,7 @@ Conventions (the single source of truth for index translation):
   image: z[e, f] = 1 iff sigma maps edge e onto edge f elementwise.
 
 The same layout gives ``qap_vertex``, ``phi_vertex`` and ``coordinate_map``,
-the action of S_n x S_n x C_2 that the fix-first scan and the orbit LP
+the action of S_n x S_n x C_2 that the orbit scan and the orbit LP
 in ``faces`` use; on bqp the same cell map, with b = a, permutes the bits,
 and ``bqp_switching`` flips the first one.
 

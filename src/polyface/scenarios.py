@@ -300,7 +300,7 @@ def scenario_thm2(k: int) -> list[Step]:
 def scenario_phi_not_3_neighborly(n: int) -> list[Step]:
     """Some triple of edge-permutation vertices is not a face."""
     vs = phi_vertices(n)
-    rep = k_neighborly_scan(vs, 3, fix_first=n >= 5, stop_at_first=True)
+    rep = k_neighborly_scan(vs, 3, fix_first=True, stop_at_first=True)
     found = rep.counterexample_subset is not None
     return [
         Step(
@@ -321,9 +321,8 @@ def scenario_phi_not_3_neighborly(n: int) -> list[Step]:
 def scenario_qap_3_neighborly(n: int) -> list[Step]:
     """Every assignment-tensor triple is a face."""
     vs = qap_vertices(n)
-    fix = n >= 4
-    rep = k_neighborly_scan(vs, 3, fix_first=fix)
-    expected = comb(factorial(n) - 1, 2) if fix else comb(factorial(n), 3)
+    rep = k_neighborly_scan(vs, 3, fix_first=True)
+    expected = comb(factorial(n) - 1, 2)
     return [
         Step(
             "all triples certified",

@@ -114,6 +114,21 @@ MUTANTS = (
         ("tests/test_faces.py::test_orbits_missing_one_orbit_are_an_error",),
     ),
     Mutant(
+        "_Orbits without the sum-to-count check",
+        "faces.py",
+        "        if covered != self.count:\n"
+        "            raise InternalInconsistencyError(f\"the orbits hold {covered} subsets, not the {self.count} scanned\")\n",
+        "",
+        ("tests/test_faces.py::test_orbits_that_do_not_cover_the_scan_are_an_error",),
+    ),
+    Mutant(
+        "the k/N scaling dropped from the through-vertex-0 orbit size",
+        "faces.py",
+        "size * k // len(least) if fix_first else size",
+        "size",
+        ("tests/test_faces.py::test_scan_fix_first_counts_and_guards",),
+    ),
+    Mutant(
         "face_by_equations skipping the first zero coordinate's incidence list",
         "faces.py",
         "set().union(*map(vs.incidence.__getitem__, zeros))",

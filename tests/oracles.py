@@ -794,19 +794,20 @@ def orbit_walk(table, subset, rank, seen: bytearray):
                     yield image, (a, forced_b(a), transpose)
 
 
-def scanned(table, k: int) -> list[tuple[int, ...]]:
-    """The subsets an orbit scan covers, in lex order: those through vertex 0 on qap and phi, all on bqp."""
-    head = tuple(range(table.fixed))
-    return [head + rest for rest in combinations(range(table.fixed, len(table.index)), k - table.fixed)]
+def scanned(table, k: int, fix_first: bool) -> list[tuple[int, ...]]:
+    """The subsets an orbit scan counts, in lex order: those through vertex 0 with fix_first, else all."""
+    head = (0,) if fix_first else ()
+    return [head + rest for rest in combinations(range(len(head), len(table.index)), k - len(head))]
 
 
-def walked_orbits(table, k: int) -> list[tuple[int, tuple[int, ...], int]]:
+def walked_orbits(table, k: int, fix_first: bool) -> list[tuple[int, tuple[int, ...], int]]:
     """(position, representative, size) of each orbit, found by walking: in lex order, the first scanned subset
-    not yet seen is its orbit's lex-min member, and ``orbit_walk`` marks the rest of its orbit seen."""
-    count, rank = faces._lex_rank(len(table.index), k, table.fixed)
+    not yet seen is its orbit's lex-min member, and ``orbit_walk`` marks the rest of its orbit seen.  fix_first
+    names the members the walk reaches: True on qap and phi, False on bqp."""
+    count, rank = faces._lex_rank(len(table.index), k, int(fix_first))
     seen = bytearray(count)
     reps = []
-    for i, subset in enumerate(scanned(table, k)):
+    for i, subset in enumerate(scanned(table, k, fix_first)):
         if not seen[i]:
             seen[i] = 1
             reps.append((i, subset, 1 + sum(1 for _ in orbit_walk(table, subset, rank, seen))))
@@ -870,18 +871,19 @@ def stabiliser(table, subset) -> list[tuple[tuple[int, ...], tuple[int, ...], bo
     return found
 
 
-def carried_orbit_scan(vs: VertexSet, k: int, ctx) -> list[tuple[tuple[int, ...], object]]:
-    """(subset, certificate) for every subset the program's orbit scan covers, in lex order.
+def carried_orbit_scan(vs: VertexSet, k: int, ctx, fix_first: bool) -> list[tuple[tuple[int, ...], object]]:
+    """(subset, certificate) for every subset the program's orbit scan counts, in lex order.
 
-    The orbits are the program's (``faces._Orbits``): each representative
-    is decided by ``is_face``, its orbit is walked by ``orbit_walk``, and
-    each member gets the representative's certificate
-    carried by the move the walk gives it (``_carried``), verified by
-    substitution.  AssertionError when a carried certificate fails, when
-    an orbit's walk disagrees with its recorded size, or when a scanned
-    subset is reached twice or never.
+    The orbits are the program's (``faces._Orbits``), counting the
+    members ``orbit_walk`` reaches, as fix_first names them in
+    ``walked_orbits``: each representative is decided by ``is_face``, its
+    orbit is walked by ``orbit_walk``, and each member gets the
+    representative's certificate carried by the move the walk gives it
+    (``_carried``), verified by substitution.  AssertionError when a
+    carried certificate fails, when an orbit's walk disagrees with its
+    recorded size, or when a scanned subset is reached twice or never.
     """
-    orbits = faces._Orbits(ctx, k)
+    orbits = faces._Orbits(ctx, k, fix_first)
     seen = bytearray(orbits.count)
     reached = {}
     for i, rep, size in orbits.reps:
@@ -895,7 +897,7 @@ def carried_orbit_scan(vs: VertexSet, k: int, ctx) -> list[tuple[tuple[int, ...]
             assert member not in reached, f"{member} was reached twice"
             carried = reached[member] = _carried(vs, rep, cert, move, member)
             assert verify(vs, member, carried), f"the certificate carried from {rep} to {member} failed substitution"
-    covered = scanned(orbits.table, k)
+    covered = scanned(orbits.table, k, fix_first)
     assert len(covered) == orbits.count and sorted(reached) == covered, "the orbits do not cover the scan"
     return [(s, reached[s]) for s in covered]
 

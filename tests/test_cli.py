@@ -418,16 +418,22 @@ def test_neighborly_exit_codes(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("family, n, size", [("bqp", 7, 128), ("bqp", 7, 127), ("phi", 5, 120)])
-def test_neighborly_warns_of_a_long_scan(tmp_path, capsys, monkeypatch, family, n, size):
-    """Over 100 vertices without --fix-first the CLI warns when the scan decides its subsets one by one.
+@pytest.mark.parametrize(
+    "family, n, size, first",
+    [("bqp", 7, 128, 0), ("bqp", 7, 127, 0), ("phi", 5, 120, 0), ("qap", 5, 120, 1)],
+    ids=["bqp-7-128", "bqp-7-127", "phi-5-120", "qap-5-120-vertex-1-first"],
+)
+def test_neighborly_warns_of_a_long_scan(tmp_path, capsys, monkeypatch, family, n, size, first):
+    """Over 100 vertices without --fix-first the CLI warns exactly when the symmetry check refuses the file, so
+    that the scan decides its subsets one by one.
 
-    phi is scanned subset by subset, and so is bqp(7) less its last
-    vertex, which fails the symmetry check.  The full bqp(7) file is split
-    into the 23 orbits of its switchings and bit permutations, so it gets
-    no warning.  The scan is stubbed out."""
+    The full bqp(7) and phi(5) files are split into orbits, so they get no
+    warning.  bqp(7) less its last vertex fails the check, and so does
+    qap(5) with vertex 1 moved first, whose vertex 0 is then not the
+    identity.  The scan is stubbed out."""
     vs = generate(family, n)
-    vs = VertexSet(vs.scheme, vs.labels[:size], vs.vertices[:size])
+    order = [first] + [t for t in range(size) if t != first]
+    vs = VertexSet(vs.scheme, tuple(vs.labels[t] for t in order), tuple(vs.vertices[t] for t in order))
     vpath = tmp_path / f"{family}{n}.json"
     vs.save(str(vpath))
     stub = NeighborlinessReport(3, 0, 0, None, None, "stub", False)
@@ -435,7 +441,7 @@ def test_neighborly_warns_of_a_long_scan(tmp_path, capsys, monkeypatch, family, 
     code, _, err = run(["neighborly", "--vertices", str(vpath), "--k", "3"], capsys)
     assert code == 0
     warning = f"warning: a scan of every 3-subset of {size} vertices is long-running\n"
-    assert err == ("" if (family, size) == ("bqp", 128) else warning)
+    assert err == (warning if size == 127 or first else "")
 
 
 @pytest.mark.parametrize(
@@ -597,7 +603,7 @@ def test_main_parses_each_call_as_a_fresh_parser_would(tmp_path, capsys, monkeyp
     assert sorted(shared[1]) == ["face.json", "lemma1.json", "n0.json", "n1.json"]
 
 
-CLI_OUTPUTS_DIGEST = "f3898e846ed835de195015b551b1689496951989a0a6c22482a7d592a0445e63"
+CLI_OUTPUTS_DIGEST = "dd491c861af2d3fc5719921a7de610614c91a12f240fdb6ed7eeba6ea8015726"
 
 
 def test_cli_outputs_are_pinned(tmp_path, capsys):

@@ -716,8 +716,10 @@ def test_scan_fix_first_counts_and_guards():
     rep = k_neighborly_scan(vs, 3, fix_first=True)
     assert rep.total_subsets == 10  # C(5, 2)
     assert rep.is_k_neighborly
+    rep = k_neighborly_scan(bqp_vertices(2), 2, fix_first=True)
+    assert (rep.total_subsets, rep.faces_certified) == (3, 3)  # C(3, 1)
     with pytest.raises(ValueError):
-        k_neighborly_scan(bqp_vertices(2), 2, fix_first=True)
+        k_neighborly_scan(_reordered(bqp_vertices(2), range(3)), 2, fix_first=True)  # last vertex removed
 
 
 @pytest.mark.parametrize(
@@ -740,7 +742,8 @@ def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, count, monk
     orbit, by an LP or by fixings."""
     vs = make(n)
     ctx = FaceContext(vs)
-    carried = oracles.carried_orbit_scan(vs, k, ctx)
+    fix_first = vs.scheme.family != "bqp"
+    carried = oracles.carried_orbit_scan(vs, k, ctx, fix_first)
     solved = []
 
     def recording_is_face(vs, subset, ctx):
@@ -750,7 +753,7 @@ def test_orbit_scan_agrees_with_is_face_subset_by_subset(make, n, k, count, monk
     fixing = faces._fixing_certificate
     monkeypatch.setattr(faces, "is_face", recording_is_face)
     monkeypatch.setattr(faces, "_fixing_certificate", lambda vs, s, *rest: solved.append(s) or fixing(vs, s, *rest))
-    rep = k_neighborly_scan(vs, k, fix_first=vs.scheme.family != "bqp", ctx=ctx)
+    rep = k_neighborly_scan(vs, k, fix_first=fix_first, ctx=ctx)
     if vs.scheme.family == "bqp":
         assert [s for s, _ in carried] == list(combinations(range(len(vs)), k))
     else:
@@ -782,7 +785,7 @@ def test_full_phi5_orbit_scan_carries_faces_and_non_faces(phi5):
     assert (rep.total_subsets, rep.faces_certified, rep.counterexample_subset) == (7021, 7011, (0, 3, 4))
     assert not rep.stopped_early
     assert "LPs for 36 of the 36 orbits" in rep.symmetry_reduction
-    carried = oracles.carried_orbit_scan(vs, 3, ctx)
+    carried = oracles.carried_orbit_scan(vs, 3, ctx, True)
     nonfaces = [s for s, cert in carried if isinstance(cert, NonFaceWitness)]
     assert (len(carried), len(carried) - len(nonfaces), nonfaces[0]) == (7021, 7011, (0, 3, 4))
 
@@ -796,7 +799,7 @@ def test_each_link_move_maps_its_representative_onto_its_subset(make, n):
     orbit's size, and the move given with each member has a coordinate map that
     sends the representative's vertices onto that member."""
     vs = make(n)
-    orbits = faces._Orbits(FaceContext(vs), 3)
+    orbits = faces._Orbits(FaceContext(vs), 3, True)
     index = {v: t for t, v in enumerate(vs.vertices)}
     seen = bytearray(orbits.count)
     for i, rep, size in orbits.reps:
@@ -830,7 +833,7 @@ def test_canonical_orbits_and_coset_stabilisers_match_the_oracles(make, n, data)
     ctx = FaceContext(vs)
     table = ctx.symmetry()
     for k in (1, 2, 3, 4) if n <= 4 else (1, 2, 3):
-        assert faces._Orbits(ctx, k).reps == oracles.walked_orbits(table, k)
+        assert faces._Orbits(ctx, k, True).reps == oracles.walked_orbits(table, k, True)
     for size in (1, 2, 3, data.draw(st.integers(4, 5))):
         subset = tuple(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=size, max_size=size))))
         assert sorted(faces._stabiliser(table, subset)) == sorted(oracles.stabiliser(table, subset))
@@ -846,12 +849,12 @@ def test_phi6_triple_orbits_are_pinned():
     canonical form: the first is (0, 1, 2) with 180 members.  The pairs'
     representatives are the class minima, and {0} is the only singleton."""
     ctx = FaceContext(phi_vertices(6))
-    reps = faces._Orbits(ctx, 3).reps
+    reps = faces._Orbits(ctx, 3, True).reps
     assert (len(reps), sum(size for *_, size in reps), reps[0]) == (164, 258121, (0, (0, 1, 2), 180))
     assert hashlib.sha256(json.dumps(reps).encode()).hexdigest() == PHI6_TRIPLE_ORBITS
     minima = sorted(set(ctx.symmetry().classes[0]))[1:]  # one per cycle type but the identity's
-    assert [s for _, s, _ in faces._Orbits(ctx, 2).reps] == [(0, m) for m in minima] and len(minima) == 10
-    assert faces._Orbits(ctx, 1).reps == [(0, (0,), 1)]
+    assert [s for _, s, _ in faces._Orbits(ctx, 2, True).reps] == [(0, m) for m in minima] and len(minima) == 10
+    assert faces._Orbits(ctx, 1, True).reps == [(0, (0,), 1)]
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -862,7 +865,7 @@ def test_orbits_that_do_not_cover_the_scan_are_an_error(k, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(faces._Symmetry, "centraliser", lambda table, x: centraliser(table, x)[:-1])
         with pytest.raises(InternalInconsistencyError, match=f"not the {comb(23, k - 1)} scanned"):
-            faces._Orbits(FaceContext(qap_vertices(4)), k)
+            faces._Orbits(FaceContext(qap_vertices(4)), k, True)
     representatives = faces._Symmetry.representatives
     monkeypatch.setattr(
         faces._Symmetry, "representatives",
@@ -932,9 +935,9 @@ def test_symmetry_is_checked_once_per_context_and_a_refusal_is_kept(monkeypatch)
         assert str(refusal.value) == "fix-first reduction refused: a move does not map the vertex set onto itself"
     assert len(checks) == 1
     ctx = FaceContext(phi_vertices(4))
-    first = faces._Orbits(ctx, 3)
+    first = faces._Orbits(ctx, 3, True)
     assert (len(checks), len(maps)) == (2, 5)  # the five generators of the check
-    second = faces._Orbits(ctx, 3)
+    second = faces._Orbits(ctx, 3, True)
     assert (len(checks), len(maps)) == (2, 5)
     assert second.reps == first.reps
 
@@ -963,7 +966,7 @@ def test_orbits_missing_one_orbit_are_an_error(monkeypatch):
     representatives = faces._Symmetry.representatives
     monkeypatch.setattr(faces._Symmetry, "representatives", lambda *args: list(representatives(*args))[:-1])
     with pytest.raises(InternalInconsistencyError, match=f"not the {comb(23, 2)} scanned"):
-        faces._Orbits(FaceContext(phi_vertices(4)), 3)
+        faces._Orbits(FaceContext(phi_vertices(4)), 3, True)
 
 
 def _reordered(vs, order):
@@ -1100,7 +1103,7 @@ def test_orbit_lp_matches_the_frame_lp_verdicts_on_phi5(phi5, monkeypatch):
     triple of phi(5) in one LP smaller than the frame LP, with the frame LP's
     verdict, which is_face gives too, and a result that passes substitution."""
     vs, ctx = phi5
-    orbits = faces._Orbits(ctx, 3)
+    orbits = faces._Orbits(ctx, 3, True)
     reps = [s for _, s, _ in orbits.reps]
     assert len(reps) == 36
     for subset in sorted(set(reps) | {(0, i, j) for i, j in PHI5_FACETEST_PAIRS}):
@@ -1472,6 +1475,55 @@ def test_orbit_scan_counts_match_is_face_on_a_symmetric_reordering(name, seed):
             assert rep.counterexample_witness == (verdicts[first] if nonfaces else None)
 
 
+_DRAWN_BASES = {  # the identity first in every generated qap and phi set, vertex 0 of bqp any vertex
+    f"{make.__name__[:3]}{n}": make(n)
+    for make, sizes in ((qap_vertices, (3, 4)), (phi_vertices, (3, 4)), (bqp_vertices, (2, 3, 4)))
+    for n in sizes
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_DRAWN_BASES)), st.data())
+def test_orbit_scan_on_a_drawn_vertex_order_is_an_is_face_loop(name, data):
+    """On a drawn vertex order (the identity kept first on qap and phi), every scan at k = 1 to 3, through vertex 0
+    or over every subset, stopped at the first non-face or not, gives the counts, counterexample and witness of
+    is_face called on each counted subset in lex order."""
+    base = _DRAWN_BASES[name]
+    if base.scheme.family == "bqp":
+        vs = _reordered(base, data.draw(st.permutations(range(len(base)))))
+    else:
+        vs = _identity_first(base, data.draw(st.permutations(range(len(base) - 1))))
+    ctx = FaceContext(vs)
+    for k in (1, 2, 3):
+        verdicts = {s: is_face(vs, s, ctx) for s in combinations(range(len(vs)), k)}
+        for fix_first in (False, True):
+            counted = [s for s in verdicts if s[0] == 0 or not fix_first]
+            nonfaces = [s for s in counted if isinstance(verdicts[s], NonFaceWitness)]
+            first = nonfaces[0] if nonfaces else None
+            for stop in (False, True):
+                rep = k_neighborly_scan(vs, k, fix_first=fix_first, stop_at_first=stop, ctx=ctx)
+                total = counted.index(first) + 1 if stop and nonfaces else len(counted)
+                faces_before = total - 1 if stop and nonfaces else total - len(nonfaces)
+                assert (rep.total_subsets, rep.faces_certified) == (total, faces_before)
+                assert (rep.counterexample_subset, rep.stopped_early) == (first, stop and first is not None)
+                assert rep.counterexample_witness == (verdicts[first] if nonfaces else None)
+                assert "none" not in rep.symmetry_reduction
+
+
+@pytest.mark.parametrize("make, n", [(qap_vertices, 3), (phi_vertices, 3), (qap_vertices, 4), (phi_vertices, 4)])
+def test_all_subset_orbits_are_those_of_every_move(make, n):
+    """Counting every k-subset, the qap and phi orbits found by canonical form have the representatives,
+    positions and sizes of the orbits under the vertex maps of all 2 n!^2 moves (a, b, transpose), each read
+    off its coordinate map (``families.coordinate_map``)."""
+    vs = make(n)
+    perms = list(permutations(range(n)))
+    maps = [_coordinate_vertex_map(vs, move) for move in product(perms, perms, (False, True))]
+    assert len(maps) == 2 * factorial(n) ** 2
+    ctx = FaceContext(vs)
+    for k in (1, 2, 3, 4):
+        assert faces._Orbits(ctx, k, False).reps == oracles.group_orbits(maps, k)
+
+
 def test_phi4_fix_first_scan_takes_both_routes(monkeypatch):
     """5 representatives by fixings, the other 5 (the non-face among them) by is_face."""
     fixed, solved = _counting(monkeypatch, "_fixing_certificate"), _counting(monkeypatch, "is_face")
@@ -1613,7 +1665,7 @@ def test_bqp_orbit_scan_finds_the_non_faces_a_subset_by_subset_scan_finds(monkey
     assert (rep.total_subsets, rep.faces_certified) == (70, 70 - len(nonfaces)) and nonfaces
     assert rep.counterexample_subset == nonfaces[0]
     assert rep.counterexample_witness == direct[nonfaces[0]]
-    for subset, cert in oracles.carried_orbit_scan(vs, 4, ctx):
+    for subset, cert in oracles.carried_orbit_scan(vs, 4, ctx, False):
         assert type(cert) is type(direct[subset]) and _verifies(vs, subset, cert)
     stopped = k_neighborly_scan(vs, 4, ctx=ctx, stop_at_first=True)
     assert (stopped.counterexample_subset, stopped.counterexample_witness) == (nonfaces[0], direct[nonfaces[0]])
@@ -1697,7 +1749,7 @@ def test_bqp_orbits_are_those_of_every_switching_and_bit_permutation(m, k, count
     vs = bqp_vertices(m)
     maps = oracles.bqp_group_maps(vs)
     assert len(maps) == len({tuple(vmap) for vmap in maps}) == 2**m * factorial(m)
-    reps = faces._Orbits(FaceContext(vs), k).reps
+    reps = faces._Orbits(FaceContext(vs), k, False).reps
     assert reps == oracles.group_orbits(maps, k) and len(reps) == count
 
 
@@ -1711,16 +1763,16 @@ def test_bqp_orbits_on_a_drawn_vertex_order_are_those_of_the_group(data):
     m = data.draw(st.sampled_from([2, 3, 4, 5]))
     k = data.draw(st.integers(1, 3 if m == 5 else min(4, 2**m - 1)))
     vs = _reordered(bqp_vertices(m), data.draw(st.permutations(range(2**m))))
-    assert faces._Orbits(FaceContext(vs), k).reps == oracles.group_orbits(oracles.bqp_group_maps(vs), k)
+    assert faces._Orbits(FaceContext(vs), k, False).reps == oracles.group_orbits(oracles.bqp_group_maps(vs), k)
 
 
 def test_bqp6_triple_orbits_are_those_of_the_walk():
     """The 16 orbits of the 41,664 bqp(6) triples by canonical form are those the
     oracle walk finds, with the same positions and sizes."""
     ctx = FaceContext(bqp_vertices(6))
-    reps = faces._Orbits(ctx, 3).reps
+    reps = faces._Orbits(ctx, 3, False).reps
     assert (len(reps), sum(size for *_, size in reps)) == (16, 41664)
-    assert reps == oracles.walked_orbits(ctx.symmetry(), 3)
+    assert reps == oracles.walked_orbits(ctx.symmetry(), 3, False)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -1731,7 +1783,7 @@ def test_bqp_orbits_that_do_not_cover_the_scan_are_an_error(k, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(faces._BitSymmetry, "centraliser", lambda table, x: centraliser(table, x)[:-1])
         with pytest.raises(InternalInconsistencyError, match=f"not the {comb(16, k)} scanned"):
-            faces._Orbits(FaceContext(bqp_vertices(4)), k)
+            faces._Orbits(FaceContext(bqp_vertices(4)), k, False)
     representatives = faces._BitSymmetry.representatives
     monkeypatch.setattr(
         faces._BitSymmetry, "representatives",
@@ -1741,6 +1793,8 @@ def test_bqp_orbits_that_do_not_cover_the_scan_are_an_error(k, monkeypatch):
         k_neighborly_scan(bqp_vertices(4), k)
 
 
-def test_bqp_fix_first_is_still_refused():
-    with pytest.raises(ValueError, match="qap or phi"):
-        k_neighborly_scan(bqp_vertices(3), 3, fix_first=True)
+def test_bqp_fix_first_counts_the_subsets_through_vertex_0():
+    """fix_first counts the 105 bqp(4) triples through vertex 0, from the same 6 orbits as the 560 triples."""
+    rep = k_neighborly_scan(bqp_vertices(4), 3, fix_first=True)
+    assert (rep.total_subsets, rep.faces_certified, rep.counterexample_subset) == (105, 105, None)
+    assert "LPs for 6 of the 6 orbits of 3-subsets through vertex 0" in rep.symmetry_reduction

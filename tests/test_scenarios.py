@@ -9,15 +9,15 @@ from polyface.scenarios import run_scenario, scenario_prop1
 
 @pytest.mark.parametrize(
     "name, param, lps",
-    [("corollary-3n-face", 2, 0), ("corollary-3n-face", 3, 8), ("nonisomorphism", 3, 2)],
+    [("corollary-3n-face", 2, 0), ("corollary-3n-face", 3, 8), ("nonisomorphism", 3, 1)],
     ids=["corollary-k2", "corollary-k3", "nonisomorphism"],
 )
 def test_scenario_solves_each_support_lp_once(name, param, lps, monkeypatch):
     """corollary-3n-face: one LP per standalone triple whose coordinate face holds a
     vertex more than the triple (none of the 4 at k = 2, 8 of the 56 at k = 3), shared
     by its scan and lift steps, and fixings for every other triple and for the k = 2
-    direct cross-check; nonisomorphism: its two triple scans, where coordinate fixings
-    certify every triple but the two phi(3) non-faces."""
+    direct cross-check; nonisomorphism: its two triple scans, by orbits, where coordinate
+    fixings certify every representative but the one orbit of the two phi(3) non-faces."""
     calls = []
     solve = faces.lp_solve
 
